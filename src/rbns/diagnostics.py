@@ -82,8 +82,13 @@ def nusselt_strip(temp: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     normal is (-h', 1)/sqrt(1+h'^2), so the weighted integrand reduces to
     -h'(u1 T - dT/dy1) + (u2 T - dT/dy2) per unit y1.
     """
+    return _strip_nusselt(temp, grad_physical(temp, grid), u1, u2, grid, x2_level)
+
+
+def _strip_nusselt(temp, grad_temp, u1, u2, grid: MappedGrid, x2_level: float) -> float:
+    """nusselt_strip with (dT/dy1, dT/dy2) already evaluated."""
     j = level_index(grid, x2_level)
-    ty1, ty2 = grad_physical(temp, grid)
+    ty1, ty2 = grad_temp
     row = (-grid.hp * (u1[:, j] * temp[:, j] - ty1[:, j])
            + (u2[:, j] * temp[:, j] - ty2[:, j]))
     return float(np.sum(row) * grid.dx1) / grid.area
@@ -191,7 +196,7 @@ def measure(time, omega, psi, temp, u1, u2, grid: MappedGrid,
     """Evaluate every instantaneous diagnostic for one snapshot."""
     ty1, ty2 = grad_physical(temp, grid)
     nu_g = volume_integral(ty1**2 + ty2**2, grid) / grid.area
-    strips = tuple(nusselt_strip(temp, u1, u2, grid, lev) for lev in STRIP_LEVELS)
+    strips = tuple(_strip_nusselt(temp, (ty1, ty2), u1, u2, grid, lev) for lev in STRIP_LEVELS)
 
     energy = volume_integral(u1**2 + u2**2, grid)
     enstrophy = volume_integral(omega**2, grid)

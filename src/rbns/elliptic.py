@@ -8,11 +8,15 @@ Three problems back the time stepper and the pressure recovery:
                                               fluxes n.grad(p), mean-zero p
 
 where L is the mapped divergence-form Laplacian of :mod:`rbns.grid`.  On a
-flat grid every problem decouples into per-x1-Fourier-mode tridiagonal
-systems and is solved directly.  On rough grids the interior operator is
-symmetric positive definite (the coefficient matrix has unit determinant),
-and we run preconditioned conjugate gradients with the flat-metric direct
-solve (mean x2 coefficient) as the preconditioner.
+flat grid every problem is solved directly in a tensor-product eigenbasis
+(Lynch, Rice & Thomas 1964): the x2 operators have closed-form bases, a
+discrete sine basis for the interior Dirichlet rows and a cosine (DCT-I)
+basis for the Neumann nodes, and x1 is diagonalized by the FFT, so a solve
+is a basis change in x2, an rfft in x1, one elementwise divide and the
+inverse transforms.  On rough grids the interior operator is symmetric
+positive definite (the coefficient matrix has unit determinant), and we run
+preconditioned conjugate gradients with the flat-metric direct solve (mean
+x2 coefficient) as the preconditioner.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -23,6 +27,7 @@ compatible subspace and the projection defect reported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,37 +57,49 @@ def default_maxiter(grid: MappedGrid) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vectorized symmetric tridiagonal solves (one system per x1 mode)
+# closed-form x2 eigenbases (one per n2, shared and read-only)
 # ---------------------------------------------------------------------------
 
-def _thomas_factor(diag: np.ndarray, off) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of tridiagonal systems with constant off-diagonal per mode.
+def _second_difference_eigenvalues(n: int, j: np.ndarray) -> np.ndarray:
+    """(2 - 2 cos(pi j / n)) n^2, in the cancellation-free sine form."""
+    return (2.0 * n * np.sin(0.5 * np.pi * j / n)) ** 2
 
-    diag has shape (m, n); off is scalar or (m, 1)-broadcastable.  Returns
-    (denom, w) with denom the pivot array and w the elimination multipliers.
+
+@functools.cache
+def _sine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal symmetric S and eigenvalues of the interior -D2 (Dirichlet).
+
+    S[i, j] = sqrt(2/n) sin(pi i j / n), i, j = 1..n-1 with n = n2 - 1, and
+    -D2 S = S diag(lam) for the 3-point second difference on the n2-2
+    interior rows with zero wall values.
     """
-    m, n = diag.shape
-    off = np.broadcast_to(np.asarray(off, dtype=float), (m, 1))
-    denom = np.empty_like(diag)
-    w = np.empty((m, n - 1))
-    denom[:, 0] = diag[:, 0]
-    for j in range(1, n):
-        w[:, j - 1] = off[:, 0] / denom[:, j - 1]
-        denom[:, j] = diag[:, j] - off[:, 0] * w[:, j - 1]
-    return denom, w
+    n = n2 - 1
+    j = np.arange(1, n)
+    phase = np.outer(j, j) % (2 * n)          # exact reduction of the sine argument
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * phase / n)
+    lam = _second_difference_eigenvalues(n, j)
+    s.setflags(write=False)
+    lam.setflags(write=False)
+    return s, lam
 
 
-def _thomas_solve(denom: np.ndarray, w: np.ndarray, off, rhs: np.ndarray) -> np.ndarray:
-    m, n = denom.shape
-    off = np.broadcast_to(np.asarray(off, dtype=float), (m, 1))
-    x = np.empty_like(rhs)
-    x[:, 0] = rhs[:, 0]
-    for j in range(1, n):
-        x[:, j] = rhs[:, j] - w[:, j - 1] * x[:, j - 1]
-    x[:, -1] = x[:, -1] / denom[:, -1]
-    for j in range(n - 2, -1, -1):
-        x[:, j] = (x[:, j] - off[:, 0] * x[:, j + 1]) / denom[:, j]
-    return x
+@functools.cache
+def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """W-orthonormal V and eigenvalues of Gz^T Gz on the n2 nodes (Neumann).
+
+    V[i, j] is cos(pi i j / n), i, j = 0..n with n = n2 - 1, scaled so that
+    V^T W V = I for the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2);
+    then Gz^T Gz V = W V diag(mu).  Column 0 (mu = 0) spans the constants.
+    """
+    n = n2 - 1
+    j = np.arange(n2)
+    phase = np.outer(j, j) % (2 * n)
+    v = np.cos(np.pi * phase / n) * np.sqrt(2.0 / n)
+    v[:, [0, -1]] *= np.sqrt(0.5)
+    mu = _second_difference_eigenvalues(n, j)
+    v.setflags(write=False)
+    mu.setflags(write=False)
+    return v, mu
 
 
 # ---------------------------------------------------------------------------
@@ -118,35 +135,6 @@ def _boundary_only(bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.
     full[:, 0] = bottom
     full[:, -1] = top
     return full
-
-
-# ---------------------------------------------------------------------------
-# flat-metric direct solves (also the rough-case preconditioners)
-# ---------------------------------------------------------------------------
-
-class _FlatDirichlet:
-    """Per-mode tridiagonal factors for (sigma*I - c*(Dxx + a*Dzz)) on interior rows.
-
-    sigma=0, c=1 gives the Poisson operator -L; sigma=1 the Helmholtz one.
-    ``a`` is the (constant) x2 coefficient: 1 on truly flat grids, the mean
-    of 1+h'^2 when used as a rough-grid preconditioner.
-    """
-
-    def __init__(self, grid: MappedGrid, c: float, sigma: float, a: float = 1.0):
-        self.grid = grid
-        self.c = c
-        self.sigma = sigma
-        self.a = a
-        nz = grid.n2 - 2
-        diag = sigma + c * (grid.k2[:, None] + 2.0 * a / grid.dx2**2) * np.ones((grid.k2.size, nz))
-        self.off = -c * a / grid.dx2**2
-        self.denom, self.w = _thomas_factor(diag, self.off)
-
-    def solve_modes(self, rhs_int: np.ndarray) -> np.ndarray:
-        """rhs_int (n1, n2-2) real -> solution on interior rows."""
-        rhat = np.fft.rfft(rhs_int, axis=0)
-        xhat = _thomas_solve(self.denom, self.w, self.off, rhat)
-        return np.fft.irfft(xhat, n=self.grid.n1, axis=0)
 
 
 def _dirichlet_rhs(c: float, sigma: float, rhs_int: np.ndarray,
@@ -193,8 +181,11 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
 class HelmholtzDirichlet:
     """Solver for (I - c L) u = rhs with Dirichlet wall traces (c >= 0).
 
-    With c=None the operator is the Poisson one (-L u = -rhs).  Instances
-    cache the per-mode factorizations, so reuse them across time steps.
+    With c=None the operator is the Poisson one (-L u = -rhs).  The flat
+    operator sigma - c (Dxx + a Dzz) is diagonal in the x1 Fourier modes
+    times the x2 sine basis, so construction computes only its eigenvalues
+    (one divisor array); ``a`` is 1 on flat grids and the mean of 1 + h'^2
+    when the flat solve preconditions PCG on rough ones.
     """
 
     def __init__(self, grid: MappedGrid, c: float | None, tol: float = 1e-10,
@@ -206,8 +197,15 @@ class HelmholtzDirichlet:
         sigma = 0.0 if c is None else 1.0
         ceff = 1.0 if c is None else c
         self._sigma, self._ceff = sigma, ceff
-        a_pre = 1.0 if grid.is_flat else float(np.mean(grid.a22))
-        self._flat = _FlatDirichlet(grid, ceff, sigma, a_pre)
+        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+        _, lam = _sine_basis(grid.n2)
+        self._divisor = sigma + ceff * (grid.k2[:, None] + a * lam[None, :])
+
+    def _flat_solve(self, b: np.ndarray) -> np.ndarray:
+        """Flat-operator solve on the interior rows: (n1, n2-2) -> (n1, n2-2)."""
+        s, _ = _sine_basis(self.grid.n2)
+        bhat = np.fft.rfft(b @ s, axis=0)
+        return np.fft.irfft(bhat / self._divisor, n=self.grid.n1, axis=0) @ s
 
     def _apply(self, v_int: np.ndarray) -> np.ndarray:
         out = -self._ceff * _interior_apply(_embed(v_int, self.grid), self.grid)
@@ -221,10 +219,10 @@ class HelmholtzDirichlet:
         grid = self.grid
         b = _dirichlet_rhs(self._ceff, self._sigma, rhs_int, bottom, top, grid)
         if grid.is_flat:
-            u_int = self._flat.solve_modes(b)
+            u_int = self._flat_solve(b)
             info = SolveInfo(1, 0.0, "direct")
         else:
-            u_int, info = _pcg(self._apply, self._flat.solve_modes, b,
+            u_int, info = _pcg(self._apply, self._flat_solve, b,
                                x0[:, 1:-1] if x0 is not None and x0.shape == grid.shape else x0,
                                self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
         full = np.empty(grid.shape)
@@ -263,6 +261,21 @@ def solve_helmholtz_dirichlet(c: float, rhs: np.ndarray, bottom, top, grid: Mapp
 # Neumann Poisson (mean-zero pressure)
 # ---------------------------------------------------------------------------
 
+def _remove_kernel(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Project out the kernel of the face-scheme operator (plain inner product).
+
+    The kernel is the constants and, for even n1, a second (non-physical)
+    vector: the skew x1 derivative zeroes the Nyquist mode, so a field
+    alternating in x1 and constant in x2 is annihilated too.
+    """
+    f = f - np.sum(f) / f.size
+    if grid.n1 % 2 == 0:
+        v2 = np.empty(grid.n1)
+        v2[0::2], v2[1::2] = 1.0, -1.0
+        f -= (np.sum(v2[:, None] * f) / f.size) * v2[:, None]
+    return f
+
+
 class PoissonNeumann:
     """L p = rhs with physical conormal fluxes n.grad(p) given on the walls.
 
@@ -282,7 +295,18 @@ class PoissonNeumann:
         self.grid = grid
         self.tol = tol
         self.maxiter = maxiter if maxiter is not None else default_maxiter(grid)
-        self._build_flat_factors()
+        # Per x1 mode the flat operator is dx1 dx2 (kk Av^T Av + a Gz^T Gz)
+        # = dx1 dx2 (kk W + (a - kk dx2^2/4) Gz^T Gz), since
+        # Av^T Av = W - (dx2^2/4) Gz^T Gz with W = diag(1/2, 1, ..., 1, 1/2):
+        # diagonal in the W-orthonormal cosine basis.  kk is the x1 symbol of
+        # apply(); the skew derivative zeroes the Nyquist mode, so that mode
+        # is singular like k = 0, and an infinite divisor zeroes their kernel
+        # coefficient.
+        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+        _, mu = _cosine_basis(grid.n2)
+        kk = (np.abs(grid.ik_d1) ** 2)[:, None]
+        self._divisor = grid.dx1 * grid.dx2 * (kk + (a - 0.25 * grid.dx2**2 * kk) * mu[None, :])
+        self._divisor[kk[:, 0] == 0.0, 0] = np.inf
 
     # face-scheme operator -------------------------------------------------
     def apply(self, p: np.ndarray) -> np.ndarray:
@@ -305,47 +329,16 @@ class PoissonNeumann:
         out[:, 1:] += q2 / grid.dx2
         return out * (grid.dx1 * grid.dx2)
 
-    # flat per-mode tridiagonal factors -------------------------------------
-    def _build_flat_factors(self):
-        grid = self.grid
-        n2 = grid.n2
-        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
-        self._a_pre = a
-        scale = grid.dx1 * grid.dx2
-        # Av^T Av: diag 1/2 interior, 1/4 ends; off 1/4.
-        avd = np.full(n2, 0.5)
-        avd[0] = avd[-1] = 0.25
-        # Gz^T Gz: diag 2/dx2^2 interior, 1/dx2^2 ends; off -1/dx2^2.
-        gzd = np.full(n2, 2.0 / grid.dx2**2)
-        gzd[0] = gzd[-1] = 1.0 / grid.dx2**2
-        # Same x1 symbol as apply(): the skew derivative zeroes the Nyquist
-        # mode, so that mode is singular in x2 exactly like k = 0.
-        kk = np.abs(grid.ik_d1) ** 2
-        self._singular = np.flatnonzero(kk == 0.0)
-        regular = np.flatnonzero(kk > 0.0)
-        self._regular = regular
-        diag = scale * (kk[:, None] * avd[None, :] + a * gzd[None, :])
-        off = scale * (kk * 0.25 - a / grid.dx2**2)
-        self._denom, self._w = _thomas_factor(diag[regular], off[regular, None])
-        self._off = off[regular, None]
-        # singular modes: pure a*Gz^T Gz system with node 0 pinned
-        d_sing = diag[self._singular[0], 1:]
-        self._denom_s, self._w_s = _thomas_factor(d_sing[None, :], off[self._singular[0]])
-        self._off_s = off[self._singular[0]]
-
+    # flat-metric direct solve (the rough-grid preconditioner) --------------
     def _flat_solve(self, b: np.ndarray) -> np.ndarray:
-        """Exact flat-operator solve on the compatible subspace, mean-zero result."""
+        """Exact flat-operator solve on the compatible subspace.
+
+        The singular modes come back with zero mean in x2.
+        """
         grid = self.grid
-        bhat = np.fft.rfft(b, axis=0)
-        xhat = np.zeros_like(bhat)
-        xhat[self._regular] = _thomas_solve(self._denom, self._w, self._off, bhat[self._regular])
-        for m in self._singular:
-            # project onto the compatible subspace, pin node 0, recenter
-            rhs = bhat[m] - np.mean(bhat[m])
-            xs = np.zeros(grid.n2, dtype=complex)
-            xs[1:] = _thomas_solve(self._denom_s, self._w_s, self._off_s, rhs[1:][None, :])[0]
-            xhat[m] = xs - np.mean(xs)
-        return np.fft.irfft(xhat, n=grid.n1, axis=0)
+        v, _ = _cosine_basis(grid.n2)
+        bhat = np.fft.rfft(b @ v, axis=0)
+        return _remove_kernel(np.fft.irfft(bhat / self._divisor, n=grid.n1, axis=0) @ v.T, grid)
 
     # front end --------------------------------------------------------------
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
@@ -359,14 +352,8 @@ class PoissonNeumann:
         # compatibility: project out the kernel component and report it
         defect = float(np.sum(b))
         scale = float(np.sum(np.abs(b)))
-        b -= defect / b.size
         rel_defect = abs(defect) / scale if scale > 0 else 0.0
-        if grid.n1 % 2 == 0:
-            # the skew x1 derivative zeroes the Nyquist mode, leaving a second
-            # (non-physical) kernel vector: alternating in x1, constant in x2
-            v2 = np.empty(grid.n1)
-            v2[0::2], v2[1::2] = 1.0, -1.0
-            b -= (np.sum(v2[:, None] * b) / b.size) * v2[:, None]
+        b = _remove_kernel(b, grid)
 
         if grid.is_flat:
             p = self._flat_solve(b)

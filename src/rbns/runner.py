@@ -23,6 +23,7 @@ from rbns.background import build_background
 from rbns.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from rbns.config import RunConfig, serialize_config
 from rbns.diagnostics import Recorder, measure
+from rbns.elliptic import EllipticError
 from rbns.geometry import boundary_frames, boundary_norms
 from rbns.grid import MappedGrid
 from rbns.solver import BoussinesqStepper, CflViolation, FlowState, PhysicalParams
@@ -143,8 +144,9 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                    config_text: str | None = None) -> RunResult:
     """Time-step from t=0 (or a checkpoint) to t_end, sampling diagnostics.
 
-    NaN detection aborts the run; the last written checkpoint is retained
-    and everything sampled so far is still flushed to the CSV.
+    NaN detection, a rejected step or a failed elliptic solve aborts the run;
+    the last written checkpoint is retained and everything sampled so far is
+    still flushed to the CSV.
     """
     stepper = build_stepper(config)
     grid = stepper.grid
@@ -189,18 +191,27 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
 
     result = RunResult(recorder=recorder, final_state=state, output_dir=out)
 
-    def take_sample(st: FlowState, index: int) -> bool:
+    def take_sample(st: FlowState, index: int) -> str:
+        """Record one sample; returns why the run must stop, or "".
+
+        A failed pressure solve still records the sample, without pressure.
+        """
         if not (np.isfinite(st.omega).all() and np.isfinite(st.temp).all()):
-            return False
-        pressure, defect = None, float("nan")
+            return f"non-finite fields at t = {st.time:.6g}"
+        pressure, defect, abort = None, float("nan"), ""
         if config.output.pressure_every > 0 and index % config.output.pressure_every == 0:
-            pressure, info = stepper.recover_pressure(st)
-            defect = info.compat_defect
+            try:
+                pressure, info = stepper.recover_pressure(st)
+                defect = info.compat_defect
+            except EllipticError as exc:
+                abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
         rec = measure(st.time, st.omega, st.psi, st.temp, st.u1, st.u2, grid,
                       stepper.bottom, stepper.top, config.physical.pr, config.physical.ra,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(rec)
-        return bool(np.isfinite(rec.energy) and np.isfinite(rec.nu_gradsq))
+        if not (np.isfinite(rec.energy) and np.isfinite(rec.nu_gradsq)):
+            return f"non-finite fields at t = {st.time:.6g}"
+        return abort
 
     def write_ckpt(st: FlowState, label: str) -> None:
         if ckpt_dir is None:
@@ -214,10 +225,8 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     ckpt_count = 1
     if tcfg.checkpoint_interval is not None and state.time > 0:
         ckpt_count = int(np.floor(state.time / tcfg.checkpoint_interval + 1e-12)) + 1
-    if state.time == 0.0:
-        take_sample(state, 0)
-    ok = True
-    while state.time < t_end - 1e-14:
+    abort = take_sample(state, 0) if state.time == 0.0 else ""
+    while not abort and state.time < t_end - 1e-14:
         dt = tcfg.dt if tcfg.dt is not None else stepper.suggest_dt(
             state, tcfg.dt_max if tcfg.dt_max is not None else np.inf)
         if not np.isfinite(dt):
@@ -226,20 +235,20 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
         try:
             state = stepper.step(state, dt)
         except CflViolation as exc:
-            result.aborted = True
             if np.isfinite(state.u1).all():
-                result.abort_reason = (f"step rejected at t = {state.time:.6g}: {exc}")
+                abort = f"step rejected at t = {state.time:.6g}: {exc}"
             else:
-                result.abort_reason = f"non-finite fields at t = {state.time:.6g}"
+                abort = f"non-finite fields at t = {state.time:.6g}"
+            break
+        except EllipticError as exc:
+            abort = f"step solve failed at t = {state.time:.6g}: {exc}"
             break
         result.steps_taken += 1
 
         if state.time >= sample_count * sample_dt - 1e-12:
-            ok = take_sample(state, sample_count)
+            abort = take_sample(state, sample_count)
             sample_count += 1
-            if not ok:
-                result.aborted = True
-                result.abort_reason = f"non-finite fields at t = {state.time:.6g}"
+            if abort:
                 break
         if (tcfg.checkpoint_interval is not None
                 and state.time >= ckpt_count * tcfg.checkpoint_interval - 1e-12):
@@ -247,6 +256,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             state = state.without_history()  # predictor restarts here on resume too
             ckpt_count += 1
 
+    result.aborted, result.abort_reason = bool(abort), abort
     result.final_state = state
     if not result.aborted:
         write_ckpt(state, "final")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo
+from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo, _interior_apply
 from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
     MappedGrid,
@@ -117,7 +117,6 @@ class BoussinesqStepper:
         self.t_top = np.zeros(grid.n1)
         self.poisson = HelmholtzDirichlet(grid, None, solver_tol)
         self.neumann = PoissonNeumann(grid, solver_tol)
-        self._helm: dict[tuple[str, float], HelmholtzDirichlet] = {}
         self._last_pressure = None
         self.last_info: dict[str, SolveInfo] = {}
 
@@ -159,14 +158,6 @@ class BoussinesqStepper:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _helmholtz(self, kind: str, c: float) -> HelmholtzDirichlet:
-        key = (kind, c)
-        if key not in self._helm:
-            if len(self._helm) > 8:  # dt changes invalidate old factorizations
-                self._helm.clear()
-            self._helm[key] = HelmholtzDirichlet(self.grid, c, self.solver_tol)
-        return self._helm[key]
-
     def _velocity(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
         psi_z = d_x2(psi, grid)
@@ -196,19 +187,6 @@ class BoussinesqStepper:
             n_w = n_w + pr * ra * (d_x1(state.temp, grid) - grid.hp[:, None] * tz)
         return n_w[:, 1:-1], n_t[:, 1:-1]
 
-    def _interior_laplacian(self, f: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        dx2 = grid.dx2
-        fz = (f[:, 2:] - f[:, :-2]) / (2.0 * dx2)
-        out = np.fft.irfft(-grid.k2[:, None] * np.fft.rfft(f, axis=0), n=grid.n1, axis=0)[:, 1:-1]
-        out += grid.a22[:, None] * (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / dx2**2
-        if not grid.is_flat:
-            hp = grid.hp[:, None]
-            out += d_x1(-hp * fz, grid)
-            g = -hp * d_x1(f, grid)
-            out += (g[:, 2:] - g[:, :-2]) / (2.0 * dx2)
-        return out
-
     # -- the step ---------------------------------------------------------------
 
     def step(self, state: FlowState, dt: float) -> FlowState:
@@ -232,17 +210,17 @@ class BoussinesqStepper:
 
         c_w = 0.5 * pr * dt
         c_t = 0.5 * dt
-        rhs_w = state.omega[:, 1:-1] + c_w * self._interior_laplacian(state.omega) + dt * expl_w
-        rhs_t = state.temp[:, 1:-1] + c_t * self._interior_laplacian(state.temp) + dt * expl_t
+        rhs_w = state.omega[:, 1:-1] + c_w * _interior_apply(state.omega, grid) + dt * expl_w
+        rhs_t = state.temp[:, 1:-1] + c_t * _interior_apply(state.temp, grid) + dt * expl_t
 
-        temp_new, info_t = self._helmholtz("temp", c_t).solve(
+        temp_new, info_t = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
             rhs_t, self.t_bottom, self.t_top, x0=state.temp)
 
         ut_b = tangential_velocity(state.u1, state.u2, grid, Side.BOTTOM)
         ut_t = tangential_velocity(state.u1, state.u2, grid, Side.TOP)
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
-        helm_w = self._helmholtz("omega", c_w)
+        helm_w = HelmholtzDirichlet(grid, c_w, self.solver_tol)
         for sweep in range(self.coupling_sweeps + 1):
             w_b = boundary_vorticity(ut_b, self.bottom)
             w_t = boundary_vorticity(ut_t, self.top)
@@ -301,17 +279,6 @@ class BoussinesqStepper:
                                      x0=self._last_pressure)
         self._last_pressure = p
         return p, info
-
-
-def step(state: FlowState, params: PhysicalParams, dt: float, grid: MappedGrid,
-         bottom: BoundaryData, top: BoundaryData, **options) -> FlowState:
-    """One-shot step; prefer a persistent BoussinesqStepper in loops."""
-    return BoussinesqStepper(grid, params, bottom, top, **options).step(state, dt)
-
-
-def recover_pressure(state: FlowState, params: PhysicalParams, grid: MappedGrid,
-                     bottom: BoundaryData, top: BoundaryData) -> tuple[np.ndarray, SolveInfo]:
-    return BoussinesqStepper(grid, params, bottom, top).recover_pressure(state)
 
 
 # `run` lives in rbns.runner to keep this module free of configuration and

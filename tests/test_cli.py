@@ -137,3 +137,39 @@ def test_nan_abort_exit_code(tmp_path, capsys):
     assert "error in solver" in capsys.readouterr().err
     # the diagnostics sampled before the abort are still flushed
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+
+
+@pytest.mark.parametrize("after_setup, stage", [
+    # every solver capped: the t = 0 sample's pressure solve fails first
+    (False, "pressure solve failed at t = 0"),
+    # only solvers built after set-up capped: the first step's solve fails
+    (True, "step solve failed at t = 0"),
+])
+def test_solver_failure_aborts_with_outputs(tmp_path, capsys, monkeypatch, after_setup, stage):
+    import rbns.elliptic
+    import rbns.runner
+    from rbns.runner import read_summary
+
+    def cap_iterations():
+        monkeypatch.setattr(rbns.elliptic, "default_maxiter", lambda grid: 1)
+
+    if after_setup:
+        build = rbns.runner.build_stepper
+
+        def build_then_cap(config):
+            stepper = build(config)
+            cap_iterations()
+            return stepper
+
+        monkeypatch.setattr(rbns.runner, "build_stepper", build_then_cap)
+    else:
+        cap_iterations()
+    cfg = TINY.replace("[physical]", "[geometry]\nmodes = 1:0.0:0.1\n\n[physical]")
+    path = tmp_path / "rough.cfg"
+    path.write_text(cfg)
+    out = str(tmp_path / "rough_run")
+    assert main(["simulate", "--config", str(path), "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert stage in err and "in 1 iterations (residual" in err
+    assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+    assert read_summary(os.path.join(out, "run_summary.txt"))["aborted"] == 1

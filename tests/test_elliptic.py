@@ -3,6 +3,7 @@ import pytest
 
 from rbns.elliptic import (
     EllipticError,
+    HelmholtzDirichlet,
     PoissonNeumann,
     solve_helmholtz_dirichlet,
     solve_poisson_dirichlet,
@@ -55,6 +56,67 @@ def test_helmholtz_flat_exact_mode(flat_profile):
     sol, info = solve_helmholtz_dirichlet(c, rhs[:, 1:-1], f[:, 0], f[:, -1], g)
     assert info.method == "direct"
     assert np.abs(sol - f).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n1", [8, 9])
+@pytest.mark.parametrize("c", [None, 0.003])
+def test_flat_dirichlet_matches_dense_per_mode(flat_profile, n1, c):
+    # per x1 mode the interior operator is sigma + c (k^2 - D2), D2 the
+    # 3-point second difference; the walls enter the first and last rows
+    g = MappedGrid(flat_profile, n1, 11)
+    rng = np.random.default_rng(n1)
+    rhs = rng.standard_normal((n1, g.n2 - 2))
+    bottom, top = rng.standard_normal(n1), rng.standard_normal(n1)
+    sol, info = HelmholtzDirichlet(g, c).solve(rhs, bottom, top)
+    assert info.method == "direct"
+    sigma, ceff = (0.0, 1.0) if c is None else (1.0, c)
+    b = rhs.copy()
+    b[:, 0] += ceff * bottom / g.dx2**2
+    b[:, -1] += ceff * top / g.dx2**2
+    bhat = np.fft.rfft(b, axis=0)
+    nz = g.n2 - 2
+    d2 = (np.diag(np.full(nz - 1, 1.0), -1) - 2.0 * np.eye(nz)
+          + np.diag(np.full(nz - 1, 1.0), 1)) / g.dx2**2
+    xhat = np.array([np.linalg.solve(sigma * np.eye(nz) + ceff * (k2 * np.eye(nz) - d2), bm)
+                     for k2, bm in zip(g.k2, bhat)])
+    expected = np.fft.irfft(xhat, n=n1, axis=0)
+    assert np.abs(sol[:, 1:-1] - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(sol[:, 0], bottom) and np.array_equal(sol[:, -1], top)
+
+
+@pytest.mark.parametrize("n1", [8, 9])
+def test_flat_neumann_matches_dense_per_mode(flat_profile, n1):
+    # per x1 mode the face-scheme operator is dx1 dx2 (kk Av^T Av + Gz^T Gz);
+    # the singular modes (k = 0, and Nyquist for even n1) are solved with
+    # node 0 pinned and returned with zero mean in x2
+    g = MappedGrid(flat_profile, n1, 11)
+    n2 = g.n2
+    rng = np.random.default_rng(n1)
+    b = rng.standard_normal(g.shape)
+    b -= b.mean()
+    if n1 % 2 == 0:
+        alt = (-1.0) ** np.arange(n1)[:, None]
+        b -= np.mean(alt * b) * alt
+    rhs = -b / (g.w2[None, :] * g.dx1)       # consistent data, zero wall flux
+    sol, info = PoissonNeumann(g).solve(rhs, 0.0, 0.0)
+    assert info.method == "direct"
+    assert info.compat_defect <= 1e-14
+    av = 0.5 * (np.eye(n2 - 1, n2) + np.eye(n2 - 1, n2, 1))
+    gz = (np.eye(n2 - 1, n2, 1) - np.eye(n2 - 1, n2)) / g.dx2
+    bhat = np.fft.rfft(b, axis=0)
+    xhat = np.zeros_like(bhat)
+    for m, kk in enumerate(np.abs(g.ik_d1) ** 2):
+        a_m = g.dx1 * g.dx2 * (kk * av.T @ av + gz.T @ gz)
+        if kk == 0.0:
+            xhat[m, 1:] = np.linalg.solve(a_m[1:, 1:], bhat[m, 1:])
+            xhat[m] -= xhat[m].mean()
+        else:
+            xhat[m] = np.linalg.solve(a_m, bhat[m])
+    expected = np.fft.irfft(xhat, n=n1, axis=0)
+    expected -= volume_integral(expected, g) / g.area
+    assert np.abs(sol - expected).max() <= 1e-12 * np.abs(expected).max()
+    if n1 % 2 == 0:
+        assert abs(np.fft.rfft(sol, axis=0)[-1].mean()) <= 1e-13 * np.abs(sol).max()
 
 
 def test_neumann_trivial_and_mean_zero(flat_profile):
