@@ -389,17 +389,14 @@ class Recorder:
 
     def _energy_residuals(self) -> np.ndarray:
         n = len(self.records)
-        res = np.full(n, np.nan)
         if n < 2:
-            return res
-        t = np.array([r.time for r in self.records])
-        e = np.array([r.energy for r in self.records])
-        dedt = np.gradient(e, t)
-        for i, r in enumerate(self.records):
-            lhs = dedt[i] / (2.0 * self.pr) + r.grad_u_sq + r.boundary_friction
-            scale = max(abs(r.buoyancy_flux), abs(r.grad_u_sq), 1.0)
-            res[i] = (lhs - r.buoyancy_flux) / scale
-        return res
+            return np.full(n, np.nan)
+        t, e = self._series("energy")
+        grad_u_sq = self._series("grad_u_sq")[1]
+        buoyancy = self._series("buoyancy_flux")[1]
+        lhs = np.gradient(e, t) / (2.0 * self.pr) + grad_u_sq + self._series("boundary_friction")[1]
+        scale = np.maximum(np.maximum(np.abs(buoyancy), np.abs(grad_u_sq)), 1.0)
+        return (lhs - buoyancy) / scale
 
     def _enstrophy_residuals(self) -> np.ndarray:
         """Residual of the running post-burn-in means of the five terms.
@@ -408,33 +405,37 @@ class Recorder:
         [Z(t_i) - Z(t_first)]/(span |O|) with Z = ||w||^2/(2Pr)
         + int (a+k) u_tau^2 / Pr, so it converges at the discretization
         error.  Before any post-burn-in sample exists the mean runs from
-        the start, so early rows are still populated.
+        the start, so early rows are still populated.  Row i averages the
+        selected samples up to i: cumulative sums and running first/last
+        indices of the two selections give every row in one pass.
         """
         n = len(self.records)
-        res = np.full(n, np.nan)
         if n == 0:
-            return res
-        t = np.array([r.time for r in self.records])
+            return np.full(n, np.nan)
+        t, enstrophy = self._series("enstrophy")
+        z = enstrophy / (2.0 * self.pr) + self._series("ak_friction")[1] / self.pr
         vals = np.array([[r.enstrophy_terms[k] for k in ENSTROPHY_TERM_NAMES]
                          for r in self.records])
-        z = np.array([r.enstrophy / (2.0 * self.pr) + r.ak_friction / self.pr
-                      for r in self.records])
         finite = np.all(np.isfinite(vals), axis=1)
-        for i in range(n):
-            sel = (t[: i + 1] >= self.burn_in) & finite[: i + 1]
-            if not np.any(sel):
-                sel = finite[: i + 1]
-            if not np.any(sel):
-                continue
-            idx = np.flatnonzero(sel)
-            means = vals[idx].mean(axis=0)
-            total = float(np.sum(means))
-            span = t[idx[-1]] - t[idx[0]]
-            if span > 0.0:
-                total += (z[idx[-1]] - z[idx[0]]) / (span * self.area)
-            scale = max(float(np.max(np.abs(means))), 1e-300)
-            res[i] = total / scale
-        return res
+        post = finite & (t >= self.burn_in)
+        idx = np.arange(n)
+
+        def window_residuals(sel: np.ndarray) -> np.ndarray:
+            # row i: residual over the selected samples up to i (nan if none)
+            count = np.cumsum(sel)
+            with np.errstate(invalid="ignore"):
+                means = np.cumsum(np.where(sel[:, None], vals, 0.0), axis=0) / count[:, None]
+            first = np.argmax(sel)
+            last = np.maximum.accumulate(np.where(sel, idx, 0))
+            total = np.sum(means, axis=1)
+            span = t[last] - t[first]
+            drift = span > 0.0
+            total[drift] += (z[last] - z[first])[drift] / (span[drift] * self.area)
+            scale = np.maximum(np.max(np.abs(means), axis=1), 1e-300)
+            return np.where(count > 0, total / scale, np.nan)
+
+        # the post-burn-in window once it has a sample, all finite rows before
+        return np.where(np.cumsum(post) > 0, window_residuals(post), window_residuals(finite))
 
     def finalize(self) -> None:
         e_res = self._energy_residuals()

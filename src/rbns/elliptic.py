@@ -15,8 +15,12 @@ basis for the Neumann nodes, and x1 is diagonalized by the FFT, so a solve
 is a basis change in x2, an rfft in x1, one elementwise divide and the
 inverse transforms.  On rough grids the interior operator is symmetric
 positive definite (the coefficient matrix has unit determinant), and we run
-preconditioned conjugate gradients with the flat-metric direct solve (mean
-x2 coefficient) as the preconditioner.
+preconditioned conjugate gradients with the flat-metric eigenbasis solve
+(mean x2 coefficient) as the preconditioner.  One operator apply costs four
+x1 transforms (two on flat grids): every x1 derivative of the Laplacian
+shares one forward transform of the field.  Dirichlet wall data reach only
+the two rows next to the walls and are moved into the right-hand side
+there, without a full-grid apply.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rbns.grid import MappedGrid, d_x1, d2_x1, volume_integral
+from rbns.grid import MappedGrid, d_x1, volume_integral
 
 
 class EllipticError(RuntimeError):
@@ -110,17 +114,37 @@ def _interior_apply(f_full: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Mapped Laplacian at interior rows, given a full array with wall rows set.
 
     Only interior (centered) stencils are used; wall rows of f_full enter as
-    data.  Returns shape (n1, n2-2).
+    data.  Returns shape (n1, n2-2).  All x1 derivatives share one forward
+    transform of f: dx1^2 f and dx1(-h' dx2 f) are summed in spectral space
+    before a single inverse, and dx2(-h' dx1 f) = -h' dx1(dx2 f) (h' depends
+    on x1 only, and the centered x2 difference commutes with dx1) comes from
+    the x2 difference of the same spectrum.  Four x1 transforms on rough
+    grids, two on flat ones.  As in :mod:`rbns.grid`, first derivatives use
+    ik with the Nyquist mode zeroed and the second derivative the full k^2.
     """
     dx2 = grid.dx2
-    fz = (f_full[:, 2:] - f_full[:, :-2]) / (2.0 * dx2)           # interior rows
-    out = d2_x1(f_full, grid)[:, 1:-1]
-    out += grid.a22[:, None] * (f_full[:, 2:] - 2.0 * f_full[:, 1:-1] + f_full[:, :-2]) / dx2**2
+    fhat = np.fft.rfft(f_full, axis=0)
+    lap_hat = -grid.k2[:, None] * fhat[:, 1:-1]
     if not grid.is_flat:
+        ik = grid.ik_d1[:, None]
         hp = grid.hp[:, None]
-        out += d_x1(-hp * fz, grid)                               # dx1(-h' dx2 f)
-        g = -hp * d_x1(f_full, grid)                              # -h' dx1 f, all rows
-        out += (g[:, 2:] - g[:, :-2]) / (2.0 * dx2)               # dx2(...)
+        cross = fhat[:, 2:] - fhat[:, :-2]
+        cross *= ik * (0.5 / dx2)
+        cross = np.fft.irfft(cross, n=grid.n1, axis=0)            # dx1(dx2 f)
+        cross *= hp
+        hfz = f_full[:, 2:] - f_full[:, :-2]
+        hfz *= hp * (-0.5 / dx2)                                  # -h' dx2 f
+        hfz = np.fft.rfft(hfz, axis=0)
+        hfz *= ik
+        lap_hat += hfz                                            # + dx1(-h' dx2 f)
+    out = np.fft.irfft(lap_hat, n=grid.n1, axis=0)
+    diff2 = f_full[:, 2:] - 2.0 * f_full[:, 1:-1]
+    diff2 += f_full[:, :-2]
+    diff2 *= grid.a22[:, None]
+    diff2 /= dx2**2
+    out += diff2
+    if not grid.is_flat:
+        out -= cross                                              # + dx2(-h' dx1 f)
     return out
 
 
@@ -130,18 +154,27 @@ def _embed(v_int: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return full
 
 
-def _boundary_only(bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    full = np.zeros(grid.shape)
-    full[:, 0] = bottom
-    full[:, -1] = top
-    return full
+def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
+                   grid: MappedGrid) -> np.ndarray:
+    """Move the Dirichlet data into the right-hand side of (sigma*I - c*L).
 
-
-def _dirichlet_rhs(c: float, sigma: float, rhs_int: np.ndarray,
-                   bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Move the Dirichlet data into the right-hand side of (sigma*I - c*L)."""
-    bdata = _boundary_only(bottom, top, grid)
-    return rhs_int + c * _interior_apply(bdata, grid)
+    This is rhs + c * (interior L of the wall-only field), which is nonzero
+    only on the two rows next to the walls: there the 3-point x2 stencil
+    reads the wall value and, on rough grids, the centered x2 difference in
+    the two cross terms gives +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the
+    wall trace g.
+    """
+    b = rhs_int.copy()
+    b[:, 0] += c * (grid.a22 * bottom / grid.dx2**2)
+    b[:, -1] += c * (grid.a22 * top / grid.dx2**2)
+    if not grid.is_flat:
+        hp = grid.hp[:, None]
+        wall = np.stack([bottom, top], axis=1)                    # (n1, 2)
+        d = d_x1(np.hstack([hp * wall, wall]), grid)
+        cross = (d[:, :2] + hp * d[:, 2:]) / (2.0 * grid.dx2)
+        b[:, 0] += c * cross[:, 0]
+        b[:, -1] -= c * cross[:, 1]
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +195,15 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
         ap = apply_a(p)
         alpha = rz / float(np.vdot(p, ap).real)
         x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
         rel = float(np.linalg.norm(r)) / bnorm
         if rel <= tol:
             return x, SolveInfo(it, rel, "pcg")
         z = apply_m(r)
         rz_new = float(np.vdot(r, z).real)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise EllipticError(f"{name}: PCG did not reach {tol:g} in {maxiter} iterations "
                         f"(residual {rel:.3e})", maxiter, rel)
@@ -208,7 +243,8 @@ class HelmholtzDirichlet:
         return np.fft.irfft(bhat / self._divisor, n=self.grid.n1, axis=0) @ s
 
     def _apply(self, v_int: np.ndarray) -> np.ndarray:
-        out = -self._ceff * _interior_apply(_embed(v_int, self.grid), self.grid)
+        out = _interior_apply(_embed(v_int, self.grid), self.grid)
+        out *= -self._ceff
         if self._sigma:
             out += v_int
         return out
@@ -217,7 +253,7 @@ class HelmholtzDirichlet:
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
         """Returns the full-field solution (wall rows set to the given traces)."""
         grid = self.grid
-        b = _dirichlet_rhs(self._ceff, self._sigma, rhs_int, bottom, top, grid)
+        b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
         if grid.is_flat:
             u_int = self._flat_solve(b)
             info = SolveInfo(1, 0.0, "direct")
@@ -320,14 +356,16 @@ class PoissonNeumann:
             hp = grid.hp[:, None]
             q1 = gx - hp * gz
             q2 = -hp * gx + grid.a22[:, None] * gz
-        # adjoints: Gx^T = -Dx Av^T, Gz^T = difference scatter
-        avt = np.zeros(grid.shape)
-        avt[:, :-1] += 0.5 * q1
-        avt[:, 1:] += 0.5 * q1
-        out = -d_x1(avt, grid)
-        out[:, :-1] -= q2 / grid.dx2
-        out[:, 1:] += q2 / grid.dx2
-        return out * (grid.dx1 * grid.dx2)
+        # adjoints, with the weight dx1 dx2 folded into the face fluxes:
+        # Gx^T = -Dx Av^T (Dx per face, then averaged to the nodes), and
+        # Gz^T the difference scatter; face j feeds nodes j and j+1
+        dq1 = d_x1(q1 * (0.5 * grid.dx1 * grid.dx2), grid)
+        q2 = q2 * grid.dx1
+        out = np.empty(grid.shape)
+        out[:, :-1] = -(dq1 + q2)
+        out[:, -1] = q2[:, -1] - dq1[:, -1]
+        out[:, 1:-1] += q2[:, :-1] - dq1[:, :-1]
+        return out
 
     # flat-metric direct solve (the rough-grid preconditioner) --------------
     def _flat_solve(self, b: np.ndarray) -> np.ndarray:

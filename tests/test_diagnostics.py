@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from rbns.config import parse_config
 from rbns.diagnostics import (
     CSV_HEADER,
+    ENSTROPHY_TERM_NAMES,
     DiagnosticsRecord,
     Recorder,
     enstrophy_balance_terms,
@@ -13,6 +15,7 @@ from rbns.diagnostics import (
 )
 from rbns.geometry import Side, boundary_frames
 from rbns.grid import MappedGrid, d_x1_line, tangential_velocity
+from rbns.runner import run_simulation
 
 
 def conduction_setup(profile, alpha, n1=32, n2=33):
@@ -155,3 +158,67 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
+
+
+def _loop_enstrophy_residuals(rec):
+    """Row-by-row reference: re-average the selected samples up to each row."""
+    t = np.array([r.time for r in rec.records])
+    vals = np.array([[r.enstrophy_terms[k] for k in ENSTROPHY_TERM_NAMES] for r in rec.records])
+    z = np.array([r.enstrophy / (2.0 * rec.pr) + r.ak_friction / rec.pr for r in rec.records])
+    finite = np.all(np.isfinite(vals), axis=1)
+    res = np.full(len(t), np.nan)
+    for i in range(len(t)):
+        sel = (t[: i + 1] >= rec.burn_in) & finite[: i + 1]
+        if not np.any(sel):
+            sel = finite[: i + 1]
+        if not np.any(sel):
+            continue
+        idx = np.flatnonzero(sel)
+        means = vals[idx].mean(axis=0)
+        total = float(np.sum(means))
+        span = t[idx[-1]] - t[idx[0]]
+        if span > 0.0:
+            total += (z[idx[-1]] - z[idx[0]]) / (span * rec.area)
+        res[i] = total / max(float(np.max(np.abs(means))), 1e-300)
+    return res
+
+
+def _loop_energy_residuals(rec):
+    t = np.array([r.time for r in rec.records])
+    dedt = np.gradient(np.array([r.energy for r in rec.records]), t)
+    return np.array([(dedt[i] / (2.0 * rec.pr) + r.grad_u_sq + r.boundary_friction
+                      - r.buoyancy_flux) / max(abs(r.buoyancy_flux), abs(r.grad_u_sq), 1.0)
+                     for i, r in enumerate(rec.records)])
+
+
+def test_vectorized_residuals_match_row_by_row(tmp_path):
+    text = """
+[physical]
+ra = 2000
+pr = 10.0
+
+[grid]
+n1 = 16
+n2 = 17
+
+[time]
+t_end = 0.05
+sample_interval = 0.001
+burn_in = 0.01
+
+[initial]
+temp_perturbation = 0.01
+"""
+    rec = run_simulation(parse_config(text), str(tmp_path / "run")).recorder
+    assert len(rec.records) > 10
+    # samples without the pressure-dependent terms, before and after burn-in
+    for i in (0, 3, len(rec.records) - 2):
+        rec.records[i].enstrophy_terms = dict(rec.records[i].enstrophy_terms,
+                                              wall_pressure=float("nan"))
+    for burn_in in (0.0, rec.burn_in, 1e9):
+        rec.burn_in = burn_in
+        for got, ref in ((rec._enstrophy_residuals(), _loop_enstrophy_residuals(rec)),
+                         (rec._energy_residuals(), _loop_energy_residuals(rec))):
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            ok = ~np.isnan(ref)
+            assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))

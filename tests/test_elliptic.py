@@ -5,11 +5,21 @@ from rbns.elliptic import (
     EllipticError,
     HelmholtzDirichlet,
     PoissonNeumann,
+    _dirichlet_rhs,
+    _interior_apply,
     solve_helmholtz_dirichlet,
     solve_poisson_dirichlet,
     solve_poisson_neumann,
 )
+from rbns.geometry import FourierSeries
 from rbns.grid import MappedGrid, apply_L_tilde, volume_integral
+
+# two wall modes, so h' and h'' are not single harmonics
+TWO_MODES = FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1), (3, 0.02, -0.01)))
+
+
+def _relmax(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
 
 
 def test_flat_eigenfunction(flat_profile):
@@ -183,3 +193,78 @@ def test_nonconvergence_raises(sine_profile):
         solve_poisson_dirichlet(rhs, np.zeros(32), np.zeros(32), g, maxiter=2)
     assert err.value.iterations == 2
     assert err.value.rel_residual > 0
+
+
+@pytest.mark.parametrize("n1", [32, 33])
+def test_interior_apply_matches_full_operator_rough(n1):
+    # the fused operator (one shared forward transform) is the divergence-form
+    # Laplacian of rbns.grid at the interior rows
+    g = MappedGrid(TWO_MODES, n1, 33)
+    f = np.random.default_rng(n1).standard_normal(g.shape)
+    assert _relmax(_interior_apply(f, g), apply_L_tilde(f, g)[:, 1:-1]) <= 1e-13
+
+
+@pytest.mark.parametrize("n1", [32, 33])
+@pytest.mark.parametrize("rough", [False, True])
+def test_dirichlet_rhs_is_operator_of_wall_field(n1, rough):
+    # the two-row wall terms equal the interior operator of the wall-only field
+    g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), n1, 17)
+    rng = np.random.default_rng(n1)
+    rhs = rng.standard_normal((n1, g.n2 - 2))
+    bottom, top = rng.standard_normal(n1), rng.standard_normal(n1)
+    walls = np.zeros(g.shape)
+    walls[:, 0], walls[:, -1] = bottom, top
+    c = 0.003
+    expected = rhs + c * _interior_apply(walls, g)
+    got = _dirichlet_rhs(c, rhs, bottom, top, g)
+    if rough:
+        assert _relmax(got, expected) <= 1e-13
+    else:
+        assert np.array_equal(got, expected)
+    assert np.array_equal(got[:, 1:-1], rhs[:, 1:-1])
+
+
+@pytest.mark.parametrize("n1", [16, 15])
+def test_rough_neumann_operator_symmetric_to_rounding(n1):
+    g = MappedGrid(TWO_MODES, n1, 17)
+    solver = PoissonNeumann(g)
+    rng = np.random.default_rng(n1)
+    u, v = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    au, av = solver.apply(u), solver.apply(v)
+    scale = np.sum(np.abs(v * au))
+    assert abs(np.sum(v * au) - np.sum(u * av)) <= 1e-14 * scale
+
+
+def _count_transforms(monkeypatch):
+    """Record the input shape of every np.fft.rfft / irfft call."""
+    shapes = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return shapes
+
+
+@pytest.mark.parametrize("rough, most", [(False, 2), (True, 4)])
+def test_operator_apply_transform_count(monkeypatch, rough, most):
+    g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
+    solver = HelmholtzDirichlet(g, 0.003)
+    v = np.random.default_rng(0).standard_normal((g.n1, g.n2 - 2))
+    shapes = _count_transforms(monkeypatch)
+    solver._apply(v)
+    assert len(shapes) <= most
+
+
+@pytest.mark.parametrize("rough", [False, True])
+def test_dirichlet_rhs_transforms_only_wall_data(monkeypatch, rough):
+    g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
+    rng = np.random.default_rng(1)
+    rhs = rng.standard_normal((g.n1, g.n2 - 2))
+    shapes = _count_transforms(monkeypatch)
+    _dirichlet_rhs(0.003, rhs, rng.standard_normal(g.n1), rng.standard_normal(g.n1), g)
+    # at most a few wall columns per transform, never a grid-sized field
+    assert all(s[1] <= 4 for s in shapes)
