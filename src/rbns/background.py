@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rbns.grid import MappedGrid, d_x1, d_x2
+from rbns.grid import MappedGrid
 
 
 @dataclass
@@ -83,8 +83,11 @@ class BackgroundField:
     def theta(self, temp: np.ndarray) -> np.ndarray:
         return temp - self.eta_profile[None, :]
 
-    def theta_ingredients(self, temp: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
+    def theta_ingredients(self, temp: np.ndarray, grad_temp: tuple[np.ndarray, np.ndarray],
+                          u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
         """Domain averages <|grad theta|^2> and <theta u . grad eta>.
+
+        grad_temp is grad_physical(temp).
 
         Both use grad eta analytically: u . grad eta = eta'(x2) (u2 - h' u1),
         supported on the strips.  The kink-row slope average together with
@@ -95,8 +98,7 @@ class BackgroundField:
         integral.
         """
         grid = self.grid
-        tz = d_x2(temp, grid)
-        ty1 = d_x1(temp, grid) - grid.hp[:, None] * tz
+        ty1, tz = grad_temp
         grad_t_sq = float(np.sum((ty1**2 + tz**2) @ grid.w2) * grid.dx1) / grid.area
 
         s = self.eta_slope[None, :]

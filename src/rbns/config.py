@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import warnings
 from dataclasses import dataclass, field, asdict
 
 from rbns.geometry import FourierSeries
@@ -24,6 +25,9 @@ class ConfigError(ValueError):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7)
+
+# README "Numerical notes": the lagged wall coupling is stiff above this alpha * dt
+_STIFF_ALPHA_DT = 0.02
 
 
 def _fft_friendly(n: int) -> bool:
@@ -268,7 +272,16 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[output] pressure_every: must be >= 1, got {cfg.output.pressure_every}")
     # confirm the wall shapes construct (raises on bad series)
     cfg.geometry.profile()
-    cfg.boundary.series(cfg.geometry.gamma)
+    alphas = cfg.boundary.series(cfg.geometry.gamma)
+    if t.dt is not None and t.coupling_sweeps == 0:
+        stiffness = max(a.extrema_range()[1] for a in alphas) * t.dt
+        if stiffness > _STIFF_ALPHA_DT:
+            warnings.warn(
+                f"[time] dt: max(alpha) * dt = {stiffness:.3g} exceeds the stiffness "
+                f"guideline {_STIFF_ALPHA_DT} with coupling_sweeps = 0; reduce dt or "
+                f"enable coupling_sweeps",
+                stacklevel=2,
+            )
 
 
 def _emit(value) -> str:

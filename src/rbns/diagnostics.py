@@ -35,12 +35,10 @@ from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
     MappedGrid,
     boundary_trace,
-    d_x1,
-    d_x1_line,
-    d_x2,
     grad_physical,
     level_index,
     line_integral,
+    tangential_derivative,
     tangential_velocity,
     volume_integral,
 )
@@ -101,24 +99,25 @@ def velocity_gradient_integrals(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid
     return volume_integral(u1y1**2 + u1y2**2 + u2y1**2 + u2y2**2, grid)
 
 
-def boundary_friction_integral(u1, u2, grid, bottom: BoundaryData, top: BoundaryData,
+def boundary_friction_integral(u_tau, bottom: BoundaryData, top: BoundaryData,
                                weight: str = "2a+k") -> float:
-    """Raw wall integral of (2a+k), (a+k) or k times u_tau^2."""
+    """Raw wall integral of (2a+k), (a+k) or k times u_tau^2; u_tau = (bottom, top)."""
     weights = {
         "2a+k": lambda bd: 2.0 * bd.alpha + bd.kappa,
         "a+k": lambda bd: bd.alpha + bd.kappa,
         "kappa": lambda bd: bd.kappa,
     }
     total = 0.0
-    for bd, side in ((bottom, Side.BOTTOM), (top, Side.TOP)):
-        ut = tangential_velocity(u1, u2, grid, side)
+    for bd, ut in zip((bottom, top), u_tau):
         total += bd.line_integral(weights[weight](bd) * ut**2)
     return total
 
 
-def enstrophy_balance_terms(omega, temp, u1, u2, pressure, grid: MappedGrid,
+def enstrophy_balance_terms(omega, grad_temp, u_tau, pressure, grid: MappedGrid,
                             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float) -> dict:
     """The five averaged-enstrophy-balance ingredients, instantaneous values.
+
+    grad_temp is grad_physical(temp) and u_tau the (bottom, top) wall u_tau.
 
     On the walls u is purely tangential, so u.grad reduces to u_tau d/dlambda
     acting on wall traces; those tangential derivatives are spectral.  The
@@ -133,24 +132,19 @@ def enstrophy_balance_terms(omega, temp, u1, u2, pressure, grid: MappedGrid,
     wy1, wy2 = grad_physical(omega, grid)
     t_grad = volume_integral(wy1**2 + wy2**2, grid) / grid.area
 
-    ty1 = d_x1(temp, grid) - grid.hp[:, None] * d_x2(temp, grid)
-    t_buoy = -ra * volume_integral(omega * ty1, grid) / grid.area
+    t_buoy = -ra * volume_integral(omega * grad_temp[0], grid) / grid.area
 
     t_press = 0.0
     t_inertia = 0.0
-    for bd, side in ((bottom, Side.BOTTOM), (top, Side.TOP)):
-        ut = tangential_velocity(u1, u2, grid, side)
+    for bd, ut in zip((bottom, top), u_tau):
         ak = bd.alpha + bd.kappa
-        sgn = 1.0 if side is Side.BOTTOM else -1.0
-        p_trace = boundary_trace(pressure, grid, side, "value")
-        dp_dlam = sgn * d_x1_line(p_trace, grid) / grid.ds_weight
+        dp_dlam = boundary_trace(pressure, grid, bd.side, "tangential_derivative")
         t_press += 2.0 * bd.line_integral(ak * ut * dp_dlam) / grid.area
-        dut_dlam = sgn * d_x1_line(ut, grid) / grid.ds_weight
+        dut_dlam = tangential_derivative(ut, grid, bd.side)
         t_inertia += (2.0 / pr) * bd.line_integral(ak * ut**2 * dut_dlam) / grid.area
 
-    ut_b = tangential_velocity(u1, u2, grid, Side.BOTTOM)
     n1_b = bottom.normal[:, 0]
-    t_wall_buoy = -2.0 * ra * bottom.line_integral((bottom.alpha + bottom.kappa) * ut_b * n1_b) / grid.area
+    t_wall_buoy = -2.0 * ra * bottom.line_integral((bottom.alpha + bottom.kappa) * u_tau[0] * n1_b) / grid.area
 
     return {
         "grad_omega_sq": t_grad,
@@ -188,28 +182,33 @@ class DiagnosticsRecord:
     enstrophy_residual: float = float("nan")  # filled in finalize()
 
 
-def measure(time, omega, psi, temp, u1, u2, grid: MappedGrid,
+def measure(time, omega, temp, u1, u2, grid: MappedGrid,
             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float,
             pressure: np.ndarray | None = None,
             pressure_defect: float = float("nan"),
             background: BackgroundField | None = None) -> DiagnosticsRecord:
-    """Evaluate every instantaneous diagnostic for one snapshot."""
-    ty1, ty2 = grad_physical(temp, grid)
+    """Evaluate every instantaneous diagnostic for one snapshot.
+
+    grad T and the wall u_tau are evaluated once and shared.
+    """
+    grad_temp = ty1, ty2 = grad_physical(temp, grid)
+    u_tau = tuple(tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP))
     nu_g = volume_integral(ty1**2 + ty2**2, grid) / grid.area
-    strips = tuple(_strip_nusselt(temp, (ty1, ty2), u1, u2, grid, lev) for lev in STRIP_LEVELS)
+    strips = tuple(_strip_nusselt(temp, grad_temp, u1, u2, grid, lev) for lev in STRIP_LEVELS)
 
     energy = volume_integral(u1**2 + u2**2, grid)
     enstrophy = volume_integral(omega**2, grid)
     convective = volume_integral(u2 * temp - ty2, grid) / grid.area
 
     if pressure is not None:
-        ens_terms = enstrophy_balance_terms(omega, temp, u1, u2, pressure, grid, bottom, top, pr, ra)
+        ens_terms = enstrophy_balance_terms(omega, grad_temp, u_tau, pressure, grid,
+                                            bottom, top, pr, ra)
     else:
         ens_terms = {name: float("nan") for name in ENSTROPHY_TERM_NAMES}
 
     gts, tue, tsq = float("nan"), float("nan"), float("nan")
     if background is not None:
-        gts, tue = background.theta_ingredients(temp, u1, u2)
+        gts, tue = background.theta_ingredients(temp, grad_temp, u1, u2)
         tsq = volume_integral(background.theta(temp) ** 2, grid)
 
     abs_w = np.abs(omega)
@@ -229,9 +228,9 @@ def measure(time, omega, psi, temp, u1, u2, grid: MappedGrid,
         energy=energy,
         enstrophy=enstrophy,
         grad_u_sq=velocity_gradient_integrals(u1, u2, grid),
-        boundary_friction=boundary_friction_integral(u1, u2, grid, bottom, top),
-        kappa_friction=boundary_friction_integral(u1, u2, grid, bottom, top, weight="kappa"),
-        ak_friction=boundary_friction_integral(u1, u2, grid, bottom, top, weight="a+k"),
+        boundary_friction=boundary_friction_integral(u_tau, bottom, top),
+        kappa_friction=boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
+        ak_friction=boundary_friction_integral(u_tau, bottom, top, weight="a+k"),
         buoyancy_flux=ra * volume_integral(temp * u2, grid),
         temp_min=float(np.min(temp)),
         temp_max=float(np.max(temp)),

@@ -7,18 +7,18 @@ Three problems back the time stepper and the pressure recovery:
   * Neumann Poisson         L p = rhs         with given physical conormal
                                               fluxes n.grad(p), mean-zero p
 
-where L is the mapped divergence-form Laplacian of :mod:`rbns.grid`.  On a
-flat grid every problem is solved directly in a tensor-product eigenbasis
-(Lynch, Rice & Thomas 1964): the x2 operators have closed-form bases, a
-discrete sine basis for the interior Dirichlet rows and a cosine (DCT-I)
-basis for the Neumann nodes, and x1 is diagonalized by the FFT, so a solve
-is a basis change in x2, an rfft in x1, one elementwise divide and the
-inverse transforms.  On rough grids the interior operator is symmetric
+where L is the mapped divergence-form Laplacian.  The Dirichlet problems
+apply it through ``rbns.grid.apply_L_tilde``, which lives in the grid
+module with the other mapped derivatives; the Neumann problem has its own
+face discretization (below).  On a flat grid every problem is solved
+directly in a tensor-product eigenbasis (Lynch, Rice & Thomas 1964): the x2
+operators have closed-form bases, a discrete sine basis for the interior
+Dirichlet rows and a cosine (DCT-I) basis for the Neumann nodes, and x1 is
+diagonalized by the FFT, so a solve is a basis change in x2, an rfft in x1,
+one elementwise divide and the inverse transforms.  On rough grids the interior operator is symmetric
 positive definite (the coefficient matrix has unit determinant), and we run
 preconditioned conjugate gradients with the flat-metric eigenbasis solve
-(mean x2 coefficient) as the preconditioner.  One operator apply costs four
-x1 transforms (two on flat grids): every x1 derivative of the Laplacian
-shares one forward transform of the field.  Dirichlet wall data reach only
+(mean x2 coefficient) as the preconditioner.  Dirichlet wall data reach only
 the two rows next to the walls and are moved into the right-hand side
 there, without a full-grid apply.
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rbns.grid import MappedGrid, d_x1, volume_integral
+from rbns.grid import MappedGrid, apply_L_tilde, d_x1, volume_integral
 
 
 class EllipticError(RuntimeError):
@@ -107,46 +107,8 @@ def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# interior Dirichlet operators
+# Dirichlet wall data
 # ---------------------------------------------------------------------------
-
-def _interior_apply(f_full: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Mapped Laplacian at interior rows, given a full array with wall rows set.
-
-    Only interior (centered) stencils are used; wall rows of f_full enter as
-    data.  Returns shape (n1, n2-2).  All x1 derivatives share one forward
-    transform of f: dx1^2 f and dx1(-h' dx2 f) are summed in spectral space
-    before a single inverse, and dx2(-h' dx1 f) = -h' dx1(dx2 f) (h' depends
-    on x1 only, and the centered x2 difference commutes with dx1) comes from
-    the x2 difference of the same spectrum.  Four x1 transforms on rough
-    grids, two on flat ones.  As in :mod:`rbns.grid`, first derivatives use
-    ik with the Nyquist mode zeroed and the second derivative the full k^2.
-    """
-    dx2 = grid.dx2
-    fhat = np.fft.rfft(f_full, axis=0)
-    lap_hat = -grid.k2[:, None] * fhat[:, 1:-1]
-    if not grid.is_flat:
-        ik = grid.ik_d1[:, None]
-        hp = grid.hp[:, None]
-        cross = fhat[:, 2:] - fhat[:, :-2]
-        cross *= ik * (0.5 / dx2)
-        cross = np.fft.irfft(cross, n=grid.n1, axis=0)            # dx1(dx2 f)
-        cross *= hp
-        hfz = f_full[:, 2:] - f_full[:, :-2]
-        hfz *= hp * (-0.5 / dx2)                                  # -h' dx2 f
-        hfz = np.fft.rfft(hfz, axis=0)
-        hfz *= ik
-        lap_hat += hfz                                            # + dx1(-h' dx2 f)
-    out = np.fft.irfft(lap_hat, n=grid.n1, axis=0)
-    diff2 = f_full[:, 2:] - 2.0 * f_full[:, 1:-1]
-    diff2 += f_full[:, :-2]
-    diff2 *= grid.a22[:, None]
-    diff2 /= dx2**2
-    out += diff2
-    if not grid.is_flat:
-        out -= cross                                              # + dx2(-h' dx1 f)
-    return out
-
 
 def _embed(v_int: np.ndarray, grid: MappedGrid) -> np.ndarray:
     full = np.zeros(grid.shape)
@@ -243,7 +205,7 @@ class HelmholtzDirichlet:
         return np.fft.irfft(bhat / self._divisor, n=self.grid.n1, axis=0) @ s
 
     def _apply(self, v_int: np.ndarray) -> np.ndarray:
-        out = _interior_apply(_embed(v_int, self.grid), self.grid)
+        out = apply_L_tilde(_embed(v_int, self.grid), self.grid)
         out *= -self._ceff
         if self._sigma:
             out += v_int

@@ -20,6 +20,10 @@ it is uniformly elliptic for any bounded slope.  x1 derivatives are spectral
 (FFT), x2 derivatives second-order centered with one-sided second-order
 stencils on the wall rows.
 
+Every mapped derivative is formed here: ``grad_physical``, the wall-line
+``tangential_derivative`` and ``apply_L_tilde``, the interior-row Laplacian
+of the elliptic solves, the Crank-Nicolson right-hand side and the MMS check.
+
 Arrays are float64 with shape (n1, n2); axis 0 is periodic by index
 arithmetic everywhere.
 """
@@ -125,16 +129,6 @@ def d_x2(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return out
 
 
-def d2_x2(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Second-order d^2/dx2^2: 3-point inside, one-sided on the wall rows."""
-    out = np.empty_like(f)
-    h2 = grid.dx2**2
-    out[:, 1:-1] = (f[:, 2:] - 2.0 * f[:, 1:-1] + f[:, :-2]) / h2
-    out[:, 0] = (2.0 * f[:, 0] - 5.0 * f[:, 1] + 4.0 * f[:, 2] - f[:, 3]) / h2
-    out[:, -1] = (2.0 * f[:, -1] - 5.0 * f[:, -2] + 4.0 * f[:, -3] - f[:, -4]) / h2
-    return out
-
-
 def grad_physical(f: np.ndarray, grid: MappedGrid) -> tuple[np.ndarray, np.ndarray]:
     """(d/dy1 f, d/dy2 f) at every node, via the chain rule."""
     fz = d_x2(f, grid)
@@ -143,19 +137,40 @@ def grad_physical(f: np.ndarray, grid: MappedGrid) -> tuple[np.ndarray, np.ndarr
 
 
 def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Mapped Laplacian in divergence form; equals the physical Laplacian.
+    """Mapped Laplacian at the interior rows, given a full array with wall rows set.
 
-    On a flat grid this is the plain spectral-in-x1 plus 3-point-in-x2
-    Laplacian.  Wall rows use one-sided stencils and are only
-    first-order-consistent there; solvers never use them.
+    Only interior (centered) stencils are used; wall rows of f enter as
+    data.  Returns shape (n1, n2-2).  All x1 derivatives share one forward
+    transform of f: dx1^2 f and dx1(-h' dx2 f) are summed in spectral space
+    before a single inverse, and dx2(-h' dx1 f) = -h' dx1(dx2 f) (h' depends
+    on x1 only, and the centered x2 difference commutes with dx1) comes from
+    the x2 difference of the same spectrum.  Four x1 transforms on rough
+    grids, two on flat ones.  First derivatives use ik with the Nyquist mode
+    zeroed and the second derivative the full k^2, as in d_x1 and d2_x1.
     """
-    fz = d_x2(f, grid)
-    out = d2_x1(f, grid)
-    out += grid.a22[:, None] * d2_x2(f, grid)
+    dx2 = grid.dx2
+    fhat = np.fft.rfft(f, axis=0)
+    lap_hat = -grid.k2[:, None] * fhat[:, 1:-1]
     if not grid.is_flat:
-        fx = d_x1(f, grid)
-        out += d_x1(-grid.hp[:, None] * fz, grid)
-        out += d_x2(-grid.hp[:, None] * fx, grid)
+        ik = grid.ik_d1[:, None]
+        hp = grid.hp[:, None]
+        cross = fhat[:, 2:] - fhat[:, :-2]
+        cross *= ik * (0.5 / dx2)
+        cross = np.fft.irfft(cross, n=grid.n1, axis=0)            # dx1(dx2 f)
+        cross *= hp
+        hfz = f[:, 2:] - f[:, :-2]
+        hfz *= hp * (-0.5 / dx2)                                  # -h' dx2 f
+        hfz = np.fft.rfft(hfz, axis=0)
+        hfz *= ik
+        lap_hat += hfz                                            # + dx1(-h' dx2 f)
+    out = np.fft.irfft(lap_hat, n=grid.n1, axis=0)
+    diff2 = f[:, 2:] - 2.0 * f[:, 1:-1]
+    diff2 += f[:, :-2]
+    diff2 *= grid.a22[:, None]
+    diff2 /= dx2**2
+    out += diff2
+    if not grid.is_flat:
+        out -= cross                                              # + dx2(-h' dx1 f)
     return out
 
 
@@ -201,6 +216,17 @@ def _d_x2_row(f: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
     return (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / h
 
 
+def tangential_derivative(g: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
+    """d/dlambda of a line sampled along a wall (n1,).
+
+    The wall row *is* the wall curve, so the arc-length derivative is a
+    spectral x1 derivative over sqrt(1+h'^2); the sign follows the tangent
+    orientation (+y1 on the bottom wall, -y1 on the top).
+    """
+    s = 1.0 if side is Side.BOTTOM else -1.0
+    return s * d_x1_line(g, grid) / grid.ds_weight
+
+
 def tangential_velocity(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
     """u . tau on a wall row; tau points along +y1 on the bottom wall, -y1 on top."""
     j = _row(side)
@@ -209,19 +235,12 @@ def tangential_velocity(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid, side: 
 
 
 def boundary_trace(f: np.ndarray, grid: MappedGrid, side: Side, kind: str = "value") -> np.ndarray:
-    """Wall trace of a field: value, physical normal or tangential derivative.
-
-    The tangential derivative of the trace reduces to a spectral x1
-    derivative over sqrt(1+h'^2) because the wall row *is* the wall curve;
-    the sign follows the tangent orientation (+y1 on the bottom wall, -y1 on
-    the top).
-    """
+    """Wall trace of a field: value, physical normal or tangential derivative."""
     j = _row(side)
     if kind == "value":
         return f[:, j].copy()
     if kind == "tangential_derivative":
-        s = 1.0 if side is Side.BOTTOM else -1.0
-        return s * d_x1_line(f[:, j], grid) / grid.ds_weight
+        return tangential_derivative(f[:, j], grid, side)
     if kind == "normal_derivative":
         fz = _d_x2_row(f, grid, side)
         fy1 = d_x1_line(f[:, j], grid) - grid.hp * fz

@@ -205,7 +205,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                 defect = info.compat_defect
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
-        rec = measure(st.time, st.omega, st.psi, st.temp, st.u1, st.u2, grid,
+        rec = measure(st.time, st.omega, st.temp, st.u1, st.u2, grid,
                       stepper.bottom, stepper.top, config.physical.pr, config.physical.ra,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(rec)

@@ -27,14 +27,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo, _interior_apply
+from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo
 from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
-    d_x1,
-    d_x1_line,
     d_x2,
+    grad_physical,
+    tangential_derivative,
     tangential_velocity,
     volume_integral,
 )
@@ -129,7 +129,8 @@ class BoussinesqStepper:
             psi = grid.zeros()
         u1, u2 = self._velocity(psi)
         psi_top = float(np.mean(psi[:, -1]))
-        omega = apply_L_tilde(psi, grid)
+        omega = np.empty(grid.shape)
+        omega[:, 1:-1] = apply_L_tilde(psi, grid)
         omega[:, 0] = boundary_vorticity(tangential_velocity(u1, u2, grid, Side.BOTTOM), self.bottom)
         omega[:, -1] = boundary_vorticity(tangential_velocity(u1, u2, grid, Side.TOP), self.top)
         return FlowState(time=time, omega=omega, psi=psi.copy(), temp=temp.copy(),
@@ -159,32 +160,32 @@ class BoussinesqStepper:
     # -- pieces ---------------------------------------------------------------
 
     def _velocity(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        grid = self.grid
-        psi_z = d_x2(psi, grid)
-        u1 = -psi_z
-        u2 = d_x1(psi, grid) - grid.hp[:, None] * psi_z
-        return u1, u2
+        psi_y1, psi_y2 = grad_physical(psi, self.grid)
+        return -psi_y2, psi_y1
 
-    def _advection(self, f: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """Skew-symmetric centered advection -(u.grad f + div(u f))/2, full grid."""
+    def _advection(self, f: np.ndarray, grad_f: tuple[np.ndarray, np.ndarray],
+                   u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """Skew-symmetric centered advection -(u.grad f + div(u f))/2, full grid.
+
+        grad_f is grad_physical(f), evaluated once by the caller.
+        """
         grid = self.grid
-        hp = grid.hp[:, None]
-        fz = d_x2(f, grid)
-        fy1 = d_x1(f, grid) - hp * fz
+        fy1, fz = grad_f
         adv = u1 * fy1 + u2 * fz
-        q1, q2 = u1 * f, u2 * f
-        q1z = d_x2(q1, grid)
-        dive = d_x1(q1, grid) - hp * q1z + d_x2(q2, grid)
+        dive = grad_physical(u1 * f, grid)[0] + d_x2(u2 * f, grid)
         return -0.5 * (adv + dive)
 
     def _explicit_terms(self, state: FlowState) -> tuple[np.ndarray, np.ndarray]:
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        n_t = self._advection(state.temp, state.u1, state.u2)
-        n_w = self._advection(state.omega, state.u1, state.u2)
+        # vorticity first: the temperature gradient, kept for the buoyancy
+        # term, then never lives across a second advection (peak memory)
+        n_w = self._advection(state.omega, grad_physical(state.omega, grid),
+                              state.u1, state.u2)
+        grad_t = grad_physical(state.temp, grid)
+        n_t = self._advection(state.temp, grad_t, state.u1, state.u2)
         if ra > 0.0:
-            tz = d_x2(state.temp, grid)
-            n_w = n_w + pr * ra * (d_x1(state.temp, grid) - grid.hp[:, None] * tz)
+            n_w = n_w + pr * ra * grad_t[0]
         return n_w[:, 1:-1], n_t[:, 1:-1]
 
     # -- the step ---------------------------------------------------------------
@@ -210,8 +211,8 @@ class BoussinesqStepper:
 
         c_w = 0.5 * pr * dt
         c_t = 0.5 * dt
-        rhs_w = state.omega[:, 1:-1] + c_w * _interior_apply(state.omega, grid) + dt * expl_w
-        rhs_t = state.temp[:, 1:-1] + c_t * _interior_apply(state.temp, grid) + dt * expl_t
+        rhs_w = state.omega[:, 1:-1] + c_w * apply_L_tilde(state.omega, grid) + dt * expl_w
+        rhs_t = state.temp[:, 1:-1] + c_t * apply_L_tilde(state.temp, grid) + dt * expl_t
 
         temp_new, info_t = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
             rhs_t, self.t_bottom, self.t_top, x0=state.temp)
@@ -256,10 +257,8 @@ class BoussinesqStepper:
         """
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        u1z = d_x2(state.u1, grid)
-        u2z = d_x2(state.u2, grid)
-        u1y1 = d_x1(state.u1, grid) - grid.hp[:, None] * u1z
-        u2y1 = d_x1(state.u2, grid) - grid.hp[:, None] * u2z
+        u1y1, u1z = grad_physical(state.u1, grid)
+        u2y1, u2z = grad_physical(state.u2, grid)
         rhs = -(u1y1**2 + 2.0 * u2y1 * u1z + u2z**2) / pr
         if ra > 0.0:
             rhs = rhs + ra * d_x2(state.temp, grid)
@@ -267,9 +266,7 @@ class BoussinesqStepper:
         fluxes = {}
         for bd, side in ((self.bottom, Side.BOTTOM), (self.top, Side.TOP)):
             ut = tangential_velocity(state.u1, state.u2, grid, side)
-            g = (bd.alpha + bd.kappa) * ut
-            sgn = 1.0 if side is Side.BOTTOM else -1.0
-            dg_dlam = sgn * d_x1_line(g, grid) / grid.ds_weight
+            dg_dlam = tangential_derivative((bd.alpha + bd.kappa) * ut, grid, side)
             flux = -(bd.kappa / pr) * ut**2 + 2.0 * dg_dlam
             if side is Side.BOTTOM:
                 flux = flux + ra * bd.normal[:, 1]

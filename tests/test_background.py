@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rbns.background import build_background
-from rbns.grid import MappedGrid
+from rbns.grid import MappedGrid, grad_physical
 
 
 def test_eta_profile_values(flat_profile):
@@ -63,7 +63,7 @@ def test_theta_ingredients_conduction(flat_profile):
     bg = build_background(delta, grid)
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
     zeros = np.zeros(grid.shape)
-    gts, coupling = bg.theta_ingredients(temp, zeros, zeros)
+    gts, coupling = bg.theta_ingredients(temp, grad_physical(temp, grid), zeros, zeros)
     exact = 2 * delta * (1.0 / (2 * delta) - 1.0) ** 2 + (1.0 - 2 * delta)
     assert gts == pytest.approx(exact, rel=1e-10)
     assert coupling == pytest.approx(0.0, abs=1e-14)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from rbns.config import ConfigError, RunConfig, parse_config, serialize_config
@@ -85,3 +87,30 @@ def test_round_trip_default_config():
 def test_bad_case_named():
     with pytest.raises(ConfigError, match="unknown bound case"):
         parse_config(MINIMAL + "\n[bounds]\ncases = three_sevenths, wrong\n")
+
+
+STIFF = MINIMAL + """
+[boundary]
+alpha_bottom_mean = 1.0
+alpha_top_mean = 20.0
+
+[time]
+dt = 2e-3
+"""
+
+
+def test_stiff_wall_coupling_warns():
+    # max alpha over both walls (the top one here) times dt = 0.04 > 0.02
+    with pytest.warns(UserWarning, match=r"\[time\] dt: max\(alpha\) \* dt = 0\.04"):
+        parse_config(STIFF)
+
+
+@pytest.mark.parametrize("text", [
+    STIFF.replace("dt = 2e-3", "dt = 1e-4").replace("20.0", "1.0"),  # sampled_restart
+    STIFF.replace("dt = 2e-3", "dt = 2e-3\ncoupling_sweeps = 3"),
+    STIFF.replace("dt = 2e-3", "dt = auto"),
+])
+def test_wall_coupling_without_stiffness_is_quiet(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(text)

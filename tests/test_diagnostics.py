@@ -14,7 +14,7 @@ from rbns.diagnostics import (
     nusselt_strip,
 )
 from rbns.geometry import Side, boundary_frames
-from rbns.grid import MappedGrid, d_x1_line, tangential_velocity
+from rbns.grid import MappedGrid, d_x1_line, grad_physical, tangential_velocity
 from rbns.runner import run_simulation
 
 
@@ -95,7 +95,8 @@ def test_wall_pressure_integration_by_parts(flat_profile, alpha_one, rng):
 
 def test_enstrophy_terms_zero_velocity(flat_profile, alpha_one):
     grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
-    terms = enstrophy_balance_terms(zeros, temp, zeros, zeros, zeros, grid,
+    u_tau = (np.zeros(grid.n1), np.zeros(grid.n1))
+    terms = enstrophy_balance_terms(zeros, grad_physical(temp, grid), u_tau, zeros, grid,
                                     bottom, top, pr=1.0, ra=100.0)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms.values())
 
@@ -149,7 +150,7 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
     grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
     rec = Recorder(burn_in=0.0, pr=1.0, area=grid.area)
     for t in (0.0, 0.1, 0.2):
-        rec.add(measure(t, zeros, zeros, temp, zeros, zeros, grid, bottom, top,
+        rec.add(measure(t, zeros, temp, zeros, zeros, grid, bottom, top,
                         pr=1.0, ra=10.0, pressure=zeros))
     rec.finalize()
     path = tmp_path / "diag.csv"
