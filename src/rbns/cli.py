@@ -19,6 +19,7 @@ import argparse
 import copy
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -78,7 +79,11 @@ def _run_one(config: RunConfig, out_dir: str, resume: str | None,
 
 
 def cmd_simulate(args) -> int:
-    config, text = _load_config(args.config)
+    # run_simulation validates each (possibly swept) config again and warns
+    # there; a stiffness warning here would only repeat that one
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        config, text = _load_config(args.config)
     out_base = args.output or config.output.directory
     if args.sweep is None:
         return _run_one(config, out_base, args.resume, text)[0]

@@ -39,9 +39,9 @@ from rbns.grid import (
     level_index,
     line_integral,
     tangential_derivative,
-    tangential_velocity,
     volume_integral,
 )
+from rbns.solver import StateDerivatives
 
 CSV_HEADER = (
     "time,nu_flux,nu_gradsq,nu_strip_25,nu_strip_50,nu_strip_75,"
@@ -92,10 +92,9 @@ def _strip_nusselt(temp, grad_temp, u1, u2, grid: MappedGrid, x2_level: float) -
     return float(np.sum(row) * grid.dx1) / grid.area
 
 
-def velocity_gradient_integrals(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid) -> float:
-    """Raw int |grad u|^2 over the domain."""
-    u1y1, u1y2 = grad_physical(u1, grid)
-    u2y1, u2y2 = grad_physical(u2, grid)
+def velocity_gradient_integrals(grad_u, grid: MappedGrid) -> float:
+    """Raw int |grad u|^2 over the domain; grad_u holds the grad_physical pairs of (u1, u2)."""
+    (u1y1, u1y2), (u2y1, u2y2) = grad_u
     return volume_integral(u1y1**2 + u1y2**2 + u2y1**2 + u2y2**2, grid)
 
 
@@ -113,11 +112,12 @@ def boundary_friction_integral(u_tau, bottom: BoundaryData, top: BoundaryData,
     return total
 
 
-def enstrophy_balance_terms(omega, grad_temp, u_tau, pressure, grid: MappedGrid,
+def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid: MappedGrid,
                             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float) -> dict:
     """The five averaged-enstrophy-balance ingredients, instantaneous values.
 
-    grad_temp is grad_physical(temp) and u_tau the (bottom, top) wall u_tau.
+    grad_omega and grad_temp are grad_physical pairs and u_tau the (bottom,
+    top) wall u_tau.
 
     On the walls u is purely tangential, so u.grad reduces to u_tau d/dlambda
     acting on wall traces; those tangential derivatives are spectral.  The
@@ -129,7 +129,7 @@ def enstrophy_balance_terms(omega, grad_temp, u_tau, pressure, grid: MappedGrid,
 
     multiplied by the wall data w = -2(alpha+kappa) u_tau.
     """
-    wy1, wy2 = grad_physical(omega, grid)
+    wy1, wy2 = grad_omega
     t_grad = volume_integral(wy1**2 + wy2**2, grid) / grid.area
 
     t_buoy = -ra * volume_integral(omega * grad_temp[0], grid) / grid.area
@@ -184,15 +184,18 @@ class DiagnosticsRecord:
 
 def measure(time, omega, temp, u1, u2, grid: MappedGrid,
             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float,
+            derivs: StateDerivatives, grad_u,
             pressure: np.ndarray | None = None,
             pressure_defect: float = float("nan"),
             background: BackgroundField | None = None) -> DiagnosticsRecord:
     """Evaluate every instantaneous diagnostic for one snapshot.
 
-    grad T and the wall u_tau are evaluated once and shared.
+    derivs is the snapshot's state_derivatives (grad omega, grad T, wall
+    u_tau) and grad_u the grad_physical pairs of (u1, u2); nothing here
+    differentiates a field again.
     """
-    grad_temp = ty1, ty2 = grad_physical(temp, grid)
-    u_tau = tuple(tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP))
+    grad_temp = ty1, ty2 = derivs.grad_temp
+    u_tau = derivs.u_tau
     nu_g = volume_integral(ty1**2 + ty2**2, grid) / grid.area
     strips = tuple(_strip_nusselt(temp, grad_temp, u1, u2, grid, lev) for lev in STRIP_LEVELS)
 
@@ -201,8 +204,8 @@ def measure(time, omega, temp, u1, u2, grid: MappedGrid,
     convective = volume_integral(u2 * temp - ty2, grid) / grid.area
 
     if pressure is not None:
-        ens_terms = enstrophy_balance_terms(omega, grad_temp, u_tau, pressure, grid,
-                                            bottom, top, pr, ra)
+        ens_terms = enstrophy_balance_terms(omega, derivs.grad_omega, grad_temp, u_tau,
+                                            pressure, grid, bottom, top, pr, ra)
     else:
         ens_terms = {name: float("nan") for name in ENSTROPHY_TERM_NAMES}
 
@@ -227,7 +230,7 @@ def measure(time, omega, temp, u1, u2, grid: MappedGrid,
         nu_strip=strips,
         energy=energy,
         enstrophy=enstrophy,
-        grad_u_sq=velocity_gradient_integrals(u1, u2, grid),
+        grad_u_sq=velocity_gradient_integrals(grad_u, grid),
         boundary_friction=boundary_friction_integral(u_tau, bottom, top),
         kappa_friction=boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
         ak_friction=boundary_friction_integral(u_tau, bottom, top, weight="a+k"),

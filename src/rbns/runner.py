@@ -21,12 +21,18 @@ import numpy as np
 import rbns
 from rbns.background import build_background
 from rbns.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
-from rbns.config import RunConfig, serialize_config
+from rbns.config import RunConfig, serialize_config, validate_config
 from rbns.diagnostics import Recorder, measure
 from rbns.elliptic import EllipticError
 from rbns.geometry import boundary_frames, boundary_norms
-from rbns.grid import MappedGrid
-from rbns.solver import BoussinesqStepper, CflViolation, FlowState, PhysicalParams
+from rbns.grid import MappedGrid, grad_physical
+from rbns.solver import (
+    BoussinesqStepper,
+    CflViolation,
+    FlowState,
+    PhysicalParams,
+    StateDerivatives,
+)
 
 
 @dataclass
@@ -146,8 +152,10 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
 
     NaN detection, a rejected step or a failed elliptic solve aborts the run;
     the last written checkpoint is retained and everything sampled so far is
-    still flushed to the CSV.
+    still flushed to the CSV.  The config is validated first (ConfigError,
+    stiffness warning), also when it was built in code.
     """
+    validate_config(config)
     stepper = build_stepper(config)
     grid = stepper.grid
     profile = config.geometry.profile()
@@ -191,22 +199,25 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
 
     result = RunResult(recorder=recorder, final_state=state, output_dir=out)
 
-    def take_sample(st: FlowState, index: int) -> str:
+    def take_sample(st: FlowState, derivs: StateDerivatives, index: int) -> str:
         """Record one sample; returns why the run must stop, or "".
 
-        A failed pressure solve still records the sample, without pressure.
+        derivs is state_derivatives(st).  A failed pressure solve still
+        records the sample, without pressure.
         """
         if not (np.isfinite(st.omega).all() and np.isfinite(st.temp).all()):
             return f"non-finite fields at t = {st.time:.6g}"
+        grad_u = (grad_physical(st.u1, grid), grad_physical(st.u2, grid))
         pressure, defect, abort = None, float("nan"), ""
         if config.output.pressure_every > 0 and index % config.output.pressure_every == 0:
             try:
-                pressure, info = stepper.recover_pressure(st)
+                pressure, info = stepper.recover_pressure(st, derivs, grad_u)
                 defect = info.compat_defect
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
         rec = measure(st.time, st.omega, st.temp, st.u1, st.u2, grid,
                       stepper.bottom, stepper.top, config.physical.pr, config.physical.ra,
+                      derivs, grad_u,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(rec)
         if not (np.isfinite(rec.energy) and np.isfinite(rec.nu_gradsq)):
@@ -225,7 +236,9 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     ckpt_count = 1
     if tcfg.checkpoint_interval is not None and state.time > 0:
         ckpt_count = int(np.floor(state.time / tcfg.checkpoint_interval + 1e-12)) + 1
-    abort = take_sample(state, 0) if state.time == 0.0 else ""
+    # one derivative set per state: its sample and the step from it share it
+    derivs = stepper.state_derivatives(state)
+    abort = take_sample(state, derivs, 0) if state.time == 0.0 else ""
     while not abort and state.time < t_end - 1e-14:
         dt = tcfg.dt if tcfg.dt is not None else stepper.suggest_dt(
             state, tcfg.dt_max if tcfg.dt_max is not None else np.inf)
@@ -233,7 +246,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             dt = sample_dt  # quiescent start at Ra = 0; any finite step works
         dt = min(dt, t_end - state.time)
         try:
-            state = stepper.step(state, dt)
+            state = stepper.step(state, dt, derivs)
         except CflViolation as exc:
             if np.isfinite(state.u1).all():
                 abort = f"step rejected at t = {state.time:.6g}: {exc}"
@@ -244,9 +257,10 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             abort = f"step solve failed at t = {state.time:.6g}: {exc}"
             break
         result.steps_taken += 1
+        derivs = stepper.state_derivatives(state)
 
         if state.time >= sample_count * sample_dt - 1e-12:
-            abort = take_sample(state, sample_count)
+            abort = take_sample(state, derivs, sample_count)
             sample_count += 1
             if abort:
                 break

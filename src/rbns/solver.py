@@ -32,6 +32,7 @@ from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
+    d_x1,
     d_x2,
     grad_physical,
     tangential_derivative,
@@ -79,6 +80,20 @@ class FlowState:
     def without_history(self) -> "FlowState":
         """Drop the multistep history (used at checkpoint instants)."""
         return replace(self, prev_expl_omega=None, prev_expl_temp=None, prev_dt=None)
+
+
+@dataclass
+class StateDerivatives:
+    """Derivatives of one FlowState, shared by its sample and the step from it.
+
+    grad_omega and grad_temp are grad_physical pairs, u_tau the (bottom, top)
+    wall tangential velocity.  The step consumes the set: it drops each
+    gradient once used, so neither is held through the elliptic solves.
+    """
+
+    grad_omega: tuple[np.ndarray, np.ndarray] | None
+    grad_temp: tuple[np.ndarray, np.ndarray] | None
+    u_tau: tuple[np.ndarray, np.ndarray]
 
 
 def boundary_vorticity(u_tau: np.ndarray, boundary: BoundaryData) -> np.ndarray:
@@ -163,35 +178,52 @@ class BoussinesqStepper:
         psi_y1, psi_y2 = grad_physical(psi, self.grid)
         return -psi_y2, psi_y1
 
+    def state_derivatives(self, state: FlowState) -> StateDerivatives:
+        """grad omega, grad T and the wall u_tau of a state, evaluated once."""
+        grid = self.grid
+        return StateDerivatives(
+            grad_omega=grad_physical(state.omega, grid),
+            grad_temp=grad_physical(state.temp, grid),
+            u_tau=tuple(tangential_velocity(state.u1, state.u2, grid, side)
+                        for side in (Side.BOTTOM, Side.TOP)),
+        )
+
     def _advection(self, f: np.ndarray, grad_f: tuple[np.ndarray, np.ndarray],
-                   u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+                   u1: np.ndarray, u2: np.ndarray, u2c: np.ndarray) -> np.ndarray:
         """Skew-symmetric centered advection -(u.grad f + div(u f))/2, full grid.
 
-        grad_f is grad_physical(f), evaluated once by the caller.
+        grad_f is grad_physical(f).  The divergence is the contravariant flux
+        d_x1(u1 f) + d_x2(u2c f) with u2c = u2 - h' u1, equal to the chain rule
+        form because h' is constant along each x2 column.
         """
         grid = self.grid
         fy1, fz = grad_f
         adv = u1 * fy1 + u2 * fz
-        dive = grad_physical(u1 * f, grid)[0] + d_x2(u2 * f, grid)
+        dive = d_x1(u1 * f, grid) + d_x2(u2c * f, grid)
         return -0.5 * (adv + dive)
 
-    def _explicit_terms(self, state: FlowState) -> tuple[np.ndarray, np.ndarray]:
+    def _explicit_terms(self, state: FlowState,
+                        derivs: StateDerivatives) -> tuple[np.ndarray, np.ndarray]:
+        """Advection and buoyancy; drops each gradient of derivs once used."""
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        # vorticity first: the temperature gradient, kept for the buoyancy
-        # term, then never lives across a second advection (peak memory)
-        n_w = self._advection(state.omega, grad_physical(state.omega, grid),
-                              state.u1, state.u2)
-        grad_t = grad_physical(state.temp, grid)
-        n_t = self._advection(state.temp, grad_t, state.u1, state.u2)
+        u2c = state.u2 - grid.hp[:, None] * state.u1
+        grad_w, derivs.grad_omega = derivs.grad_omega, None
+        n_w = self._advection(state.omega, grad_w, state.u1, state.u2, u2c)
+        del grad_w
+        grad_t, derivs.grad_temp = derivs.grad_temp, None
+        n_t = self._advection(state.temp, grad_t, state.u1, state.u2, u2c)
         if ra > 0.0:
             n_w = n_w + pr * ra * grad_t[0]
         return n_w[:, 1:-1], n_t[:, 1:-1]
 
     # -- the step ---------------------------------------------------------------
 
-    def step(self, state: FlowState, dt: float) -> FlowState:
-        """Advance one semi-implicit step; raises CflViolation for over-large dt."""
+    def step(self, state: FlowState, dt: float, derivs: StateDerivatives) -> FlowState:
+        """Advance one semi-implicit step; raises CflViolation for over-large dt.
+
+        derivs is state_derivatives(state); the step consumes its gradients.
+        """
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         limit = self.cfl_limit(state)
@@ -200,7 +232,7 @@ class BoussinesqStepper:
         grid = self.grid
         pr = self.params.pr
 
-        n_w, n_t = self._explicit_terms(state)
+        n_w, n_t = self._explicit_terms(state, derivs)
         if state.prev_expl_omega is None or state.prev_dt is None:
             expl_w, expl_t = n_w, n_t
         else:
@@ -217,8 +249,7 @@ class BoussinesqStepper:
         temp_new, info_t = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
             rhs_t, self.t_bottom, self.t_top, x0=state.temp)
 
-        ut_b = tangential_velocity(state.u1, state.u2, grid, Side.BOTTOM)
-        ut_t = tangential_velocity(state.u1, state.u2, grid, Side.TOP)
+        ut_b, ut_t = derivs.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
         helm_w = HelmholtzDirichlet(grid, c_w, self.solver_tol)
@@ -248,24 +279,26 @@ class BoussinesqStepper:
 
     # -- pressure ---------------------------------------------------------------
 
-    def recover_pressure(self, state: FlowState) -> tuple[np.ndarray, SolveInfo]:
+    def recover_pressure(self, state: FlowState, derivs: StateDerivatives,
+                         grad_u) -> tuple[np.ndarray, SolveInfo]:
         """Mean-zero pressure from the Neumann problem the momentum balance implies.
 
         Bulk:  Lap p = -(1/Pr) (grad u)^T : grad u + Ra dT/dy2.
         Walls: n.grad p = -(kappa/Pr) u_tau^2 + 2 d/dlambda((alpha+kappa) u_tau),
         plus n2 Ra on the bottom wall where T = 1.
+
+        derivs is state_derivatives(state) and grad_u the grad_physical pairs
+        of (u1, u2).
         """
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        u1y1, u1z = grad_physical(state.u1, grid)
-        u2y1, u2z = grad_physical(state.u2, grid)
+        (u1y1, u1z), (u2y1, u2z) = grad_u
         rhs = -(u1y1**2 + 2.0 * u2y1 * u1z + u2z**2) / pr
         if ra > 0.0:
-            rhs = rhs + ra * d_x2(state.temp, grid)
+            rhs = rhs + ra * derivs.grad_temp[1]
 
         fluxes = {}
-        for bd, side in ((self.bottom, Side.BOTTOM), (self.top, Side.TOP)):
-            ut = tangential_velocity(state.u1, state.u2, grid, side)
+        for bd, side, ut in zip((self.bottom, self.top), (Side.BOTTOM, Side.TOP), derivs.u_tau):
             dg_dlam = tangential_derivative((bd.alpha + bd.kappa) * ut, grid, side)
             flux = -(bd.kappa / pr) * ut**2 + 2.0 * dg_dlam
             if side is Side.BOTTOM:

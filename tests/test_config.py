@@ -2,7 +2,9 @@ import warnings
 
 import pytest
 
+from rbns.cli import main
 from rbns.config import ConfigError, RunConfig, parse_config, serialize_config
+from rbns.runner import run_simulation
 
 MINIMAL = """
 [physical]
@@ -114,3 +116,35 @@ def test_wall_coupling_without_stiffness_is_quiet(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         parse_config(text)
+
+
+def _code_config(n1=16, dt=None):
+    cfg = RunConfig()
+    cfg.physical.ra, cfg.physical.pr = 1e3, 10.0
+    cfg.grid.n1, cfg.grid.n2 = n1, 17
+    cfg.time.dt, cfg.time.t_end = dt, 0.0
+    return cfg
+
+
+def test_run_simulation_validates_code_built_config():
+    # 22 = 2 * 11 builds a MappedGrid but is not FFT-friendly
+    with pytest.raises(ConfigError, match="FFT-friendly"):
+        run_simulation(_code_config(n1=22))
+
+
+def test_run_simulation_warns_for_stiff_code_built_config():
+    cfg = _code_config(dt=2e-3)
+    cfg.boundary.alpha_top_mean = 20.0
+    with pytest.warns(UserWarning, match=r"\[time\] dt: max\(alpha\) \* dt = 0\.04"):
+        run_simulation(cfg)
+
+
+def test_cli_simulate_warns_once_for_stiff_config(tmp_path):
+    path = tmp_path / "stiff.cfg"
+    path.write_text(STIFF.replace("n1 = 64", "n1 = 16").replace("n2 = 65", "n2 = 17")
+                    + "t_end = 0.0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 0
+    stiff = [w for w in caught if "max(alpha) * dt" in str(w.message)]
+    assert len(stiff) == 1

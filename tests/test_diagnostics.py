@@ -16,6 +16,7 @@ from rbns.diagnostics import (
 from rbns.geometry import Side, boundary_frames
 from rbns.grid import MappedGrid, d_x1_line, grad_physical, tangential_velocity
 from rbns.runner import run_simulation
+from rbns.solver import StateDerivatives
 
 
 def conduction_setup(profile, alpha, n1=32, n2=33):
@@ -96,8 +97,8 @@ def test_wall_pressure_integration_by_parts(flat_profile, alpha_one, rng):
 def test_enstrophy_terms_zero_velocity(flat_profile, alpha_one):
     grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
     u_tau = (np.zeros(grid.n1), np.zeros(grid.n1))
-    terms = enstrophy_balance_terms(zeros, grad_physical(temp, grid), u_tau, zeros, grid,
-                                    bottom, top, pr=1.0, ra=100.0)
+    terms = enstrophy_balance_terms(zeros, grad_physical(zeros, grid), grad_physical(temp, grid),
+                                    u_tau, zeros, grid, bottom, top, pr=1.0, ra=100.0)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms.values())
 
 
@@ -149,9 +150,13 @@ def test_energy_residual_zero_for_rest_state():
 def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
     grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
     rec = Recorder(burn_in=0.0, pr=1.0, area=grid.area)
+    grad_zero = grad_physical(zeros, grid)
+    derivs = StateDerivatives(grad_omega=grad_zero, grad_temp=grad_physical(temp, grid),
+                              u_tau=(np.zeros(grid.n1), np.zeros(grid.n1)))
     for t in (0.0, 0.1, 0.2):
         rec.add(measure(t, zeros, temp, zeros, zeros, grid, bottom, top,
-                        pr=1.0, ra=10.0, pressure=zeros))
+                        pr=1.0, ra=10.0, derivs=derivs, grad_u=(grad_zero, grad_zero),
+                        pressure=zeros))
     rec.finalize()
     path = tmp_path / "diag.csv"
     rec.write_csv(path)
@@ -223,3 +228,67 @@ temp_perturbation = 0.01
             assert np.array_equal(np.isnan(got), np.isnan(ref))
             ok = ~np.isnan(ref)
             assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))
+
+
+def _fresh_derivatives(omega, temp, u1, u2, grid):
+    """A state's derivative set and velocity gradients, evaluated afresh."""
+    derivs = StateDerivatives(
+        grad_omega=grad_physical(omega, grid),
+        grad_temp=grad_physical(temp, grid),
+        u_tau=tuple(tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)))
+    return derivs, (grad_physical(u1, grid), grad_physical(u2, grid))
+
+
+def test_shared_derivatives_reproduce_fresh_ones(tmp_path, monkeypatch):
+    # the runner hands each sample the derivative set it also steps from; a
+    # reference that differentiates every sampled state again, ignoring what
+    # it is handed, must write the same diagnostics.csv byte for byte
+    text = """
+[physical]
+ra = 1e4
+pr = 10.0
+
+[grid]
+n1 = 16
+n2 = 17
+
+[time]
+dt = 1e-4
+t_end = 2e-3
+burn_in = 5e-4
+sample_interval = 1e-4
+
+[initial]
+temp_perturbation = 0.01
+u0_amplitude = 1.0
+
+[bounds]
+background_delta = 0.25
+
+[output]
+pressure_every = 1
+"""
+    shared = run_simulation(parse_config(text), str(tmp_path / "shared"))
+
+    import rbns.runner
+    from rbns.solver import BoussinesqStepper
+
+    recover = BoussinesqStepper.recover_pressure
+
+    def reference_pressure(self, state, derivs, grad_u):
+        return recover(self, state, *_fresh_derivatives(state.omega, state.temp, state.u1,
+                                                        state.u2, self.grid))
+
+    def reference_measure(time, omega, temp, u1, u2, grid, bottom, top, pr, ra,
+                          derivs, grad_u, **kwargs):
+        return measure(time, omega, temp, u1, u2, grid, bottom, top, pr, ra,
+                       *_fresh_derivatives(omega, temp, u1, u2, grid), **kwargs)
+
+    monkeypatch.setattr(BoussinesqStepper, "recover_pressure", reference_pressure)
+    monkeypatch.setattr(rbns.runner, "measure", reference_measure)
+    fresh = run_simulation(parse_config(text), str(tmp_path / "fresh"))
+
+    assert len(shared.recorder.records) == 21
+    assert all(np.isfinite(v) for v in shared.recorder.records[-1].enstrophy_terms.values())
+    assert ((tmp_path / "shared" / "diagnostics.csv").read_bytes()
+            == (tmp_path / "fresh" / "diagnostics.csv").read_bytes())

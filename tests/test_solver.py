@@ -3,7 +3,15 @@ import pytest
 
 from rbns.config import RunConfig
 from rbns.geometry import FourierSeries, Side, boundary_frames
-from rbns.grid import MappedGrid, apply_L_tilde, d_x1, d_x2, tangential_velocity, volume_integral
+from rbns.grid import (
+    MappedGrid,
+    apply_L_tilde,
+    d_x1,
+    d_x2,
+    grad_physical,
+    tangential_velocity,
+    volume_integral,
+)
 from rbns.runner import build_stepper, initial_temperature, run_simulation
 from rbns.solver import (
     BoussinesqStepper,
@@ -21,6 +29,10 @@ def small_cfg(**kw):
     cfg.grid.n2 = kw.get("n2", 33)
     cfg.initial.temp_perturbation = kw.get("pert", 0.0)
     return cfg
+
+
+def _grad_u(state, grid):
+    return grad_physical(state.u1, grid), grad_physical(state.u2, grid)
 
 
 def test_physical_params_validation():
@@ -47,7 +59,7 @@ def test_conduction_is_steady(flat_profile):
     stepper = build_stepper(cfg)
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid))
     for _ in range(200):
-        state = stepper.step(state, 1e-3)
+        state = stepper.step(state, 1e-3, stepper.state_derivatives(state))
     assert np.sqrt(volume_integral(state.u1**2 + state.u2**2, stepper.grid)) <= 1e-12
     assert np.abs(state.temp - (1.0 - stepper.grid.x2)[None, :]).max() <= 1e-12
 
@@ -62,7 +74,7 @@ def test_energy_decays_every_step_without_forcing():
                                       initial_stream_function(cfg, stepper.grid))
     energies = [volume_integral(state.u1**2 + state.u2**2, stepper.grid)]
     for _ in range(50):
-        state = stepper.step(state, 1e-3)
+        state = stepper.step(state, 1e-3, stepper.state_derivatives(state))
         energies.append(volume_integral(state.u1**2 + state.u2**2, stepper.grid))
     diffs = np.diff(energies)
     assert np.all(diffs < 0.0)
@@ -78,9 +90,9 @@ def test_cfl_violation_suggests_dt():
                                       initial_stream_function(cfg, stepper.grid))
     limit = stepper.cfl_limit(state)
     with pytest.raises(CflViolation) as err:
-        stepper.step(state, 10.0 * limit)
+        stepper.step(state, 10.0 * limit, stepper.state_derivatives(state))
     assert err.value.suggested_dt == pytest.approx(limit)
-    stepper.step(state, 0.9 * limit)  # inside the bound: fine
+    stepper.step(state, 0.9 * limit, stepper.state_derivatives(state))  # inside the bound: fine
 
 
 def test_discrete_incompressibility(sine_profile):
@@ -110,7 +122,7 @@ def test_vorticity_gradient_identity(sine_profile, alpha_one):
     from rbns.diagnostics import boundary_friction_integral, velocity_gradient_integrals
 
     u_tau = [tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)]
-    lhs = velocity_gradient_integrals(u1, u2, grid)
+    lhs = velocity_gradient_integrals((grad_physical(u1, grid), grad_physical(u2, grid)), grid)
     rhs = volume_integral(omega**2, grid) + boundary_friction_integral(
         u_tau, bottom, top, weight="kappa")
     assert abs(lhs - rhs) <= 2e-3 * abs(lhs)
@@ -133,7 +145,8 @@ def test_pressure_zero_state(flat_profile):
     stepper = build_stepper(cfg)
     temp = np.zeros(stepper.grid.shape)
     state = stepper.state_from_fields(temp)
-    p, info = stepper.recover_pressure(state)
+    p, info = stepper.recover_pressure(state, stepper.state_derivatives(state),
+                                       _grad_u(state, stepper.grid))
     assert np.abs(p).max() <= 1e-12
 
 
@@ -141,7 +154,8 @@ def test_pressure_hydrostatic(flat_profile):
     cfg = small_cfg(ra=50.0, n2=65)
     stepper = build_stepper(cfg)
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid))
-    p, info = stepper.recover_pressure(state)
+    p, info = stepper.recover_pressure(state, stepper.state_derivatives(state),
+                                       _grad_u(state, stepper.grid))
     x2 = stepper.grid.x2[None, :]
     expected = 50.0 * (x2 - 0.5 * x2**2 - 1.0 / 3.0) * np.ones((stepper.grid.n1, 1))
     assert np.abs(p - expected).max() <= 5e-5 * 50.0  # second-order in dx2
@@ -163,7 +177,7 @@ def test_friction_slows_walls(flat_profile):
         state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
                                           initial_stream_function(cfg, stepper.grid))
         for _ in range(100):
-            state = stepper.step(state, 2e-5)
+            state = stepper.step(state, 2e-5, stepper.state_derivatives(state))
         ut = tangential_velocity(state.u1, state.u2, stepper.grid, Side.BOTTOM)
         sups.append(np.abs(ut).max())
     assert sups[0] > sups[1] > sups[2]
@@ -191,7 +205,7 @@ def test_omega_trace_matches_lagged_coupling():
 
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
                                       initial_stream_function(cfg, stepper.grid))
-    nxt = stepper.step(state, 1e-4)
+    nxt = stepper.step(state, 1e-4, stepper.state_derivatives(state))
     ut_b = tangential_velocity(state.u1, state.u2, stepper.grid, Side.BOTTOM)
     ut_t = tangential_velocity(state.u1, state.u2, stepper.grid, Side.TOP)
     assert np.array_equal(nxt.omega[:, 0], boundary_vorticity(ut_b, stepper.bottom))
@@ -209,5 +223,58 @@ def test_fixed_point_coupling_converges():
 
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
                                       initial_stream_function(cfg, stepper.grid))
-    nxt = stepper.step(state, 1e-4)
+    nxt = stepper.step(state, 1e-4, stepper.state_derivatives(state))
     assert np.isfinite(nxt.omega).all()
+
+
+def test_state_derivatives_match_fresh_evaluations():
+    cfg = small_cfg(ra=1e3, pert=0.01)
+    cfg.geometry.modes = ((1, 0.0, 0.1),)
+    cfg.initial.u0_amplitude = 0.5
+    stepper = build_stepper(cfg)
+    from rbns.runner import initial_stream_function
+
+    grid = stepper.grid
+    state = stepper.state_from_fields(initial_temperature(cfg, grid),
+                                      initial_stream_function(cfg, grid))
+    state = stepper.step(state, 1e-4, stepper.state_derivatives(state))
+    derivs = stepper.state_derivatives(state)
+    for got, field in ((derivs.grad_omega, state.omega), (derivs.grad_temp, state.temp)):
+        want = grad_physical(field, grid)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for got, side in zip(derivs.u_tau, (Side.BOTTOM, Side.TOP)):
+        assert np.array_equal(got, tangential_velocity(state.u1, state.u2, grid, side))
+
+
+def test_step_consumes_the_derivative_gradients():
+    # the gradients are released inside the step, before the elliptic solves
+    cfg = small_cfg(ra=1e3, pert=0.01)
+    stepper = build_stepper(cfg)
+    state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid))
+    derivs = stepper.state_derivatives(state)
+    stepper.step(state, 1e-4, derivs)
+    assert derivs.grad_omega is None and derivs.grad_temp is None
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1), (3, 0.02, -0.05))])
+def test_contravariant_flux_divergence_matches_chain_rule(modes):
+    # d_x1(u1 f) + d_x2((u2 - h' u1) f) against d/dy1(u1 f) + d/dy2(u2 f)
+    cfg = small_cfg(ra=1e3, pert=0.01)
+    cfg.geometry.modes = modes
+    cfg.initial.u0_amplitude = 0.5
+    stepper = build_stepper(cfg)
+    from rbns.runner import initial_stream_function
+
+    grid = stepper.grid
+    state = stepper.state_from_fields(initial_temperature(cfg, grid),
+                                      initial_stream_function(cfg, grid))
+    u1, u2, f = state.u1, state.u2, state.temp
+    u2c = u2 - grid.hp[:, None] * u1
+    grad_f = grad_physical(f, grid)
+    got = stepper._advection(f, grad_f, u1, u2, u2c)
+    chain = grad_physical(u1 * f, grid)[0] + d_x2(u2 * f, grid)
+    want = -0.5 * (u1 * grad_f[0] + u2 * grad_f[1] + chain)
+    if grid.is_flat:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
