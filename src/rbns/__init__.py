@@ -20,7 +20,7 @@ from rbns.geometry import (
     evaluate_height,
 )
 from rbns.grid import MappedGrid
-from rbns.solver import PhysicalParams, BoussinesqStepper, run
+from rbns.solver import PhysicalParams, BoussinesqStepper
 
 __all__ = [
     "FourierSeries",
@@ -34,6 +34,5 @@ __all__ = [
     "MappedGrid",
     "PhysicalParams",
     "BoussinesqStepper",
-    "run",
     "__version__",
 ]

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rbns.background import BackgroundField
+from rbns.diagnostics import ENSTROPHY_COLUMNS
 from rbns.geometry import BoundaryNorms, ConditionReport
 from rbns.solver import PhysicalParams
 
@@ -195,8 +196,7 @@ def evaluate_theorem2(case: str, physical: PhysicalParams, norms: BoundaryNorms,
 # ---------------------------------------------------------------------------
 
 Q_INGREDIENTS = ("grad_theta_sq", "theta_u_grad_eta", "grad_u_sq", "boundary_friction",
-                 "ens:grad_omega_sq", "ens:wall_pressure", "ens:buoyancy_torque",
-                 "ens:wall_inertia", "ens:wall_buoyancy")
+                 *ENSTROPHY_COLUMNS)
 
 
 @dataclass
@@ -228,9 +228,7 @@ def q_form(averages: dict, background: BackgroundField, params: BoundParams,
 
     grad_u = averages["grad_u_sq"] / area
     friction = averages["boundary_friction"] / area
-    a_sum = float(sum(averages[f"ens:{k}"] for k in
-                      ("grad_omega_sq", "wall_pressure", "buoyancy_torque",
-                       "wall_inertia", "wall_buoyancy")))
+    a_sum = float(sum(averages[name] for name in ENSTROPHY_COLUMNS))
     b_term = grad_u + friction - ra * (span * nu_measured - 1.0)
 
     terms = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from rbns.geometry import FourierSeries
 
@@ -252,8 +252,14 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.physical.pr <= 0:
         raise ConfigError(f"[physical] pr: must be positive, got {cfg.physical.pr}")
     t = cfg.time
-    if t.dt is not None and t.dt <= 0:
-        raise ConfigError(f"[time] dt: must be positive (or auto), got {t.dt}")
+    for key in ("dt", "dt_max", "sample_interval", "checkpoint_interval"):
+        value = getattr(t, key)
+        if value is not None and not value > 0:
+            raise ConfigError(f"[time] {key}: must be positive (or auto), got {value}")
+    for key in ("cfl_safety", "buoyancy_safety"):
+        value = getattr(t, key)
+        if not value > 0:
+            raise ConfigError(f"[time] {key}: must be positive, got {value}")
     if t.t_end < 0:
         raise ConfigError(f"[time] t_end: must be nonnegative, got {t.t_end}")
     if t.coupling_sweeps < 0:
@@ -268,6 +274,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[bounds] delta_override: must lie in (0, 1/2], got {b.delta_override}")
     if b.background_delta is not None and not 0.0 < b.background_delta <= 0.5:
         raise ConfigError(f"[bounds] background_delta: must lie in (0, 1/2], got {b.background_delta}")
+    if cfg.output.precision < 1:
+        raise ConfigError(f"[output] precision: must be >= 1, got {cfg.output.precision}")
     if cfg.output.pressure_every < 1:
         raise ConfigError(f"[output] pressure_every: must be >= 1, got {cfg.output.pressure_every}")
     # confirm the wall shapes construct (raises on bad series)
@@ -307,7 +315,3 @@ def serialize_config(cfg: RunConfig) -> str:
                 out.write(f"{key} = {_emit(value)}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)

@@ -26,7 +26,7 @@ with the max over the trailing half of the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,8 @@ from rbns.grid import (
 )
 from rbns.solver import StateDerivatives
 
-CSV_HEADER = (
-    "time,nu_flux,nu_gradsq,nu_strip_25,nu_strip_50,nu_strip_75,"
-    "energy,enstrophy,grad_u_sq,boundary_friction,buoyancy_flux,"
-    "energy_residual,enstrophy_residual,temp_min,temp_max"
-)
-
 STRIP_LEVELS = (0.25, 0.5, 0.75)
+STRIP_COLUMNS = tuple(f"nu_strip_{round(100 * level)}" for level in STRIP_LEVELS)
 
 ENSTROPHY_TERM_NAMES = (
     "grad_omega_sq",      # <|grad w|^2>
@@ -57,6 +52,27 @@ ENSTROPHY_TERM_NAMES = (
     "buoyancy_torque",    # -Ra <w dT/dy1>
     "wall_inertia",       # (2/Pr) <(alpha+kappa) u_tau^2 du_tau/dlambda>_walls
     "wall_buoyancy",      # -2 Ra <(alpha+kappa) u_tau n1>_bottom
+)
+ENSTROPHY_COLUMNS = tuple(f"ens:{name}" for name in ENSTROPHY_TERM_NAMES)
+
+OMEGA_NORM_POWERS = (2, 4, 8)
+OMEGA_NORM_COLUMNS = tuple(f"omega_l{p}" for p in OMEGA_NORM_POWERS)
+
+# A sample is one dict keyed by column name; these tuples are the only
+# place the names and their order are written down.
+CSV_COLUMNS = (
+    "time", "nu_flux", "nu_gradsq", *STRIP_COLUMNS,
+    "energy", "enstrophy", "grad_u_sq", "boundary_friction", "buoyancy_flux",
+    "energy_residual", "enstrophy_residual", "temp_min", "temp_max",
+)
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+# the long-time averages a run reports, in run_summary.txt order
+AVERAGED = (
+    "nu_flux", "nu_gradsq", *STRIP_COLUMNS,
+    "energy", "enstrophy", "grad_u_sq", "boundary_friction", "kappa_friction",
+    "ak_friction", "buoyancy_flux", "convective_transport",
+    "grad_theta_sq", "theta_u_grad_eta", *ENSTROPHY_COLUMNS,
 )
 
 
@@ -155,97 +171,67 @@ def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid:
     }
 
 
-@dataclass
-class DiagnosticsRecord:
-    time: float
-    nu_flux: float
-    nu_gradsq: float
-    nu_strip: tuple[float, float, float]
-    energy: float                     # ||u||_2^2
-    enstrophy: float                  # ||w||_2^2
-    grad_u_sq: float                  # int |grad u|^2
-    boundary_friction: float          # int (2a+k) u_tau^2
-    kappa_friction: float             # int k u_tau^2
-    ak_friction: float                # int (a+k) u_tau^2
-    buoyancy_flux: float              # Ra int T u2
-    temp_min: float
-    temp_max: float
-    convective_transport: float       # <(u2 - d/dy2) T>
-    heat_content: float               # int (1 - x2) T dy  (budget corrections)
-    enstrophy_terms: dict
-    pressure_defect: float = float("nan")
-    grad_theta_sq: float = float("nan")
-    theta_u_grad_eta: float = float("nan")
-    theta_sq: float = float("nan")    # int theta^2 dy
-    omega_lp: dict = field(default_factory=dict)
-    energy_residual: float = float("nan")     # filled in finalize()
-    enstrophy_residual: float = float("nan")  # filled in finalize()
-
-
 def measure(time, omega, temp, u1, u2, grid: MappedGrid,
             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float,
             derivs: StateDerivatives, grad_u,
             pressure: np.ndarray | None = None,
             pressure_defect: float = float("nan"),
-            background: BackgroundField | None = None) -> DiagnosticsRecord:
-    """Evaluate every instantaneous diagnostic for one snapshot.
+            background: BackgroundField | None = None) -> dict[str, float]:
+    """Evaluate every instantaneous diagnostic for one snapshot, as one row.
 
-    derivs is the snapshot's state_derivatives (grad omega, grad T, wall
-    u_tau) and grad_u the grad_physical pairs of (u1, u2); nothing here
-    differentiates a field again.
+    The row holds every CSV_COLUMNS and AVERAGED name plus the endpoint
+    terms of the window estimators (heat_content, theta_sq) and the Neumann
+    pressure_defect; the two residual columns stay NaN until
+    Recorder.finalize.  derivs is the snapshot's state_derivatives (grad
+    omega, grad T, wall u_tau) and grad_u the grad_physical pairs of (u1,
+    u2); nothing here differentiates a field again.
     """
     grad_temp = ty1, ty2 = derivs.grad_temp
     u_tau = derivs.u_tau
-    nu_g = volume_integral(ty1**2 + ty2**2, grid) / grid.area
-    strips = tuple(_strip_nusselt(temp, grad_temp, u1, u2, grid, lev) for lev in STRIP_LEVELS)
-
-    energy = volume_integral(u1**2 + u2**2, grid)
-    enstrophy = volume_integral(omega**2, grid)
-    convective = volume_integral(u2 * temp - ty2, grid) / grid.area
+    row = {
+        "time": time,
+        "nu_flux": nusselt_flux(temp, grid),
+        "nu_gradsq": volume_integral(ty1**2 + ty2**2, grid) / grid.area,
+        **{name: _strip_nusselt(temp, grad_temp, u1, u2, grid, level)
+           for name, level in zip(STRIP_COLUMNS, STRIP_LEVELS)},
+        "energy": volume_integral(u1**2 + u2**2, grid),               # ||u||_2^2
+        "enstrophy": volume_integral(omega**2, grid),                 # ||w||_2^2
+        "grad_u_sq": velocity_gradient_integrals(grad_u, grid),       # int |grad u|^2
+        "boundary_friction": boundary_friction_integral(u_tau, bottom, top),  # int (2a+k) u_tau^2
+        "kappa_friction": boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
+        "ak_friction": boundary_friction_integral(u_tau, bottom, top, weight="a+k"),
+        "buoyancy_flux": ra * volume_integral(temp * u2, grid),       # Ra int T u2
+        "temp_min": float(np.min(temp)),
+        "temp_max": float(np.max(temp)),
+        "convective_transport": volume_integral(u2 * temp - ty2, grid) / grid.area,
+        "heat_content": volume_integral((1.0 - grid.x2)[None, :] * temp, grid),  # int (1-x2) T
+        "pressure_defect": pressure_defect,
+        "energy_residual": float("nan"),
+        "enstrophy_residual": float("nan"),
+    }
 
     if pressure is not None:
-        ens_terms = enstrophy_balance_terms(omega, derivs.grad_omega, grad_temp, u_tau,
-                                            pressure, grid, bottom, top, pr, ra)
+        terms = enstrophy_balance_terms(omega, derivs.grad_omega, grad_temp, u_tau,
+                                        pressure, grid, bottom, top, pr, ra)
+        row.update(zip(ENSTROPHY_COLUMNS, (terms[name] for name in ENSTROPHY_TERM_NAMES)))
     else:
-        ens_terms = {name: float("nan") for name in ENSTROPHY_TERM_NAMES}
+        row.update(dict.fromkeys(ENSTROPHY_COLUMNS, float("nan")))
 
     gts, tue, tsq = float("nan"), float("nan"), float("nan")
     if background is not None:
         gts, tue = background.theta_ingredients(temp, grad_temp, u1, u2)
         tsq = volume_integral(background.theta(temp) ** 2, grid)
+    row.update(grad_theta_sq=gts, theta_u_grad_eta=tue, theta_sq=tsq)  # theta_sq = int theta^2
 
     abs_w = np.abs(omega)
     w_sup = float(np.max(abs_w))
     if w_sup > 0.0 and np.isfinite(w_sup):
         scaled = abs_w / w_sup  # overflow-safe evaluation of the p-norms
-        omega_lp = {p: w_sup * volume_integral(scaled**p, grid) ** (1.0 / p)
-                    for p in (2, 4, 8)}
+        row.update((name, w_sup * volume_integral(scaled**p, grid) ** (1.0 / p))
+                   for name, p in zip(OMEGA_NORM_COLUMNS, OMEGA_NORM_POWERS))
     else:
-        omega_lp = {p: w_sup for p in (2, 4, 8)}
-
-    return DiagnosticsRecord(
-        time=time,
-        nu_flux=nusselt_flux(temp, grid),
-        nu_gradsq=nu_g,
-        nu_strip=strips,
-        energy=energy,
-        enstrophy=enstrophy,
-        grad_u_sq=velocity_gradient_integrals(grad_u, grid),
-        boundary_friction=boundary_friction_integral(u_tau, bottom, top),
-        kappa_friction=boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
-        ak_friction=boundary_friction_integral(u_tau, bottom, top, weight="a+k"),
-        buoyancy_flux=ra * volume_integral(temp * u2, grid),
-        temp_min=float(np.min(temp)),
-        temp_max=float(np.max(temp)),
-        convective_transport=convective,
-        heat_content=volume_integral((1.0 - grid.x2)[None, :] * temp, grid),
-        enstrophy_terms=ens_terms,
-        pressure_defect=pressure_defect,
-        grad_theta_sq=gts,
-        theta_u_grad_eta=tue,
-        theta_sq=tsq,
-        omega_lp=omega_lp,
-    )
+        row.update(dict.fromkeys(OMEGA_NORM_COLUMNS, w_sup))
+    return row
 
 
 @dataclass
@@ -258,7 +244,7 @@ class AverageStat:
 
 
 class Recorder:
-    """Accumulates records, maintains post-burn-in running means and tail stats.
+    """Accumulates sample rows, maintains post-burn-in running means and tail stats.
 
     The limiting long-time average is approximated by the arithmetic mean of
     samples with t >= burn_in; the max over the trailing half of that window
@@ -289,30 +275,19 @@ class Recorder:
         self.height_range = height_range
         self.is_flat = is_flat
         self.grad_eta_sq = grad_eta_sq
-        self.records: list[DiagnosticsRecord] = []
+        self.records: list[dict[str, float]] = []
 
-    def add(self, record: DiagnosticsRecord) -> None:
-        self.records.append(record)
+    def add(self, row: dict[str, float]) -> None:
+        self.records.append(row)
 
     # -- averaging ---------------------------------------------------------
 
-    def _series(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        t = np.array([r.time for r in self.records])
-        if name.startswith("nu_strip_"):
-            i = STRIP_LEVELS.index(float(name.split("_")[-1]) / 100.0)
-            v = np.array([r.nu_strip[i] for r in self.records])
-        elif name.startswith("ens:"):
-            key = name.split(":", 1)[1]
-            v = np.array([r.enstrophy_terms[key] for r in self.records])
-        elif name.startswith("omega_l"):
-            p = int(name.split("omega_l")[1])
-            v = np.array([r.omega_lp.get(p, float("nan")) for r in self.records])
-        else:
-            v = np.array([getattr(r, name) for r in self.records])
-        return t, v
+    def column(self, name: str) -> np.ndarray:
+        """The named column of every sample, in sample order."""
+        return np.array([r[name] for r in self.records])
 
     def average(self, name: str) -> AverageStat:
-        t, v = self._series(name)
+        t, v = self.column("time"), self.column(name)
         sel = t >= self.burn_in
         if not np.any(sel):
             sel = np.ones_like(t, dtype=bool)  # nothing past burn-in yet
@@ -324,26 +299,19 @@ class Recorder:
         tail = v[t >= 0.5 * (t[0] + t[-1])] if v.size > 1 else v
         return AverageStat(float(np.mean(v)), float(np.max(tail)), v.size, float(t[0]), float(t[-1]))
 
-    def averages(self) -> dict:
-        names = ["nu_flux", "nu_gradsq", "nu_strip_25", "nu_strip_50", "nu_strip_75",
-                 "energy", "enstrophy", "grad_u_sq", "boundary_friction", "kappa_friction",
-                 "ak_friction", "buoyancy_flux", "convective_transport",
-                 "grad_theta_sq", "theta_u_grad_eta"]
-        out = {n: self.average(n).mean for n in names}
-        for key in ENSTROPHY_TERM_NAMES:
-            out[f"ens:{key}"] = self.average(f"ens:{key}").mean
-        return out
+    def averages(self) -> dict[str, float]:
+        return {name: self.average(name).mean for name in AVERAGED}
 
     # -- endpoint-corrected window estimators --------------------------------
 
-    def _window(self) -> list[DiagnosticsRecord]:
-        recs = [r for r in self.records if r.time >= self.burn_in]
+    def _window(self) -> list[dict[str, float]]:
+        recs = [r for r in self.records if r["time"] >= self.burn_in]
         return recs if recs else self.records
 
-    def _window_span(self) -> tuple[DiagnosticsRecord, DiagnosticsRecord, float]:
+    def _window_span(self) -> tuple[dict[str, float], dict[str, float], float]:
         recs = self._window()
         first, last = recs[0], recs[-1]
-        return first, last, max(last.time - first.time, 0.0)
+        return first, last, max(last["time"] - first["time"], 0.0)
 
     def convective_transport_corrected(self) -> float:
         """Drift-free estimator of the long-time <(u2 - d2) T>."""
@@ -351,7 +319,7 @@ class Recorder:
         raw = self.average("convective_transport").mean
         if span == 0.0 or not self.is_flat:
             return raw  # rough walls: the inequality carries genuine slack
-        return raw + (last.heat_content - first.heat_content) / (span * self.area)
+        return raw + (last["heat_content"] - first["heat_content"]) / (span * self.area)
 
     def nusselt_inequality_defect(self) -> float:
         """nu_flux - <(u2 - d2) T>/(1 + max h - min h); negative = violation."""
@@ -369,9 +337,9 @@ class Recorder:
         nu = self.average("nu_flux").mean
         lhs = self.average("grad_u_sq").mean + self.average("boundary_friction").mean
         if span > 0.0:
-            lhs += (last.energy - first.energy) / (2.0 * self.pr * span)
+            lhs += (last["energy"] - first["energy"]) / (2.0 * self.pr * span)
             if self.is_flat:
-                lhs += self.ra * (last.heat_content - first.heat_content) / span
+                lhs += self.ra * (last["heat_content"] - first["heat_content"]) / span
         rhs = self.ra * ((1.0 + self.height_range) * nu - 1.0) * self.area
         scale = max(abs(rhs), 1.0)
         return (rhs - lhs) / scale, scale
@@ -383,8 +351,8 @@ class Recorder:
         first, last, span = self._window_span()
         nu = (self.grad_eta_sq - self.average("grad_theta_sq").mean
               - 2.0 * self.average("theta_u_grad_eta").mean)
-        if span > 0.0 and np.isfinite(first.theta_sq) and np.isfinite(last.theta_sq):
-            nu -= (last.theta_sq - first.theta_sq) / (span * self.area)
+        if span > 0.0 and np.isfinite(first["theta_sq"]) and np.isfinite(last["theta_sq"]):
+            nu -= (last["theta_sq"] - first["theta_sq"]) / (span * self.area)
         return nu
 
     # -- residuals ---------------------------------------------------------
@@ -393,10 +361,10 @@ class Recorder:
         n = len(self.records)
         if n < 2:
             return np.full(n, np.nan)
-        t, e = self._series("energy")
-        grad_u_sq = self._series("grad_u_sq")[1]
-        buoyancy = self._series("buoyancy_flux")[1]
-        lhs = np.gradient(e, t) / (2.0 * self.pr) + grad_u_sq + self._series("boundary_friction")[1]
+        t, e = self.column("time"), self.column("energy")
+        grad_u_sq = self.column("grad_u_sq")
+        buoyancy = self.column("buoyancy_flux")
+        lhs = np.gradient(e, t) / (2.0 * self.pr) + grad_u_sq + self.column("boundary_friction")
         scale = np.maximum(np.maximum(np.abs(buoyancy), np.abs(grad_u_sq)), 1.0)
         return (lhs - buoyancy) / scale
 
@@ -414,10 +382,9 @@ class Recorder:
         n = len(self.records)
         if n == 0:
             return np.full(n, np.nan)
-        t, enstrophy = self._series("enstrophy")
-        z = enstrophy / (2.0 * self.pr) + self._series("ak_friction")[1] / self.pr
-        vals = np.array([[r.enstrophy_terms[k] for k in ENSTROPHY_TERM_NAMES]
-                         for r in self.records])
+        t = self.column("time")
+        z = self.column("enstrophy") / (2.0 * self.pr) + self.column("ak_friction") / self.pr
+        vals = np.column_stack([self.column(name) for name in ENSTROPHY_COLUMNS])
         finite = np.all(np.isfinite(vals), axis=1)
         post = finite & (t >= self.burn_in)
         idx = np.arange(n)
@@ -440,11 +407,9 @@ class Recorder:
         return np.where(np.cumsum(post) > 0, window_residuals(post), window_residuals(finite))
 
     def finalize(self) -> None:
-        e_res = self._energy_residuals()
-        s_res = self._enstrophy_residuals()
-        for i, r in enumerate(self.records):
-            r.energy_residual = float(e_res[i])
-            r.enstrophy_residual = float(s_res[i])
+        for r, e_res, s_res in zip(self.records, self._energy_residuals(),
+                                   self._enstrophy_residuals()):
+            r["energy_residual"], r["enstrophy_residual"] = float(e_res), float(s_res)
 
     # -- output ------------------------------------------------------------
 
@@ -453,21 +418,17 @@ class Recorder:
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in self.records:
-                cols = [r.time, r.nu_flux, r.nu_gradsq, *r.nu_strip,
-                        r.energy, r.enstrophy, r.grad_u_sq, r.boundary_friction,
-                        r.buoyancy_flux, r.energy_residual, r.enstrophy_residual,
-                        r.temp_min, r.temp_max]
-                fh.write(",".join(fmt.format(c) for c in cols) + "\n")
+                fh.write(",".join(fmt.format(r[name]) for name in CSV_COLUMNS) + "\n")
 
     # -- derived checks ----------------------------------------------------
 
     def mean_abs_energy_residual(self) -> float:
-        t = np.array([r.time for r in self.records])
-        res = np.array([r.energy_residual for r in self.records])
+        t, res = self.column("time"), self.column("energy_residual")
         sel = (t >= self.burn_in) & np.isfinite(res)
         # end samples carry one-sided d/dt stencils; they are still included
         return float(np.mean(np.abs(res[sel]))) if np.any(sel) else float("nan")
 
     def final_enstrophy_residual(self) -> float:
-        res = [r.enstrophy_residual for r in self.records if np.isfinite(r.enstrophy_residual)]
+        res = [r["enstrophy_residual"] for r in self.records
+               if np.isfinite(r["enstrophy_residual"])]
         return abs(res[-1]) if res else float("nan")

@@ -93,10 +93,6 @@ class FourierSeries:
         return float(np.min(v)), float(np.max(v))
 
 
-# A height profile is just a Fourier series whose offset is the mean height.
-HeightProfile = FourierSeries
-
-
 def flat_profile(gamma: float = 1.0, mean_offset: float = 0.0) -> FourierSeries:
     return FourierSeries(gamma=gamma, offset=mean_offset)
 
@@ -304,9 +300,6 @@ class ConditionReport:
         if self.norms is not None:
             d.update(self.norms.to_dict())
         return d
-
-    def as_text(self) -> str:
-        return "\n".join(f"{k} = {v}" for k, v in self.to_dict().items())
 
 
 def _condition_report(name: str, rhs_b, rhs_t, bottom: BoundaryData, top: BoundaryData,

@@ -99,7 +99,7 @@ def build_stepper(config: RunConfig) -> BoussinesqStepper:
 def _state_from_checkpoint(stepper: BoussinesqStepper, data: CheckpointData) -> FlowState:
     u1, u2 = stepper._velocity(data.psi)
     return FlowState(time=data.time, omega=data.omega, psi=data.psi, temp=data.temp,
-                     u1=u1, u2=u2, psi_top=data.psi_top)
+                     u1=u1, u2=u2, psi_top=data.psi_top, u_tau=stepper.wall_u_tau(u1, u2))
 
 
 def _checkpoint_payload(config: RunConfig, state: FlowState) -> CheckpointData:
@@ -215,12 +215,12 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                 defect = info.compat_defect
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
-        rec = measure(st.time, st.omega, st.temp, st.u1, st.u2, grid,
+        row = measure(st.time, st.omega, st.temp, st.u1, st.u2, grid,
                       stepper.bottom, stepper.top, config.physical.pr, config.physical.ra,
                       derivs, grad_u,
                       pressure=pressure, pressure_defect=defect, background=background)
-        recorder.add(rec)
-        if not (np.isfinite(rec.energy) and np.isfinite(rec.nu_gradsq)):
+        recorder.add(row)
+        if not (np.isfinite(row["energy"]) and np.isfinite(row["nu_gradsq"])):
             return f"non-finite fields at t = {st.time:.6g}"
         return abort
 

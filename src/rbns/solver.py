@@ -64,7 +64,11 @@ class CflViolation(RuntimeError):
 
 @dataclass
 class FlowState:
-    """One time level; wall rows of the arrays hold the boundary data."""
+    """One time level; wall rows of the arrays hold the boundary data.
+
+    u_tau is the (bottom, top) wall tangential velocity of (u1, u2),
+    evaluated where the state is built.
+    """
 
     time: float
     omega: np.ndarray
@@ -73,6 +77,7 @@ class FlowState:
     u1: np.ndarray
     u2: np.ndarray
     psi_top: float
+    u_tau: tuple[np.ndarray, np.ndarray]
     prev_expl_omega: np.ndarray | None = None
     prev_expl_temp: np.ndarray | None = None
     prev_dt: float | None = None
@@ -133,7 +138,6 @@ class BoussinesqStepper:
         self.poisson = HelmholtzDirichlet(grid, None, solver_tol)
         self.neumann = PoissonNeumann(grid, solver_tol)
         self._last_pressure = None
-        self.last_info: dict[str, SolveInfo] = {}
 
     # -- state construction --------------------------------------------------
 
@@ -143,13 +147,14 @@ class BoussinesqStepper:
         if psi is None:
             psi = grid.zeros()
         u1, u2 = self._velocity(psi)
+        u_tau = self.wall_u_tau(u1, u2)
         psi_top = float(np.mean(psi[:, -1]))
         omega = np.empty(grid.shape)
         omega[:, 1:-1] = apply_L_tilde(psi, grid)
-        omega[:, 0] = boundary_vorticity(tangential_velocity(u1, u2, grid, Side.BOTTOM), self.bottom)
-        omega[:, -1] = boundary_vorticity(tangential_velocity(u1, u2, grid, Side.TOP), self.top)
+        omega[:, 0] = boundary_vorticity(u_tau[0], self.bottom)
+        omega[:, -1] = boundary_vorticity(u_tau[1], self.top)
         return FlowState(time=time, omega=omega, psi=psi.copy(), temp=temp.copy(),
-                         u1=u1, u2=u2, psi_top=psi_top)
+                         u1=u1, u2=u2, psi_top=psi_top, u_tau=u_tau)
 
     # -- time step sizing ------------------------------------------------------
 
@@ -178,14 +183,18 @@ class BoussinesqStepper:
         psi_y1, psi_y2 = grad_physical(psi, self.grid)
         return -psi_y2, psi_y1
 
+    def wall_u_tau(self, u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bottom, top) wall tangential velocity of (u1, u2)."""
+        return (tangential_velocity(u1, u2, self.grid, Side.BOTTOM),
+                tangential_velocity(u1, u2, self.grid, Side.TOP))
+
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
-        """grad omega, grad T and the wall u_tau of a state, evaluated once."""
+        """grad omega and grad T of a state, evaluated once, with its wall u_tau."""
         grid = self.grid
         return StateDerivatives(
             grad_omega=grad_physical(state.omega, grid),
             grad_temp=grad_physical(state.temp, grid),
-            u_tau=tuple(tangential_velocity(state.u1, state.u2, grid, side)
-                        for side in (Side.BOTTOM, Side.TOP)),
+            u_tau=state.u_tau,
         )
 
     def _advection(self, f: np.ndarray, grad_f: tuple[np.ndarray, np.ndarray],
@@ -246,34 +255,31 @@ class BoussinesqStepper:
         rhs_w = state.omega[:, 1:-1] + c_w * apply_L_tilde(state.omega, grid) + dt * expl_w
         rhs_t = state.temp[:, 1:-1] + c_t * apply_L_tilde(state.temp, grid) + dt * expl_t
 
-        temp_new, info_t = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
+        temp_new, _ = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
             rhs_t, self.t_bottom, self.t_top, x0=state.temp)
 
-        ut_b, ut_t = derivs.u_tau
+        u_tau = derivs.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
         helm_w = HelmholtzDirichlet(grid, c_w, self.solver_tol)
         for sweep in range(self.coupling_sweeps + 1):
-            w_b = boundary_vorticity(ut_b, self.bottom)
-            w_t = boundary_vorticity(ut_t, self.top)
-            omega_new, info_w = helm_w.solve(rhs_w, w_b, w_t, x0=state.omega)
-            psi_new, info_p = self.poisson.solve(
+            w_b = boundary_vorticity(u_tau[0], self.bottom)
+            w_t = boundary_vorticity(u_tau[1], self.top)
+            omega_new, _ = helm_w.solve(rhs_w, w_b, w_t, x0=state.omega)
+            psi_new, _ = self.poisson.solve(
                 -omega_new[:, 1:-1], np.zeros(grid.n1), np.full(grid.n1, psi_top),
                 x0=state.psi)
             u1, u2 = self._velocity(psi_new)
-            ut_b_new = tangential_velocity(u1, u2, grid, Side.BOTTOM)
-            ut_t_new = tangential_velocity(u1, u2, grid, Side.TOP)
-            delta = max(float(np.max(np.abs(ut_b_new - ut_b))),
-                        float(np.max(np.abs(ut_t_new - ut_t))))
-            ut_b, ut_t = ut_b_new, ut_t_new
+            u_tau_new = self.wall_u_tau(u1, u2)
+            delta = max(float(np.max(np.abs(new - old))) for new, old in zip(u_tau_new, u_tau))
+            u_tau = u_tau_new
             if sweep >= self.coupling_sweeps or delta <= self.coupling_tol:
                 break
 
-        self.last_info = {"omega": info_w, "temp": info_t, "psi": info_p}
         return FlowState(
             time=state.time + dt,
             omega=omega_new, psi=psi_new, temp=temp_new, u1=u1, u2=u2,
-            psi_top=psi_top,
+            psi_top=psi_top, u_tau=u_tau,
             prev_expl_omega=n_w, prev_expl_temp=n_t, prev_dt=dt,
         )
 
@@ -309,11 +315,3 @@ class BoussinesqStepper:
                                      x0=self._last_pressure)
         self._last_pressure = p
         return p, info
-
-
-# `run` lives in rbns.runner to keep this module free of configuration and
-# file-format concerns; re-exported here because it is solver functionality.
-def run(config, output_dir=None, resume=None, config_text=None):
-    from rbns.runner import run_simulation
-
-    return run_simulation(config, output_dir, resume=resume, config_text=config_text)

@@ -148,8 +148,7 @@ def decay_rate_check(cfg: RunConfig | None = None) -> tuple[float, float, np.nda
     """(fitted decay rate of log ||u||^2, bound rate, times, energies)."""
     cfg = cfg or decay_fixture()
     res = run_simulation(cfg)
-    t = np.array([r.time for r in res.recorder.records])
-    e = np.array([r.energy for r in res.recorder.records])
+    t, e = res.recorder.column("time"), res.recorder.column("energy")
     alpha_min = 1.0  # decay_fixture uses alpha = 1 on both walls
     bound_rate = 0.25 * min(1.0, alpha_min) * cfg.physical.pr
     sel = (t > 0.0) & (e > 1e-24 * e[0])

@@ -5,6 +5,7 @@ import pytest
 
 from rbns.background import build_background
 from rbns.bounds import (
+    Q_INGREDIENTS,
     BoundParams,
     choose_proof_parameters,
     evaluate_theorem1,
@@ -12,6 +13,7 @@ from rbns.bounds import (
     q_form,
     sweep_slope,
 )
+from rbns.diagnostics import AVERAGED
 from rbns.geometry import BoundaryNorms, ConditionReport, Side
 from rbns.grid import MappedGrid
 from rbns.reporting import conditions_from_norms
@@ -232,6 +234,11 @@ def test_q_form_missing_ingredients_named(flat_profile):
         q_form(av, bg, params, PhysicalParams(10.0, 1.0), norms_with(), 1.0)
     assert "grad_theta_sq" in str(err.value)
     assert "ens:wall_pressure" in str(err.value)
+
+
+def test_q_ingredients_are_run_averages():
+    # q_form reads a run's averages, so each ingredient must be one it reports
+    assert set(Q_INGREDIENTS) <= set(AVERAGED)
 
 
 def test_sweep_slope():

@@ -73,6 +73,23 @@ def test_dt_validation():
     assert cfg.time.dt is None
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("time", "sample_interval", "0"),
+    ("time", "sample_interval", "-0.01"),
+    ("time", "checkpoint_interval", "0"),
+    ("time", "dt_max", "0"),
+    ("time", "cfl_safety", "0"),
+    ("time", "buoyancy_safety", "0"),
+    ("output", "precision", "-1"),
+    ("output", "precision", "0"),
+])
+def test_nonpositive_time_and_output_keys_named(section, key, value):
+    # each would otherwise sample or checkpoint every step (and fail on
+    # resume), stop with an error naming no key, or lose the CSV rows
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+
+
 def test_round_trip_idempotent():
     cfg = parse_config(MINIMAL + "\n[geometry]\nmodes = 1:0.0:0.1, 2:0.25:-0.125\n")
     text = serialize_config(cfg)

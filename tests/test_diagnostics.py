@@ -3,9 +3,10 @@ import pytest
 
 from rbns.config import parse_config
 from rbns.diagnostics import (
+    AVERAGED,
+    CSV_COLUMNS,
     CSV_HEADER,
-    ENSTROPHY_TERM_NAMES,
-    DiagnosticsRecord,
+    ENSTROPHY_COLUMNS,
     Recorder,
     enstrophy_balance_terms,
     measure,
@@ -102,22 +103,15 @@ def test_enstrophy_terms_zero_velocity(flat_profile, alpha_one):
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms.values())
 
 
+def _sample(time, **values):
+    """A hand-built sample row: every CSV and averaged column 0 unless given."""
+    return {**dict.fromkeys((*CSV_COLUMNS, *AVERAGED), 0.0), "time": time, **values}
+
+
 def test_recorder_constant_and_oscillating_signal():
     rec = Recorder(burn_in=0.0, pr=1.0, area=1.0)
-
-    def rec_with(time, value):
-        return DiagnosticsRecord(
-            time=time, nu_flux=value, nu_gradsq=value, nu_strip=(value,) * 3,
-            energy=value, enstrophy=0.0, grad_u_sq=0.0, boundary_friction=0.0,
-            kappa_friction=0.0, ak_friction=0.0, buoyancy_flux=0.0,
-            temp_min=0.0, temp_max=1.0, convective_transport=0.0,
-            heat_content=0.0,
-            enstrophy_terms={k: 0.0 for k in
-                             ("grad_omega_sq", "wall_pressure", "buoyancy_torque",
-                              "wall_inertia", "wall_buoyancy")})
-
     for t in np.linspace(0, 10, 101):
-        rec.add(rec_with(t, 3.5))
+        rec.add(_sample(t, nu_flux=3.5))
     stat = rec.average("nu_flux")
     assert stat.mean == pytest.approx(3.5)
     assert stat.tail_max == pytest.approx(3.5)
@@ -125,7 +119,7 @@ def test_recorder_constant_and_oscillating_signal():
     rec2 = Recorder(burn_in=0.0, pr=1.0, area=1.0)
     ts = np.linspace(0, 50 * 2 * np.pi, 20001)
     for t in ts:
-        rec2.add(rec_with(t, np.sin(t)))
+        rec2.add(_sample(t, nu_flux=np.sin(t)))
     stat = rec2.average("nu_flux")
     assert abs(stat.mean) <= 1e-3
     assert stat.tail_max == pytest.approx(1.0, abs=1e-4)
@@ -134,15 +128,7 @@ def test_recorder_constant_and_oscillating_signal():
 def test_energy_residual_zero_for_rest_state():
     rec = Recorder(burn_in=0.0, pr=2.0, area=1.0)
     for t in np.linspace(0, 1, 11):
-        rec.add(DiagnosticsRecord(
-            time=t, nu_flux=1.0, nu_gradsq=1.0, nu_strip=(1.0,) * 3,
-            energy=0.0, enstrophy=0.0, grad_u_sq=0.0, boundary_friction=0.0,
-            kappa_friction=0.0, ak_friction=0.0, buoyancy_flux=0.0,
-            temp_min=0.0, temp_max=1.0, convective_transport=0.0,
-            heat_content=0.0,
-            enstrophy_terms={k: 0.0 for k in
-                             ("grad_omega_sq", "wall_pressure", "buoyancy_torque",
-                              "wall_inertia", "wall_buoyancy")}))
+        rec.add(_sample(t))
     rec.finalize()
     assert rec.mean_abs_energy_residual() == pytest.approx(0.0, abs=1e-14)
 
@@ -168,9 +154,10 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
 
 def _loop_enstrophy_residuals(rec):
     """Row-by-row reference: re-average the selected samples up to each row."""
-    t = np.array([r.time for r in rec.records])
-    vals = np.array([[r.enstrophy_terms[k] for k in ENSTROPHY_TERM_NAMES] for r in rec.records])
-    z = np.array([r.enstrophy / (2.0 * rec.pr) + r.ak_friction / rec.pr for r in rec.records])
+    t = np.array([r["time"] for r in rec.records])
+    vals = np.array([[r[k] for k in ENSTROPHY_COLUMNS] for r in rec.records])
+    z = np.array([r["enstrophy"] / (2.0 * rec.pr) + r["ak_friction"] / rec.pr
+                  for r in rec.records])
     finite = np.all(np.isfinite(vals), axis=1)
     res = np.full(len(t), np.nan)
     for i in range(len(t)):
@@ -190,10 +177,11 @@ def _loop_enstrophy_residuals(rec):
 
 
 def _loop_energy_residuals(rec):
-    t = np.array([r.time for r in rec.records])
-    dedt = np.gradient(np.array([r.energy for r in rec.records]), t)
-    return np.array([(dedt[i] / (2.0 * rec.pr) + r.grad_u_sq + r.boundary_friction
-                      - r.buoyancy_flux) / max(abs(r.buoyancy_flux), abs(r.grad_u_sq), 1.0)
+    t = np.array([r["time"] for r in rec.records])
+    dedt = np.gradient(np.array([r["energy"] for r in rec.records]), t)
+    return np.array([(dedt[i] / (2.0 * rec.pr) + r["grad_u_sq"] + r["boundary_friction"]
+                      - r["buoyancy_flux"])
+                     / max(abs(r["buoyancy_flux"]), abs(r["grad_u_sq"]), 1.0)
                      for i, r in enumerate(rec.records)])
 
 
@@ -219,8 +207,7 @@ temp_perturbation = 0.01
     assert len(rec.records) > 10
     # samples without the pressure-dependent terms, before and after burn-in
     for i in (0, 3, len(rec.records) - 2):
-        rec.records[i].enstrophy_terms = dict(rec.records[i].enstrophy_terms,
-                                              wall_pressure=float("nan"))
+        rec.records[i]["ens:wall_pressure"] = float("nan")
     for burn_in in (0.0, rec.burn_in, 1e9):
         rec.burn_in = burn_in
         for got, ref in ((rec._enstrophy_residuals(), _loop_enstrophy_residuals(rec)),
@@ -289,6 +276,6 @@ pressure_every = 1
     fresh = run_simulation(parse_config(text), str(tmp_path / "fresh"))
 
     assert len(shared.recorder.records) == 21
-    assert all(np.isfinite(v) for v in shared.recorder.records[-1].enstrophy_terms.values())
+    assert all(np.isfinite(shared.recorder.records[-1][name]) for name in ENSTROPHY_COLUMNS)
     assert ((tmp_path / "shared" / "diagnostics.csv").read_bytes()
             == (tmp_path / "fresh" / "diagnostics.csv").read_bytes())
