@@ -41,7 +41,7 @@ from rbns.grid import (
     tangential_derivative,
     volume_integral,
 )
-from rbns.solver import StateDerivatives
+from rbns.solver import FlowState, StateDerivatives
 
 STRIP_LEVELS = (0.25, 0.5, 0.75)
 STRIP_COLUMNS = tuple(f"nu_strip_{round(100 * level)}" for level in STRIP_LEVELS)
@@ -171,7 +171,7 @@ def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid:
     }
 
 
-def measure(time, omega, temp, u1, u2, grid: MappedGrid,
+def measure(state: FlowState, grid: MappedGrid,
             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float,
             derivs: StateDerivatives, grad_u,
             pressure: np.ndarray | None = None,
@@ -183,13 +183,13 @@ def measure(time, omega, temp, u1, u2, grid: MappedGrid,
     terms of the window estimators (heat_content, theta_sq) and the Neumann
     pressure_defect; the two residual columns stay NaN until
     Recorder.finalize.  derivs is the snapshot's state_derivatives (grad
-    omega, grad T, wall u_tau) and grad_u the grad_physical pairs of (u1,
-    u2); nothing here differentiates a field again.
+    omega, grad T) and grad_u the grad_physical pairs of (u1, u2); with the
+    state's wall u_tau nothing here differentiates a field again.
     """
+    omega, temp, u1, u2, u_tau = state.omega, state.temp, state.u1, state.u2, state.u_tau
     grad_temp = ty1, ty2 = derivs.grad_temp
-    u_tau = derivs.u_tau
     row = {
-        "time": time,
+        "time": state.time,
         "nu_flux": nusselt_flux(temp, grid),
         "nu_gradsq": volume_integral(ty1**2 + ty2**2, grid) / grid.area,
         **{name: _strip_nusselt(temp, grad_temp, u1, u2, grid, level)

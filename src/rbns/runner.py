@@ -215,9 +215,8 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                 defect = info.compat_defect
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
-        row = measure(st.time, st.omega, st.temp, st.u1, st.u2, grid,
-                      stepper.bottom, stepper.top, config.physical.pr, config.physical.ra,
-                      derivs, grad_u,
+        row = measure(st, grid, stepper.bottom, stepper.top,
+                      config.physical.pr, config.physical.ra, derivs, grad_u,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(row)
         if not (np.isfinite(row["energy"]) and np.isfinite(row["nu_gradsq"])):

@@ -91,14 +91,13 @@ class FlowState:
 class StateDerivatives:
     """Derivatives of one FlowState, shared by its sample and the step from it.
 
-    grad_omega and grad_temp are grad_physical pairs, u_tau the (bottom, top)
-    wall tangential velocity.  The step consumes the set: it drops each
-    gradient once used, so neither is held through the elliptic solves.
+    grad_omega and grad_temp are grad_physical pairs; the wall u_tau is the
+    state's own.  The step consumes the set: it drops each gradient once
+    used, so neither is held through the elliptic solves.
     """
 
     grad_omega: tuple[np.ndarray, np.ndarray] | None
     grad_temp: tuple[np.ndarray, np.ndarray] | None
-    u_tau: tuple[np.ndarray, np.ndarray]
 
 
 def boundary_vorticity(u_tau: np.ndarray, boundary: BoundaryData) -> np.ndarray:
@@ -189,12 +188,11 @@ class BoussinesqStepper:
                 tangential_velocity(u1, u2, self.grid, Side.TOP))
 
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
-        """grad omega and grad T of a state, evaluated once, with its wall u_tau."""
+        """grad omega and grad T of a state, evaluated once."""
         grid = self.grid
         return StateDerivatives(
             grad_omega=grad_physical(state.omega, grid),
             grad_temp=grad_physical(state.temp, grid),
-            u_tau=state.u_tau,
         )
 
     def _advection(self, f: np.ndarray, grad_f: tuple[np.ndarray, np.ndarray],
@@ -258,7 +256,7 @@ class BoussinesqStepper:
         temp_new, _ = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
             rhs_t, self.t_bottom, self.t_top, x0=state.temp)
 
-        u_tau = derivs.u_tau
+        u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
         helm_w = HelmholtzDirichlet(grid, c_w, self.solver_tol)
@@ -304,7 +302,7 @@ class BoussinesqStepper:
             rhs = rhs + ra * derivs.grad_temp[1]
 
         fluxes = {}
-        for bd, side, ut in zip((self.bottom, self.top), (Side.BOTTOM, Side.TOP), derivs.u_tau):
+        for bd, side, ut in zip((self.bottom, self.top), (Side.BOTTOM, Side.TOP), state.u_tau):
             dg_dlam = tangential_derivative((bd.alpha + bd.kappa) * ut, grid, side)
             flux = -(bd.kappa / pr) * ut**2 + 2.0 * dg_dlam
             if side is Side.BOTTOM:

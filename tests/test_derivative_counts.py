@@ -76,8 +76,7 @@ def test_measure_differentiates_each_field_once(monkeypatch, flat_state):
     u_tau_calls = _count_calls(monkeypatch, "tangential_velocity")
     derivs = stepper.state_derivatives(state)
     grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
-    row = measure(state.time, state.omega, state.temp, state.u1, state.u2, grid,
-                  stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u,
+    row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u,
                   pressure=pressure, background=background)
     assert np.isfinite(row["grad_theta_sq"])
     assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from rbns.diagnostics import (
 from rbns.geometry import Side, boundary_frames
 from rbns.grid import MappedGrid, d_x1_line, grad_physical, tangential_velocity
 from rbns.runner import run_simulation
-from rbns.solver import StateDerivatives
+from rbns.solver import FlowState, StateDerivatives
 
 
 def conduction_setup(profile, alpha, n1=32, n2=33):
@@ -137,12 +139,12 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
     grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
     rec = Recorder(burn_in=0.0, pr=1.0, area=grid.area)
     grad_zero = grad_physical(zeros, grid)
-    derivs = StateDerivatives(grad_omega=grad_zero, grad_temp=grad_physical(temp, grid),
-                              u_tau=(np.zeros(grid.n1), np.zeros(grid.n1)))
+    derivs = StateDerivatives(grad_omega=grad_zero, grad_temp=grad_physical(temp, grid))
     for t in (0.0, 0.1, 0.2):
-        rec.add(measure(t, zeros, temp, zeros, zeros, grid, bottom, top,
-                        pr=1.0, ra=10.0, derivs=derivs, grad_u=(grad_zero, grad_zero),
-                        pressure=zeros))
+        state = FlowState(time=t, omega=zeros, psi=zeros, temp=temp, u1=zeros, u2=zeros,
+                          psi_top=0.0, u_tau=(np.zeros(grid.n1), np.zeros(grid.n1)))
+        rec.add(measure(state, grid, bottom, top, pr=1.0, ra=10.0, derivs=derivs,
+                        grad_u=(grad_zero, grad_zero), pressure=zeros))
     rec.finalize()
     path = tmp_path / "diag.csv"
     rec.write_csv(path)
@@ -217,13 +219,14 @@ temp_perturbation = 0.01
             assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok]))
 
 
-def _fresh_derivatives(omega, temp, u1, u2, grid):
-    """A state's derivative set and velocity gradients, evaluated afresh."""
-    derivs = StateDerivatives(
-        grad_omega=grad_physical(omega, grid),
-        grad_temp=grad_physical(temp, grid),
-        u_tau=tuple(tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)))
-    return derivs, (grad_physical(u1, grid), grad_physical(u2, grid))
+def _fresh_derivatives(state, grid):
+    """A state with its wall u_tau, derivative set and velocity gradients, evaluated afresh."""
+    u1, u2 = state.u1, state.u2
+    state = replace(state, u_tau=tuple(tangential_velocity(u1, u2, grid, side)
+                                       for side in (Side.BOTTOM, Side.TOP)))
+    derivs = StateDerivatives(grad_omega=grad_physical(state.omega, grid),
+                              grad_temp=grad_physical(state.temp, grid))
+    return state, derivs, (grad_physical(u1, grid), grad_physical(u2, grid))
 
 
 def test_shared_derivatives_reproduce_fresh_ones(tmp_path, monkeypatch):
@@ -263,13 +266,11 @@ pressure_every = 1
     recover = BoussinesqStepper.recover_pressure
 
     def reference_pressure(self, state, derivs, grad_u):
-        return recover(self, state, *_fresh_derivatives(state.omega, state.temp, state.u1,
-                                                        state.u2, self.grid))
+        return recover(self, *_fresh_derivatives(state, self.grid))
 
-    def reference_measure(time, omega, temp, u1, u2, grid, bottom, top, pr, ra,
-                          derivs, grad_u, **kwargs):
-        return measure(time, omega, temp, u1, u2, grid, bottom, top, pr, ra,
-                       *_fresh_derivatives(omega, temp, u1, u2, grid), **kwargs)
+    def reference_measure(state, grid, bottom, top, pr, ra, derivs, grad_u, **kwargs):
+        state, derivs, grad_u = _fresh_derivatives(state, grid)
+        return measure(state, grid, bottom, top, pr, ra, derivs, grad_u, **kwargs)
 
     monkeypatch.setattr(BoussinesqStepper, "recover_pressure", reference_pressure)
     monkeypatch.setattr(rbns.runner, "measure", reference_measure)

@@ -242,7 +242,7 @@ def test_state_derivatives_match_fresh_evaluations():
     for got, field in ((derivs.grad_omega, state.omega), (derivs.grad_temp, state.temp)):
         want = grad_physical(field, grid)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    for got, side in zip(derivs.u_tau, (Side.BOTTOM, Side.TOP)):
+    for got, side in zip(state.u_tau, (Side.BOTTOM, Side.TOP)):
         assert np.array_equal(got, tangential_velocity(state.u1, state.u2, grid, side))
 
 
