@@ -8,19 +8,31 @@ Three problems back the time stepper and the pressure recovery:
                                               fluxes n.grad(p), mean-zero p
 
 where L is the mapped divergence-form Laplacian.  The Dirichlet problems
-apply it through ``rbns.grid.apply_L_tilde``, which lives in the grid
+apply it through ``rbns.grid.apply_L_tilde_coeffs``, which lives in the grid
 module with the other mapped derivatives; the Neumann problem has its own
-face discretization (below).  On a flat grid every problem is solved
-directly in a tensor-product eigenbasis (Lynch, Rice & Thomas 1964): the x2
-operators have closed-form bases, a discrete sine basis for the interior
-Dirichlet rows and a cosine (DCT-I) basis for the Neumann nodes, and x1 is
-diagonalized by the FFT, so a solve is a basis change in x2, an rfft in x1,
-one elementwise divide and the inverse transforms.  On rough grids the interior operator is symmetric
-positive definite (the coefficient matrix has unit determinant), and we run
-preconditioned conjugate gradients with the flat-metric eigenbasis solve
-(mean x2 coefficient) as the preconditioner.  Dirichlet wall data reach only
-the two rows next to the walls and are moved into the right-hand side
-there, without a full-grid apply.
+face discretization (below).  Dirichlet wall data reach only the two rows
+next to the walls (``rbns.grid.laplacian_of_walls``) and are moved into the
+right-hand side there.
+
+Every solve works on x1-Fourier coefficients in the layout of
+``rbns.grid.to_coefficients``: x2-major, (rows, n1//2+1) complex.  On a flat
+grid each problem is solved directly in a tensor-product eigenbasis (Lynch,
+Rice & Thomas 1964): the x2 operators have closed-form bases, a discrete
+sine basis for the interior Dirichlet rows and a cosine (DCT-I) basis for
+the Neumann nodes, and x1 is diagonal in the coefficients, so a solve is
+one forward transform, a real GEMM on the float64 view of the coefficients
+(the real basis acts on real and imaginary parts alike), one elementwise
+divide, a second GEMM and one inverse transform.  The isometric scaling of
+the coefficients commutes with that solve, so the direct path leaves it out.
+
+On rough grids the operators are symmetric (positive semidefinite for
+Neumann; the coefficient matrix has unit determinant) and we run
+preconditioned conjugate gradients on the isometric coefficients, which
+give the same iterates as PCG on grid values.  The preconditioner is the
+flat-metric eigenbasis solve (mean x2 coefficient): two GEMMs and a divide,
+no transform.  An operator apply takes one batched inverse and one batched
+forward transform: n2 + 3 (n2 - 2) lines of length n1 per Dirichlet
+iteration and 4 (n2 - 1) per Neumann iteration.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -36,7 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rbns.grid import MappedGrid, apply_L_tilde, d_x1, volume_integral
+from rbns.grid import (
+    MappedGrid,
+    apply_L_tilde_coeffs,
+    from_coefficients,
+    laplacian_of_walls,
+    scale_modes,
+    to_coefficients,
+    x1_inverse,
+    x1_transform,
+)
 
 
 class EllipticError(RuntimeError):
@@ -106,36 +127,34 @@ def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
     return v, mu
 
 
+def _eigen_solve(basis_in: np.ndarray, basis_out: np.ndarray, r: np.ndarray,
+                 divisor: np.ndarray) -> np.ndarray:
+    """basis_out @ ((basis_in @ r) / divisor) for C-ordered x2-major coefficients r.
+
+    Two real GEMMs on the float64 view and one divide; no transform.  The
+    divisor is laid out for that view, (rows, 2 nk): the real and imaginary
+    parts of mode k are the adjacent columns 2k, 2k+1.
+    """
+    y = basis_in @ r.view(np.float64)
+    y /= divisor
+    return (basis_out @ y).view(complex)
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet wall data
 # ---------------------------------------------------------------------------
-
-def _embed(v_int: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    full = np.zeros(grid.shape)
-    full[:, 1:-1] = v_int
-    return full
-
 
 def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
                    grid: MappedGrid) -> np.ndarray:
     """Move the Dirichlet data into the right-hand side of (sigma*I - c*L).
 
-    This is rhs + c * (interior L of the wall-only field), which is nonzero
-    only on the two rows next to the walls: there the 3-point x2 stencil
-    reads the wall value and, on rough grids, the centered x2 difference in
-    the two cross terms gives +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the
-    wall trace g.
+    This is rhs + c * (interior L of the wall-only field), nonzero only on
+    the two rows next to the walls.
     """
     b = rhs_int.copy()
-    b[:, 0] += c * (grid.a22 * bottom / grid.dx2**2)
-    b[:, -1] += c * (grid.a22 * top / grid.dx2**2)
-    if not grid.is_flat:
-        hp = grid.hp[:, None]
-        wall = np.stack([bottom, top], axis=1)                    # (n1, 2)
-        d = d_x1(np.hstack([hp * wall, wall]), grid)
-        cross = (d[:, :2] + hp * d[:, 2:]) / (2.0 * grid.dx2)
-        b[:, 0] += c * cross[:, 0]
-        b[:, -1] -= c * cross[:, 1]
+    walls = laplacian_of_walls(bottom, top, grid)
+    b[:, 0] += c * walls[:, 0]
+    b[:, -1] += c * walls[:, 1]
     return b
 
 
@@ -145,10 +164,11 @@ def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.nd
 
 def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
          tol: float, maxiter: int, name: str) -> tuple[np.ndarray, SolveInfo]:
+    """Preconditioned conjugate gradients; x0, if given, is updated in place."""
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, "pcg")
-    x = np.zeros_like(b) if x0 is None else x0.copy()
+    x = np.zeros_like(b) if x0 is None else x0
     r = b - apply_a(x)
     z = apply_m(r)
     p = z.copy()
@@ -196,35 +216,43 @@ class HelmholtzDirichlet:
         self._sigma, self._ceff = sigma, ceff
         a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
         _, lam = _sine_basis(grid.n2)
-        self._divisor = sigma + ceff * (grid.k2[:, None] + a * lam[None, :])
+        self._divisor = np.add.outer(a * lam, np.repeat(grid.k2, 2))    # see _eigen_solve
+        self._divisor *= ceff
+        self._divisor += sigma
 
-    def _flat_solve(self, b: np.ndarray) -> np.ndarray:
-        """Flat-operator solve on the interior rows: (n1, n2-2) -> (n1, n2-2)."""
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        """Flat-operator solve on interior-row coefficients (n2-2, nk)."""
         s, _ = _sine_basis(self.grid.n2)
-        bhat = np.fft.rfft(b @ s, axis=0)
-        return np.fft.irfft(bhat / self._divisor, n=self.grid.n1, axis=0) @ s
+        return _eigen_solve(s, s, r, self._divisor)
 
-    def _apply(self, v_int: np.ndarray) -> np.ndarray:
-        out = apply_L_tilde(_embed(v_int, self.grid), self.grid)
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """(sigma - c L) on interior-row coefficients, zero walls."""
+        out = apply_L_tilde_coeffs(v, self.grid)
         out *= -self._ceff
         if self._sigma:
-            out += v_int
+            out += v
         return out
 
     def solve(self, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-        """Returns the full-field solution (wall rows set to the given traces)."""
+        """Returns the full-field solution (wall rows set to the given traces).
+
+        x0, a full field or its interior rows, starts the rough-grid PCG.
+        """
         grid = self.grid
         b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
+        full = np.empty(grid.shape)
         if grid.is_flat:
-            u_int = self._flat_solve(b)
+            full[:, 1:-1] = x1_inverse(self._precondition(x1_transform(b, grid)), grid)
             info = SolveInfo(1, 0.0, "direct")
         else:
-            u_int, info = _pcg(self._apply, self._flat_solve, b,
-                               x0[:, 1:-1] if x0 is not None and x0.shape == grid.shape else x0,
-                               self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
-        full = np.empty(grid.shape)
-        full[:, 1:-1] = u_int
+            b = to_coefficients(b, grid)
+            if x0 is not None:
+                x0 = to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape else x0, grid)
+            u, info = _pcg(self._apply, self._precondition, b, x0,
+                           self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
+            del b, x0
+            full[:, 1:-1] = from_coefficients(u, grid)
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info
@@ -259,19 +287,19 @@ def solve_helmholtz_dirichlet(c: float, rhs: np.ndarray, bottom, top, grid: Mapp
 # Neumann Poisson (mean-zero pressure)
 # ---------------------------------------------------------------------------
 
-def _remove_kernel(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Project out the kernel of the face-scheme operator (plain inner product).
+def _remove_kernel(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Project out the kernel of the face-scheme operator, in place (plain inner product).
 
     The kernel is the constants and, for even n1, a second (non-physical)
     vector: the skew x1 derivative zeroes the Nyquist mode, so a field
-    alternating in x1 and constant in x2 is annihilated too.
+    alternating in x1 and constant in x2 is annihilated too.  In x2-major
+    coefficients each is a constant k = 0 or Nyquist column, so the
+    projection removes the plain mean of that column.
     """
-    f = f - np.sum(f) / f.size
+    c[:, 0] -= c[:, 0].mean()
     if grid.n1 % 2 == 0:
-        v2 = np.empty(grid.n1)
-        v2[0::2], v2[1::2] = 1.0, -1.0
-        f -= (np.sum(v2[:, None] * f) / f.size) * v2[:, None]
-    return f
+        c[:, -1] -= c[:, -1].mean()
+    return c
 
 
 class PoissonNeumann:
@@ -302,43 +330,64 @@ class PoissonNeumann:
         # coefficient.
         a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
         _, mu = _cosine_basis(grid.n2)
-        kk = (np.abs(grid.ik_d1) ** 2)[:, None]
-        self._divisor = grid.dx1 * grid.dx2 * (kk + (a - 0.25 * grid.dx2**2 * kk) * mu[None, :])
-        self._divisor[kk[:, 0] == 0.0, 0] = np.inf
+        kk = np.repeat(np.abs(grid.ik_d1) ** 2, 2)
+        self._divisor = np.multiply.outer(mu, a - 0.25 * grid.dx2**2 * kk)
+        self._divisor += kk
+        self._divisor *= grid.dx1 * grid.dx2
+        self._divisor[0, kk == 0.0] = np.inf
 
     # face-scheme operator -------------------------------------------------
     def apply(self, p: np.ndarray) -> np.ndarray:
+        """A p on node coefficients (n2, nk) in the to_coefficients layout."""
         grid = self.grid
-        dxp = d_x1(p, grid)
-        gx = 0.5 * (dxp[:, 1:] + dxp[:, :-1])
-        gz = (p[:, 1:] - p[:, :-1]) / grid.dx2
-        if grid.is_flat:
-            q1, q2 = gx, gz
-        else:
-            hp = grid.hp[:, None]
-            q1 = gx - hp * gz
-            q2 = -hp * gx + grid.a22[:, None] * gz
-        # adjoints, with the weight dx1 dx2 folded into the face fluxes:
-        # Gx^T = -Dx Av^T (Dx per face, then averaged to the nodes), and
-        # Gz^T the difference scatter; face j feeds nodes j and j+1
-        dq1 = d_x1(q1 * (0.5 * grid.dx1 * grid.dx2), grid)
-        q2 = q2 * grid.dx1
-        out = np.empty(grid.shape)
-        out[:, :-1] = -(dq1 + q2)
-        out[:, -1] = q2[:, -1] - dq1[:, -1]
-        out[:, 1:-1] += q2[:, :-1] - dq1[:, :-1]
+        ik = grid.ik_d1
+        # face gradient (gx, gz): dx1 p averaged to the faces and the x2
+        # difference; the adjoint weights (below) fold in dx1 dx2
+        to_faces = 0.5 * ik, np.full(ik.size, 1.0 / grid.dx2)
+        from_faces = (0.5 * grid.dx1 * grid.dx2) * ik, np.full(ik.size, grid.dx1)
+        if not grid.is_flat:
+            to_faces = tuple(f / grid.coeff_scale for f in to_faces)
+            from_faces = tuple(f * grid.coeff_scale for f in from_faces)
+        g = np.empty((2, p.shape[0] - 1, p.shape[1]), dtype=complex)
+        np.add(p[1:], p[:-1], out=g[0])
+        g[0] *= to_faces[0]
+        np.subtract(p[1:], p[:-1], out=g[1])
+        scale_modes(g[1], to_faces[1])
+        if not grid.is_flat:
+            # q1 = gx - h' gz and q2 = -h' gx + (1+h'^2) gz, formed on the
+            # grid: one batched transform each way
+            fx, fz = np.fft.irfft(g, n=grid.n1, axis=-1)
+            del g
+            hp = grid.hp
+            q = np.empty((2,) + fz.shape)
+            np.multiply(fz, hp, out=q[1])
+            np.subtract(fx, q[1], out=q[0])
+            fx *= hp
+            np.multiply(fz, grid.a22, out=q[1])
+            q[1] -= fx
+            del fx, fz
+            g = np.fft.rfft(q, axis=-1)
+            del q
+        # adjoints: Gx^T = -Dx Av^T (Dx per face, then averaged to the
+        # nodes), and Gz^T the difference scatter; face j feeds nodes j, j+1
+        dq1, q2 = g
+        dq1 *= from_faces[0]
+        scale_modes(q2, from_faces[1])
+        out = np.empty(p.shape, dtype=complex)
+        np.subtract(q2, dq1, out=out[1:])
+        out[0] = 0.0
+        out[:-1] -= dq1
+        out[:-1] -= q2
         return out
 
     # flat-metric direct solve (the rough-grid preconditioner) --------------
-    def _flat_solve(self, b: np.ndarray) -> np.ndarray:
-        """Exact flat-operator solve on the compatible subspace.
+    def _precondition(self, b: np.ndarray) -> np.ndarray:
+        """Exact flat-operator solve on the compatible subspace, coefficients in and out.
 
         The singular modes come back with zero mean in x2.
         """
-        grid = self.grid
-        v, _ = _cosine_basis(grid.n2)
-        bhat = np.fft.rfft(b @ v, axis=0)
-        return _remove_kernel(np.fft.irfft(bhat / self._divisor, n=grid.n1, axis=0) @ v.T, grid)
+        v, _ = _cosine_basis(self.grid.n2)
+        return _remove_kernel(_eigen_solve(v.T, v, b, self._divisor), self.grid)
 
     # front end --------------------------------------------------------------
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
@@ -353,17 +402,18 @@ class PoissonNeumann:
         defect = float(np.sum(b))
         scale = float(np.sum(np.abs(b)))
         rel_defect = abs(defect) / scale if scale > 0 else 0.0
-        b = _remove_kernel(b, grid)
 
         if grid.is_flat:
-            p = self._flat_solve(b)
+            p = self._precondition(_remove_kernel(x1_transform(b, grid), grid))
             info = SolveInfo(1, 0.0, "direct", rel_defect)
         else:
-            p, info = _pcg(self.apply, self._flat_solve, b,
-                           x0, self.tol, self.maxiter, "neumann")
+            b = _remove_kernel(to_coefficients(b, grid), grid)
+            p, info = _pcg(self.apply, self._precondition, b,
+                           None if x0 is None else to_coefficients(x0, grid),
+                           self.tol, self.maxiter, "neumann")
             info.compat_defect = rel_defect
-        p -= volume_integral(p, grid) / grid.area
-        return p, info
+        p[:, 0] -= grid.w2 @ p[:, 0]                              # zero volume mean
+        return (x1_inverse if grid.is_flat else from_coefficients)(p, grid), info
 
 
 def solve_poisson_neumann(rhs: np.ndarray, flux_bottom, flux_top, grid: MappedGrid,

@@ -21,11 +21,21 @@ it is uniformly elliptic for any bounded slope.  x1 derivatives are spectral
 stencils on the wall rows.
 
 Every mapped derivative is formed here: ``grad_physical``, the wall-line
-``tangential_derivative`` and ``apply_L_tilde``, the interior-row Laplacian
-of the elliptic solves, the Crank-Nicolson right-hand side and the MMS check.
+``tangential_derivative`` and the interior-row Laplacian of the elliptic
+solves, the Crank-Nicolson right-hand side and the MMS check.
 
-Arrays are float64 with shape (n1, n2); axis 0 is periodic by index
-arithmetic everywhere.
+Grid values are float64 with shape (n1, n2); axis 0 is periodic by index
+arithmetic everywhere.  The elliptic solves work on x1-Fourier coefficients
+instead: ``to_coefficients`` stores the rfft of each x2 row x2-major, shape
+(rows, n1//2+1) complex, scaled by sqrt(w_k/n1) with w_k = 1 at k = 0 and at
+the even-n1 Nyquist mode and 2 otherwise.  With that scaling the map is an
+isometry: Re vdot of two coefficient arrays is the real dot product of the
+two fields, so a Krylov method gives the same iterates on either side.  The
+Laplacian kernel ``apply_L_tilde_coeffs`` acts on coefficients: the flat
+part (spectral k^2 and the x2 second difference) is diagonal in x1, and the
+metric terms take one batched inverse transform of two face fields and one
+batched forward transform of two interior fields, n2 + 3 (n2 - 2) lines of
+length n1 in all.  ``apply_L_tilde`` wraps it for grid values.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ class MappedGrid:
     a22: np.ndarray = field(init=False)      # 1 + h'^2 per column
     ds_weight: np.ndarray = field(init=False)
     w2: np.ndarray = field(init=False)       # trapezoid weights in x2
+    coeff_scale: np.ndarray = field(init=False)  # sqrt(w_k / n1), see the module docstring
     is_flat: bool = field(init=False)
 
     def __post_init__(self):
@@ -86,6 +97,11 @@ class MappedGrid:
         w2 = np.full(self.n2, self.dx2)
         w2[0] = w2[-1] = 0.5 * self.dx2
         self.w2 = w2
+        w = np.full(k.size, 2.0)
+        w[0] = 1.0
+        if self.n1 % 2 == 0:
+            w[-1] = 1.0
+        self.coeff_scale = np.sqrt(w / self.n1)
         self.is_flat = self.profile.is_flat
 
     @property
@@ -136,41 +152,130 @@ def grad_physical(f: np.ndarray, grid: MappedGrid) -> tuple[np.ndarray, np.ndarr
     return fy1, fz
 
 
-def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Mapped Laplacian at the interior rows, given a full array with wall rows set.
+# ---------------------------------------------------------------------------
+# x1-Fourier coefficients and the mapped Laplacian
+# ---------------------------------------------------------------------------
 
-    Only interior (centered) stencils are used; wall rows of f enter as
-    data.  Returns shape (n1, n2-2).  All x1 derivatives share one forward
-    transform of f: dx1^2 f and dx1(-h' dx2 f) are summed in spectral space
-    before a single inverse, and dx2(-h' dx1 f) = -h' dx1(dx2 f) (h' depends
-    on x1 only, and the centered x2 difference commutes with dx1) comes from
-    the x2 difference of the same spectrum.  Four x1 transforms on rough
-    grids, two on flat ones.  First derivatives use ik with the Nyquist mode
-    zeroed and the second derivative the full k^2, as in d_x1 and d2_x1.
+def x1_transform(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Unscaled rfft of every x2 row of f: (n1, rows) -> (rows, n1//2+1), C order."""
+    return np.fft.rfft(np.ascontiguousarray(f.T), axis=1)
+
+
+def x1_inverse(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Inverse of x1_transform: (rows, n1//2+1) -> (n1, rows), a transposed view."""
+    return np.fft.irfft(c, n=grid.n1, axis=1).T
+
+
+def scale_modes(c: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Multiply C-ordered coefficients by a real per-mode factor (nk,), in place.
+
+    numpy multiplies complex by real arrays in complex arithmetic; on the
+    float64 view, where mode k holds columns 2k and 2k+1, it is one real
+    multiply.
+    """
+    view = c.view(np.float64)
+    np.multiply(view, np.repeat(factor, 2), out=view)
+    return c
+
+
+def to_coefficients(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Isometric x1-Fourier coefficients of the rows of f (scaled x1_transform)."""
+    return scale_modes(x1_transform(f, grid), grid.coeff_scale)
+
+
+def from_coefficients(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Grid values of isometric coefficients: (rows, n1//2+1) -> (n1, rows)."""
+    return x1_inverse(scale_modes(c.copy(), 1.0 / grid.coeff_scale), grid)
+
+
+def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Mapped Laplacian on coefficients, zero walls: (n2-2, nk) -> (n2-2, nk).
+
+    c holds the to_coefficients of the interior rows of a field whose wall
+    rows are zero; wall data enter through ``laplacian_of_walls``.  With g
+    the x2 face differences (g_{j+1/2} = (f_{j+1} - f_j)/dx2), the centered
+    stencils at an interior node are dx2 f = (g_{j+1/2} + g_{j-1/2})/2 and
+    dx2^2 f = (g_{j+1/2} - g_{j-1/2})/dx2, and
+
+        L f = dx1^2 f + dx2^2 f + h'^2 dx2^2 f - h' dx1(dx2 f) - dx1(h' dx2 f)
+
+    (dx2(-h' dx1 f) = -h' dx1(dx2 f) because h' depends on x1 only).  The
+    first two terms are diagonal in x1; the h' products are formed on the
+    grid from one batched inverse transform of (g, dx1 g) and one batched
+    forward transform of the two interior products.  First derivatives use
+    ik with the Nyquist mode zeroed and the second derivative the full k^2,
+    as in d_x1 and d2_x1.
     """
     dx2 = grid.dx2
-    fhat = np.fft.rfft(f, axis=0)
-    lap_hat = -grid.k2[:, None] * fhat[:, 1:-1]
+    rows, nk = c.shape
+    if grid.is_flat:
+        return _flat_laplacian(c, grid, np.empty_like(c))
+    faces = np.empty((2, rows + 1, nk), dtype=complex)
+    g = faces[0]
+    np.subtract(c[1:], c[:-1], out=g[1:-1])
+    g[0] = c[0]
+    np.negative(c[-1], out=g[-1])
+    scale_modes(g, 1.0 / (dx2 * grid.coeff_scale))
+    np.multiply(g, grid.ik_d1, out=faces[1])
+    gz, gxz = np.fft.irfft(faces, n=grid.n1, axis=-1)             # g, dx1 g on the grid
+    del faces, g
+    hp = grid.hp
+    prod = np.empty((2, rows, grid.n1))
+    np.subtract(gz[1:], gz[:-1], out=prod[0])
+    prod[0] *= hp * (hp / dx2)                                    # h'^2 dx2^2 f
+    np.add(gxz[1:], gxz[:-1], out=prod[1])
+    prod[1] *= 0.5 * hp
+    prod[0] -= prod[1]                                            # - h' dx1(dx2 f)
+    np.add(gz[1:], gz[:-1], out=prod[1])
+    prod[1] *= 0.5 * hp                                           # h' dx2 f
+    del gz, gxz
+    prod_hat = np.fft.rfft(prod, axis=-1)
+    del prod
+    prod_hat[1] *= -grid.ik_d1                                    # - dx1(h' dx2 f)
+    prod_hat[1] += prod_hat[0]
+    scale_modes(prod_hat[1], grid.coeff_scale)
+    return np.add(_flat_laplacian(c, grid, prod_hat[0]), prod_hat[1])
+
+
+def _flat_laplacian(c: np.ndarray, grid: MappedGrid, out: np.ndarray) -> np.ndarray:
+    """dx1^2 f + dx2^2 f of the zero-wall field with interior-row coefficients c, into out."""
+    factor = np.repeat(-(2.0 + grid.k2 * grid.dx2**2), 2)
+    np.multiply(c.view(np.float64), factor, out=out.view(np.float64))
+    out[1:] += c[:-1]
+    out[:-1] += c[1:]
+    out *= 1.0 / grid.dx2**2
+    return out
+
+
+def laplacian_of_walls(bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Interior Laplacian of the field that is zero except for its wall traces.
+
+    It is nonzero only on the rows next to the walls, returned as (n1, 2):
+    there the 3-point x2 stencil reads the wall value and, on rough grids,
+    the centered x2 difference in the two cross terms gives
+    +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the wall trace g.
+    """
+    wall = np.stack([bottom, top], axis=1)                        # (n1, 2)
+    out = grid.a22[:, None] * wall / grid.dx2**2
     if not grid.is_flat:
-        ik = grid.ik_d1[:, None]
         hp = grid.hp[:, None]
-        cross = fhat[:, 2:] - fhat[:, :-2]
-        cross *= ik * (0.5 / dx2)
-        cross = np.fft.irfft(cross, n=grid.n1, axis=0)            # dx1(dx2 f)
-        cross *= hp
-        hfz = f[:, 2:] - f[:, :-2]
-        hfz *= hp * (-0.5 / dx2)                                  # -h' dx2 f
-        hfz = np.fft.rfft(hfz, axis=0)
-        hfz *= ik
-        lap_hat += hfz                                            # + dx1(-h' dx2 f)
-    out = np.fft.irfft(lap_hat, n=grid.n1, axis=0)
-    diff2 = f[:, 2:] - 2.0 * f[:, 1:-1]
-    diff2 += f[:, :-2]
-    diff2 *= grid.a22[:, None]
-    diff2 /= dx2**2
-    out += diff2
-    if not grid.is_flat:
-        out -= cross                                              # + dx2(-h' dx1 f)
+        d = d_x1(np.hstack([hp * wall, wall]), grid)
+        cross = (d[:, :2] + hp * d[:, 2:]) / (2.0 * grid.dx2)
+        out[:, 0] += cross[:, 0]
+        out[:, 1] -= cross[:, 1]
+    return out
+
+
+def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Mapped Laplacian at the interior rows of grid values f (n1, n2): (n1, n2-2).
+
+    Wall rows of f enter as data: the interior rows go through
+    apply_L_tilde_coeffs and the wall rows through laplacian_of_walls.
+    """
+    out = from_coefficients(apply_L_tilde_coeffs(to_coefficients(f[:, 1:-1], grid), grid), grid)
+    walls = laplacian_of_walls(f[:, 0], f[:, -1], grid)
+    out[:, 0] += walls[:, 0]
+    out[:, -1] += walls[:, 1]
     return out
 
 

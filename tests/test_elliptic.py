@@ -6,12 +6,23 @@ from rbns.elliptic import (
     HelmholtzDirichlet,
     PoissonNeumann,
     _dirichlet_rhs,
+    _pcg,
+    _sine_basis,
     solve_helmholtz_dirichlet,
     solve_poisson_dirichlet,
     solve_poisson_neumann,
 )
 from rbns.geometry import FourierSeries
-from rbns.grid import MappedGrid, apply_L_tilde, d2_x1, d_x1, d_x2, volume_integral
+from rbns.grid import (
+    MappedGrid,
+    apply_L_tilde,
+    d2_x1,
+    d_x1,
+    d_x2,
+    from_coefficients,
+    to_coefficients,
+    volume_integral,
+)
 
 # two wall modes, so h' and h'' are not single harmonics
 TWO_MODES = FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1), (3, 0.02, -0.01)))
@@ -185,18 +196,23 @@ def test_neumann_compatibility_defect_reported(flat_profile):
     assert abs(volume_integral(sol, g)) <= 1e-12
 
 
+def _dot(a, b):
+    """The real inner product of coefficient arrays (the fields' dot product)."""
+    return float(np.vdot(a, b).real)
+
+
 def test_neumann_operator_symmetry(sine_profile):
     g = MappedGrid(sine_profile, 16, 17)
     solver = PoissonNeumann(g)
     rng = np.random.default_rng(2)
-    u = rng.standard_normal(g.shape)
-    v = rng.standard_normal(g.shape)
-    a = np.sum(v * solver.apply(u))
-    b = np.sum(u * solver.apply(v))
+    u = to_coefficients(rng.standard_normal(g.shape), g)
+    v = to_coefficients(rng.standard_normal(g.shape), g)
+    a = _dot(v, solver.apply(u))
+    b = _dot(u, solver.apply(v))
     assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
     # positive semidefinite with constants in the kernel
-    assert np.sum(u * solver.apply(u)) >= -1e-12
-    assert np.abs(solver.apply(np.ones(g.shape))).max() <= 1e-12
+    assert _dot(u, solver.apply(u)) >= -1e-12
+    assert np.abs(solver.apply(to_coefficients(np.ones(g.shape), g))).max() <= 1e-12
 
 
 def test_nonconvergence_raises(sine_profile):
@@ -240,13 +256,26 @@ def test_dirichlet_rhs_is_operator_of_wall_field(n1, rough):
 
 @pytest.mark.parametrize("n1", [16, 15])
 def test_rough_neumann_operator_symmetric_to_rounding(n1):
+    # the face-scheme operator on isometric coefficients
     g = MappedGrid(TWO_MODES, n1, 17)
     solver = PoissonNeumann(g)
     rng = np.random.default_rng(n1)
-    u, v = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    u, v = (to_coefficients(rng.standard_normal(g.shape), g) for _ in range(2))
     au, av = solver.apply(u), solver.apply(v)
-    scale = np.sum(np.abs(v * au))
-    assert abs(np.sum(v * au) - np.sum(u * av)) <= 1e-14 * scale
+    scale = float(np.sum(np.abs(v.conj() * au)))
+    assert abs(_dot(v, au) - _dot(u, av)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n1", [32, 33])
+def test_coefficient_layout_is_an_isometry(n1):
+    g = MappedGrid(TWO_MODES, n1, 9)
+    rng = np.random.default_rng(n1)
+    f, h = rng.standard_normal((2, n1, 7))
+    cf, ch = to_coefficients(f, g), to_coefficients(h, g)
+    assert cf.shape == (7, n1 // 2 + 1) and cf.flags.c_contiguous
+    assert abs(_dot(cf, ch) - np.sum(f * h)) <= 1e-13 * np.sqrt(np.sum(f * f) * np.sum(h * h))
+    assert np.linalg.norm(cf) == pytest.approx(np.linalg.norm(f), rel=1e-13)
+    assert np.abs(from_coefficients(cf, g) - f).max() <= 1e-13 * np.abs(f).max()
 
 
 def _count_transforms(monkeypatch):
@@ -265,12 +294,85 @@ def _count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("rough, most", [(False, 2), (True, 4)])
 def test_operator_apply_transform_count(monkeypatch, rough, most):
+    # x1 transforms counted as lines of length n1: a rough PCG iteration (one
+    # operator apply and one preconditioner solve on coefficients) makes at
+    # most `most` of them, n2 + (most - 1)(n2 - 2) lines, the preconditioner
+    # none; a flat direct solve makes at most `most` transform calls
     g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
     solver = HelmholtzDirichlet(g, 0.003)
-    v = np.random.default_rng(0).standard_normal((g.n1, g.n2 - 2))
+    rng = np.random.default_rng(0)
+    v = to_coefficients(rng.standard_normal((g.n1, g.n2 - 2)), g)
     shapes = _count_transforms(monkeypatch)
-    solver._apply(v)
-    assert len(shapes) <= most
+    if rough:
+        solver._precondition(v)
+        assert shapes == []
+        solver._apply(v)
+        lines = sum(int(np.prod(s[:-1])) for s in shapes)
+        assert lines <= g.n2 + (most - 1) * (g.n2 - 2)
+        assert len(shapes) <= 2
+    else:
+        solver.solve(rng.standard_normal((g.n1, g.n2 - 2)), rng.standard_normal(g.n1),
+                     rng.standard_normal(g.n1))
+        assert len(shapes) <= most
+
+
+def _reference_pcg_solver(solver):
+    """Grid-value PCG operator and preconditioner of a HelmholtzDirichlet.
+
+    The operator is (sigma - c L) through apply_L_tilde on the zero-wall
+    field, and the preconditioner the flat-metric sine-basis solve on grid
+    values: the rough-wall PCG before it moved to coefficients.
+    """
+    g = solver.grid
+    sigma = 0.0 if solver.c is None else 1.0
+    ceff = 1.0 if solver.c is None else solver.c
+    s, lam = _sine_basis(g.n2)
+    divisor = sigma + ceff * (g.k2[:, None] + float(np.mean(g.a22)) * lam[None, :])
+
+    def apply(v):
+        full = np.zeros(g.shape)
+        full[:, 1:-1] = v
+        return sigma * v - ceff * apply_L_tilde(full, g)
+
+    def precondition(b):
+        return np.fft.irfft(np.fft.rfft(b @ s, axis=0) / divisor, n=g.n1, axis=0) @ s
+
+    return apply, precondition
+
+
+def test_rough_pcg_iterations_match_grid_value_reference(monkeypatch):
+    # every Dirichlet solve of a few rough steps takes as many PCG iterations
+    # as the grid-value PCG on the same right-hand side and starting guess
+    from rbns.config import RunConfig
+    from rbns.runner import build_stepper, initial_stream_function, initial_temperature
+
+    cfg = RunConfig()
+    cfg.geometry.modes = ((1, 0.0, 0.1),)
+    cfg.physical.ra, cfg.physical.pr = 1e4, 10.0
+    cfg.grid.n1, cfg.grid.n2 = 32, 33
+    cfg.initial.u0_amplitude = 1.0
+    stepper = build_stepper(cfg)
+    grid = stepper.grid
+    state = stepper.state_from_fields(initial_temperature(cfg, grid),
+                                      initial_stream_function(cfg, grid))
+    solve = HelmholtzDirichlet.solve
+    counts = []
+
+    def recorded(self, rhs_int, bottom, top, x0=None):
+        out, info = solve(self, rhs_int, bottom, top, x0)
+        apply, precondition = _reference_pcg_solver(self)
+        b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
+        _, ref = _pcg(apply, precondition, b, x0[:, 1:-1].copy(), self.tol, self.maxiter,
+                      "reference")
+        counts.append((info.iterations, ref.iterations))
+        return out, info
+
+    monkeypatch.setattr(HelmholtzDirichlet, "solve", recorded)
+    for _ in range(3):
+        state = stepper.step(state, 2e-4, stepper.state_derivatives(state))
+    assert len(counts) == 9
+    assert all(it > 3 for it, _ in counts)
+    assert [it for it, _ in counts] == [ref for _, ref in counts]
 
 
 @pytest.mark.parametrize("rough", [False, True])
