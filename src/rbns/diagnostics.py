@@ -308,8 +308,16 @@ class Recorder:
         recs = [r for r in self.records if r["time"] >= self.burn_in]
         return recs if recs else self.records
 
-    def _window_span(self) -> tuple[dict[str, float], dict[str, float], float]:
+    def _window_span(self) -> tuple[dict | None, dict | None, float]:
+        """First and last sample of the window and the time between them.
+
+        A run that stopped before its first sample has no records: then both
+        samples are None and the span 0, so each estimator returns its
+        (NaN) window average without an endpoint correction.
+        """
         recs = self._window()
+        if not recs:
+            return None, None, 0.0
         first, last = recs[0], recs[-1]
         return first, last, max(last["time"] - first["time"], 0.0)
 

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from rbns.cli import main
@@ -173,3 +174,44 @@ def test_solver_failure_aborts_with_outputs(tmp_path, capsys, monkeypatch, after
     assert stage in err and "in 1 iterations (residual" in err
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
     assert read_summary(os.path.join(out, "run_summary.txt"))["aborted"] == 1
+
+
+def test_abort_before_first_sample_writes_summary(tmp_path, capsys):
+    # a resume whose first step is rejected takes no sample; the window
+    # estimators are then NaN and the run ends as a normal abort
+    from rbns.runner import read_summary
+
+    cfg = """
+[physical]
+ra = 1e5
+pr = 10.0
+
+[grid]
+n1 = 16
+n2 = 17
+
+[time]
+dt = 2e-4
+t_end = 0.002
+checkpoint_interval = 0.001
+
+[initial]
+u0_amplitude = 10
+"""
+    first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+    first.write_text(cfg)
+    second.write_text(cfg.replace("dt = 2e-4", "dt = 0.05"))
+    run = str(tmp_path / "run")
+    assert main(["simulate", "--config", str(first), "--output", run]) == 0
+    out = str(tmp_path / "resumed")
+    ckpt = os.path.join(run, "checkpoints", "checkpoint_000001.ckpt")
+    with pytest.warns(UserWarning, match="stiffness"):
+        rc = main(["simulate", "--config", str(second), "--output", out, "--resume", ckpt])
+    assert rc == 1
+    assert "error in solver: step rejected at t = 0.001" in capsys.readouterr().err
+    for name in ("run_summary.txt", "bound_report.txt", "bounds.csv"):
+        assert os.path.exists(os.path.join(out, name)), name
+    summary = read_summary(os.path.join(out, "run_summary.txt"))
+    assert summary["aborted"] == 1 and summary["steps"] == 0
+    assert np.isnan(summary["convective_transport_corrected"])
+    assert np.isnan(summary["energy_inequality_slack_rel"])
