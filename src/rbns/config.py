@@ -4,7 +4,8 @@ The format is INI-style with the sections geometry / boundary / physical /
 grid / time / initial / bounds / output.  Fourier mode lists are written as
 comma-separated  k:cos:sin  triples.  Every key has a default; a minimal
 config only needs [physical] and [grid].  Unknown keys and invariant
-violations are rejected with messages naming the section and key.
+violations, non-finite numbers among them, are rejected with messages
+naming the section and key.
 
 ``parse_config(serialize_config(cfg))`` reproduces cfg exactly: floats are
 emitted with repr (round-trip exact) and "auto" markers survive.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -239,6 +241,18 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for section, schema in _SCHEMA.items():
+        target = getattr(cfg, section)
+        for key, kind in schema.items():
+            value = getattr(target, key)
+            if kind == "modes":
+                numbers = [x for _, c, s in value for x in (c, s)]
+            elif kind in ("float", "float_or_auto") and value is not None:
+                numbers = [value]
+            else:
+                continue
+            if not all(math.isfinite(x) for x in numbers):
+                raise ConfigError(f"[{section}] {key}: must be finite, got {value}")
     g = cfg.grid
     if g.n1 < 4 or not _fft_friendly(g.n1):
         raise ConfigError(f"[grid] n1: {g.n1} must be >= 4 and a product of primes "
@@ -256,7 +270,7 @@ def validate_config(cfg: RunConfig) -> None:
         value = getattr(t, key)
         if value is not None and not value > 0:
             raise ConfigError(f"[time] {key}: must be positive (or auto), got {value}")
-    for key in ("cfl_safety", "buoyancy_safety"):
+    for key in ("cfl_safety", "buoyancy_safety", "coupling_tol"):
         value = getattr(t, key)
         if not value > 0:
             raise ConfigError(f"[time] {key}: must be positive, got {value}")

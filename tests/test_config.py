@@ -1,9 +1,10 @@
+import re
 import warnings
 
 import pytest
 
 from rbns.cli import main
-from rbns.config import ConfigError, RunConfig, parse_config, serialize_config
+from rbns.config import _SCHEMA, ConfigError, RunConfig, parse_config, serialize_config
 from rbns.runner import run_simulation
 
 MINIMAL = """
@@ -80,6 +81,8 @@ def test_dt_validation():
     ("time", "dt_max", "0"),
     ("time", "cfl_safety", "0"),
     ("time", "buoyancy_safety", "0"),
+    ("time", "coupling_tol", "0"),
+    ("time", "coupling_tol", "-1e-8"),
     ("output", "precision", "-1"),
     ("output", "precision", "0"),
 ])
@@ -88,6 +91,25 @@ def test_nonpositive_time_and_output_keys_named(section, key, value):
     # resume), stop with an error naming no key, or lose the CSV rows
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
         parse_config(MINIMAL + f"\n[{section}]\n{key} = {value}\n")
+
+
+_NUMBER_KEYS = [(section, key, kind) for section, schema in _SCHEMA.items()
+                for key, kind in schema.items() if kind in ("float", "float_or_auto", "modes")]
+
+
+@pytest.mark.parametrize("number", ["nan", "inf"])
+@pytest.mark.parametrize("section, key, kind", _NUMBER_KEYS,
+                         ids=[f"{section}.{key}" for section, key, _ in _NUMBER_KEYS])
+def test_non_finite_values_named(section, key, kind, number):
+    # t_end = nan ran no step and exited 0, temp_perturbation = nan ran
+    # without a perturbation, burn_in = nan averaged every sample
+    value = f"1:{number}:0.0" if kind == "modes" else number
+    if f"[{section}]" in MINIMAL:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINIMAL, flags=re.MULTILINE)
+    else:
+        text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: must be finite"):
+        parse_config(text)
 
 
 def test_round_trip_idempotent():
