@@ -341,18 +341,20 @@ class PoissonNeumann:
         """A p on node coefficients (n2, nk) in the to_coefficients layout."""
         grid = self.grid
         ik = grid.ik_d1
-        # face gradient (gx, gz): dx1 p averaged to the faces and the x2
-        # difference; the adjoint weights (below) fold in dx1 dx2
-        to_faces = 0.5 * ik, np.full(ik.size, 1.0 / grid.dx2)
-        from_faces = (0.5 * grid.dx1 * grid.dx2) * ik, np.full(ik.size, grid.dx1)
+        # per-mode factors to the face gradient (gx = dx1 p averaged to the
+        # faces, gz the x2 difference) and of the adjoints, which fold in the
+        # weight dx1 dx2; on rough grids they also undo and redo the
+        # coefficient scaling around the transforms
+        to_gx, to_gz = 0.5 * ik, np.full(ik.size, 1.0 / grid.dx2)
+        from_gx, from_gz = (0.5 * grid.dx1 * grid.dx2) * ik, np.full(ik.size, grid.dx1)
         if not grid.is_flat:
-            to_faces = tuple(f / grid.coeff_scale for f in to_faces)
-            from_faces = tuple(f * grid.coeff_scale for f in from_faces)
+            to_gx, to_gz = to_gx / grid.coeff_scale, to_gz / grid.coeff_scale
+            from_gx, from_gz = from_gx * grid.coeff_scale, from_gz * grid.coeff_scale
         g = np.empty((2, p.shape[0] - 1, p.shape[1]), dtype=complex)
         np.add(p[1:], p[:-1], out=g[0])
-        g[0] *= to_faces[0]
+        g[0] *= to_gx
         np.subtract(p[1:], p[:-1], out=g[1])
-        scale_modes(g[1], to_faces[1])
+        scale_modes(g[1], to_gz)
         if not grid.is_flat:
             # q1 = gx - h' gz and q2 = -h' gx + (1+h'^2) gz, formed on the
             # grid: one batched transform each way
@@ -371,8 +373,8 @@ class PoissonNeumann:
         # adjoints: Gx^T = -Dx Av^T (Dx per face, then averaged to the
         # nodes), and Gz^T the difference scatter; face j feeds nodes j, j+1
         dq1, q2 = g
-        dq1 *= from_faces[0]
-        scale_modes(q2, from_faces[1])
+        dq1 *= from_gx
+        scale_modes(q2, from_gz)
         out = np.empty(p.shape, dtype=complex)
         np.subtract(q2, dq1, out=out[1:])
         out[0] = 0.0
@@ -412,7 +414,7 @@ class PoissonNeumann:
                            None if x0 is None else to_coefficients(x0, grid),
                            self.tol, self.maxiter, "neumann")
             info.compat_defect = rel_defect
-        p[:, 0] -= grid.w2 @ p[:, 0]                              # zero volume mean
+        p[:, 0] -= grid.w2 @ p[:, 0]         # zero volume mean (the weights w2 sum to 1)
         return (x1_inverse if grid.is_flat else from_coefficients)(p, grid), info
 
 
