@@ -22,15 +22,15 @@ sine basis for the interior Dirichlet rows and a cosine (DCT-I) basis for
 the Neumann nodes, and x1 is diagonal in the coefficients, so a solve is
 one forward transform, a real GEMM on the float64 view of the coefficients
 (the real basis acts on real and imaginary parts alike), one elementwise
-divide, a second GEMM and one inverse transform.  The isometric scaling of
+division by the eigenvalues, a second GEMM and one inverse transform.  The isometric scaling of
 the coefficients commutes with that solve, so the direct path leaves it out.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
 preconditioned conjugate gradients on the isometric coefficients, which
 give the same iterates as PCG on grid values.  The preconditioner is the
-flat-metric eigenbasis solve (mean x2 coefficient): two GEMMs and a divide,
-no transform.  An operator apply takes one batched inverse and one batched
+flat-metric eigenbasis solve (mean x2 coefficient): two GEMMs and one
+elementwise product with the reciprocal eigenvalues, no transform.  An operator apply takes one batched inverse and one batched
 forward transform: n2 + 3 (n2 - 2) lines of length n1 per Dirichlet
 iteration and 4 (n2 - 1) per Neumann iteration.
 
@@ -128,15 +128,17 @@ def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigen_solve(basis_in: np.ndarray, basis_out: np.ndarray, r: np.ndarray,
-                 divisor: np.ndarray) -> np.ndarray:
-    """basis_out @ ((basis_in @ r) / divisor) for C-ordered x2-major coefficients r.
+                 inv_divisor: np.ndarray) -> np.ndarray:
+    """basis_out @ ((basis_in @ r) * inv_divisor) for C-ordered x2-major coefficients r.
 
-    Two real GEMMs on the float64 view and one divide; no transform.  The
-    divisor is laid out for that view, (rows, 2 nk): the real and imaginary
-    parts of mode k are the adjacent columns 2k, 2k+1.
+    Two real GEMMs on the float64 view and one elementwise product with the
+    reciprocal eigenvalues (rows, nk); no transform.  numpy multiplies
+    complex by real arrays about as fast as real by real but divides them in
+    complex arithmetic, so the reciprocal is stored.
     """
     y = basis_in @ r.view(np.float64)
-    y /= divisor
+    yc = y.view(complex)
+    yc *= inv_divisor
     return (basis_out @ y).view(complex)
 
 
@@ -152,9 +154,9 @@ def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.nd
     the two rows next to the walls.
     """
     b = rhs_int.copy()
-    walls = laplacian_of_walls(bottom, top, grid)
-    b[:, 0] += c * walls[:, 0]
-    b[:, -1] += c * walls[:, 1]
+    near_bottom, near_top = laplacian_of_walls(bottom, top, grid)
+    b[:, 0] += c * near_bottom
+    b[:, -1] += c * near_top
     return b
 
 
@@ -201,7 +203,7 @@ class HelmholtzDirichlet:
     With c=None the operator is the Poisson one (-L u = -rhs).  The flat
     operator sigma - c (Dxx + a Dzz) is diagonal in the x1 Fourier modes
     times the x2 sine basis, so construction computes only its eigenvalues
-    (one divisor array); ``a`` is 1 on flat grids and the mean of 1 + h'^2
+    (their reciprocals, one array); ``a`` is 1 on flat grids and the mean of 1 + h'^2
     when the flat solve preconditions PCG on rough ones.
     """
 
@@ -216,14 +218,15 @@ class HelmholtzDirichlet:
         self._sigma, self._ceff = sigma, ceff
         a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
         _, lam = _sine_basis(grid.n2)
-        self._divisor = np.add.outer(a * lam, np.repeat(grid.k2, 2))    # see _eigen_solve
-        self._divisor *= ceff
-        self._divisor += sigma
+        self._inv_divisor = np.add.outer(a * lam, grid.k2)
+        self._inv_divisor *= ceff
+        self._inv_divisor += sigma
+        np.reciprocal(self._inv_divisor, out=self._inv_divisor)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """Flat-operator solve on interior-row coefficients (n2-2, nk)."""
         s, _ = _sine_basis(self.grid.n2)
-        return _eigen_solve(s, s, r, self._divisor)
+        return _eigen_solve(s, s, r, self._inv_divisor)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """(sigma - c L) on interior-row coefficients, zero walls."""
@@ -330,11 +333,12 @@ class PoissonNeumann:
         # coefficient.
         a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
         _, mu = _cosine_basis(grid.n2)
-        kk = np.repeat(np.abs(grid.ik_d1) ** 2, 2)
-        self._divisor = np.multiply.outer(mu, a - 0.25 * grid.dx2**2 * kk)
-        self._divisor += kk
-        self._divisor *= grid.dx1 * grid.dx2
-        self._divisor[0, kk == 0.0] = np.inf
+        kk = np.abs(grid.ik_d1) ** 2
+        self._inv_divisor = np.multiply.outer(mu, a - 0.25 * grid.dx2**2 * kk)
+        self._inv_divisor += kk
+        self._inv_divisor *= grid.dx1 * grid.dx2
+        self._inv_divisor[0, kk == 0.0] = np.inf
+        np.reciprocal(self._inv_divisor, out=self._inv_divisor)
 
     # face-scheme operator -------------------------------------------------
     def apply(self, p: np.ndarray) -> np.ndarray:
@@ -389,7 +393,7 @@ class PoissonNeumann:
         The singular modes come back with zero mean in x2.
         """
         v, _ = _cosine_basis(self.grid.n2)
-        return _remove_kernel(_eigen_solve(v.T, v, b, self._divisor), self.grid)
+        return _remove_kernel(_eigen_solve(v.T, v, b, self._inv_divisor), self.grid)
 
     # front end --------------------------------------------------------------
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,

@@ -184,8 +184,9 @@ def to_coefficients(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
 
 
 def from_coefficients(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Grid values of isometric coefficients: (rows, n1//2+1) -> (n1, rows)."""
-    return x1_inverse(scale_modes(c.copy(), 1.0 / grid.coeff_scale), grid)
+    """Grid values of C-ordered isometric coefficients: (rows, n1//2+1) -> (n1, rows)."""
+    unscaled = c.view(np.float64) * np.repeat(1.0 / grid.coeff_scale, 2)
+    return x1_inverse(unscaled.view(complex), grid)
 
 
 def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -247,35 +248,40 @@ def _flat_laplacian(c: np.ndarray, grid: MappedGrid, out: np.ndarray) -> np.ndar
     return out
 
 
-def laplacian_of_walls(bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.ndarray:
+def laplacian_of_walls(bottom: np.ndarray, top: np.ndarray,
+                       grid: MappedGrid) -> tuple[np.ndarray, np.ndarray]:
     """Interior Laplacian of the field that is zero except for its wall traces.
 
-    It is nonzero only on the rows next to the walls, returned as (n1, 2):
-    there the 3-point x2 stencil reads the wall value and, on rough grids,
-    the centered x2 difference in the two cross terms gives
-    +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the wall trace g.
+    It is nonzero only on the rows next to the walls, returned as that
+    (bottom, top) pair of rows: there the 3-point x2 stencil reads the wall
+    value and, on rough grids, the centered x2 difference in the two cross
+    terms gives +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the wall trace g.
     """
-    wall = np.stack([bottom, top], axis=1)                        # (n1, 2)
-    out = grid.a22[:, None] * wall / grid.dx2**2
+    near_bottom = grid.a22 * bottom / grid.dx2**2
+    near_top = grid.a22 * top / grid.dx2**2
     if not grid.is_flat:
         hp = grid.hp[:, None]
+        wall = np.stack([bottom, top], axis=1)                    # (n1, 2)
         d = d_x1(np.hstack([hp * wall, wall]), grid)
         cross = (d[:, :2] + hp * d[:, 2:]) / (2.0 * grid.dx2)
-        out[:, 0] += cross[:, 0]
-        out[:, 1] -= cross[:, 1]
-    return out
+        near_bottom += cross[:, 0]
+        near_top -= cross[:, 1]
+    return near_bottom, near_top
 
 
 def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Mapped Laplacian at the interior rows of grid values f (n1, n2): (n1, n2-2).
 
     Wall rows of f enter as data: the interior rows go through
-    apply_L_tilde_coeffs and the wall rows through laplacian_of_walls.
+    apply_L_tilde_coeffs and the wall rows through laplacian_of_walls.  On
+    flat grids the kernel is diagonal in x1, so the coefficient scaling
+    cancels and is left out.
     """
-    out = from_coefficients(apply_L_tilde_coeffs(to_coefficients(f[:, 1:-1], grid), grid), grid)
-    walls = laplacian_of_walls(f[:, 0], f[:, -1], grid)
-    out[:, 0] += walls[:, 0]
-    out[:, -1] += walls[:, 1]
+    to, back = (x1_transform, x1_inverse) if grid.is_flat else (to_coefficients, from_coefficients)
+    out = back(apply_L_tilde_coeffs(to(f[:, 1:-1], grid), grid), grid)
+    near_bottom, near_top = laplacian_of_walls(f[:, 0], f[:, -1], grid)
+    out[:, 0] += near_bottom
+    out[:, -1] += near_top
     return out
 
 
