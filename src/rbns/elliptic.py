@@ -53,7 +53,6 @@ from rbns.grid import (
     apply_L_tilde_coeffs,
     from_coefficients,
     laplacian_of_walls,
-    scale_modes,
     to_coefficients,
     x1_inverse,
     x1_transform,
@@ -132,9 +131,9 @@ def _eigen_solve(basis_in: np.ndarray, basis_out: np.ndarray, r: np.ndarray,
     """basis_out @ ((basis_in @ r) * inv_divisor) for C-ordered x2-major coefficients r.
 
     Two real GEMMs on the float64 view and one elementwise product with the
-    reciprocal eigenvalues (rows, nk); no transform.  numpy multiplies
-    complex by real arrays about as fast as real by real but divides them in
-    complex arithmetic, so the reciprocal is stored.
+    reciprocal eigenvalues (rows, nk); no transform.  numpy divides complex
+    by real arrays in complex arithmetic, several times slower than the
+    product, so the reciprocal is stored.
     """
     y = basis_in @ r.view(np.float64)
     yc = y.view(complex)
@@ -349,8 +348,8 @@ class PoissonNeumann:
         # faces, gz the x2 difference) and of the adjoints, which fold in the
         # weight dx1 dx2; on rough grids they also undo and redo the
         # coefficient scaling around the transforms
-        to_gx, to_gz = 0.5 * ik, np.full(ik.size, 1.0 / grid.dx2)
-        from_gx, from_gz = (0.5 * grid.dx1 * grid.dx2) * ik, np.full(ik.size, grid.dx1)
+        to_gx, to_gz = 0.5 * ik, 1.0 / grid.dx2
+        from_gx, from_gz = (0.5 * grid.dx1 * grid.dx2) * ik, grid.dx1
         if not grid.is_flat:
             to_gx, to_gz = to_gx / grid.coeff_scale, to_gz / grid.coeff_scale
             from_gx, from_gz = from_gx * grid.coeff_scale, from_gz * grid.coeff_scale
@@ -358,7 +357,7 @@ class PoissonNeumann:
         np.add(p[1:], p[:-1], out=g[0])
         g[0] *= to_gx
         np.subtract(p[1:], p[:-1], out=g[1])
-        scale_modes(g[1], to_gz)
+        g[1] *= to_gz
         if not grid.is_flat:
             # q1 = gx - h' gz and q2 = -h' gx + (1+h'^2) gz, formed on the
             # grid: one batched transform each way
@@ -378,7 +377,7 @@ class PoissonNeumann:
         # nodes), and Gz^T the difference scatter; face j feeds nodes j, j+1
         dq1, q2 = g
         dq1 *= from_gx
-        scale_modes(q2, from_gz)
+        q2 *= from_gz
         out = np.empty(p.shape, dtype=complex)
         np.subtract(q2, dq1, out=out[1:])
         out[0] = 0.0

@@ -166,27 +166,16 @@ def x1_inverse(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return np.fft.irfft(c, n=grid.n1, axis=1).T
 
 
-def scale_modes(c: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Multiply C-ordered coefficients by a real per-mode factor (nk,), in place.
-
-    numpy multiplies complex by real arrays in complex arithmetic; on the
-    float64 view, where mode k holds columns 2k and 2k+1, it is one real
-    multiply.
-    """
-    view = c.view(np.float64)
-    np.multiply(view, np.repeat(factor, 2), out=view)
+def to_coefficients(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Isometric x1-Fourier coefficients of the rows of f (scaled x1_transform)."""
+    c = x1_transform(f, grid)
+    c *= grid.coeff_scale
     return c
 
 
-def to_coefficients(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Isometric x1-Fourier coefficients of the rows of f (scaled x1_transform)."""
-    return scale_modes(x1_transform(f, grid), grid.coeff_scale)
-
-
 def from_coefficients(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Grid values of C-ordered isometric coefficients: (rows, n1//2+1) -> (n1, rows)."""
-    unscaled = c.view(np.float64) * np.repeat(1.0 / grid.coeff_scale, 2)
-    return x1_inverse(unscaled.view(complex), grid)
+    """Grid values of isometric coefficients: (rows, n1//2+1) -> (n1, rows)."""
+    return x1_inverse(c * (1.0 / grid.coeff_scale), grid)
 
 
 def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -216,7 +205,7 @@ def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     np.subtract(c[1:], c[:-1], out=g[1:-1])
     g[0] = c[0]
     np.negative(c[-1], out=g[-1])
-    scale_modes(g, 1.0 / (dx2 * grid.coeff_scale))
+    g *= 1.0 / (dx2 * grid.coeff_scale)
     np.multiply(g, grid.ik_d1, out=faces[1])
     gz, gxz = np.fft.irfft(faces, n=grid.n1, axis=-1)             # g, dx1 g on the grid
     del faces, g
@@ -234,14 +223,13 @@ def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     del prod
     prod_hat[1] *= -grid.ik_d1                                    # - dx1(h' dx2 f)
     prod_hat[1] += prod_hat[0]
-    scale_modes(prod_hat[1], grid.coeff_scale)
+    prod_hat[1] *= grid.coeff_scale
     return np.add(_flat_laplacian(c, grid, prod_hat[0]), prod_hat[1])
 
 
 def _flat_laplacian(c: np.ndarray, grid: MappedGrid, out: np.ndarray) -> np.ndarray:
     """dx1^2 f + dx2^2 f of the zero-wall field with interior-row coefficients c, into out."""
-    factor = np.repeat(-(2.0 + grid.k2 * grid.dx2**2), 2)
-    np.multiply(c.view(np.float64), factor, out=out.view(np.float64))
+    np.multiply(c, -(2.0 + grid.k2 * grid.dx2**2), out=out)
     out[1:] += c[:-1]
     out[:-1] += c[1:]
     out *= 1.0 / grid.dx2**2
