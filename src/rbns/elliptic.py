@@ -201,9 +201,9 @@ class HelmholtzDirichlet:
 
     With c=None the operator is the Poisson one (-L u = -rhs).  The flat
     operator sigma - c (Dxx + a Dzz) is diagonal in the x1 Fourier modes
-    times the x2 sine basis, so construction computes only its eigenvalues
-    (their reciprocals, one array); ``a`` is 1 on flat grids and the mean of 1 + h'^2
-    when the flat solve preconditions PCG on rough ones.
+    times the x2 sine basis, so construction computes only the reciprocals
+    of its eigenvalues (one array); ``a`` is 1 on flat grids and the mean
+    of 1 + h'^2 when the flat solve preconditions PCG on rough ones.
     """
 
     def __init__(self, grid: MappedGrid, c: float | None, tol: float = 1e-10,
