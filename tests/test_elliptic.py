@@ -321,7 +321,7 @@ def _reference_pcg_solver(solver):
 
     The operator is (sigma - c L) through apply_L_tilde on the zero-wall
     field, and the preconditioner the flat-metric sine-basis solve on grid
-    values: the rough-wall PCG before it moved to coefficients.
+    values: the grid-value formulation of the solver's PCG.
     """
     g = solver.grid
     sigma = 0.0 if solver.c is None else 1.0
