@@ -69,8 +69,9 @@ def _run_one(config: RunConfig, out_dir: str, resume: str | None,
     reporting.write_report(out_dir, report)
     print(report.render_text())
     if result.aborted:
-        print(f"error in solver: {result.abort_reason}; last checkpoint retained "
-              f"({result.checkpoints[-1] if result.checkpoints else 'none'})",
+        # before its own first checkpoint, a resumed run still has the one it started from
+        retained = result.checkpoints[-1] if result.checkpoints else resume or "none"
+        print(f"error in solver: {result.abort_reason}; last checkpoint retained ({retained})",
               file=sys.stderr)
         return 1, measured
     print(f"run complete: t = {result.final_state.time:g}, {result.steps_taken} steps, "

@@ -20,19 +20,27 @@ grid each problem is solved directly in a tensor-product eigenbasis (Lynch,
 Rice & Thomas 1964): the x2 operators have closed-form bases, a discrete
 sine basis for the interior Dirichlet rows and a cosine (DCT-I) basis for
 the Neumann nodes, and x1 is diagonal in the coefficients, so a solve is
-one forward transform, a real GEMM on the float64 view of the coefficients
-(the real basis acts on real and imaginary parts alike), one elementwise
-division by the eigenvalues, a second GEMM and one inverse transform.  The isometric scaling of
-the coefficients commutes with that solve, so the direct path leaves it out.
+one forward transform, the x2 basis change and back, one elementwise
+product with the reciprocal eigenvalues, and one inverse transform.  The
+isometric scaling of the coefficients commutes with that solve, so the
+direct path leaves it out.  Both bases are mirror-symmetric in x2 (each
+column is even or odd about the channel centre), so a basis change is two
+half-size real GEMMs on the float64 view of the coefficients, one on the
+sums and one on the differences of mirrored rows: half the flops of the
+full product, and at 128 x 129 GEMMs small enough that OpenBLAS runs them
+on one thread.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
 preconditioned conjugate gradients on the isometric coefficients, which
 give the same iterates as PCG on grid values.  The preconditioner is the
-flat-metric eigenbasis solve (mean x2 coefficient): two GEMMs and one
-elementwise product with the reciprocal eigenvalues, no transform.  An operator apply takes one batched inverse and one batched
-forward transform: n2 + 3 (n2 - 2) lines of length n1 per Dirichlet
-iteration and 4 (n2 - 1) per Neumann iteration.
+flat-metric eigenbasis solve (mean x2 coefficient): four half-size GEMMs
+and one elementwise product.  The operator applies are diagonal in x1
+except for the metric products with h' and h'^2, which are convolutions
+with their few grid Fourier terms (``rbns.grid.convolve``).  So one PCG
+iteration makes no x1 transform: it costs the four GEMMs, a fixed number of
+elementwise passes over the coefficients, and one multiply-add per Fourier
+term of h'^2 and h' (Dirichlet) or two per term of h' (Neumann).
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -51,9 +59,11 @@ import numpy as np
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde_coeffs,
+    convolve,
     from_coefficients,
     laplacian_of_walls,
     to_coefficients,
+    widen,
     x1_inverse,
     x1_transform,
 )
@@ -89,7 +99,6 @@ def _second_difference_eigenvalues(n: int, j: np.ndarray) -> np.ndarray:
     return (2.0 * n * np.sin(0.5 * np.pi * j / n)) ** 2
 
 
-@functools.cache
 def _sine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal symmetric S and eigenvalues of the interior -D2 (Dirichlet).
 
@@ -101,13 +110,9 @@ def _sine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(1, n)
     phase = np.outer(j, j) % (2 * n)          # exact reduction of the sine argument
     s = np.sqrt(2.0 / n) * np.sin(np.pi * phase / n)
-    lam = _second_difference_eigenvalues(n, j)
-    s.setflags(write=False)
-    lam.setflags(write=False)
-    return s, lam
+    return s, _second_difference_eigenvalues(n, j)
 
 
-@functools.cache
 def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
     """W-orthonormal V and eigenvalues of Gz^T Gz on the n2 nodes (Neumann).
 
@@ -120,25 +125,72 @@ def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
     phase = np.outer(j, j) % (2 * n)
     v = np.cos(np.pi * phase / n) * np.sqrt(2.0 / n)
     v[:, [0, -1]] *= np.sqrt(0.5)
-    mu = _second_difference_eigenvalues(n, j)
-    v.setflags(write=False)
-    mu.setflags(write=False)
-    return v, mu
+    return v, _second_difference_eigenvalues(n, j)
 
 
-def _eigen_solve(basis_in: np.ndarray, basis_out: np.ndarray, r: np.ndarray,
-                 inv_divisor: np.ndarray) -> np.ndarray:
-    """basis_out @ ((basis_in @ r) * inv_divisor) for C-ordered x2-major coefficients r.
+@dataclass(frozen=True)
+class _ParityBasis:
+    """A square x2 eigenbasis Q split by the mirror symmetry of its rows.
 
-    Two real GEMMs on the float64 view and one elementwise product with the
-    reciprocal eigenvalues (rows, nk); no transform.  numpy divides complex
-    by real arrays in complex arithmetic, several times slower than the
-    product, so the reciprocal is stored.
+    Both bases satisfy Q[r-1-i, j] = +-Q[i, j] for r rows: the sign is +
+    for the columns 0, 2, 4, ... (sine j = 1, 3, ...; cosine j = 0, 2, ...)
+    and - for the columns 1, 3, ...  So Q^T x is two half-size products,
+    one on the sums of mirrored rows of x (plus columns) and one on their
+    differences (minus columns), and Q y is their mirror butterfly.  For odd
+    r the middle row is its own mirror: it enters the sums twice, so
+    ``plus_in`` has that row halved, and the minus columns vanish on it, so
+    ``minus`` has it set to zero.  ``eig`` holds the eigenvalues in this
+    split order: plus columns, then minus columns.
     """
-    y = basis_in @ r.view(np.float64)
+
+    plus: np.ndarray       # Q[:mid, 0::2], mid = r - r//2
+    plus_in: np.ndarray    # the same with an odd r's middle row halved
+    minus: np.ndarray      # Q[:mid, 1::2] with an odd r's middle row zeroed
+    eig: np.ndarray
+
+
+@functools.cache
+def _parity_basis(dense, n2: int) -> _ParityBasis:
+    """The split of dense(n2) (``_sine_basis`` or ``_cosine_basis``); shared, read-only."""
+    q, eig = dense(n2)
+    half = q.shape[0] // 2
+    mid = q.shape[0] - half
+    plus = np.ascontiguousarray(q[:mid, 0::2])
+    plus_in, minus = plus.copy(), np.ascontiguousarray(q[:mid, 1::2])
+    plus_in[half:] *= 0.5
+    minus[half:] = 0.0
+    parts = (plus, plus_in, minus, np.concatenate([eig[0::2], eig[1::2]]))
+    for a in parts:
+        a.setflags(write=False)
+    return _ParityBasis(*parts)
+
+
+def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray) -> np.ndarray:
+    """Q @ ((Q^T @ x) * inv_divisor) for C-ordered x2-major coefficients x.
+
+    Four half-size real GEMMs on the float64 view (the real basis acts on
+    real and imaginary parts alike) and one elementwise product with the
+    reciprocal eigenvalues (rows, nk), given in the basis' split order; no
+    transform.  numpy divides complex by real arrays in complex arithmetic,
+    several times slower than the product, so the reciprocal is stored.
+    """
+    xf = x.view(np.float64)
+    half = xf.shape[0] // 2
+    mid = xf.shape[0] - half
+    fold = np.empty((2 * mid, xf.shape[1]))
+    np.add(xf[:mid], xf[:-mid - 1:-1], out=fold[:mid])              # sums (plus half)
+    np.subtract(xf[:half], xf[:-half - 1:-1], out=fold[mid:mid + half])
+    y = np.empty_like(xf)                                           # split like eig
+    np.matmul(basis.plus_in.T, fold[:mid], out=y[:mid])
+    np.matmul(basis.minus[:half].T, fold[mid:mid + half], out=y[mid:])
     yc = y.view(complex)
     yc *= inv_divisor
-    return (basis_out @ y).view(complex)
+    np.matmul(basis.plus, y[:mid], out=fold[:mid])
+    np.matmul(basis.minus, y[mid:], out=fold[mid:])
+    out = y                               # y is spent: the butterfly writes over it
+    np.add(fold[:mid], fold[mid:], out=out[:mid])
+    np.subtract(fold[:mid], fold[mid:], out=out[:-mid - 1:-1])     # an odd middle row again
+    return out.view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +202,10 @@ def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.nd
     """Move the Dirichlet data into the right-hand side of (sigma*I - c*L).
 
     This is rhs + c * (interior L of the wall-only field), nonzero only on
-    the two rows next to the walls.
+    the two rows next to the walls.  b is Fortran-ordered, so x1_transform
+    reads its rows without a transposing copy.
     """
-    b = rhs_int.copy()
+    b = np.array(rhs_int, order="F")
     near_bottom, near_top = laplacian_of_walls(bottom, top, grid)
     b[:, 0] += c * near_bottom
     b[:, -1] += c * near_top
@@ -216,16 +269,15 @@ class HelmholtzDirichlet:
         ceff = 1.0 if c is None else c
         self._sigma, self._ceff = sigma, ceff
         a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
-        _, lam = _sine_basis(grid.n2)
-        self._inv_divisor = np.add.outer(a * lam, grid.k2)
+        self._basis = _parity_basis(_sine_basis, grid.n2)
+        self._inv_divisor = np.add.outer(a * self._basis.eig, grid.k2)
         self._inv_divisor *= ceff
         self._inv_divisor += sigma
         np.reciprocal(self._inv_divisor, out=self._inv_divisor)
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """Flat-operator solve on interior-row coefficients (n2-2, nk)."""
-        s, _ = _sine_basis(self.grid.n2)
-        return _eigen_solve(s, s, r, self._inv_divisor)
+        return _eigen_solve(self._basis, r, self._inv_divisor)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         """(sigma - c L) on interior-row coefficients, zero walls."""
@@ -331,9 +383,9 @@ class PoissonNeumann:
         # is singular like k = 0, and an infinite divisor zeroes their kernel
         # coefficient.
         a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
-        _, mu = _cosine_basis(grid.n2)
+        self._basis = _parity_basis(_cosine_basis, grid.n2)
         kk = np.abs(grid.ik_d1) ** 2
-        self._inv_divisor = np.multiply.outer(mu, a - 0.25 * grid.dx2**2 * kk)
+        self._inv_divisor = np.multiply.outer(self._basis.eig, a - 0.25 * grid.dx2**2 * kk)
         self._inv_divisor += kk
         self._inv_divisor *= grid.dx1 * grid.dx2
         self._inv_divisor[0, kk == 0.0] = np.inf
@@ -343,41 +395,26 @@ class PoissonNeumann:
     def apply(self, p: np.ndarray) -> np.ndarray:
         """A p on node coefficients (n2, nk) in the to_coefficients layout."""
         grid = self.grid
-        ik = grid.ik_d1
-        # per-mode factors to the face gradient (gx = dx1 p averaged to the
-        # faces, gz the x2 difference) and of the adjoints, which fold in the
-        # weight dx1 dx2; on rough grids they also undo and redo the
-        # coefficient scaling around the transforms
-        to_gx, to_gz = 0.5 * ik, 1.0 / grid.dx2
-        from_gx, from_gz = (0.5 * grid.dx1 * grid.dx2) * ik, grid.dx1
+        rows, nk = p.shape[0] - 1, p.shape[1]
+        b = grid.band
+        # face gradient: gx = dx1 p averaged to the faces, gz the x2 difference
+        g = np.empty((2, rows, nk + 2 * b), dtype=complex)
+        gx, gz = g[:, :, b:b + nk]
+        np.add(p[1:], p[:-1], out=gx)
+        gx *= 0.5 * grid.ik_d1
+        np.subtract(p[1:], p[:-1], out=gz)
+        gz *= 1.0 / grid.dx2
         if not grid.is_flat:
-            to_gx, to_gz = to_gx / grid.coeff_scale, to_gz / grid.coeff_scale
-            from_gx, from_gz = from_gx * grid.coeff_scale, from_gz * grid.coeff_scale
-        g = np.empty((2, p.shape[0] - 1, p.shape[1]), dtype=complex)
-        np.add(p[1:], p[:-1], out=g[0])
-        g[0] *= to_gx
-        np.subtract(p[1:], p[:-1], out=g[1])
-        g[1] *= to_gz
-        if not grid.is_flat:
-            # q1 = gx - h' gz and q2 = -h' gx + (1+h'^2) gz, formed on the
-            # grid: one batched transform each way
-            fx, fz = np.fft.irfft(g, n=grid.n1, axis=-1)
-            del g
-            hp = grid.hp
-            q = np.empty((2,) + fz.shape)
-            np.multiply(fz, hp, out=q[1])
-            np.subtract(fx, q[1], out=q[0])
-            fx *= hp
-            np.multiply(fz, grid.a22, out=q[1])
-            q[1] -= fx
-            del fx, fz
-            g = np.fft.rfft(q, axis=-1)
-            del q
-        # adjoints: Gx^T = -Dx Av^T (Dx per face, then averaged to the
-        # nodes), and Gz^T the difference scatter; face j feeds nodes j, j+1
-        dq1, q2 = g
-        dq1 *= from_gx
-        q2 *= from_gz
+            # q1 = gx - h' gz and q2 = -h' gx + (1 + h'^2) gz = gz - h' q1, in
+            # place by convolution with the grid spectrum of h'
+            convolve(gx, widen(g[1], grid), grid.mhp_shifts, grid)
+            convolve(gz, widen(g[0], grid), grid.mhp_shifts, grid)
+        # adjoints, which fold in the weight dx1 dx2: Gx^T = -Dx Av^T (Dx per
+        # face, then averaged to the nodes), and Gz^T the difference
+        # scatter; face j feeds nodes j, j+1
+        dq1, q2 = gx, gz
+        dq1 *= (0.5 * grid.dx1 * grid.dx2) * grid.ik_d1
+        q2 *= grid.dx1
         out = np.empty(p.shape, dtype=complex)
         np.subtract(q2, dq1, out=out[1:])
         out[0] = 0.0
@@ -391,8 +428,7 @@ class PoissonNeumann:
 
         The singular modes come back with zero mean in x2.
         """
-        v, _ = _cosine_basis(self.grid.n2)
-        return _remove_kernel(_eigen_solve(v.T, v, b, self._inv_divisor), self.grid)
+        return _remove_kernel(_eigen_solve(self._basis, b, self._inv_divisor), self.grid)
 
     # front end --------------------------------------------------------------
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
@@ -400,7 +436,8 @@ class PoissonNeumann:
         grid = self.grid
         flux_bottom = np.broadcast_to(np.asarray(flux_bottom, dtype=float), (grid.n1,))
         flux_top = np.broadcast_to(np.asarray(flux_top, dtype=float), (grid.n1,))
-        b = -(rhs * grid.w2[None, :]) * grid.dx1
+        # Fortran order: x1_transform reads the rows of b without a copy
+        b = np.multiply(rhs, -grid.dx1 * grid.w2, out=np.empty(grid.shape, order="F"))
         b[:, 0] += grid.dx1 * grid.ds_weight * flux_bottom
         b[:, -1] += grid.dx1 * grid.ds_weight * flux_top
         # compatibility: project out the kernel component and report it

@@ -31,11 +31,14 @@ instead: ``to_coefficients`` stores the rfft of each x2 row x2-major, shape
 the even-n1 Nyquist mode and 2 otherwise.  With that scaling the map is an
 isometry: Re vdot of two coefficient arrays is the real dot product of the
 two fields, so a Krylov method gives the same iterates on either side.  The
-Laplacian kernel ``apply_L_tilde_coeffs`` acts on coefficients: the flat
-part (spectral k^2 and the x2 second difference) is diagonal in x1, and the
-metric terms take one batched inverse transform of two face fields and one
-batched forward transform of two interior fields, n2 + 3 (n2 - 2) lines of
-length n1 in all.  ``apply_L_tilde`` wraps it for grid values.
+Laplacian kernel ``apply_L_tilde_coeffs`` acts on coefficients without any
+x1 transform: the flat part (spectral k^2 and the x2 second difference) is
+diagonal in x1, and the metric products with h' and h'^2 are circular
+convolutions of the coefficients with the grid spectra of h' and h'^2.  The
+profile is a finite Fourier series, so those spectra have a few nonzero
+terms (``metric_fourier_terms``: 5 for a single mode) and a convolution
+costs one multiply-add over the coefficients per term.  ``apply_L_tilde``
+wraps the kernel for grid values.
 """
 
 from __future__ import annotations
@@ -70,6 +73,13 @@ class MappedGrid:
     w2: np.ndarray = field(init=False)       # trapezoid weights in x2
     coeff_scale: np.ndarray = field(init=False)  # sqrt(w_k / n1), see the module docstring
     is_flat: bool = field(init=False)
+    # metric convolutions on scaled coefficients, see metric_spectra: per
+    # shift m a weight over the output wavenumbers k = 0..n1//2
+    band: int = field(init=False)            # largest |m|
+    mhp_shifts: tuple = field(init=False)    # -h'
+    hp2_shifts: tuple = field(init=False)    # h'^2
+    cross_shifts: tuple = field(init=False)  # -h' dx1 (.) - dx1 (h' .), times 1/(2 dx2)
+    _scratch: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n1 < 4:
@@ -103,6 +113,47 @@ class MappedGrid:
             w[-1] = 1.0
         self.coeff_scale = np.sqrt(w / self.n1)
         self.is_flat = self.profile.is_flat
+        hp_hat, hp2_hat = metric_spectra(self.profile, self.n1)
+        self.band = max((abs(m) for m in (*hp_hat, *hp2_hat)), default=0)
+        self.mhp_shifts = self._shift_weights({m: -v for m, v in hp_hat.items()})
+        self.hp2_shifts = self._shift_weights(hp2_hat)
+        self.cross_shifts = tuple((m, (0.5 / self.dx2) * w * (self._ik_shifted(m) + self.ik_d1))
+                                  for m, w in self.mhp_shifts)
+
+    def _half_index(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Where wavenumbers k - m (k = 0..n1//2) sit in the half spectrum, and which are conjugated."""
+        f = (np.arange(self.k.size) - m) % self.n1
+        return np.minimum(f, self.n1 - f), f > self.n1 // 2
+
+    def _ik_shifted(self, m: int) -> np.ndarray:
+        """i kappa of d_x1 at the wavenumbers k - m (Nyquist zeroed)."""
+        q, conj = self._half_index(m)
+        return np.where(conj, -1.0, 1.0) * self.ik_d1[q]
+
+    def _shift_weights(self, spectrum: dict[int, complex]) -> tuple:
+        """(m, c_m s_k / s_(k-m)) per shift: c_m times the ratio of the coefficient scalings."""
+        return tuple((m, c * (self.coeff_scale / self.coeff_scale[self._half_index(m)[0]]))
+                     for m, c in sorted(spectrum.items()))
+
+    def scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A complex work array of this grid, kept between calls; contents undefined.
+
+        The operator kernels take their temporaries from here, so a PCG
+        iteration allocates only the arrays it returns.  Freeing large
+        temporaries every iteration let the C heap hand their pages back to
+        the system, and each new allocation faulted them in again (tens of
+        thousands of page faults per rough run).  A kernel must not call
+        another that takes the same name while it holds one.
+        """
+        key = (name, shape)
+        if key not in self._scratch:
+            self._scratch[key] = np.empty(shape, dtype=complex)
+        return self._scratch[key]
+
+    @property
+    def metric_fourier_terms(self) -> int:
+        """Nonzero grid Fourier coefficients of h' plus those of h'^2."""
+        return len(self.mhp_shifts) + len(self.hp2_shifts)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,6 +165,33 @@ class MappedGrid:
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
+
+
+def metric_spectra(profile: FourierSeries, n1: int) -> tuple[dict[int, complex], dict[int, complex]]:
+    """Grid DFT coefficients of h' and h'^2, keyed by the shift m.
+
+    The samples of h' on the n1 grid points are sum_m H_m exp(2 pi i m x1/gamma)
+    with H from the profile's modes; a mode at or above n1/2 aliases onto
+    its index modulo n1.  h'^2 on the grid is the circular convolution
+    H * H.  Shifts are folded into [-n1/2, n1/2) and exact zeros dropped, so
+    a flat profile gives two empty dicts.
+    """
+    hp: dict[int, complex] = {}
+    for k, c, s in profile.modes:
+        w = 2.0 * np.pi * k / profile.gamma
+        a, b = w * s, -w * c                 # h' = a cos + b sin of this mode
+        for j, v in ((k % n1, 0.5 * complex(a, -b)), (-k % n1, 0.5 * complex(a, b))):
+            hp[j] = hp.get(j, 0.0) + v
+    hp2: dict[int, complex] = {}
+    for j1, v1 in hp.items():
+        for j2, v2 in hp.items():
+            j = (j1 + j2) % n1
+            hp2[j] = hp2.get(j, 0.0) + v1 * v2
+
+    def fold(spectrum):
+        return {(j - n1 if 2 * j >= n1 else j): v for j, v in spectrum.items() if v != 0.0}
+
+    return fold(hp), fold(hp2)
 
 
 # ---------------------------------------------------------------------------
@@ -182,49 +260,71 @@ def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Mapped Laplacian on coefficients, zero walls: (n2-2, nk) -> (n2-2, nk).
 
     c holds the to_coefficients of the interior rows of a field whose wall
-    rows are zero; wall data enter through ``laplacian_of_walls``.  With g
-    the x2 face differences (g_{j+1/2} = (f_{j+1} - f_j)/dx2), the centered
-    stencils at an interior node are dx2 f = (g_{j+1/2} + g_{j-1/2})/2 and
-    dx2^2 f = (g_{j+1/2} - g_{j-1/2})/dx2, and
+    rows are zero; wall data enter through ``laplacian_of_walls``.  With the
+    centered x2 stencils d2 f = (f_{j+1} - f_{j-1})/(2 dx2) and
+    d2^2 f = (f_{j+1} - 2 f_j + f_{j-1})/dx2^2 at an interior node (the
+    1/(2 dx2) of d2 is folded into the cross weights),
 
-        L f = dx1^2 f + dx2^2 f + h'^2 dx2^2 f - h' dx1(dx2 f) - dx1(h' dx2 f)
+        L f = dx1^2 f + d2^2 f + h'^2 d2^2 f - h' dx1(d2 f) - dx1(h' d2 f)
 
     (dx2(-h' dx1 f) = -h' dx1(dx2 f) because h' depends on x1 only).  The
-    first two terms are diagonal in x1; the h' products are formed on the
-    grid from one batched inverse transform of (g, dx1 g) and one batched
-    forward transform of the two interior products.  First derivatives use
-    ik with the Nyquist mode zeroed and the second derivative the full k^2,
-    as in d_x1 and d2_x1.
+    first two terms are diagonal in x1.  The h' products are circular
+    convolutions over the x1 wavenumbers, one multiply-add per grid Fourier
+    term of h'^2 (on d2^2 f) and of h' (on d2 f, both cross terms in one
+    weight).  First derivatives use ik with the Nyquist mode zeroed and the
+    second derivative the full k^2, as in d_x1 and d2_x1.
     """
-    dx2 = grid.dx2
-    rows, nk = c.shape
+    out = _flat_laplacian(c, grid, np.empty_like(c))
     if grid.is_flat:
-        return _flat_laplacian(c, grid, np.empty_like(c))
-    faces = np.empty((2, rows + 1, nk), dtype=complex)
-    g = faces[0]
-    np.subtract(c[1:], c[:-1], out=g[1:-1])
-    g[0] = c[0]
-    np.negative(c[-1], out=g[-1])
-    g *= 1.0 / (dx2 * grid.coeff_scale)
-    np.multiply(g, grid.ik_d1, out=faces[1])
-    gz, gxz = np.fft.irfft(faces, n=grid.n1, axis=-1)             # g, dx1 g on the grid
-    del faces, g
-    hp = grid.hp
-    prod = np.empty((2, rows, grid.n1))
-    np.subtract(gz[1:], gz[:-1], out=prod[0])
-    prod[0] *= hp * (hp / dx2)                                    # h'^2 dx2^2 f
-    np.add(gxz[1:], gxz[:-1], out=prod[1])
-    prod[1] *= 0.5 * hp
-    prod[0] -= prod[1]                                            # - h' dx1(dx2 f)
-    np.add(gz[1:], gz[:-1], out=prod[1])
-    prod[1] *= 0.5 * hp                                           # h' dx2 f
-    del gz, gxz
-    prod_hat = np.fft.rfft(prod, axis=-1)
-    del prod
-    prod_hat[1] *= -grid.ik_d1                                    # - dx1(h' dx2 f)
-    prod_hat[1] += prod_hat[0]
-    prod_hat[1] *= grid.coeff_scale
-    return np.add(_flat_laplacian(c, grid, prod_hat[0]), prod_hat[1])
+        return out
+    rows, nk = c.shape
+    b = grid.band
+    ext = grid.scratch("L_tilde", (2, rows, nk + 2 * b))
+    d22, d2 = ext[0, :, b:b + nk], ext[1, :, b:b + nk]
+    np.multiply(c, grid.k2, out=d22)
+    d22 += out                                                    # d2^2 f
+    np.subtract(c[2:], c[:-2], out=d2[1:-1])                      # 2 dx2 d2 f
+    d2[0] = c[1]
+    np.negative(c[-2], out=d2[-1])
+    widen(ext, grid)
+    convolve(out, ext[0], grid.hp2_shifts, grid)
+    return convolve(out, ext[1], grid.cross_shifts, grid)
+
+
+def widen(ext: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Fill the band margins of half-spectrum coefficients of real fields, in place.
+
+    ext (..., nk + 2 band) holds the coefficients of wavenumbers 0..nk-1 in
+    its columns band..band+nk-1; by Hermitian symmetry (x_{-j} = conj x_j,
+    x_{n1-j} = conj x_j) column band + j then holds wavenumber j for every
+    -band <= j < nk + band, as ``convolve`` reads them.
+    """
+    b, n1 = grid.band, grid.n1
+    nk = ext.shape[-1] - 2 * b
+    if b:
+        np.conjugate(ext[..., 2 * b:b:-1], out=ext[..., :b])
+        np.conjugate(ext[..., b + n1 - nk:n1 - nk:-1], out=ext[..., b + nk:])
+    return ext
+
+
+def convolve(out: np.ndarray, src: np.ndarray, shifts, grid: MappedGrid) -> np.ndarray:
+    """out += sum over shifts (m, w) of w * src at wavenumbers k - m, in place.
+
+    src is a ``widen``-ed array (rows, nk + 2 band), so the term of shift m
+    is one multiply-add with a strided view.  The k = 0 and Nyquist
+    coefficients of a real field are real; the rounding-level imaginary part
+    the sum leaves there is cleared.
+    """
+    b = grid.band
+    nk = out.shape[-1]
+    tmp = grid.scratch("convolve", out.shape)
+    for m, w in shifts:
+        np.multiply(src[:, b - m:b - m + nk], w, out=tmp)
+        out += tmp
+    out[:, 0].imag = 0.0
+    if grid.n1 % 2 == 0:
+        out[:, -1].imag = 0.0
+    return out
 
 
 def _flat_laplacian(c: np.ndarray, grid: MappedGrid, out: np.ndarray) -> np.ndarray:

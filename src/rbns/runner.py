@@ -141,6 +141,7 @@ def provenance_text(config: RunConfig, grid: MappedGrid) -> str:
         f"metric_a22_min = {float(np.min(grid.a22))!r}",
         f"metric_a22_max = {float(np.max(grid.a22))!r}",
         f"flat = {int(grid.is_flat)}",
+        f"metric_fourier_terms = {grid.metric_fourier_terms}",
     ]
     return "\n".join(lines) + "\n"
 

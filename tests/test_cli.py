@@ -43,7 +43,19 @@ def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "checkpoints", "final.ckpt"))
     text = open(os.path.join(out, "provenance.txt")).read()
     assert "tool_version" in text and "grid = 16 x 17" in text
+    assert "metric_fourier_terms = 0\n" in text
     assert open(os.path.join(out, "config.txt")).read() == TINY
+
+
+def test_provenance_counts_metric_fourier_terms(tmp_path):
+    # h = 0.1 sin(2 pi y1): h' has two grid Fourier terms and h'^2 three
+    path = tmp_path / "rough.cfg"
+    path.write_text("[geometry]\nmodes = 1:0.0:0.1\n"
+                    + TINY.replace("t_end = 0.05", "t_end = 0.0"))
+    out = str(tmp_path / "rough_run")
+    assert main(["simulate", "--config", str(path), "--output", out]) == 0
+    text = open(os.path.join(out, "provenance.txt")).read()
+    assert "flat = 0\n" in text and "metric_fourier_terms = 5\n" in text
 
 
 def test_simulate_t_end_zero_initial_diagnostics_only(tiny_config, tmp_path):
@@ -208,7 +220,10 @@ u0_amplitude = 10
     with pytest.warns(UserWarning, match="stiffness"):
         rc = main(["simulate", "--config", str(second), "--output", out, "--resume", ckpt])
     assert rc == 1
-    assert "error in solver: step rejected at t = 0.001" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error in solver: step rejected at t = 0.001" in err
+    # no checkpoint of its own yet: the one it resumed from is retained
+    assert f"last checkpoint retained ({ckpt})" in err
     for name in ("run_summary.txt", "bound_report.txt", "bounds.csv"):
         assert os.path.exists(os.path.join(out, name)), name
     summary = read_summary(os.path.join(out, "run_summary.txt"))
