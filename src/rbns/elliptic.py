@@ -27,8 +27,8 @@ direct path leaves it out.  Both bases are mirror-symmetric in x2 (each
 column is even or odd about the channel centre), so a basis change is two
 half-size real GEMMs on the float64 view of the coefficients, one on the
 sums and one on the differences of mirrored rows: half the flops of the
-full product, and at 128 x 129 GEMMs small enough that OpenBLAS runs them
-on one thread.
+full product, and at 128 x 129 GEMMs small enough that the OpenBLAS numpy
+ships runs them on one thread.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
