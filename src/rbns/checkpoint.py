@@ -15,11 +15,16 @@ Layout (little-endian), documented so external tools can read it:
 
 Round trips are bit-exact: raw float64 bytes in, raw float64 bytes out.
 The stream-function trace constant is not stored separately; it is the
-(constant) top row of psi.
+(constant) top row of psi.  The header fixes the file length, and a file
+of any other length is rejected.  A checkpoint is written under a
+temporary name beginning with "." in the same directory and renamed onto
+its final name once closed, so a kill or a failed write never leaves a
+partial file under a ``checkpoint_*`` name.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -69,17 +74,27 @@ def _unpack_series(buf: memoryview, offset: int, gamma: float) -> tuple[FourierS
 
 
 def write_checkpoint(path, data: CheckpointData) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", data.n1, data.n2))
-        fh.write(struct.pack("<dddd", data.gamma, data.ra, data.pr, data.time))
-        fh.write(_pack_series(data.profile))
-        fh.write(_pack_series(data.alpha_bottom))
-        fh.write(_pack_series(data.alpha_top))
-        for arr in (data.omega, data.psi, data.temp):
-            if arr.shape != (data.n1, data.n2):
-                raise ValueError(f"field shape {arr.shape} != ({data.n1}, {data.n2})")
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write data to path; any previous file at path stays intact until the rename."""
+    for arr in (data.omega, data.psi, data.temp):
+        if arr.shape != (data.n1, data.n2):
+            raise ValueError(f"field shape {arr.shape} != ({data.n1}, {data.n2})")
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", data.n1, data.n2))
+            fh.write(struct.pack("<dddd", data.gamma, data.ra, data.pr, data.time))
+            fh.write(_pack_series(data.profile))
+            fh.write(_pack_series(data.alpha_bottom))
+            fh.write(_pack_series(data.alpha_top))
+            for arr in (data.omega, data.psi, data.temp):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(path) -> CheckpointData:
@@ -89,15 +104,22 @@ def read_checkpoint(path) -> CheckpointData:
         raise ValueError(f"{path}: not a checkpoint file (bad magic {raw[:5]!r})")
     buf = memoryview(raw)
     off = len(MAGIC)
-    n1, n2 = struct.unpack_from("<II", buf, off)
-    off += struct.calcsize("<II")
-    gamma, ra, pr, time = struct.unpack_from("<dddd", buf, off)
-    off += struct.calcsize("<dddd")
-    profile, off = _unpack_series(buf, off, gamma)
-    alpha_bottom, off = _unpack_series(buf, off, gamma)
-    alpha_top, off = _unpack_series(buf, off, gamma)
-    fields = []
+    try:
+        n1, n2 = struct.unpack_from("<II", buf, off)
+        off += struct.calcsize("<II")
+        gamma, ra, pr, time = struct.unpack_from("<dddd", buf, off)
+        off += struct.calcsize("<dddd")
+        profile, off = _unpack_series(buf, off, gamma)
+        alpha_bottom, off = _unpack_series(buf, off, gamma)
+        alpha_top, off = _unpack_series(buf, off, gamma)
+    except struct.error:
+        raise ValueError(f"{path}: checkpoint header cut short ({len(raw)} bytes)") from None
     count = n1 * n2
+    expected = off + 3 * 8 * count
+    if len(raw) != expected:
+        raise ValueError(f"{path}: checkpoint is {len(raw)} bytes, its header implies "
+                         f"{expected}")
+    fields = []
     for _ in range(3):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(n1, n2).copy()
         off += 8 * count

@@ -79,3 +79,63 @@ temp_perturbation = 0.01
     fa = [p for p in a.checkpoints if "final" in p][0]
     fb = [p for p in b.checkpoints if "final" in p][0]
     assert open(fa, "rb").read() == open(fb, "rb").read()
+
+
+def _small_checkpoint(rng, time=0.0):
+    prof = FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1),))
+    return CheckpointData(n1=6, n2=8, gamma=1.0, ra=1.0e4, pr=10.0, time=time,
+                          profile=prof, alpha_bottom=prof, alpha_top=prof,
+                          omega=rng.standard_normal((6, 8)), psi=rng.standard_normal((6, 8)),
+                          temp=rng.standard_normal((6, 8)))
+
+
+@pytest.mark.parametrize("change", [-100, 8])
+def test_wrong_length_names_file_and_sizes(tmp_path, rng, change):
+    # a file cut short (a kill mid-write) or with trailing bytes is rejected
+    # with its path and both byte counts, not a bare buffer error
+    path = tmp_path / "checkpoint_000001.ckpt"
+    write_checkpoint(path, _small_checkpoint(rng))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0 else raw + b"\x00" * change)
+    with pytest.raises(ValueError) as err:
+        read_checkpoint(path)
+    message = str(err.value)
+    assert str(path) in message
+    assert str(len(raw) + change) in message and str(len(raw)) in message
+
+
+def test_truncated_header_names_file(tmp_path, rng):
+    path = tmp_path / "checkpoint_000001.ckpt"
+    write_checkpoint(path, _small_checkpoint(rng))
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(ValueError, match="header") as err:
+        read_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_failed_write_keeps_previous_checkpoint(tmp_path, rng, monkeypatch):
+    import rbns.checkpoint
+
+    path = tmp_path / "checkpoint_000001.ckpt"
+    write_checkpoint(path, _small_checkpoint(rng))
+    before = path.read_bytes()
+    pack = rbns.checkpoint._pack_series
+    calls = []
+
+    def failing(series):
+        calls.append(series)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return pack(series)
+
+    monkeypatch.setattr(rbns.checkpoint, "_pack_series", failing)
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(path, _small_checkpoint(rng, time=1.0))
+    calls.clear()
+    fresh = tmp_path / "checkpoint_000002.ckpt"
+    with pytest.raises(OSError, match="disk full"):
+        write_checkpoint(fresh, _small_checkpoint(rng, time=1.0))
+    # the old file is intact, and neither a partial file nor a temporary is left
+    assert path.read_bytes() == before
+    assert read_checkpoint(path).time == 0.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
