@@ -17,30 +17,35 @@ right-hand side there.
 Every solve works on x1-Fourier coefficients in the layout of
 ``rbns.grid.to_coefficients``: x2-major, (rows, n1//2+1) complex.  On a flat
 grid each problem is solved directly in a tensor-product eigenbasis (Lynch,
-Rice & Thomas 1964): the x2 operators have closed-form bases, a discrete
-sine basis for the interior Dirichlet rows and a cosine (DCT-I) basis for
-the Neumann nodes, and x1 is diagonal in the coefficients, so a solve is
-one forward transform, the x2 basis change and back, one elementwise
-product with the reciprocal eigenvalues, and one inverse transform.  The
-isometric scaling of the coefficients commutes with that solve, so the
-direct path leaves it out.  Both bases are mirror-symmetric in x2 (each
-column is even or odd about the channel centre), so a basis change is two
-half-size real GEMMs on the float64 view of the coefficients, one on the
-sums and one on the differences of mirrored rows: half the flops of the
-full product, and at 128 x 129 GEMMs small enough that the OpenBLAS numpy
-ships runs them on one thread.
+Rice & Thomas 1964): the x2 operators have closed-form bases
+(``rbns.grid``), a discrete sine basis for the interior Dirichlet rows and a
+cosine (DCT-I) basis for the Neumann nodes, and x1 is diagonal in the
+coefficients, so a solve is one forward transform, the x2 basis change and
+back, one elementwise product with the reciprocal eigenvalues, and one
+inverse transform.  The isometric scaling of the coefficients commutes with
+that solve, so the direct path leaves it out.  Both bases are
+mirror-symmetric in x2, so a basis change is two half-size real GEMMs on
+the float64 view of the coefficients, one on the sums and one on the
+differences of mirrored rows: half the flops of the full product, and at
+128 x 129 GEMMs small enough that the OpenBLAS numpy ships runs them on one
+thread.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
-preconditioned conjugate gradients on the isometric coefficients, which
-give the same iterates as PCG on grid values.  The preconditioner is the
-flat-metric eigenbasis solve (mean x2 coefficient): four half-size GEMMs
-and one elementwise product.  The operator applies are diagonal in x1
-except for the metric products with h' and h'^2, which are convolutions
-with their few grid Fourier terms (``rbns.grid.convolve``).  So one PCG
-iteration makes no x1 transform: it costs the four GEMMs, a fixed number of
-elementwise passes over the coefficients, and one multiply-add per Fourier
-term of h'^2 and h' (Dirichlet) or two per term of h' (Neumann).
+preconditioned conjugate gradients.  The Dirichlet problems iterate on the
+sine coordinates y = S^T c of the isometric coefficients c; S is
+orthonormal, so PCG makes the same iterates as on c or on grid values.
+There the flat-metric preconditioner (mean x2 coefficient) is diagonal:
+it is one multiply by the stored reciprocal of the divisor that is also
+the diagonal part of ``rbns.grid.SineOperator``.  The operator adds the
+convolutions with the few grid Fourier terms of h'^2 and h' and two
+half-size GEMMs for the x2 difference of the cross terms.  So one
+Dirichlet iteration makes no x1 transform and no basis change: two GEMMs,
+a fixed number of elementwise passes over the coefficients, and one
+multiply-add per Fourier term of h'^2 (except its mean) and of h'.  The
+basis changes happen once per solve.  The Neumann problem iterates on the
+coefficients c with the cosine-basis solve as its preconditioner (four
+half-size GEMMs) and two multiply-adds per Fourier term of h'.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -51,17 +56,22 @@ compatible subspace and the projection defect reported.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from rbns.grid import (
     MappedGrid,
-    apply_L_tilde_coeffs,
+    SineOperator,
+    _cosine_basis,
+    _parity_basis,
+    _ParityBasis,
+    _sine_basis,
     convolve,
+    from_basis,
     from_coefficients,
     laplacian_of_walls,
+    to_basis,
     to_coefficients,
     widen,
     x1_inverse,
@@ -90,107 +100,17 @@ def default_maxiter(grid: MappedGrid) -> int:
     return int(10 * grid.n2 * np.sqrt(grid.n1))
 
 
-# ---------------------------------------------------------------------------
-# closed-form x2 eigenbases (one per n2, shared and read-only)
-# ---------------------------------------------------------------------------
-
-def _second_difference_eigenvalues(n: int, j: np.ndarray) -> np.ndarray:
-    """(2 - 2 cos(pi j / n)) n^2, in the cancellation-free sine form."""
-    return (2.0 * n * np.sin(0.5 * np.pi * j / n)) ** 2
-
-
-def _sine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal symmetric S and eigenvalues of the interior -D2 (Dirichlet).
-
-    S[i, j] = sqrt(2/n) sin(pi i j / n), i, j = 1..n-1 with n = n2 - 1, and
-    -D2 S = S diag(lam) for the 3-point second difference on the n2-2
-    interior rows with zero wall values.
-    """
-    n = n2 - 1
-    j = np.arange(1, n)
-    phase = np.outer(j, j) % (2 * n)          # exact reduction of the sine argument
-    s = np.sqrt(2.0 / n) * np.sin(np.pi * phase / n)
-    return s, _second_difference_eigenvalues(n, j)
-
-
-def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """W-orthonormal V and eigenvalues of Gz^T Gz on the n2 nodes (Neumann).
-
-    V[i, j] is cos(pi i j / n), i, j = 0..n with n = n2 - 1, scaled so that
-    V^T W V = I for the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2);
-    then Gz^T Gz V = W V diag(mu).  Column 0 (mu = 0) spans the constants.
-    """
-    n = n2 - 1
-    j = np.arange(n2)
-    phase = np.outer(j, j) % (2 * n)
-    v = np.cos(np.pi * phase / n) * np.sqrt(2.0 / n)
-    v[:, [0, -1]] *= np.sqrt(0.5)
-    return v, _second_difference_eigenvalues(n, j)
-
-
-@dataclass(frozen=True)
-class _ParityBasis:
-    """A square x2 eigenbasis Q split by the mirror symmetry of its rows.
-
-    Both bases satisfy Q[r-1-i, j] = +-Q[i, j] for r rows: the sign is +
-    for the columns 0, 2, 4, ... (sine j = 1, 3, ...; cosine j = 0, 2, ...)
-    and - for the columns 1, 3, ...  So Q^T x is two half-size products,
-    one on the sums of mirrored rows of x (plus columns) and one on their
-    differences (minus columns), and Q y is their mirror butterfly.  For odd
-    r the middle row is its own mirror: it enters the sums twice, so
-    ``plus_in`` has that row halved, and the minus columns vanish on it, so
-    ``minus`` has it set to zero.  ``eig`` holds the eigenvalues in this
-    split order: plus columns, then minus columns.
-    """
-
-    plus: np.ndarray       # Q[:mid, 0::2], mid = r - r//2
-    plus_in: np.ndarray    # the same with an odd r's middle row halved
-    minus: np.ndarray      # Q[:mid, 1::2] with an odd r's middle row zeroed
-    eig: np.ndarray
-
-
-@functools.cache
-def _parity_basis(dense, n2: int) -> _ParityBasis:
-    """The split of dense(n2) (``_sine_basis`` or ``_cosine_basis``); shared, read-only."""
-    q, eig = dense(n2)
-    half = q.shape[0] // 2
-    mid = q.shape[0] - half
-    plus = np.ascontiguousarray(q[:mid, 0::2])
-    plus_in, minus = plus.copy(), np.ascontiguousarray(q[:mid, 1::2])
-    plus_in[half:] *= 0.5
-    minus[half:] = 0.0
-    parts = (plus, plus_in, minus, np.concatenate([eig[0::2], eig[1::2]]))
-    for a in parts:
-        a.setflags(write=False)
-    return _ParityBasis(*parts)
-
-
 def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray) -> np.ndarray:
     """Q @ ((Q^T @ x) * inv_divisor) for C-ordered x2-major coefficients x.
 
-    Four half-size real GEMMs on the float64 view (the real basis acts on
-    real and imaginary parts alike) and one elementwise product with the
+    Four half-size real GEMMs and one elementwise product with the
     reciprocal eigenvalues (rows, nk), given in the basis' split order; no
     transform.  numpy divides complex by real arrays in complex arithmetic,
     several times slower than the product, so the reciprocal is stored.
     """
-    xf = x.view(np.float64)
-    half = xf.shape[0] // 2
-    mid = xf.shape[0] - half
-    fold = np.empty((2 * mid, xf.shape[1]))
-    np.add(xf[:mid], xf[:-mid - 1:-1], out=fold[:mid])              # sums (plus half)
-    np.subtract(xf[:half], xf[:-half - 1:-1], out=fold[mid:mid + half])
-    y = np.empty_like(xf)                                           # split like eig
-    np.matmul(basis.plus_in.T, fold[:mid], out=y[:mid])
-    np.matmul(basis.minus[:half].T, fold[mid:mid + half], out=y[mid:])
-    yc = y.view(complex)
-    yc *= inv_divisor
-    np.matmul(basis.plus, y[:mid], out=fold[:mid])
-    np.matmul(basis.minus, y[mid:], out=fold[mid:])
-    out = y                               # y is spent: the butterfly writes over it
-    np.add(fold[:mid], fold[mid:], out=out[:mid])
-    np.subtract(fold[:mid], fold[mid:], out=out[:-mid - 1:-1])     # an odd middle row again
-    return out.view(complex)
+    y = to_basis(basis, x)
+    y *= inv_divisor
+    return from_basis(basis, y, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +138,11 @@ def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.nd
 
 def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
          tol: float, maxiter: int, name: str) -> tuple[np.ndarray, SolveInfo]:
-    """Preconditioned conjugate gradients; x0, if given, is updated in place."""
+    """Preconditioned conjugate gradients; x0, if given, is updated in place.
+
+    apply_m may return the same array at every call: its result is spent
+    before the next call.  The iteration allocates only what apply_a returns.
+    """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, "pcg")
@@ -226,11 +150,12 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
     r = b - apply_a(x)
     z = apply_m(r)
     p = z.copy()
+    step = np.empty_like(p)
     rz = float(np.vdot(r, z).real)
     for it in range(1, maxiter + 1):
         ap = apply_a(p)
         alpha = rz / float(np.vdot(p, ap).real)
-        x += alpha * p
+        x += np.multiply(p, alpha, out=step)
         ap *= alpha
         r -= ap
         rel = float(np.linalg.norm(r)) / bnorm
@@ -254,9 +179,11 @@ class HelmholtzDirichlet:
 
     With c=None the operator is the Poisson one (-L u = -rhs).  The flat
     operator sigma - c (Dxx + a Dzz) is diagonal in the x1 Fourier modes
-    times the x2 sine basis, so construction computes only the reciprocals
-    of its eigenvalues (one array); ``a`` is 1 on flat grids and the mean
-    of 1 + h'^2 when the flat solve preconditions PCG on rough ones.
+    times the x2 sine basis, and construction computes its eigenvalues (the
+    ``divisor`` of ``rbns.grid.SineOperator``) and their reciprocals; ``a``
+    is 1 on flat grids and the mean of 1 + h'^2 on rough ones.  A flat grid
+    solves directly with them; a rough grid runs PCG on sine coordinates
+    with the SineOperator and the reciprocals as its diagonal preconditioner.
     """
 
     def __init__(self, grid: MappedGrid, c: float | None, tol: float = 1e-10,
@@ -265,27 +192,11 @@ class HelmholtzDirichlet:
         self.c = c
         self.tol = tol
         self.maxiter = maxiter if maxiter is not None else default_maxiter(grid)
-        sigma = 0.0 if c is None else 1.0
-        ceff = 1.0 if c is None else c
-        self._sigma, self._ceff = sigma, ceff
-        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+        self._sigma = 0.0 if c is None else 1.0
+        self._ceff = 1.0 if c is None else c
         self._basis = _parity_basis(_sine_basis, grid.n2)
-        self._inv_divisor = np.add.outer(a * self._basis.eig, grid.k2)
-        self._inv_divisor *= ceff
-        self._inv_divisor += sigma
-        np.reciprocal(self._inv_divisor, out=self._inv_divisor)
-
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """Flat-operator solve on interior-row coefficients (n2-2, nk)."""
-        return _eigen_solve(self._basis, r, self._inv_divisor)
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        """(sigma - c L) on interior-row coefficients, zero walls."""
-        out = apply_L_tilde_coeffs(v, self.grid)
-        out *= -self._ceff
-        if self._sigma:
-            out += v
-        return out
+        self._operator = SineOperator(grid, self._sigma, self._ceff)
+        self._inv_divisor = np.reciprocal(self._operator.divisor)
 
     def solve(self, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
@@ -297,16 +208,20 @@ class HelmholtzDirichlet:
         b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
         full = np.empty(grid.shape)
         if grid.is_flat:
-            full[:, 1:-1] = x1_inverse(self._precondition(x1_transform(b, grid)), grid)
+            u = _eigen_solve(self._basis, x1_transform(b, grid), self._inv_divisor)
+            full[:, 1:-1] = x1_inverse(u, grid)
             info = SolveInfo(1, 0.0, "direct")
         else:
-            b = to_coefficients(b, grid)
+            b = to_basis(self._basis, to_coefficients(b, grid))
             if x0 is not None:
                 x0 = to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape else x0, grid)
-            u, info = _pcg(self._apply, self._precondition, b, x0,
+                x0 = to_basis(self._basis, x0)
+            z = np.empty_like(b)
+            u, info = _pcg(self._operator.apply,
+                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, x0,
                            self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
-            del b, x0
-            full[:, 1:-1] = from_coefficients(u, grid)
+            del b, x0, z
+            full[:, 1:-1] = from_coefficients(from_basis(self._basis, u, out=u), grid)
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info

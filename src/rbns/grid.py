@@ -30,19 +30,28 @@ instead: ``to_coefficients`` stores the rfft of each x2 row x2-major, shape
 (rows, n1//2+1) complex, scaled by sqrt(w_k/n1) with w_k = 1 at k = 0 and at
 the even-n1 Nyquist mode and 2 otherwise.  With that scaling the map is an
 isometry: Re vdot of two coefficient arrays is the real dot product of the
-two fields, so a Krylov method gives the same iterates on either side.  The
-Laplacian kernel ``apply_L_tilde_coeffs`` acts on coefficients without any
-x1 transform: the flat part (spectral k^2 and the x2 second difference) is
-diagonal in x1, and the metric products with h' and h'^2 are circular
-convolutions of the coefficients with the grid spectra of h' and h'^2.  The
-profile is a finite Fourier series, so those spectra have a few nonzero
-terms (``metric_fourier_terms``: 5 for a single mode) and a convolution
-costs one multiply-add over the coefficients per term.  ``apply_L_tilde``
-wraps the kernel for grid values.
+two fields, so a Krylov method gives the same iterates on either side.
+
+The x2 operators have closed-form eigenbases: a discrete sine basis for the
+interior Dirichlet rows and a cosine (DCT-I) basis for the Neumann nodes.
+Both are mirror-symmetric about the channel centre, so ``to_basis`` and
+``from_basis`` change basis with two half-size real GEMMs each.  The
+rough-wall Laplacian has one kernel, ``SineOperator``, which acts on the
+sine coordinates y = S^T c of interior-row coefficients c.  There the flat
+part and the mean of h'^2 are diagonal, and the remaining metric products
+are circular convolutions over the x1 wavenumbers with the grid spectra of
+h' and h'^2.  The profile is a finite Fourier series, so those spectra have
+a few nonzero terms (``metric_fourier_terms``: 5 for a single mode) and a
+convolution costs one multiply-add over the coefficients per term.  The x2
+centred difference of the cross terms is a closed-form matrix in the sine
+basis that couples only modes of opposite parity (two half-size GEMMs).
+``apply_L_tilde_coeffs`` and ``apply_L_tilde`` wrap the kernel for
+x1 coefficients and grid values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,39 +265,214 @@ def from_coefficients(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return x1_inverse(c * (1.0 / grid.coeff_scale), grid)
 
 
-def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Mapped Laplacian on coefficients, zero walls: (n2-2, nk) -> (n2-2, nk).
+# ---------------------------------------------------------------------------
+# closed-form x2 eigenbases (one per n2, shared and read-only)
+# ---------------------------------------------------------------------------
+
+def _second_difference_eigenvalues(n: int, j: np.ndarray) -> np.ndarray:
+    """(2 - 2 cos(pi j / n)) n^2, in the cancellation-free sine form."""
+    return (2.0 * n * np.sin(0.5 * np.pi * j / n)) ** 2
+
+
+def _sine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal symmetric S and eigenvalues of the interior -D2 (Dirichlet).
+
+    S[i, j] = sqrt(2/n) sin(pi i j / n), i, j = 1..n-1 with n = n2 - 1, and
+    -D2 S = S diag(lam) for the 3-point second difference on the n2-2
+    interior rows with zero wall values.
+    """
+    n = n2 - 1
+    j = np.arange(1, n)
+    phase = np.outer(j, j) % (2 * n)          # exact reduction of the sine argument
+    s = np.sqrt(2.0 / n) * np.sin(np.pi * phase / n)
+    return s, _second_difference_eigenvalues(n, j)
+
+
+def _cosine_basis(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """W-orthonormal V and eigenvalues of Gz^T Gz on the n2 nodes (Neumann).
+
+    V[i, j] is cos(pi i j / n), i, j = 0..n with n = n2 - 1, scaled so that
+    V^T W V = I for the trapezoid weights W = diag(1/2, 1, ..., 1, 1/2);
+    then Gz^T Gz V = W V diag(mu).  Column 0 (mu = 0) spans the constants.
+    """
+    n = n2 - 1
+    j = np.arange(n2)
+    phase = np.outer(j, j) % (2 * n)
+    v = np.cos(np.pi * phase / n) * np.sqrt(2.0 / n)
+    v[:, [0, -1]] *= np.sqrt(0.5)
+    return v, _second_difference_eigenvalues(n, j)
+
+
+@dataclass(frozen=True)
+class _ParityBasis:
+    """A square x2 eigenbasis Q split by the mirror symmetry of its rows.
+
+    Both bases satisfy Q[r-1-i, j] = +-Q[i, j] for r rows: the sign is +
+    for the columns 0, 2, 4, ... (sine j = 1, 3, ...; cosine j = 0, 2, ...)
+    and - for the columns 1, 3, ...  So Q^T x is two half-size products,
+    one on the sums of mirrored rows of x (plus columns) and one on their
+    differences (minus columns), and Q y is their mirror butterfly.  For odd
+    r the middle row is its own mirror: it enters the sums twice, so
+    ``plus_in`` has that row halved, and the minus columns vanish on it, so
+    ``minus`` has it set to zero.  ``eig`` holds the eigenvalues in this
+    split order: plus columns, then minus columns.
+    """
+
+    plus: np.ndarray       # Q[:mid, 0::2], mid = r - r//2
+    plus_in: np.ndarray    # the same with an odd r's middle row halved
+    minus: np.ndarray      # Q[:mid, 1::2] with an odd r's middle row zeroed
+    eig: np.ndarray
+
+
+@functools.cache
+def _parity_basis(dense, n2: int) -> _ParityBasis:
+    """The split of dense(n2) (``_sine_basis`` or ``_cosine_basis``); shared, read-only."""
+    q, eig = dense(n2)
+    half = q.shape[0] // 2
+    mid = q.shape[0] - half
+    plus = np.ascontiguousarray(q[:mid, 0::2])
+    plus_in, minus = plus.copy(), np.ascontiguousarray(q[:mid, 1::2])
+    plus_in[half:] *= 0.5
+    minus[half:] = 0.0
+    parts = (plus, plus_in, minus, np.concatenate([eig[0::2], eig[1::2]]))
+    for a in parts:
+        a.setflags(write=False)
+    return _ParityBasis(*parts)
+
+
+def to_basis(basis: _ParityBasis, x: np.ndarray) -> np.ndarray:
+    """Q^T x in the basis' split order, for C-ordered x2-major coefficients x.
+
+    Two half-size real GEMMs on the float64 view (the real basis acts on
+    real and imaginary parts alike), one on the sums and one on the
+    differences of mirrored rows; no transform.
+    """
+    xf = x.view(np.float64)
+    half = xf.shape[0] // 2
+    mid = xf.shape[0] - half
+    fold = np.empty((xf.shape[0], xf.shape[1]))
+    np.add(xf[:mid], xf[:-mid - 1:-1], out=fold[:mid])              # sums (plus half)
+    np.subtract(xf[:half], xf[:-half - 1:-1], out=fold[mid:])
+    y = np.empty_like(xf)
+    np.matmul(basis.plus_in.T, fold[:mid], out=y[:mid])
+    np.matmul(basis.minus[:half].T, fold[mid:], out=y[mid:])
+    return y.view(complex)
+
+
+def from_basis(basis: _ParityBasis, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Q y for split-order coordinates y, the inverse of ``to_basis``; out may be y."""
+    yf = y.view(np.float64)
+    mid = basis.plus.shape[0]
+    fold = np.empty((2 * mid, yf.shape[1]))
+    np.matmul(basis.plus, yf[:mid], out=fold[:mid])
+    np.matmul(basis.minus, yf[mid:], out=fold[mid:])
+    of = np.empty_like(yf) if out is None else out.view(np.float64)
+    np.add(fold[:mid], fold[mid:], out=of[:mid])
+    np.subtract(fold[:mid], fold[mid:], out=of[:-mid - 1:-1])       # an odd middle row again
+    return of.view(complex)
+
+
+@functools.cache
+def _sine_difference(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """S^T T S in the sine basis' split order; shared, read-only.
+
+    T is the centred difference f_{i+1} - f_{i-1} on the interior rows with
+    zero walls.  T maps sine mode j to 2 sin(pi j/n) cos(pi i j/n), and the
+    sine sums of those cosines close: with n = n2 - 1 the entry for output
+    mode k and input mode j is
+
+        (2/n) sin(pi j/n) [cot(pi (k+j)/2n) + cot(pi (k-j)/2n)]
+
+    when k + j is odd and zero otherwise.  So it couples only modes of
+    opposite parity, and its two nonzero blocks are returned: plus rows
+    from minus columns, then minus rows from plus columns.  The closed form
+    needs no dense product at set-up, where one above the BLAS threading
+    threshold wakes a second OpenBLAS thread that then spins through the run.
+    """
+    n = n2 - 1
+    odd, even = np.arange(1, n, 2), np.arange(2, n, 2)
+    a = 0.5 * np.pi / n
+
+    def block(k, j):
+        cot_sum = 1.0 / np.tan(a * np.add.outer(k, j)) + 1.0 / np.tan(a * np.subtract.outer(k, j))
+        return (2.0 / n) * np.sin(2.0 * a * j) * cot_sum
+
+    parts = (block(odd, even), block(even, odd))
+    for p in parts:
+        p.setflags(write=False)
+    return parts
+
+
+# ---------------------------------------------------------------------------
+# the mapped Laplacian
+# ---------------------------------------------------------------------------
+
+class SineOperator:
+    """sigma - c L on sine coordinates y = S^T c of zero-wall interior rows.
 
     c holds the to_coefficients of the interior rows of a field whose wall
-    rows are zero; wall data enter through ``laplacian_of_walls``.  With the
+    rows are zero (wall data enter through ``laplacian_of_walls``), and S is
+    the orthonormal sine basis in the split order of ``to_basis``.  With the
     centered x2 stencils d2 f = (f_{j+1} - f_{j-1})/(2 dx2) and
     d2^2 f = (f_{j+1} - 2 f_j + f_{j-1})/dx2^2 at an interior node (the
     1/(2 dx2) of d2 is folded into the cross weights),
 
         L f = dx1^2 f + d2^2 f + h'^2 d2^2 f - h' dx1(d2 f) - dx1(h' d2 f)
 
-    (dx2(-h' dx1 f) = -h' dx1(dx2 f) because h' depends on x1 only).  The
-    first two terms are diagonal in x1.  The h' products are circular
-    convolutions over the x1 wavenumbers, one multiply-add per grid Fourier
-    term of h'^2 (on d2^2 f) and of h' (on d2 f, both cross terms in one
-    weight).  First derivatives use ik with the Nyquist mode zeroed and the
+    (dx2(-h' dx1 f) = -h' dx1(dx2 f) because h' depends on x1 only).  In
+    sine coordinates d2^2 is -diag(lam), and dx1^2 is -k^2.  So the flat
+    part and the mean a - 1 of h'^2 (a = mean(1 + h'^2)) give the diagonal
+    ``divisor`` sigma + c (k^2 + a lam), the same array as the flat-metric
+    preconditioner divides by.  The rest of h'^2 is a convolution over the
+    x1 wavenumbers of lam * y, one multiply-add per grid Fourier term, and
+    the two cross terms are the h' convolution of D y, where D = S^T T S
+    is the x2 difference in this basis (``_sine_difference``: two half-size
+    GEMMs).  First derivatives use ik with the Nyquist mode zeroed and the
     second derivative the full k^2, as in d_x1 and d2_x1.
     """
-    out = _flat_laplacian(c, grid, np.empty_like(c))
+
+    def __init__(self, grid: MappedGrid, sigma: float, c: float):
+        self.grid = grid
+        eig = _parity_basis(_sine_basis, grid.n2).eig
+        self.divisor = np.add.outer(float(np.mean(grid.a22)) * eig, grid.k2)
+        self.divisor *= c
+        self.divisor += sigma
+        self._lam = c * eig[:, None]
+        self._hp2 = tuple((m, w) for m, w in grid.hp2_shifts if m != 0)
+        self._cross = tuple((m, -c * w) for m, w in grid.cross_shifts)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """The operator on C-ordered sine coordinates (n2-2, nk): a new array."""
+        grid = self.grid
+        out = np.multiply(y, self.divisor)
+        if grid.is_flat:
+            return out
+        rows, nk = y.shape
+        b = grid.band
+        ext = grid.scratch("L_tilde", (2, rows, nk + 2 * b))
+        np.multiply(y, self._lam, out=ext[0, :, b:b + nk])
+        plus_from_minus, minus_from_plus = _sine_difference(grid.n2)
+        mid = plus_from_minus.shape[0]
+        yf, dy = y.view(np.float64), ext[1, :, b:b + nk].view(np.float64)
+        np.matmul(plus_from_minus, yf[mid:], out=dy[:mid])
+        np.matmul(minus_from_plus, yf[:mid], out=dy[mid:])
+        widen(ext, grid)
+        convolve(out, ext[0], self._hp2, grid)
+        return convolve(out, ext[1], self._cross, grid)
+
+
+def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Mapped Laplacian on interior-row coefficients, zero walls: (n2-2, nk) -> (n2-2, nk).
+
+    Flat grids take the 3-point x2 stencil and k^2 directly; rough grids
+    change to sine coordinates and back around ``SineOperator``, the kernel
+    the rough Dirichlet solves iterate with.
+    """
     if grid.is_flat:
-        return out
-    rows, nk = c.shape
-    b = grid.band
-    ext = grid.scratch("L_tilde", (2, rows, nk + 2 * b))
-    d22, d2 = ext[0, :, b:b + nk], ext[1, :, b:b + nk]
-    np.multiply(c, grid.k2, out=d22)
-    d22 += out                                                    # d2^2 f
-    np.subtract(c[2:], c[:-2], out=d2[1:-1])                      # 2 dx2 d2 f
-    d2[0] = c[1]
-    np.negative(c[-2], out=d2[-1])
-    widen(ext, grid)
-    convolve(out, ext[0], grid.hp2_shifts, grid)
-    return convolve(out, ext[1], grid.cross_shifts, grid)
+        return _flat_laplacian(c, grid, np.empty_like(c))
+    basis = _parity_basis(_sine_basis, grid.n2)
+    out = SineOperator(grid, 0.0, -1.0).apply(to_basis(basis, c))
+    return from_basis(basis, out, out=out)
 
 
 def widen(ext: np.ndarray, grid: MappedGrid) -> np.ndarray:

@@ -23,7 +23,9 @@ from rbns.grid import (
     d2_x1,
     d_x1,
     d_x2,
+    _sine_difference,
     from_coefficients,
+    to_basis,
     to_coefficients,
     volume_integral,
 )
@@ -298,20 +300,23 @@ def _count_transforms(monkeypatch):
 
 @pytest.mark.parametrize("rough, most", [(False, 2), (True, 0)])
 def test_operator_apply_transform_count(monkeypatch, rough, most):
-    # x1 transform calls: a rough PCG iteration (one operator apply and one
-    # preconditioner solve on coefficients) makes none, Dirichlet and
-    # Neumann alike; a flat direct solve makes at most `most`
+    # x1 transform calls: rough PCG iterations make none, Dirichlet (sine
+    # coordinates, diagonal preconditioner) and Neumann (coefficients,
+    # cosine-basis preconditioner) alike; a flat direct solve makes at most
+    # `most`
     g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
     solver = HelmholtzDirichlet(g, 0.003)
     rng = np.random.default_rng(0)
     shapes = _count_transforms(monkeypatch)
     if rough:
         neumann = PoissonNeumann(g)
-        v = to_coefficients(rng.standard_normal((g.n1, g.n2 - 2)), g)
+        y = to_basis(solver._basis, to_coefficients(rng.standard_normal((g.n1, g.n2 - 2)), g))
         p = to_coefficients(rng.standard_normal(g.shape), g)
         shapes.clear()
-        solver._precondition(solver._apply(v))
-        neumann._precondition(neumann.apply(p))
+        for apply_a, apply_m, b in ((solver._operator.apply, lambda r: r * solver._inv_divisor, y),
+                                    (neumann.apply, neumann._precondition, p)):
+            with pytest.raises(EllipticError):
+                _pcg(apply_a, apply_m, b, None, 1e-15, 3, "counted")
     else:
         solver.solve(rng.standard_normal((g.n1, g.n2 - 2)), rng.standard_normal(g.n1),
                      rng.standard_normal(g.n1))
@@ -472,3 +477,48 @@ def test_metric_convolutions_match_grid_products(profile, n1):
     a_hat = np.fft.fft(g.hp**2) / n1
     tiny = 1e-12 * np.abs(hp_hat).max()
     assert g.metric_fourier_terms == np.sum(np.abs(hp_hat) > tiny) + np.sum(np.abs(a_hat) > tiny)
+
+
+def _split_sine_basis(n2):
+    """Dense S with its columns in the split order of to_basis."""
+    s, _ = _sine_basis(n2)
+    return s[:, np.r_[0:n2 - 2:2, 1:n2 - 2:2]]
+
+
+@pytest.mark.parametrize("n2", [9, 10, 33, 64, 65, 129])
+def test_sine_difference_matches_dense(n2):
+    # the closed-form S^T T S against the dense product, T the zero-wall
+    # centred difference f_{i+1} - f_{i-1}; opposite parities only
+    s = _split_sine_basis(n2)
+    rows = n2 - 2
+    t = np.eye(rows, k=1) - np.eye(rows, k=-1)
+    dense = s.T @ t @ s
+    mid = rows - rows // 2
+    plus_from_minus, minus_from_plus = _sine_difference(n2)
+    assert np.abs(plus_from_minus - dense[:mid, mid:]).max() <= 1e-14
+    assert np.abs(minus_from_plus - dense[mid:, :mid]).max() <= 1e-14
+    assert np.abs(dense[:mid, :mid]).max() <= 1e-14
+    assert np.abs(dense[mid:, mid:]).max() <= 1e-14
+
+
+FOUR_MODES = FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1), (2, 0.03, 0.0),
+                                             (3, 0.02, -0.01), (4, -0.01, 0.005)))
+
+
+@pytest.mark.parametrize("profile", [FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1),)),
+                                     TWO_MODES, FOUR_MODES], ids=["1mode", "2modes", "4modes"])
+@pytest.mark.parametrize("n1", [32, 33])
+@pytest.mark.parametrize("c", [None, 0.003])
+def test_sine_operator_matches_divergence_form(profile, n1, c):
+    # sigma - c L on sine coordinates, changed back through dense S, is the
+    # unfused divergence-form operator of the zero-wall field
+    g = MappedGrid(profile, n1, 17)
+    solver = HelmholtzDirichlet(g, c)
+    sigma, ceff = (0.0, 1.0) if c is None else (1.0, c)
+    f = np.zeros(g.shape)
+    f[:, 1:-1] = np.random.default_rng(n1).standard_normal((n1, g.n2 - 2))
+    s = _split_sine_basis(g.n2)
+    y = s.T @ to_coefficients(f[:, 1:-1], g)
+    got = from_coefficients(s @ solver._operator.apply(y), g)
+    expected = sigma * f[:, 1:-1] - ceff * _divergence_form_laplacian(f, g)
+    assert _relmax(got, expected) <= 1e-12
