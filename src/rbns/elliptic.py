@@ -8,43 +8,33 @@ Three problems back the time stepper and the pressure recovery:
                                               fluxes n.grad(p), mean-zero p
 
 where L is the mapped divergence-form Laplacian.  The Dirichlet problems
-apply it through ``rbns.grid.apply_L_tilde_coeffs``, which lives in the grid
-module with the other mapped derivatives; the Neumann problem has its own
-face discretization (below).  Dirichlet wall data reach only the two rows
-next to the walls (``rbns.grid.laplacian_of_walls``) and are moved into the
+apply it through ``rbns.grid.SineOperator``, which lives in the grid module
+with the other mapped derivatives; the Neumann problem has its own face
+discretization (below).  Dirichlet wall data reach only the two rows next
+to the walls (``rbns.grid.laplacian_of_walls``) and are moved into the
 right-hand side there.
 
 Every solve works on x1-Fourier coefficients in the layout of
 ``rbns.grid.to_coefficients``: x2-major, (rows, n1//2+1) complex.  On a flat
 grid each problem is solved directly in a tensor-product eigenbasis (Lynch,
-Rice & Thomas 1964): the x2 operators have closed-form bases
-(``rbns.grid``), a discrete sine basis for the interior Dirichlet rows and a
-cosine (DCT-I) basis for the Neumann nodes, and x1 is diagonal in the
-coefficients, so a solve is one forward transform, the x2 basis change and
-back, one elementwise product with the reciprocal eigenvalues, and one
-inverse transform.  The isometric scaling of the coefficients commutes with
-that solve, so the direct path leaves it out.  Both bases are
-mirror-symmetric in x2, so a basis change is two half-size real GEMMs on
-the float64 view of the coefficients, one on the sums and one on the
-differences of mirrored rows: half the flops of the full product, and at
-128 x 129 GEMMs small enough that the OpenBLAS numpy ships runs them on one
-thread.
+Rice & Thomas 1964): x1 is diagonal in the coefficients and the x2
+operators have the closed-form bases of ``rbns.grid`` (sine for the interior
+Dirichlet rows, cosine for the Neumann nodes), so a solve is one forward
+transform, ``to_basis``, one elementwise product with the reciprocal
+eigenvalues, ``from_basis`` and one inverse transform.  The isometric
+scaling of the coefficients commutes with that solve, so the direct path
+leaves it out.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
 preconditioned conjugate gradients.  The Dirichlet problems iterate on the
 sine coordinates y = S^T c of the isometric coefficients c; S is
-orthonormal, so PCG makes the same iterates as on c or on grid values.
-There the flat-metric preconditioner (mean x2 coefficient) is diagonal:
-it is one multiply by the stored reciprocal of the divisor that is also
-the diagonal part of ``rbns.grid.SineOperator``.  The operator adds the
-convolutions with the few grid Fourier terms of h'^2 and h' and two
-half-size GEMMs for the x2 difference of the cross terms.  So one
-Dirichlet iteration makes no x1 transform and no basis change: two GEMMs,
-a fixed number of elementwise passes over the coefficients, and one
-multiply-add per Fourier term of h'^2 (except its mean) and of h'.  The
-basis changes happen once per solve.  The Neumann problem iterates on the
-coefficients c with the cosine-basis solve as its preconditioner (four
+orthonormal, so PCG makes the same iterates as on c or on grid values.  In
+these coordinates the flat-metric preconditioner (mean x2 coefficient) is
+diagonal, one multiply by the reciprocal of the SineOperator's ``divisor``,
+and an iteration makes two half-size GEMMs and no x1 transform or basis
+change; the basis changes happen once per solve.  The Neumann problem
+iterates on c, with the cosine-basis solve as its preconditioner (four
 half-size GEMMs) and two multiply-adds per Fourier term of h'.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
@@ -142,8 +132,10 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
 
     apply_m may return the same array at every call: its result is spent
     before the next call.  The iteration allocates only what apply_a returns.
+    Norms come from vdot, a third of the time of np.linalg.norm on complex
+    arrays (two strided real dots).
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.sqrt(np.vdot(b, b).real))
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, "pcg")
     x = np.zeros_like(b) if x0 is None else x0
@@ -158,7 +150,7 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
         x += np.multiply(p, alpha, out=step)
         ap *= alpha
         r -= ap
-        rel = float(np.linalg.norm(r)) / bnorm
+        rel = float(np.sqrt(np.vdot(r, r).real)) / bnorm
         if rel <= tol:
             return x, SolveInfo(it, rel, "pcg")
         z = apply_m(r)

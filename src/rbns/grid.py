@@ -32,21 +32,15 @@ the even-n1 Nyquist mode and 2 otherwise.  With that scaling the map is an
 isometry: Re vdot of two coefficient arrays is the real dot product of the
 two fields, so a Krylov method gives the same iterates on either side.
 
-The x2 operators have closed-form eigenbases: a discrete sine basis for the
-interior Dirichlet rows and a cosine (DCT-I) basis for the Neumann nodes.
-Both are mirror-symmetric about the channel centre, so ``to_basis`` and
-``from_basis`` change basis with two half-size real GEMMs each.  The
-rough-wall Laplacian has one kernel, ``SineOperator``, which acts on the
-sine coordinates y = S^T c of interior-row coefficients c.  There the flat
-part and the mean of h'^2 are diagonal, and the remaining metric products
-are circular convolutions over the x1 wavenumbers with the grid spectra of
-h' and h'^2.  The profile is a finite Fourier series, so those spectra have
-a few nonzero terms (``metric_fourier_terms``: 5 for a single mode) and a
-convolution costs one multiply-add over the coefficients per term.  The x2
-centred difference of the cross terms is a closed-form matrix in the sine
-basis that couples only modes of opposite parity (two half-size GEMMs).
-``apply_L_tilde_coeffs`` and ``apply_L_tilde`` wrap the kernel for
-x1 coefficients and grid values.
+The x2 operators have closed-form eigenbases, a discrete sine basis for the
+interior Dirichlet rows and a cosine (DCT-I) basis for the Neumann nodes;
+``to_basis`` and ``from_basis`` change basis with two half-size real GEMMs
+each.  The rough-wall Laplacian has one kernel, ``SineOperator``, on the
+sine coordinates of interior-row coefficients: diagonal except for the
+metric products, which are circular convolutions over the x1 wavenumbers
+with the few grid Fourier terms of h' and h'^2 (``metric_fourier_terms``: 5
+for a single profile mode).  ``apply_L_tilde_coeffs`` and ``apply_L_tilde``
+wrap it for x1 coefficients and grid values.
 """
 
 from __future__ import annotations
@@ -408,9 +402,9 @@ def _sine_difference(n2: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 class SineOperator:
-    """sigma - c L on sine coordinates y = S^T c of zero-wall interior rows.
+    """sigma - c L on sine coordinates y = S^T v of zero-wall interior rows.
 
-    c holds the to_coefficients of the interior rows of a field whose wall
+    v holds the to_coefficients of the interior rows of a field whose wall
     rows are zero (wall data enter through ``laplacian_of_walls``), and S is
     the orthonormal sine basis in the split order of ``to_basis``.  With the
     centered x2 stencils d2 f = (f_{j+1} - f_{j-1})/(2 dx2) and
