@@ -131,9 +131,9 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
     """Preconditioned conjugate gradients; x0, if given, is updated in place.
 
     apply_m may return the same array at every call: its result is spent
-    before the next call.  The iteration allocates only what apply_a returns.
-    Norms come from vdot, a third of the time of np.linalg.norm on complex
-    arrays (two strided real dots).
+    before the next call.  Apart from what the two return, the loop allocates
+    nothing.  Norms come from vdot, a third of the time of np.linalg.norm on
+    complex arrays (two strided real dots).
     """
     bnorm = float(np.sqrt(np.vdot(b, b).real))
     if bnorm == 0.0:

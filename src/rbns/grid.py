@@ -428,7 +428,8 @@ class SineOperator:
     def __init__(self, grid: MappedGrid, sigma: float, c: float):
         self.grid = grid
         eig = _parity_basis(_sine_basis, grid.n2).eig
-        self.divisor = np.add.outer(float(np.mean(grid.a22)) * eig, grid.k2)
+        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+        self.divisor = np.add.outer(a * eig, grid.k2)
         self.divisor *= c
         self.divisor += sigma
         self._lam = c * eig[:, None]
