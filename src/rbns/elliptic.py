@@ -90,7 +90,8 @@ def default_maxiter(grid: MappedGrid) -> int:
     return int(10 * grid.n2 * np.sqrt(grid.n1))
 
 
-def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray) -> np.ndarray:
+def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray,
+                 grid: MappedGrid) -> np.ndarray:
     """Q @ ((Q^T @ x) * inv_divisor) for C-ordered x2-major coefficients x.
 
     Four half-size real GEMMs and one elementwise product with the
@@ -98,9 +99,9 @@ def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray) ->
     transform.  numpy divides complex by real arrays in complex arithmetic,
     several times slower than the product, so the reciprocal is stored.
     """
-    y = to_basis(basis, x)
+    y = to_basis(basis, x, grid)
     y *= inv_divisor
-    return from_basis(basis, y, out=y)
+    return from_basis(basis, y, grid, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +201,20 @@ class HelmholtzDirichlet:
         b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
         full = np.empty(grid.shape)
         if grid.is_flat:
-            u = _eigen_solve(self._basis, x1_transform(b, grid), self._inv_divisor)
+            u = _eigen_solve(self._basis, x1_transform(b, grid), self._inv_divisor, grid)
             full[:, 1:-1] = x1_inverse(u, grid)
             info = SolveInfo(1, 0.0, "direct")
         else:
-            b = to_basis(self._basis, to_coefficients(b, grid))
+            b = to_basis(self._basis, to_coefficients(b, grid), grid)
             if x0 is not None:
                 x0 = to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape else x0, grid)
-                x0 = to_basis(self._basis, x0)
+                x0 = to_basis(self._basis, x0, grid)
             z = np.empty_like(b)
             u, info = _pcg(self._operator.apply,
                            lambda r: np.multiply(r, self._inv_divisor, out=z), b, x0,
                            self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
             del b, x0, z
-            full[:, 1:-1] = from_coefficients(from_basis(self._basis, u, out=u), grid)
+            full[:, 1:-1] = from_coefficients(from_basis(self._basis, u, grid, out=u), grid)
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info
@@ -335,7 +336,8 @@ class PoissonNeumann:
 
         The singular modes come back with zero mean in x2.
         """
-        return _remove_kernel(_eigen_solve(self._basis, b, self._inv_divisor), self.grid)
+        return _remove_kernel(_eigen_solve(self._basis, b, self._inv_divisor, self.grid),
+                              self.grid)
 
     # front end --------------------------------------------------------------
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,

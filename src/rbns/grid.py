@@ -334,7 +334,17 @@ def _parity_basis(dense, n2: int) -> _ParityBasis:
     return _ParityBasis(*parts)
 
 
-def to_basis(basis: _ParityBasis, x: np.ndarray) -> np.ndarray:
+def _fold(grid: MappedGrid, rows: int, nk: int) -> np.ndarray:
+    """The (rows, 2 nk) float64 work array of the mirror folds, from grid.scratch.
+
+    One buffer of n2 + 1 rows serves both bases and both directions, so
+    the basis changes allocate no temporary (freeing one every call let
+    the C heap trim its pages and fault them in again).
+    """
+    return grid.scratch("fold", (grid.n2 + 1, nk))[:rows].view(np.float64)
+
+
+def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Q^T x in the basis' split order, for C-ordered x2-major coefficients x.
 
     Two half-size real GEMMs on the float64 view (the real basis acts on
@@ -344,7 +354,7 @@ def to_basis(basis: _ParityBasis, x: np.ndarray) -> np.ndarray:
     xf = x.view(np.float64)
     half = xf.shape[0] // 2
     mid = xf.shape[0] - half
-    fold = np.empty((xf.shape[0], xf.shape[1]))
+    fold = _fold(grid, xf.shape[0], x.shape[1])
     np.add(xf[:mid], xf[:-mid - 1:-1], out=fold[:mid])              # sums (plus half)
     np.subtract(xf[:half], xf[:-half - 1:-1], out=fold[mid:])
     y = np.empty_like(xf)
@@ -353,11 +363,12 @@ def to_basis(basis: _ParityBasis, x: np.ndarray) -> np.ndarray:
     return y.view(complex)
 
 
-def from_basis(basis: _ParityBasis, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def from_basis(basis: _ParityBasis, y: np.ndarray, grid: MappedGrid,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Q y for split-order coordinates y, the inverse of ``to_basis``; out may be y."""
     yf = y.view(np.float64)
     mid = basis.plus.shape[0]
-    fold = np.empty((2 * mid, yf.shape[1]))
+    fold = _fold(grid, 2 * mid, y.shape[1])
     np.matmul(basis.plus, yf[:mid], out=fold[:mid])
     np.matmul(basis.minus, yf[mid:], out=fold[mid:])
     of = np.empty_like(yf) if out is None else out.view(np.float64)
@@ -466,8 +477,8 @@ def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     if grid.is_flat:
         return _flat_laplacian(c, grid, np.empty_like(c))
     basis = _parity_basis(_sine_basis, grid.n2)
-    out = SineOperator(grid, 0.0, -1.0).apply(to_basis(basis, c))
-    return from_basis(basis, out, out=out)
+    out = SineOperator(grid, 0.0, -1.0).apply(to_basis(basis, c, grid))
+    return from_basis(basis, out, grid, out=out)
 
 
 def widen(ext: np.ndarray, grid: MappedGrid) -> np.ndarray:

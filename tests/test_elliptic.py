@@ -310,7 +310,7 @@ def test_operator_apply_transform_count(monkeypatch, rough, most):
     shapes = _count_transforms(monkeypatch)
     if rough:
         neumann = PoissonNeumann(g)
-        y = to_basis(solver._basis, to_coefficients(rng.standard_normal((g.n1, g.n2 - 2)), g))
+        y = to_basis(solver._basis, to_coefficients(rng.standard_normal((g.n1, g.n2 - 2)), g), g)
         p = to_coefficients(rng.standard_normal(g.shape), g)
         shapes.clear()
         for apply_a, apply_m, b in ((solver._operator.apply, lambda r: r * solver._inv_divisor, y),
@@ -406,7 +406,7 @@ def test_parity_split_eigen_solve_matches_dense(dense, n2):
     x = rng.standard_normal((rows, nk)) + 1j * rng.standard_normal((rows, nk))
     inv = rng.uniform(0.5, 2.0, (rows, nk))
     order = np.r_[0:rows:2, 1:rows:2]                 # the split order of the eigenvalues
-    got = _eigen_solve(basis, x, inv[order])
+    got = _eigen_solve(basis, x, inv[order], MappedGrid(FourierSeries(gamma=1.0), 2 * (nk - 1), n2))
     expected = q @ ((q.T @ x) * inv)
     assert _relmax(got, expected) <= 1e-13
     _, eig = dense(n2)
