@@ -61,6 +61,7 @@ from rbns.grid import (
     from_basis,
     from_coefficients,
     laplacian_of_walls,
+    sine_divisor,
     to_basis,
     to_coefficients,
     widen,
@@ -101,7 +102,7 @@ def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray,
     """
     y = to_basis(basis, x, grid)
     y *= inv_divisor
-    return from_basis(basis, y, grid, out=y)
+    return from_basis(basis, y, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +173,11 @@ class HelmholtzDirichlet:
 
     With c=None the operator is the Poisson one (-L u = -rhs).  The flat
     operator sigma - c (Dxx + a Dzz) is diagonal in the x1 Fourier modes
-    times the x2 sine basis, and construction computes its eigenvalues (the
-    ``divisor`` of ``rbns.grid.SineOperator``) and their reciprocals; ``a``
-    is 1 on flat grids and the mean of 1 + h'^2 on rough ones.  A flat grid
-    solves directly with them; a rough grid runs PCG on sine coordinates
-    with the SineOperator and the reciprocals as its diagonal preconditioner.
+    times the x2 sine basis (``rbns.grid.sine_divisor``: ``a`` is 1 on flat
+    grids and the mean of 1 + h'^2 on rough ones).  A flat grid keeps only
+    the reciprocals of those eigenvalues and solves directly with them; a
+    rough grid builds a ``rbns.grid.SineOperator`` and runs PCG on sine
+    coordinates, with the reciprocals as its diagonal preconditioner.
     """
 
     def __init__(self, grid: MappedGrid, c: float | None, tol: float = 1e-10,
@@ -188,8 +189,12 @@ class HelmholtzDirichlet:
         self._sigma = 0.0 if c is None else 1.0
         self._ceff = 1.0 if c is None else c
         self._basis = _parity_basis(_sine_basis, grid.n2)
-        self._operator = SineOperator(grid, self._sigma, self._ceff)
-        self._inv_divisor = np.reciprocal(self._operator.divisor)
+        if grid.is_flat:
+            self._inv_divisor = sine_divisor(grid, self._sigma, self._ceff)
+            np.reciprocal(self._inv_divisor, out=self._inv_divisor)
+        else:
+            self._operator = SineOperator(grid, self._sigma, self._ceff)
+            self._inv_divisor = np.reciprocal(self._operator.divisor)
 
     def solve(self, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
@@ -214,7 +219,7 @@ class HelmholtzDirichlet:
                            lambda r: np.multiply(r, self._inv_divisor, out=z), b, x0,
                            self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
             del b, x0, z
-            full[:, 1:-1] = from_coefficients(from_basis(self._basis, u, grid, out=u), grid)
+            full[:, 1:-1] = from_coefficients(from_basis(self._basis, u, grid), grid)
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info

@@ -138,6 +138,11 @@ class MappedGrid:
         return tuple((m, c * (self.coeff_scale / self.coeff_scale[self._half_index(m)[0]]))
                      for m, c in sorted(spectrum.items()))
 
+    @functools.cached_property
+    def laplacian(self) -> SineOperator:
+        """L on sine coordinates (rough grids), built on first use and kept."""
+        return SineOperator(self, 0.0, -1.0)
+
     def scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A complex work array of this grid, kept between calls; contents undefined.
 
@@ -363,18 +368,16 @@ def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray
     return y.view(complex)
 
 
-def from_basis(basis: _ParityBasis, y: np.ndarray, grid: MappedGrid,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """Q y for split-order coordinates y, the inverse of ``to_basis``; out may be y."""
+def from_basis(basis: _ParityBasis, y: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Q y for split-order coordinates y, the inverse of ``to_basis``, written over y."""
     yf = y.view(np.float64)
     mid = basis.plus.shape[0]
     fold = _fold(grid, 2 * mid, y.shape[1])
     np.matmul(basis.plus, yf[:mid], out=fold[:mid])
     np.matmul(basis.minus, yf[mid:], out=fold[mid:])
-    of = np.empty_like(yf) if out is None else out.view(np.float64)
-    np.add(fold[:mid], fold[mid:], out=of[:mid])
-    np.subtract(fold[:mid], fold[mid:], out=of[:-mid - 1:-1])       # an odd middle row again
-    return of.view(complex)
+    np.add(fold[:mid], fold[mid:], out=yf[:mid])
+    np.subtract(fold[:mid], fold[mid:], out=yf[:-mid - 1:-1])       # an odd middle row again
+    return y
 
 
 @functools.cache
@@ -412,8 +415,24 @@ def _sine_difference(n2: int) -> tuple[np.ndarray, np.ndarray]:
 # the mapped Laplacian
 # ---------------------------------------------------------------------------
 
+def sine_divisor(grid: MappedGrid, sigma: float, c: float) -> np.ndarray:
+    """sigma + c (k^2 + a lam) in the sine basis' split order, a new (n2-2, nk) array.
+
+    The flat-metric operator sigma - c (Dxx + a Dzz) is diagonal in the x1
+    wavenumbers times the sine basis, with these eigenvalues; a is 1 on
+    flat grids and the mean of 1 + h'^2 on rough ones.
+    """
+    a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+    out = np.add.outer(a * _parity_basis(_sine_basis, grid.n2).eig, grid.k2)
+    out *= c
+    out += sigma
+    return out
+
+
 class SineOperator:
     """sigma - c L on sine coordinates y = S^T v of zero-wall interior rows.
+
+    Rough grids only: flat grids solve directly and apply ``_flat_laplacian``.
 
     v holds the to_coefficients of the interior rows of a field whose wall
     rows are zero (wall data enter through ``laplacian_of_walls``), and S is
@@ -427,7 +446,7 @@ class SineOperator:
     (dx2(-h' dx1 f) = -h' dx1(dx2 f) because h' depends on x1 only).  In
     sine coordinates d2^2 is -diag(lam), and dx1^2 is -k^2.  So the flat
     part and the mean a - 1 of h'^2 (a = mean(1 + h'^2)) give the diagonal
-    ``divisor`` sigma + c (k^2 + a lam), the same array as the flat-metric
+    ``divisor`` (``sine_divisor``), the same array as the flat-metric
     preconditioner divides by.  The rest of h'^2 is a convolution over the
     x1 wavenumbers of lam * y, one multiply-add per grid Fourier term, and
     the two cross terms are the h' convolution of D y, where D = S^T T S
@@ -438,12 +457,8 @@ class SineOperator:
 
     def __init__(self, grid: MappedGrid, sigma: float, c: float):
         self.grid = grid
-        eig = _parity_basis(_sine_basis, grid.n2).eig
-        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
-        self.divisor = np.add.outer(a * eig, grid.k2)
-        self.divisor *= c
-        self.divisor += sigma
-        self._lam = c * eig[:, None]
+        self.divisor = sine_divisor(grid, sigma, c)
+        self._lam = c * _parity_basis(_sine_basis, grid.n2).eig[:, None]
         self._hp2 = tuple((m, w) for m, w in grid.hp2_shifts if m != 0)
         self._cross = tuple((m, -c * w) for m, w in grid.cross_shifts)
 
@@ -451,8 +466,6 @@ class SineOperator:
         """The operator on C-ordered sine coordinates (n2-2, nk): a new array."""
         grid = self.grid
         out = np.multiply(y, self.divisor)
-        if grid.is_flat:
-            return out
         rows, nk = y.shape
         b = grid.band
         ext = grid.scratch("L_tilde", (2, rows, nk + 2 * b))
@@ -477,8 +490,7 @@ def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     if grid.is_flat:
         return _flat_laplacian(c, grid, np.empty_like(c))
     basis = _parity_basis(_sine_basis, grid.n2)
-    out = SineOperator(grid, 0.0, -1.0).apply(to_basis(basis, c, grid))
-    return from_basis(basis, out, grid, out=out)
+    return from_basis(basis, grid.laplacian.apply(to_basis(basis, c, grid)), grid)
 
 
 def widen(ext: np.ndarray, grid: MappedGrid) -> np.ndarray:

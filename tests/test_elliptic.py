@@ -25,7 +25,6 @@ from rbns.grid import (
     d_x2,
     _sine_difference,
     from_coefficients,
-    to_basis,
     to_coefficients,
     volume_integral,
 )
@@ -302,25 +301,31 @@ def _count_transforms(monkeypatch):
 def test_operator_apply_transform_count(monkeypatch, rough, most):
     # x1 transform calls: rough PCG iterations make none, Dirichlet (sine
     # coordinates, diagonal preconditioner) and Neumann (coefficients,
-    # cosine-basis preconditioner) alike; a flat direct solve makes at most
+    # cosine-basis preconditioner) alike, so a solve cut after 4 iterations
+    # makes no more than one cut after 1; a flat direct solve makes at most
     # `most`
     g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
     solver = HelmholtzDirichlet(g, 0.003)
     rng = np.random.default_rng(0)
+    rhs, bottom, top = (rng.standard_normal((g.n1, g.n2 - 2)), rng.standard_normal(g.n1),
+                        rng.standard_normal(g.n1))
     shapes = _count_transforms(monkeypatch)
     if rough:
         neumann = PoissonNeumann(g)
-        y = to_basis(solver._basis, to_coefficients(rng.standard_normal((g.n1, g.n2 - 2)), g), g)
-        p = to_coefficients(rng.standard_normal(g.shape), g)
-        shapes.clear()
-        for apply_a, apply_m, b in ((solver._operator.apply, lambda r: r * solver._inv_divisor, y),
-                                    (neumann.apply, neumann._precondition, p)):
+        p = rng.standard_normal(g.shape)
+        counts = []
+        for maxiter in (1, 4):
+            solver.maxiter = neumann.maxiter = maxiter
+            shapes.clear()
             with pytest.raises(EllipticError):
-                _pcg(apply_a, apply_m, b, None, 1e-15, 3, "counted")
+                solver.solve(rhs, bottom, top)
+            with pytest.raises(EllipticError):
+                neumann.solve(p, 0.0, 0.0)
+            counts.append(len(shapes))
+        assert counts[1] - counts[0] <= most
     else:
-        solver.solve(rng.standard_normal((g.n1, g.n2 - 2)), rng.standard_normal(g.n1),
-                     rng.standard_normal(g.n1))
-    assert len(shapes) <= most
+        solver.solve(rhs, bottom, top)
+        assert len(shapes) <= most
 
 
 def _reference_pcg_solver(solver):
