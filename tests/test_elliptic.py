@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -237,6 +240,20 @@ def test_interior_apply_matches_full_operator_rough(n1):
     g = MappedGrid(TWO_MODES, n1, 33)
     f = np.random.default_rng(n1).standard_normal(g.shape)
     assert _relmax(apply_L_tilde(f, g), _divergence_form_laplacian(f, g)) <= 1e-13
+
+
+def test_rough_grid_freed_without_cycle_collector():
+    # the grid keeps its Laplacian operator; that operator must not keep the
+    # grid, or a dropped grid and its scratch arrays outlive their last use
+    g = MappedGrid(TWO_MODES, 16, 17)
+    apply_L_tilde(np.ones(g.shape), g)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n1", [32, 33])
