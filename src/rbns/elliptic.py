@@ -8,11 +8,10 @@ Three problems back the time stepper and the pressure recovery:
                                               fluxes n.grad(p), mean-zero p
 
 where L is the mapped divergence-form Laplacian.  The Dirichlet problems
-apply it through ``rbns.grid.SineOperator``, which lives in the grid module
-with the other mapped derivatives; the Neumann problem has its own face
-discretization (below).  Dirichlet wall data reach only the two rows next
-to the walls (``rbns.grid.laplacian_of_walls``) and are moved into the
-right-hand side there.
+apply it through ``rbns.grid.SineOperator``; the Neumann problem has its own
+face discretization, applied by ``rbns.grid.CosineOperator``.  Dirichlet
+wall data reach only the two rows next to the walls
+(``rbns.grid.laplacian_of_walls``) and are moved into the right-hand side.
 
 Every solve works on x1-Fourier coefficients in the layout of
 ``rbns.grid.to_coefficients``: x2-major, (rows, n1//2+1) complex.  On a flat
@@ -27,15 +26,17 @@ leaves it out.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
-preconditioned conjugate gradients.  The Dirichlet problems iterate on the
-sine coordinates y = S^T c of the isometric coefficients c; S is
-orthonormal, so PCG makes the same iterates as on c or on grid values.  In
-these coordinates the flat-metric preconditioner (mean x2 coefficient) is
-diagonal, one multiply by the reciprocal of the SineOperator's ``divisor``,
-and an iteration makes two half-size GEMMs and no x1 transform or basis
-change; the basis changes happen once per solve.  The Neumann problem
-iterates on c, with the cosine-basis solve as its preconditioner (four
-half-size GEMMs) and two multiply-adds per Fourier term of h'.
+preconditioned conjugate gradients in the same x2 eigen-coordinates, where
+the flat-metric preconditioner is one multiply by the reciprocal divisor
+and an iteration makes two half-size GEMMs and no transform.  The Dirichlet
+problems iterate on the sine coordinates S^T c of the isometric
+coefficients c (S orthonormal: the iterates of grid-value PCG) and build a
+Crank-Nicolson right-hand side x0 + c L x0 + rhs there, one apply giving
+c L y0 = y0 - A y0 and the first residual.  The Neumann problem iterates on
+cosine coordinates y, p = V y with V^T W V = I; b = V^T b and the warm
+start V^T W p0 make it a congruence of node-coefficient PCG with the
+cosine-basis solve as preconditioner, and its stopping test keeps the node
+norm.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -46,25 +47,26 @@ compatible subspace and the projection defect reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from rbns.grid import (
+    CosineOperator,
     MappedGrid,
     SineOperator,
     _cosine_basis,
     _parity_basis,
     _ParityBasis,
     _sine_basis,
-    convolve,
+    apply_L_tilde,
+    cosine_divisor,
     from_basis,
     from_coefficients,
     laplacian_of_walls,
     sine_divisor,
     to_basis,
     to_coefficients,
-    widen,
     x1_inverse,
     x1_transform,
 )
@@ -85,6 +87,8 @@ class SolveInfo:
     rel_residual: float
     method: str
     compat_defect: float = 0.0
+    # rough Dirichlet solves: the solution's interior sine coordinates
+    coords: np.ndarray | None = field(default=None, repr=False)
 
 
 def default_maxiter(grid: MappedGrid) -> int:
@@ -102,7 +106,7 @@ def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray,
     """
     y = to_basis(basis, x, grid)
     y *= inv_divisor
-    return from_basis(basis, y, grid)
+    return from_basis(basis, y, grid, y)
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +133,31 @@ def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.nd
 # ---------------------------------------------------------------------------
 
 def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
-         tol: float, maxiter: int, name: str) -> tuple[np.ndarray, SolveInfo]:
+         tol: float, maxiter: int, name: str, *, ax0: np.ndarray | None = None,
+         norm=lambda r: float(np.sqrt(np.vdot(r, r).real))) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients; x0, if given, is updated in place.
 
-    apply_m may return the same array at every call: its result is spent
-    before the next call.  Apart from what the two return, the loop allocates
-    nothing.  Norms come from vdot, a third of the time of np.linalg.norm on
-    complex arrays (two strided real dots).
+    ax0, if given, is apply_a(x0).  apply_a and apply_m may return the same
+    buffer at every call; the spent A p takes the x update, so the loop
+    allocates nothing.  norm measures b and r for the stopping test (the
+    default, from vdot, takes a third of the time of np.linalg.norm).
     """
-    bnorm = float(np.sqrt(np.vdot(b, b).real))
+    bnorm = norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, "pcg")
     x = np.zeros_like(b) if x0 is None else x0
-    r = b - apply_a(x)
+    r = b - (apply_a(x) if ax0 is None else ax0)
+    rel = norm(r) / bnorm
     z = apply_m(r)
     p = z.copy()
-    step = np.empty_like(p)
     rz = float(np.vdot(r, z).real)
     for it in range(1, maxiter + 1):
         ap = apply_a(p)
         alpha = rz / float(np.vdot(p, ap).real)
-        x += np.multiply(p, alpha, out=step)
         ap *= alpha
         r -= ap
-        rel = float(np.sqrt(np.vdot(r, r).real)) / bnorm
+        x += np.multiply(p, alpha, out=ap)
+        rel = norm(r) / bnorm
         if rel <= tol:
             return x, SolveInfo(it, rel, "pcg")
         z = apply_m(r)
@@ -197,29 +202,57 @@ class HelmholtzDirichlet:
             self._inv_divisor = np.reciprocal(self._operator.divisor)
 
     def solve(self, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
-              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
+              x0: np.ndarray | None = None, *, crank_nicolson: bool = False,
+              rhs_coords: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
         """Returns the full-field solution (wall rows set to the given traces).
 
         x0, a full field or its interior rows, starts the rough-grid PCG.
+        With crank_nicolson the right-hand side is x0 + c L x0 + rhs_int
+        for the full field x0.  On rough grids rhs_coords, the sine
+        coordinates of rhs_int, stand in for it (and are overwritten), and
+        info.coords holds the solution's sine coordinates.
         """
         grid = self.grid
-        b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
         full = np.empty(grid.shape)
         if grid.is_flat:
+            if crank_nicolson:
+                rhs_int = x0[:, 1:-1] + self.c * apply_L_tilde(x0, grid) + rhs_int
+            b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
             u = _eigen_solve(self._basis, x1_transform(b, grid), self._inv_divisor, grid)
             full[:, 1:-1] = x1_inverse(u, grid)
             info = SolveInfo(1, 0.0, "direct")
         else:
-            b = to_basis(self._basis, to_coefficients(b, grid), grid)
+            basis, op = self._basis, self._operator
+            b = rhs_coords
+            if b is None:
+                b = to_basis(basis, to_coefficients(rhs_int, grid), grid)
+            x = ax = None
             if x0 is not None:
-                x0 = to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape else x0, grid)
-                x0 = to_basis(self._basis, x0, grid)
+                x = to_basis(basis, to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape
+                                                    else x0, grid), grid)
+            ap, walls = np.empty_like(b), (bottom, top)
+            if crank_nicolson:
+                # c L y0 = y0 - A y0: b = 2 y0 - A y0 + rhs + old and new wall terms
+                walls = (bottom + x0[:, 0], top + x0[:, -1])
+                ax = op.apply(x, ap)
+                b += x
+                b += x
+                b -= ax
+            # the wall terms live on the rows next to the walls: their
+            # coordinates are outer(S[0, :], g_bottom) + outer(S[-1, :], g_top)
+            # with S[0, :] = (plus[0], minus[0]), S[-1, :] = (plus[0], -minus[0])
+            g = to_coefficients(np.column_stack(laplacian_of_walls(*walls, grid)), grid)
+            g *= self._ceff
+            mid = basis.plus.shape[0]
+            b[:mid] += np.multiply.outer(basis.plus[0], g[0] + g[1])
+            b[mid:] += np.multiply.outer(basis.minus[0], g[0] - g[1])
             z = np.empty_like(b)
-            u, info = _pcg(self._operator.apply,
-                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, x0,
-                           self.tol, self.maxiter, "helmholtz" if self._sigma else "poisson")
-            del b, x0, z
-            full[:, 1:-1] = from_coefficients(from_basis(self._basis, u, grid), grid)
+            u, info = _pcg(lambda p: op.apply(p, ap),
+                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, x, self.tol,
+                           self.maxiter, "helmholtz" if self._sigma else "poisson", ax0=ax)
+            del b, ap, z
+            info.coords = u
+            full[:, 1:-1] = from_coefficients(from_basis(basis, u, grid, np.empty_like(u)), grid)
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info
@@ -232,15 +265,10 @@ def solve_poisson_dirichlet(rhs: np.ndarray, bottom, top, grid: MappedGrid,
 
     rhs may be a full (n1, n2) array (wall rows ignored) or (n1, n2-2).
     """
-    rhs_int = rhs[:, 1:-1] if rhs.shape == grid.shape else rhs
-    bottom = np.broadcast_to(np.asarray(bottom, dtype=float), (grid.n1,))
-    top = np.broadcast_to(np.asarray(top, dtype=float), (grid.n1,))
-    solver = HelmholtzDirichlet(grid, None, tol, maxiter)
-    # -L u = -rhs
-    return solver.solve(-rhs_int, bottom, top, x0)
+    return solve_helmholtz_dirichlet(None, -rhs, bottom, top, grid, tol, maxiter, x0)  # -L u = -rhs
 
 
-def solve_helmholtz_dirichlet(c: float, rhs: np.ndarray, bottom, top, grid: MappedGrid,
+def solve_helmholtz_dirichlet(c: float | None, rhs: np.ndarray, bottom, top, grid: MappedGrid,
                               tol: float = 1e-10, maxiter: int | None = None,
                               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
     rhs_int = rhs[:, 1:-1] if rhs.shape == grid.shape else rhs
@@ -288,65 +316,19 @@ class PoissonNeumann:
         self.grid = grid
         self.tol = tol
         self.maxiter = maxiter if maxiter is not None else default_maxiter(grid)
-        # Per x1 mode the flat operator is dx1 dx2 (kk Av^T Av + a Gz^T Gz)
-        # = dx1 dx2 (kk W + (a - kk dx2^2/4) Gz^T Gz), since
-        # Av^T Av = W - (dx2^2/4) Gz^T Gz with W = diag(1/2, 1, ..., 1, 1/2):
-        # diagonal in the W-orthonormal cosine basis.  kk is the x1 symbol of
-        # apply(); the skew derivative zeroes the Nyquist mode, so that mode
-        # is singular like k = 0, and an infinite divisor zeroes their kernel
-        # coefficient.
-        a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
         self._basis = _parity_basis(_cosine_basis, grid.n2)
-        kk = np.abs(grid.ik_d1) ** 2
-        self._inv_divisor = np.multiply.outer(self._basis.eig, a - 0.25 * grid.dx2**2 * kk)
-        self._inv_divisor += kk
-        self._inv_divisor *= grid.dx1 * grid.dx2
-        self._inv_divisor[0, kk == 0.0] = np.inf
+        # the x1 modes whose j = 0 coordinate spans the kernel; an infinite
+        # divisor zeroes their reciprocal
+        self._kernel = grid.ik_d1 == 0.0
+        self._inv_divisor = cosine_divisor(grid)
+        self._inv_divisor[0, self._kernel] = np.inf
         np.reciprocal(self._inv_divisor, out=self._inv_divisor)
-
-    # face-scheme operator -------------------------------------------------
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        """A p on node coefficients (n2, nk) in the to_coefficients layout."""
-        grid = self.grid
-        rows, nk = p.shape[0] - 1, p.shape[1]
-        b = grid.band
-        # face gradient: gx = dx1 p averaged to the faces, gz the x2 difference
-        g = np.empty((2, rows, nk + 2 * b), dtype=complex)
-        gx, gz = g[:, :, b:b + nk]
-        np.add(p[1:], p[:-1], out=gx)
-        gx *= 0.5 * grid.ik_d1
-        np.subtract(p[1:], p[:-1], out=gz)
-        gz *= 1.0 / grid.dx2
         if not grid.is_flat:
-            # q1 = gx - h' gz and q2 = -h' gx + (1 + h'^2) gz = gz - h' q1, in
-            # place by convolution with the grid spectrum of h'
-            convolve(gx, widen(g[1], grid), grid.mhp_shifts, grid)
-            convolve(gz, widen(g[0], grid), grid.mhp_shifts, grid)
-        # adjoints, which fold in the weight dx1 dx2: Gx^T = -Dx Av^T (Dx per
-        # face, then averaged to the nodes), and Gz^T the difference
-        # scatter; face j feeds nodes j, j+1
-        dq1, q2 = gx, gz
-        dq1 *= (0.5 * grid.dx1 * grid.dx2) * grid.ik_d1
-        q2 *= grid.dx1
-        out = np.empty(p.shape, dtype=complex)
-        np.subtract(q2, dq1, out=out[1:])
-        out[0] = 0.0
-        out[:-1] -= dq1
-        out[:-1] -= q2
-        return out
+            self._operator = CosineOperator(grid)
 
-    # flat-metric direct solve (the rough-grid preconditioner) --------------
-    def _precondition(self, b: np.ndarray) -> np.ndarray:
-        """Exact flat-operator solve on the compatible subspace, coefficients in and out.
-
-        The singular modes come back with zero mean in x2.
-        """
-        return _remove_kernel(_eigen_solve(self._basis, b, self._inv_divisor, self.grid),
-                              self.grid)
-
-    # front end --------------------------------------------------------------
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
+        """Rough grids: PCG on cosine coordinates (``rbns.grid.CosineOperator``)."""
         grid = self.grid
         flux_bottom = np.broadcast_to(np.asarray(flux_bottom, dtype=float), (grid.n1,))
         flux_top = np.broadcast_to(np.asarray(flux_top, dtype=float), (grid.n1,))
@@ -359,15 +341,35 @@ class PoissonNeumann:
         scale = float(np.sum(np.abs(b)))
         rel_defect = abs(defect) / scale if scale > 0 else 0.0
 
+        basis = self._basis
         if grid.is_flat:
-            p = self._precondition(_remove_kernel(x1_transform(b, grid), grid))
+            b = _remove_kernel(x1_transform(b, grid), grid)
+            p = _remove_kernel(_eigen_solve(basis, b, self._inv_divisor, grid), grid)
             info = SolveInfo(1, 0.0, "direct", rel_defect)
         else:
-            b = _remove_kernel(to_coefficients(b, grid), grid)
-            p, info = _pcg(self.apply, self._precondition, b,
-                           None if x0 is None else to_coefficients(x0, grid),
-                           self.tol, self.maxiter, "neumann")
+            b = to_basis(basis, _remove_kernel(to_coefficients(b, grid), grid), grid)
+            b[0, self._kernel] = 0.0                # the kernel coordinates stay zero
+            y0 = None
+            if x0 is not None:
+                y0 = to_coefficients(x0, grid)
+                y0[[0, -1]] *= 0.5                  # V^T W p0
+                y0 = to_basis(basis, y0, grid)
+            op = self._operator
+            ap, z = np.empty_like(b), np.empty_like(b)
+
+            def node_norm(r):
+                # |W V r|, the stopping test's norm: V^T W^2 V = I - V^T diag(1/4, 0, ..., 0, 1/4) V
+                q = op.wall_rows @ r.view(np.float64)
+                return float(np.sqrt(np.vdot(r, r).real - 0.25 * np.vdot(q, q)))
+
+            y, info = _pcg(lambda q: op.apply(q, ap),
+                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, y0,
+                           self.tol, self.maxiter, "neumann", norm=node_norm)
             info.compat_defect = rel_defect
+            p = from_basis(basis, y, grid, y)
+            if grid.n1 % 2 == 0:
+                # zero W-mean from the coordinates; the node-coefficient PCG gave zero plain mean
+                p[:, -1] -= p[:, -1].mean()
         p[:, 0] -= grid.w2 @ p[:, 0]         # zero volume mean (the weights w2 sum to 1)
         return (x1_inverse if grid.is_flat else from_coefficients)(p, grid), info
 

@@ -42,7 +42,8 @@ with the few grid Fourier terms of h' and h'^2 (``metric_fourier_terms``: 5
 for a single profile mode).  On rough grids ``apply_L_tilde_coeffs`` and
 ``apply_L_tilde`` wrap it for x1 coefficients and grid values, through the
 ``MappedGrid.laplacian`` each grid builds once; flat grids keep the 3-point
-x2 stencil and need no kernel object.
+x2 stencil and need no kernel object.  The Neumann face scheme of the
+pressure solve has its twin, ``CosineOperator``, on cosine coordinates.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class MappedGrid:
     hp2_shifts: tuple = field(init=False)    # h'^2
     cross_shifts: tuple = field(init=False)  # -h' dx1 (.) - dx1 (h' .), times 1/(2 dx2)
     _scratch: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # float64 work array of the basis changes' folds (a scratch lookup costs 1 us)
+    fold: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n1 < 4:
@@ -118,6 +121,7 @@ class MappedGrid:
         if self.n1 % 2 == 0:
             w[-1] = 1.0
         self.coeff_scale = np.sqrt(w / self.n1)
+        self.fold = np.empty((self.n2 + 1, 2 * k.size))
         self.is_flat = self.profile.is_flat
         hp_hat, hp2_hat = metric_spectra(self.profile, self.n1)
         self.band = max((abs(m) for m in (*hp_hat, *hp2_hat)), default=0)
@@ -342,20 +346,13 @@ def _parity_basis(dense, n2: int) -> _ParityBasis:
     plus_in, minus = plus.copy(), np.ascontiguousarray(q[:mid, 1::2])
     plus_in[half:] *= 0.5
     minus[half:] = 0.0
-    parts = (plus, plus_in, minus, np.concatenate([eig[0::2], eig[1::2]]))
+    return _ParityBasis(*_read_only(plus, plus_in, minus, np.concatenate([eig[0::2], eig[1::2]])))
+
+
+def _read_only(*parts: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in parts:
         a.setflags(write=False)
-    return _ParityBasis(*parts)
-
-
-def _fold(grid: MappedGrid, rows: int, nk: int) -> np.ndarray:
-    """The (rows, 2 nk) float64 work array of the mirror folds, from grid.scratch.
-
-    One buffer of n2 + 1 rows serves both bases and both directions, so
-    the basis changes allocate no temporary (freeing one every call let
-    the C heap trim its pages and fault them in again).
-    """
-    return grid.scratch("fold", (grid.n2 + 1, nk))[:rows].view(np.float64)
+    return parts
 
 
 def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -368,7 +365,7 @@ def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray
     xf = x.view(np.float64)
     half = xf.shape[0] // 2
     mid = xf.shape[0] - half
-    fold = _fold(grid, xf.shape[0], x.shape[1])
+    fold = grid.fold[:xf.shape[0]]
     np.add(xf[:mid], xf[:-mid - 1:-1], out=fold[:mid])              # sums (plus half)
     np.subtract(xf[:half], xf[:-half - 1:-1], out=fold[mid:])
     y = np.empty_like(xf)
@@ -377,16 +374,16 @@ def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray
     return y.view(complex)
 
 
-def from_basis(basis: _ParityBasis, y: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Q y for split-order coordinates y, the inverse of ``to_basis``, written over y."""
-    yf = y.view(np.float64)
+def from_basis(basis: _ParityBasis, y: np.ndarray, grid: MappedGrid, out: np.ndarray) -> np.ndarray:
+    """Q y for split-order coordinates y, the inverse of ``to_basis``, written into out (may be y)."""
+    yf, of = y.view(np.float64), out.view(np.float64)
     mid = basis.plus.shape[0]
-    fold = _fold(grid, 2 * mid, y.shape[1])
+    fold = grid.fold[:2 * mid]
     np.matmul(basis.plus, yf[:mid], out=fold[:mid])
     np.matmul(basis.minus, yf[mid:], out=fold[mid:])
-    np.add(fold[:mid], fold[mid:], out=yf[:mid])
-    np.subtract(fold[:mid], fold[mid:], out=yf[:-mid - 1:-1])       # an odd middle row again
-    return y
+    np.add(fold[:mid], fold[mid:], out=of[:mid])
+    np.subtract(fold[:mid], fold[mid:], out=of[:-mid - 1:-1])       # an odd middle row again
+    return out
 
 
 @functools.cache
@@ -414,10 +411,29 @@ def _sine_difference(n2: int) -> tuple[np.ndarray, np.ndarray]:
         cot_sum = 1.0 / np.tan(a * np.add.outer(k, j)) + 1.0 / np.tan(a * np.subtract.outer(k, j))
         return (2.0 / n) * np.sin(2.0 * a * j) * cot_sum
 
-    parts = (block(odd, even), block(even, odd))
-    for p in parts:
-        p.setflags(write=False)
-    return parts
+    return _read_only(block(odd, even), block(even, odd))
+
+
+@functools.cache
+def _cosine_difference(n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """E = V^T T' V in the cosine basis' split order, blocks as by ``_sine_difference``.
+
+    T' is p_{i+1} - p_{i-1} inside, p_1 - p_0 and p_n - p_{n-1} on the walls.
+    With n = n2 - 1 and V's column scales s_j = sqrt(2/n) (sqrt(1/n) for j = 0,
+    n), E[k, j] = s_k s_j [-sin(pi j/n) (cot(pi (j+k)/2n) + cot(pi (j-k)/2n))
+    - 4 sin^2(pi j/2n)] when j + k is odd and zero otherwise.
+    """
+    n = n2 - 1
+    even, odd = np.arange(0, n2, 2), np.arange(1, n2, 2)
+    a = 0.5 * np.pi / n
+
+    def block(k, j):
+        cot_sum = 1.0 / np.tan(a * np.add.outer(k, j)) - 1.0 / np.tan(a * np.subtract.outer(k, j))
+        e = -np.sin(2.0 * a * j) * cot_sum - 4.0 * np.sin(a * j) ** 2
+        s_k, s_j = (np.where((i == 0) | (i == n), np.sqrt(1.0 / n), np.sqrt(2.0 / n)) for i in (k, j))
+        return np.multiply.outer(s_k, s_j) * e
+
+    return _read_only(block(even, odd), block(odd, even))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +454,40 @@ def sine_divisor(grid: MappedGrid, sigma: float, c: float) -> np.ndarray:
     return out
 
 
-class SineOperator:
+class _EigenOperator:
+    """divisor * y + (h'^2 - mean) conv (lam * y) + cross conv (D y) on x2 eigen-coordinates.
+
+    The form of both rough-wall kernels; D, the x2 difference in the basis,
+    couples opposite parities only (two half-size GEMMs).
+    """
+
+    def __init__(self, grid: MappedGrid, divisor, lam, cross: float, difference):
+        self.grid = grid
+        self.divisor = divisor
+        self._lam = lam[:, None]
+        self._hp2 = tuple((m, w) for m, w in grid.hp2_shifts if m != 0)
+        self._cross = tuple((m, cross * w) for m, w in grid.cross_shifts)
+        self._difference = difference
+
+    def apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The operator on C-ordered coordinates (rows, nk), written into out (may be y)."""
+        grid = self.grid
+        rows, nk = y.shape
+        b = grid.band
+        ext = grid.scratch("metric", (2, rows, nk + 2 * b))
+        np.multiply(y, self._lam, out=ext[0, :, b:b + nk])
+        plus_from_minus, minus_from_plus = self._difference
+        mid = plus_from_minus.shape[0]
+        yf, dy = y.view(np.float64), ext[1, :, b:b + nk].view(np.float64)
+        np.matmul(plus_from_minus, yf[mid:], out=dy[:mid])
+        np.matmul(minus_from_plus, yf[:mid], out=dy[mid:])
+        np.multiply(y, self.divisor, out=out)
+        widen(ext, grid)
+        convolve(out, ext[0], self._hp2, grid)
+        return convolve(out, ext[1], self._cross, grid)
+
+
+class SineOperator(_EigenOperator):
     """sigma - c L on sine coordinates y = S^T v of zero-wall interior rows.
 
     Rough grids only: flat grids solve directly and apply ``_flat_laplacian``.
@@ -453,40 +502,69 @@ class SineOperator:
         L f = dx1^2 f + d2^2 f + h'^2 d2^2 f - h' dx1(d2 f) - dx1(h' d2 f)
 
     (dx2(-h' dx1 f) = -h' dx1(dx2 f) because h' depends on x1 only).  In
-    sine coordinates d2^2 is -diag(lam), and dx1^2 is -k^2.  So the flat
-    part and the mean a - 1 of h'^2 (a = mean(1 + h'^2)) give the diagonal
-    ``divisor`` (``sine_divisor``), the same array as the flat-metric
-    preconditioner divides by.  The rest of h'^2 is a convolution over the
-    x1 wavenumbers of lam * y, one multiply-add per grid Fourier term, and
-    the two cross terms are the h' convolution of D y, where D = S^T T S
-    is the x2 difference in this basis (``_sine_difference``: two half-size
-    GEMMs).  First derivatives use ik with the Nyquist mode zeroed and the
-    second derivative the full k^2, as in d_x1 and d2_x1.
+    sine coordinates d2^2 is -diag(lam) and dx1^2 is -k^2, so the flat part
+    and the mean of h'^2 give ``sine_divisor``, the array the flat-metric
+    preconditioner divides by, and the cross terms act on D y with
+    D = S^T T S (``_sine_difference``).  First derivatives use ik with the
+    Nyquist mode zeroed and the second derivative the full k^2, as in d_x1
+    and d2_x1.
     """
 
     def __init__(self, grid: MappedGrid, sigma: float, c: float):
-        self.grid = grid
-        self.divisor = sine_divisor(grid, sigma, c)
-        self._lam = c * _parity_basis(_sine_basis, grid.n2).eig[:, None]
-        self._hp2 = tuple((m, w) for m, w in grid.hp2_shifts if m != 0)
-        self._cross = tuple((m, -c * w) for m, w in grid.cross_shifts)
+        super().__init__(grid, sine_divisor(grid, sigma, c),
+                         c * _parity_basis(_sine_basis, grid.n2).eig, -c, _sine_difference(grid.n2))
 
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """The operator on C-ordered sine coordinates (n2-2, nk): a new array."""
-        grid = self.grid
-        out = np.multiply(y, self.divisor)
-        rows, nk = y.shape
+
+def cosine_divisor(grid: MappedGrid) -> np.ndarray:
+    """dx1 dx2 (kk + (a - kk dx2^2/4) mu) in the cosine basis' split order, a new (n2, nk) array.
+
+    The flat-metric Neumann operator dx1 dx2 (kk Av^T Av + a Gz^T Gz) per x1
+    mode, diagonal in this basis as Av^T Av = W - (dx2^2/4) Gz^T Gz; zero in
+    row 0 (mu = 0) where kk = |ik|^2 is: k = 0 and the even-n1 Nyquist mode.
+    """
+    a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+    kk = np.abs(grid.ik_d1) ** 2
+    out = np.multiply.outer(_parity_basis(_cosine_basis, grid.n2).eig, a - 0.25 * grid.dx2**2 * kk)
+    out += kk
+    out *= grid.dx1 * grid.dx2
+    return out
+
+
+class CosineOperator(_EigenOperator):
+    """The Neumann face-scheme operator V^T A V on cosine coordinates y (rough grids).
+
+    p = V y are node coefficients (V^T W V = I).  A = dx1 dx2 G^T C G, with
+    (Gx, Gz) = (Dx Av, Gz) the face average and difference and C the metric
+    [[1, -h'], [-h', 1 + h'^2]]; V^T Gz^T Gz V = diag(mu).  As
+    Av^T Gz + Gz^T Av = diag(-1, 0, ..., 0, 1)/dx2, the cross terms are the
+    ``cross_shifts`` convolution of E y (E = V^T (2 dx2 Av^T Gz) V) plus the
+    rank-two wall term dx1 (V[0, :]^T h' Dx p_0 - V[n, :]^T h' Dx p_n) of the
+    wall rows (p_0, p_n) = ``wall_rows`` y.
+    """
+
+    def __init__(self, grid: MappedGrid):
+        basis = _parity_basis(_cosine_basis, grid.n2)
+        w = grid.dx1 * grid.dx2
+        super().__init__(grid, cosine_divisor(grid), w * basis.eig, -w, _cosine_difference(grid.n2))
+        # dx1 h' Dx: the -h' weights times -dx1 ik at the source wavenumber
+        self._wall = tuple((m, -grid.dx1 * c * grid._ik_shifted(m)) for m, c in grid.mhp_shifts)
+        v0, vn = (np.concatenate([basis.plus[0], s * basis.minus[0]]) for s in (1.0, -1.0))
+        self.wall_rows = np.stack([v0, vn])        # V[0, :] and V[n, :] by parity
+        self._wall_cols = np.stack([v0, -vn], axis=1)
+
+    def apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The operator on C-ordered cosine coordinates (n2, nk), written into out (not y)."""
+        super().apply(y, out)
+        grid, nk = self.grid, y.shape[1]
         b = grid.band
-        ext = grid.scratch("L_tilde", (2, rows, nk + 2 * b))
-        np.multiply(y, self._lam, out=ext[0, :, b:b + nk])
-        plus_from_minus, minus_from_plus = _sine_difference(grid.n2)
-        mid = plus_from_minus.shape[0]
-        yf, dy = y.view(np.float64), ext[1, :, b:b + nk].view(np.float64)
-        np.matmul(plus_from_minus, yf[mid:], out=dy[:mid])
-        np.matmul(minus_from_plus, yf[:mid], out=dy[mid:])
-        widen(ext, grid)
-        convolve(out, ext[0], self._hp2, grid)
-        return convolve(out, ext[1], self._cross, grid)
+        lines = grid.scratch("wall_lines", (2, nk + 2 * b))
+        np.matmul(self.wall_rows, y.view(np.float64), out=lines[:, b:b + nk].view(np.float64))
+        wall = grid.scratch("wall_terms", (2, nk))
+        wall[:] = 0.0
+        convolve(wall, widen(lines, grid), self._wall, grid)
+        tmp = grid.scratch("wall_rank_two", y.shape)
+        out += np.matmul(self._wall_cols, wall.view(np.float64), out=tmp.view(np.float64)).view(complex)
+        return out
 
 
 def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -499,7 +577,8 @@ def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     if grid.is_flat:
         return _flat_laplacian(c, grid, np.empty_like(c))
     basis = _parity_basis(_sine_basis, grid.n2)
-    return from_basis(basis, grid.laplacian.apply(to_basis(basis, c, grid)), grid)
+    y = to_basis(basis, c, grid)
+    return from_basis(basis, grid.laplacian.apply(y, y), grid, y)
 
 
 def widen(ext: np.ndarray, grid: MappedGrid) -> np.ndarray:

@@ -248,25 +248,24 @@ class BoussinesqStepper:
             expl_w = c1 * n_w + c2 * state.prev_expl_omega
             expl_t = c1 * n_t + c2 * state.prev_expl_temp
 
-        c_w = 0.5 * pr * dt
-        c_t = 0.5 * dt
-        rhs_w = state.omega[:, 1:-1] + c_w * apply_L_tilde(state.omega, grid) + dt * expl_w
-        rhs_t = state.temp[:, 1:-1] + c_t * apply_L_tilde(state.temp, grid) + dt * expl_t
-
-        temp_new, _ = HelmholtzDirichlet(grid, c_t, self.solver_tol).solve(
-            rhs_t, self.t_bottom, self.t_top, x0=state.temp)
+        # Crank-Nicolson: (I - c L) f_new = f + c L f + dt expl, assembled by the solver
+        temp_new = HelmholtzDirichlet(grid, 0.5 * dt, self.solver_tol).solve(
+            dt * expl_t, self.t_bottom, self.t_top, x0=state.temp, crank_nicolson=True)[0]
 
         u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
-        helm_w = HelmholtzDirichlet(grid, c_w, self.solver_tol)
+        helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt, self.solver_tol)
         for sweep in range(self.coupling_sweeps + 1):
             w_b = boundary_vorticity(u_tau[0], self.bottom)
             w_t = boundary_vorticity(u_tau[1], self.top)
-            omega_new, _ = helm_w.solve(rhs_w, w_b, w_t, x0=state.omega)
-            psi_new, _ = self.poisson.solve(
+            omega_new, info = helm_w.solve(dt * expl_w, w_b, w_t, x0=state.omega, crank_nicolson=True)
+            # rough grids: the psi right-hand side's sine coordinates are minus omega_new's
+            w_hat, info = info.coords, None
+            psi_new = self.poisson.solve(
                 -omega_new[:, 1:-1], np.zeros(grid.n1), np.full(grid.n1, psi_top),
-                x0=state.psi)
+                x0=state.psi, rhs_coords=None if w_hat is None else np.negative(w_hat, out=w_hat))[0]
+            w_hat = None
             u1, u2 = self._velocity(psi_new)
             u_tau_new = self.wall_u_tau(u1, u2)
             delta = max(float(np.max(np.abs(new - old))) for new, old in zip(u_tau_new, u_tau))

@@ -13,6 +13,7 @@ from rbns.elliptic import (
     _eigen_solve,
     _parity_basis,
     _pcg,
+    _remove_kernel,
     _sine_basis,
     solve_helmholtz_dirichlet,
     solve_poisson_dirichlet,
@@ -23,13 +24,17 @@ from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
     apply_L_tilde_coeffs,
+    convolve,
+    cosine_divisor,
     d2_x1,
     d_x1,
     d_x2,
+    _cosine_difference,
     _sine_difference,
     from_coefficients,
     to_coefficients,
     volume_integral,
+    widen,
 )
 
 # two wall modes, so h' and h'' are not single harmonics
@@ -209,18 +214,61 @@ def _dot(a, b):
     return float(np.vdot(a, b).real)
 
 
+def _face_neumann_apply(p, g):
+    """The Neumann face-scheme operator A = G^T C G on node coefficients (n2, nk).
+
+    The node-coefficient form of the operator the rough Neumann solve
+    iterates on in cosine coordinates: gx = Dx Av p and gz = Gz p on the x2
+    cell faces, q1 = gx - h' gz and q2 = -h' gx + (1 + h'^2) gz by
+    convolution, then the adjoints with the weight dx1 dx2.
+    """
+    rows, nk = p.shape[0] - 1, p.shape[1]
+    b = g.band
+    faces = np.empty((2, rows, nk + 2 * b), dtype=complex)
+    gx, gz = faces[:, :, b:b + nk]
+    np.add(p[1:], p[:-1], out=gx)
+    gx *= 0.5 * g.ik_d1
+    np.subtract(p[1:], p[:-1], out=gz)
+    gz *= 1.0 / g.dx2
+    gx, gz = gx.copy(), gz.copy()
+    if not g.is_flat:
+        # q1 = gx - h' gz and q2 = -h' gx + (1 + h'^2) gz = gz - h' q1
+        convolve(gx, widen(faces[1], g), g.mhp_shifts, g)
+        faces[0, :, b:b + nk] = gx
+        convolve(gz, widen(faces[0], g), g.mhp_shifts, g)
+    dq1 = gx * ((0.5 * g.dx1 * g.dx2) * g.ik_d1)
+    q2 = gz * g.dx1
+    out = np.zeros(p.shape, dtype=complex)
+    out[1:] += q2 - dq1
+    out[:-1] -= dq1 + q2
+    return out
+
+
+def _split_cosine_basis(n2):
+    """Dense W-orthonormal V with its columns in the split order of to_basis."""
+    v, _ = _cosine_basis(n2)
+    return v[:, np.r_[0:n2:2, 1:n2:2]]
+
+
+def _cosine_apply(g, y):
+    return PoissonNeumann(g)._operator.apply(y, np.empty_like(y))
+
+
 def test_neumann_operator_symmetry(sine_profile):
+    # the cosine-coordinate operator (a congruence of the node operator)
     g = MappedGrid(sine_profile, 16, 17)
-    solver = PoissonNeumann(g)
     rng = np.random.default_rng(2)
     u = to_coefficients(rng.standard_normal(g.shape), g)
     v = to_coefficients(rng.standard_normal(g.shape), g)
-    a = _dot(v, solver.apply(u))
-    b = _dot(u, solver.apply(v))
+    a = _dot(v, _cosine_apply(g, u))
+    b = _dot(u, _cosine_apply(g, v))
     assert abs(a - b) <= 1e-11 * max(abs(a), 1.0)
-    # positive semidefinite with constants in the kernel
-    assert _dot(u, solver.apply(u)) >= -1e-12
-    assert np.abs(solver.apply(to_coefficients(np.ones(g.shape), g))).max() <= 1e-12
+    # positive semidefinite with the constants (coordinate j = 0 at k = 0)
+    # and the x2-constant Nyquist mode in the kernel
+    assert _dot(u, _cosine_apply(g, u)) >= -1e-12
+    kernel = np.zeros_like(u)
+    kernel[0, 0] = kernel[0, -1] = 1.0
+    assert np.abs(_cosine_apply(g, kernel)).max() <= 1e-12
 
 
 def test_nonconvergence_raises(sine_profile):
@@ -278,12 +326,11 @@ def test_dirichlet_rhs_is_operator_of_wall_field(n1, rough):
 
 @pytest.mark.parametrize("n1", [16, 15])
 def test_rough_neumann_operator_symmetric_to_rounding(n1):
-    # the face-scheme operator on isometric coefficients
+    # the cosine-coordinate operator
     g = MappedGrid(TWO_MODES, n1, 17)
-    solver = PoissonNeumann(g)
     rng = np.random.default_rng(n1)
     u, v = (to_coefficients(rng.standard_normal(g.shape), g) for _ in range(2))
-    au, av = solver.apply(u), solver.apply(v)
+    au, av = _cosine_apply(g, u), _cosine_apply(g, v)
     scale = float(np.sum(np.abs(v.conj() * au)))
     assert abs(_dot(v, au) - _dot(u, av)) <= 1e-14 * scale
 
@@ -317,10 +364,9 @@ def _count_transforms(monkeypatch):
 @pytest.mark.parametrize("rough, most", [(False, 2), (True, 0)])
 def test_operator_apply_transform_count(monkeypatch, rough, most):
     # x1 transform calls: rough PCG iterations make none, Dirichlet (sine
-    # coordinates, diagonal preconditioner) and Neumann (coefficients,
-    # cosine-basis preconditioner) alike, so a solve cut after 4 iterations
-    # makes no more than one cut after 1; a flat direct solve makes at most
-    # `most`
+    # coordinates) and Neumann (cosine coordinates) alike, each with its
+    # diagonal preconditioner, so a solve cut after 4 iterations makes no
+    # more than one cut after 1; a flat direct solve makes at most `most`
     g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
     solver = HelmholtzDirichlet(g, 0.003)
     rng = np.random.default_rng(0)
@@ -388,10 +434,15 @@ def test_rough_pcg_iterations_match_grid_value_reference(monkeypatch):
     solve = HelmholtzDirichlet.solve
     counts = []
 
-    def recorded(self, rhs_int, bottom, top, x0=None):
-        out, info = solve(self, rhs_int, bottom, top, x0)
+    def recorded(self, rhs_int, bottom, top, x0=None, **kwargs):
+        # the reference assembles the grid-value right-hand side itself,
+        # before the solve may overwrite the coordinates it was handed
+        rhs = rhs_int
+        if kwargs.get("crank_nicolson"):
+            rhs = x0[:, 1:-1] + self.c * _divergence_form_laplacian(x0, grid) + rhs_int
+        b = _dirichlet_rhs(self._ceff, rhs, bottom, top, grid)
+        out, info = solve(self, rhs_int, bottom, top, x0, **kwargs)
         apply, precondition = _reference_pcg_solver(self)
-        b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
         _, ref = _pcg(apply, precondition, b, x0[:, 1:-1].copy(), self.tol, self.maxiter,
                       "reference")
         counts.append((info.iterations, ref.iterations))
@@ -463,7 +514,7 @@ def _fft_apply_L_tilde_coeffs(c, g):
 
 
 def _fft_neumann_apply(p, g):
-    """Rough PoissonNeumann.apply with q1 = gx - h' gz, q2 = gz - h' gx + h'^2 gz on the grid."""
+    """Rough _face_neumann_apply with q1 = gx - h' gz, q2 = gz - h' gx + h'^2 gz on the grid."""
     gx = 0.5 * g.ik_d1 * (p[1:] + p[:-1]) / g.coeff_scale
     gz = (p[1:] - p[:-1]) / (g.dx2 * g.coeff_scale)
     fx, fz = np.fft.irfft(np.stack([gx, gz]), n=g.n1, axis=-1)
@@ -492,8 +543,9 @@ def test_metric_convolutions_match_grid_products(profile, n1):
     f = rng.standard_normal(g.shape)
     c = to_coefficients(f[:, 1:-1], g)
     assert _relmax(apply_L_tilde_coeffs(c, g), _fft_apply_L_tilde_coeffs(c, g)) <= 1e-13
-    p = to_coefficients(f, g)
-    assert _relmax(PoissonNeumann(g).apply(p), _fft_neumann_apply(p, g)) <= 1e-13
+    y = to_coefficients(f, g)
+    v = _split_cosine_basis(g.n2)
+    assert _relmax(_cosine_apply(g, y), v.T @ _fft_neumann_apply(v @ y, g)) <= 1e-13
     # h' and h'^2 sampled on the grid have exactly the stored number of DFT terms
     hp_hat = np.fft.fft(g.hp) / n1
     a_hat = np.fft.fft(g.hp**2) / n1
@@ -541,6 +593,120 @@ def test_sine_operator_matches_divergence_form(profile, n1, c):
     f[:, 1:-1] = np.random.default_rng(n1).standard_normal((n1, g.n2 - 2))
     s = _split_sine_basis(g.n2)
     y = s.T @ to_coefficients(f[:, 1:-1], g)
-    got = from_coefficients(s @ solver._operator.apply(y), g)
+    got = from_coefficients(s @ solver._operator.apply(y, np.empty_like(y)), g)
     expected = sigma * f[:, 1:-1] - ceff * _divergence_form_laplacian(f, g)
     assert _relmax(got, expected) <= 1e-12
+
+
+@pytest.mark.parametrize("n2", [9, 10, 33, 64, 65, 129])
+def test_cosine_difference_matches_dense(n2):
+    # the closed-form E = V^T T' V against the dense product, T' the node
+    # difference (centred inside, one-sided on the wall nodes)
+    v = _split_cosine_basis(n2)
+    t = np.eye(n2, k=1) - np.eye(n2, k=-1)
+    t[0, 0], t[-1, -1] = -1.0, 1.0
+    dense = v.T @ t @ v
+    mid = n2 - n2 // 2
+    plus_from_minus, minus_from_plus = _cosine_difference(n2)
+    assert np.abs(plus_from_minus - dense[:mid, mid:]).max() <= 1e-14
+    assert np.abs(minus_from_plus - dense[mid:, :mid]).max() <= 1e-14
+    assert np.abs(dense[:mid, :mid]).max() <= 1e-14
+    assert np.abs(dense[mid:, mid:]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("profile", [FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1),)),
+                                     TWO_MODES, FOUR_MODES], ids=["1mode", "2modes", "4modes"])
+@pytest.mark.parametrize("n1", [32, 33])
+@pytest.mark.parametrize("n2", [17, 18])
+def test_cosine_operator_matches_face_scheme(profile, n1, n2):
+    # the kernel on cosine coordinates is V^T A V for the node-coefficient
+    # face-scheme operator A and dense V
+    g = MappedGrid(profile, n1, n2)
+    y = to_coefficients(np.random.default_rng(n1 + n2).standard_normal(g.shape), g)
+    v = _split_cosine_basis(n2)
+    assert _relmax(_cosine_apply(g, y), v.T @ _face_neumann_apply(v @ y, g)) <= 1e-12
+
+
+def _node_neumann_pcg(g, rhs, flux_bottom, flux_top, x0, tol):
+    """The rough Neumann solve as PCG on node coefficients.
+
+    Face-scheme operator, the cosine-basis solve of the flat-metric operator
+    as preconditioner (singular modes returned with zero plain x2 mean),
+    plain norms: the formulation the cosine-coordinate PCG is a congruence of.
+    """
+    basis = _parity_basis(_cosine_basis, g.n2)
+    inv = cosine_divisor(g)
+    inv[0, g.ik_d1 == 0.0] = np.inf
+    inv = 1.0 / inv
+    b = -g.dx1 * g.w2 * rhs
+    b[:, 0] += g.dx1 * g.ds_weight * flux_bottom
+    b[:, -1] += g.dx1 * g.ds_weight * flux_top
+    b = _remove_kernel(to_coefficients(b, g), g)
+    p, info = _pcg(lambda q: _face_neumann_apply(q, g),
+                   lambda r: _remove_kernel(_eigen_solve(basis, r, inv, g), g),
+                   b, None if x0 is None else to_coefficients(x0, g), tol, 10_000, "reference")
+    p[:, 0] -= g.w2 @ p[:, 0]
+    return from_coefficients(p, g), info
+
+
+@pytest.mark.parametrize("n1", [32, 33])
+def test_rough_neumann_iterations_match_node_reference(n1):
+    # the same iterations as the node-coefficient PCG and the same pressure,
+    # from a zero start and warm-started from a nearby solution
+    g = MappedGrid(TWO_MODES, n1, 33)
+    rng = np.random.default_rng(n1)
+    x1, x2 = g.x1[:, None], g.x2[None, :]
+    rhs = np.cos(2 * np.pi * x1) * np.cos(np.pi * x2) + 0.1 * rng.standard_normal(g.shape)
+    flux_bottom, flux_top = 0.3 * np.sin(2 * np.pi * g.x1), 0.2 * np.cos(4 * np.pi * g.x1)
+    solver = PoissonNeumann(g)
+    previous, _ = solver.solve(1.1 * rhs, flux_bottom, flux_top)
+    for x0 in (None, previous):
+        got, info = solver.solve(rhs, flux_bottom, flux_top, x0=x0)
+        expected, ref = _node_neumann_pcg(g, rhs, flux_bottom, flux_top, x0, solver.tol)
+        assert info.iterations > 5
+        assert info.iterations == ref.iterations
+        assert _relmax(got, expected) <= 1e-10
+        assert abs(volume_integral(got, g)) <= 1e-13 * np.abs(got).max()
+
+
+def test_pcg_without_iterations_raises_elliptic_error():
+    # maxiter < 1 reports the initial residual instead of failing on it
+    g = MappedGrid(FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1),)), 16, 17)
+    rng = np.random.default_rng(3)
+    with pytest.raises(EllipticError) as err:
+        solve_poisson_dirichlet(rng.standard_normal(g.shape), 0.0, 0.0, g, maxiter=0)
+    assert err.value.iterations == 0 and err.value.rel_residual == pytest.approx(1.0)
+    with pytest.raises(EllipticError) as err:
+        PoissonNeumann(g, maxiter=0).solve(rng.standard_normal(g.shape), 0.0, 0.0)
+    assert err.value.iterations == 0 and err.value.rel_residual == pytest.approx(1.0)
+
+
+def test_rough_step_full_size_transform_count(monkeypatch):
+    # full-size x1 transforms of one rough step, its state derivatives
+    # included: the two gradients, the two advective fluxes and the new
+    # velocity (one rfft and one irfft each), and per Helmholtz solve the
+    # old field and the explicit terms into sine coordinates (two rfft)
+    # and the solution back (one irfft); the psi solve transforms only its
+    # starting guess and its solution.  Wall lines are not counted.
+    from rbns.config import RunConfig
+    from rbns.runner import build_stepper, initial_stream_function, initial_temperature
+
+    cfg = RunConfig()
+    cfg.geometry.modes = ((1, 0.0, 0.1),)
+    cfg.grid.n1, cfg.grid.n2 = 32, 33
+    cfg.initial.u0_amplitude = 1.0
+    stepper = build_stepper(cfg)
+    state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
+                                      initial_stream_function(cfg, stepper.grid))
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            if min(np.shape(a)) > 4:
+                calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    stepper.step(state, 2e-4, stepper.state_derivatives(state))
+    assert (calls.count("rfft"), calls.count("irfft")) == (10, 8)
