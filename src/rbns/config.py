@@ -144,7 +144,7 @@ class BoundsConfig:
 class OutputConfig:
     directory: str = "runs/latest"
     precision: int = 17
-    pressure_every: int = 1   # recover pressure every N-th sample
+    pressure_every: int = 1   # recover pressure every N-th sample; 0 never
 
 
 @dataclass
@@ -290,8 +290,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[bounds] background_delta: must lie in (0, 1/2], got {b.background_delta}")
     if cfg.output.precision < 1:
         raise ConfigError(f"[output] precision: must be >= 1, got {cfg.output.precision}")
-    if cfg.output.pressure_every < 1:
-        raise ConfigError(f"[output] pressure_every: must be >= 1, got {cfg.output.pressure_every}")
+    if cfg.output.pressure_every < 0:
+        raise ConfigError(f"[output] pressure_every: must be >= 0, got {cfg.output.pressure_every}")
     # confirm the wall shapes construct (raises on bad series)
     cfg.geometry.profile()
     alphas = cfg.boundary.series(cfg.geometry.gamma)

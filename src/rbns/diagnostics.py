@@ -436,6 +436,12 @@ class Recorder:
         # end samples carry one-sided d/dt stencils; they are still included
         return float(np.mean(np.abs(res[sel]))) if np.any(sel) else float("nan")
 
+    def pressure_defect_max(self) -> float:
+        """Largest Neumann compatibility defect over the samples; NaN if none recovered pressure."""
+        defects = self.column("pressure_defect")
+        defects = defects[np.isfinite(defects)]
+        return float(np.max(defects)) if defects.size else float("nan")
+
     def final_enstrophy_residual(self) -> float:
         res = [r["enstrophy_residual"] for r in self.records
                if np.isfinite(r["enstrophy_residual"])]

@@ -22,7 +22,8 @@ Dirichlet rows, cosine for the Neumann nodes), so a solve is one forward
 transform, ``to_basis``, one elementwise product with the reciprocal
 eigenvalues, ``from_basis`` and one inverse transform.  The isometric
 scaling of the coefficients commutes with that solve, so the direct path
-leaves it out.
+leaves it out, and a flat Crank-Nicolson right-hand side x0 + c L x0 + rhs
+is built in the same coefficients (``rbns.grid._flat_laplacian``).
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
@@ -42,7 +43,9 @@ The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
 makes the operator symmetric positive semidefinite with constants as its
 kernel by construction; the right-hand side is projected onto the
-compatible subspace and the projection defect reported.
+compatible subspace and the projection defect reported
+(``SolveInfo.compat_defect``; a run writes its largest value to
+run_summary.txt as ``pressure_defect_max``).
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ from rbns.grid import (
     _cosine_basis,
     _parity_basis,
     _ParityBasis,
+    _flat_laplacian,
     _sine_basis,
-    apply_L_tilde,
     cosine_divisor,
     from_basis,
     from_coefficients,
@@ -214,11 +217,19 @@ class HelmholtzDirichlet:
         """
         grid = self.grid
         full = np.empty(grid.shape)
+        walls = (bottom, top)
+        if crank_nicolson:
+            walls = (bottom + x0[:, 0], top + x0[:, -1])    # the old and the new traces
         if grid.is_flat:
+            b = x1_transform(_dirichlet_rhs(self._ceff, rhs_int, *walls, grid), grid)
             if crank_nicolson:
-                rhs_int = x0[:, 1:-1] + self.c * apply_L_tilde(x0, grid) + rhs_int
-            b = _dirichlet_rhs(self._ceff, rhs_int, bottom, top, grid)
-            u = _eigen_solve(self._basis, x1_transform(b, grid), self._inv_divisor, grid)
+                # b += y0 + c L y0, the old field transformed once
+                y = x1_transform(x0[:, 1:-1], grid)
+                cly = _flat_laplacian(y, grid, np.empty_like(y))
+                cly *= self._ceff
+                cly += y
+                b += cly
+            u = _eigen_solve(self._basis, b, self._inv_divisor, grid)
             full[:, 1:-1] = x1_inverse(u, grid)
             info = SolveInfo(1, 0.0, "direct")
         else:
@@ -230,10 +241,9 @@ class HelmholtzDirichlet:
             if x0 is not None:
                 x = to_basis(basis, to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape
                                                     else x0, grid), grid)
-            ap, walls = np.empty_like(b), (bottom, top)
+            ap = np.empty_like(b)
             if crank_nicolson:
                 # c L y0 = y0 - A y0: b = 2 y0 - A y0 + rhs + old and new wall terms
-                walls = (bottom + x0[:, 0], top + x0[:, -1])
                 ax = op.apply(x, ap)
                 b += x
                 b += x
@@ -317,14 +327,14 @@ class PoissonNeumann:
         self.tol = tol
         self.maxiter = maxiter if maxiter is not None else default_maxiter(grid)
         self._basis = _parity_basis(_cosine_basis, grid.n2)
-        # the x1 modes whose j = 0 coordinate spans the kernel; an infinite
-        # divisor zeroes their reciprocal
-        self._kernel = grid.ik_d1 == 0.0
-        self._inv_divisor = cosine_divisor(grid)
-        self._inv_divisor[0, self._kernel] = np.inf
-        np.reciprocal(self._inv_divisor, out=self._inv_divisor)
         if not grid.is_flat:
             self._operator = CosineOperator(grid)
+        with np.errstate(divide="ignore"):
+            self._inv_divisor = np.reciprocal(cosine_divisor(grid) if grid.is_flat
+                                              else self._operator.divisor)
+        # the x1 modes whose j = 0 coordinate spans the kernel: zero divisor, zero reciprocal
+        self._kernel = grid.ik_d1 == 0.0
+        self._inv_divisor[0, self._kernel] = 0.0
 
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:

@@ -39,17 +39,18 @@ each.  The rough-wall Laplacian has one kernel, ``SineOperator``, on the
 sine coordinates of interior-row coefficients: diagonal except for the
 metric products, which are circular convolutions over the x1 wavenumbers
 with the few grid Fourier terms of h' and h'^2 (``metric_fourier_terms``: 5
-for a single profile mode).  On rough grids ``apply_L_tilde_coeffs`` and
-``apply_L_tilde`` wrap it for x1 coefficients and grid values, through the
-``MappedGrid.laplacian`` each grid builds once; flat grids keep the 3-point
-x2 stencil and need no kernel object.  The Neumann face scheme of the
-pressure solve has its twin, ``CosineOperator``, on cosine coordinates.
+for a single profile mode).  Flat grids keep the 3-point x2 stencil,
+``_flat_laplacian``, on x1 coefficients and need no kernel object.  The
+Neumann face scheme of the pressure solve has its twin, ``CosineOperator``,
+on cosine coordinates.  Both kernels take their temporaries from one work
+plane and one buffer per grid (``MappedGrid.plane`` and ``.buffer``).
+``apply_L_tilde``, the Laplacian of grid values, is a cold-path utility
+(the initial vorticity and the MMS check); the time step never forms it.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,8 +87,7 @@ class MappedGrid:
     mhp_shifts: tuple = field(init=False)    # -h'
     hp2_shifts: tuple = field(init=False)    # h'^2
     cross_shifts: tuple = field(init=False)  # -h' dx1 (.) - dx1 (h' .), times 1/(2 dx2)
-    _scratch: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    # float64 work array of the basis changes' folds (a scratch lookup costs 1 us)
+    # float64 work array of the basis changes' folds
     fold: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,30 +146,20 @@ class MappedGrid:
                      for m, c in sorted(spectrum.items()))
 
     @functools.cached_property
-    def laplacian(self) -> SineOperator:
-        """L on sine coordinates (rough grids), built on first use and kept.
+    def plane(self) -> np.ndarray:
+        """Complex (2, n2, nk + 2 band) work plane of the rough kernels, built on first use.
 
-        The operator refers back to this grid through a weak proxy: a
-        reference cycle would keep a dropped grid and its scratch arrays
-        alive until the cyclic garbage collector ran (0.7 MB more peak RSS
-        in a run that builds its stepper twice).
+        Kernels slice it and ``buffer`` to the rows they need; contents are
+        undefined, and a kernel must not call another while it holds them.
+        Temporaries allocated per call let the C heap return their pages and
+        fault them in again (tens of thousands of page faults per rough run).
         """
-        return SineOperator(weakref.proxy(self), 0.0, -1.0)
+        return np.empty((2, self.n2, self.k.size + 2 * self.band), dtype=complex)
 
-    def scratch(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A complex work array of this grid, kept between calls; contents undefined.
-
-        The operator kernels take their temporaries from here, so a PCG
-        iteration allocates only the arrays it returns.  Freeing large
-        temporaries every iteration let the C heap hand their pages back to
-        the system, and each new allocation faulted them in again (tens of
-        thousands of page faults per rough run).  A kernel must not call
-        another that takes the same name while it holds one.
-        """
-        key = (name, shape)
-        if key not in self._scratch:
-            self._scratch[key] = np.empty(shape, dtype=complex)
-        return self._scratch[key]
+    @functools.cached_property
+    def buffer(self) -> np.ndarray:
+        """Complex (n2, nk) work buffer of the rough kernels, built on first use; contents undefined."""
+        return np.empty((self.n2, self.k.size), dtype=complex)
 
     @property
     def metric_fourier_terms(self) -> int:
@@ -444,10 +434,10 @@ def sine_divisor(grid: MappedGrid, sigma: float, c: float) -> np.ndarray:
     """sigma + c (k^2 + a lam) in the sine basis' split order, a new (n2-2, nk) array.
 
     The flat-metric operator sigma - c (Dxx + a Dzz) is diagonal in the x1
-    wavenumbers times the sine basis, with these eigenvalues; a is 1 on
-    flat grids and the mean of 1 + h'^2 on rough ones.
+    wavenumbers times the sine basis, with these eigenvalues; a is the mean
+    of 1 + h'^2 (exactly 1.0 on flat grids).
     """
-    a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+    a = float(np.mean(grid.a22))
     out = np.add.outer(a * _parity_basis(_sine_basis, grid.n2).eig, grid.k2)
     out *= c
     out += sigma
@@ -474,7 +464,7 @@ class _EigenOperator:
         grid = self.grid
         rows, nk = y.shape
         b = grid.band
-        ext = grid.scratch("metric", (2, rows, nk + 2 * b))
+        ext = grid.plane[:, :rows]
         np.multiply(y, self._lam, out=ext[0, :, b:b + nk])
         plus_from_minus, minus_from_plus = self._difference
         mid = plus_from_minus.shape[0]
@@ -521,8 +511,9 @@ def cosine_divisor(grid: MappedGrid) -> np.ndarray:
     The flat-metric Neumann operator dx1 dx2 (kk Av^T Av + a Gz^T Gz) per x1
     mode, diagonal in this basis as Av^T Av = W - (dx2^2/4) Gz^T Gz; zero in
     row 0 (mu = 0) where kk = |ik|^2 is: k = 0 and the even-n1 Nyquist mode.
+    a is the mean of 1 + h'^2 (exactly 1.0 on flat grids).
     """
-    a = 1.0 if grid.is_flat else float(np.mean(grid.a22))
+    a = float(np.mean(grid.a22))
     kk = np.abs(grid.ik_d1) ** 2
     out = np.multiply.outer(_parity_basis(_cosine_basis, grid.n2).eig, a - 0.25 * grid.dx2**2 * kk)
     out += kk
@@ -557,28 +548,13 @@ class CosineOperator(_EigenOperator):
         super().apply(y, out)
         grid, nk = self.grid, y.shape[1]
         b = grid.band
-        lines = grid.scratch("wall_lines", (2, nk + 2 * b))
+        lines, wall = grid.plane[0, :2], grid.plane[1, :2, :nk]
         np.matmul(self.wall_rows, y.view(np.float64), out=lines[:, b:b + nk].view(np.float64))
-        wall = grid.scratch("wall_terms", (2, nk))
         wall[:] = 0.0
         convolve(wall, widen(lines, grid), self._wall, grid)
-        tmp = grid.scratch("wall_rank_two", y.shape)
-        out += np.matmul(self._wall_cols, wall.view(np.float64), out=tmp.view(np.float64)).view(complex)
+        rank_two = grid.buffer.view(np.float64)
+        out += np.matmul(self._wall_cols, wall.view(np.float64), out=rank_two).view(complex)
         return out
-
-
-def apply_L_tilde_coeffs(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Mapped Laplacian on interior-row coefficients, zero walls: (n2-2, nk) -> (n2-2, nk).
-
-    Flat grids take the 3-point x2 stencil and k^2 directly; rough grids
-    change to sine coordinates and back around ``SineOperator``, the kernel
-    the rough Dirichlet solves iterate with.
-    """
-    if grid.is_flat:
-        return _flat_laplacian(c, grid, np.empty_like(c))
-    basis = _parity_basis(_sine_basis, grid.n2)
-    y = to_basis(basis, c, grid)
-    return from_basis(basis, grid.laplacian.apply(y, y), grid, y)
 
 
 def widen(ext: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -607,7 +583,7 @@ def convolve(out: np.ndarray, src: np.ndarray, shifts, grid: MappedGrid) -> np.n
     """
     b = grid.band
     nk = out.shape[-1]
-    tmp = grid.scratch("convolve", out.shape)
+    tmp = grid.buffer[:out.shape[0]]
     for m, w in shifts:
         np.multiply(src[:, b - m:b - m + nk], w, out=tmp)
         out += tmp
@@ -650,13 +626,21 @@ def laplacian_of_walls(bottom: np.ndarray, top: np.ndarray,
 def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Mapped Laplacian at the interior rows of grid values f (n1, n2): (n1, n2-2).
 
-    Wall rows of f enter as data: the interior rows go through
-    apply_L_tilde_coeffs and the wall rows through laplacian_of_walls.  On
-    flat grids the kernel is diagonal in x1, so the coefficient scaling
-    cancels and is left out.
+    A cold-path utility: the time step never forms it.  Wall rows of f enter
+    through laplacian_of_walls.  Flat interior rows take ``_flat_laplacian``
+    (diagonal in x1, so the coefficient scaling cancels and is left out);
+    rough ones change to sine coordinates around a ``SineOperator`` built
+    for the call.
     """
-    to, back = (x1_transform, x1_inverse) if grid.is_flat else (to_coefficients, from_coefficients)
-    out = back(apply_L_tilde_coeffs(to(f[:, 1:-1], grid), grid), grid)
+    c = f[:, 1:-1]
+    if grid.is_flat:
+        c = x1_transform(c, grid)
+        out = x1_inverse(_flat_laplacian(c, grid, np.empty_like(c)), grid)
+    else:
+        basis = _parity_basis(_sine_basis, grid.n2)
+        y = to_basis(basis, to_coefficients(c, grid), grid)
+        y = SineOperator(grid, 0.0, -1.0).apply(y, y)
+        out = from_coefficients(from_basis(basis, y, grid, y), grid)
     near_bottom, near_top = laplacian_of_walls(f[:, 0], f[:, -1], grid)
     out[:, 0] += near_bottom
     out[:, -1] += near_top

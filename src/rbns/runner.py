@@ -301,6 +301,7 @@ def _write_summary(path: str, config: RunConfig, result: RunResult,
         "background_delta": config.bounds.background_delta,
         "energy_residual_mean": rec.mean_abs_energy_residual(),
         "enstrophy_residual_final": rec.final_enstrophy_residual(),
+        "pressure_defect_max": rec.pressure_defect_max(),
         "convective_transport_corrected": rec.convective_transport_corrected(),
         "nusselt_inequality_defect": rec.nusselt_inequality_defect(),
         "energy_inequality_slack_rel": rec.energy_inequality_slack()[0],

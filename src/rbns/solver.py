@@ -118,8 +118,7 @@ class BoussinesqStepper:
     def __init__(self, grid: MappedGrid, params: PhysicalParams,
                  bottom: BoundaryData, top: BoundaryData, *,
                  coupling_sweeps: int = 0, coupling_tol: float = 1e-8,
-                 solver_tol: float = 1e-10, cfl_safety: float = 0.4,
-                 buoyancy_safety: float = 0.35):
+                 cfl_safety: float = 0.4, buoyancy_safety: float = 0.35):
         if bottom.n_samples != grid.n1:
             raise ValueError("boundary data must be sampled on the grid columns")
         self.grid = grid
@@ -128,15 +127,13 @@ class BoussinesqStepper:
         self.top = top
         self.coupling_sweeps = coupling_sweeps
         self.coupling_tol = coupling_tol
-        self.solver_tol = solver_tol
         self.cfl_safety = cfl_safety
         self.buoyancy_safety = buoyancy_safety
 
         self.t_bottom = np.ones(grid.n1)
         self.t_top = np.zeros(grid.n1)
-        self.poisson = HelmholtzDirichlet(grid, None, solver_tol)
-        self.neumann = PoissonNeumann(grid, solver_tol)
-        self._last_pressure = None
+        self.poisson = HelmholtzDirichlet(grid, None)
+        self.neumann = PoissonNeumann(grid)
 
     # -- state construction --------------------------------------------------
 
@@ -249,13 +246,13 @@ class BoussinesqStepper:
             expl_t = c1 * n_t + c2 * state.prev_expl_temp
 
         # Crank-Nicolson: (I - c L) f_new = f + c L f + dt expl, assembled by the solver
-        temp_new = HelmholtzDirichlet(grid, 0.5 * dt, self.solver_tol).solve(
+        temp_new = HelmholtzDirichlet(grid, 0.5 * dt).solve(
             dt * expl_t, self.t_bottom, self.t_top, x0=state.temp, crank_nicolson=True)[0]
 
         u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
-        helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt, self.solver_tol)
+        helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt)
         for sweep in range(self.coupling_sweeps + 1):
             w_b = boundary_vorticity(u_tau[0], self.bottom)
             w_t = boundary_vorticity(u_tau[1], self.top)
@@ -291,7 +288,7 @@ class BoussinesqStepper:
         plus n2 Ra on the bottom wall where T = 1.
 
         derivs is state_derivatives(state) and grad_u the grad_physical pairs
-        of (u1, u2).
+        of (u1, u2).  Each solve starts cold, so a resumed run recovers the same pressures.
         """
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
@@ -308,7 +305,4 @@ class BoussinesqStepper:
                 flux = flux + ra * bd.normal[:, 1]
             fluxes[side] = flux
 
-        p, info = self.neumann.solve(rhs, fluxes[Side.BOTTOM], fluxes[Side.TOP],
-                                     x0=self._last_pressure)
-        self._last_pressure = p
-        return p, info
+        return self.neumann.solve(rhs, fluxes[Side.BOTTOM], fluxes[Side.TOP])

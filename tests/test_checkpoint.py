@@ -79,6 +79,12 @@ temp_perturbation = 0.01
     fa = [p for p in a.checkpoints if "final" in p][0]
     fb = [p for p in b.checkpoints if "final" in p][0]
     assert open(fa, "rb").read() == open(fb, "rb").read()
+    # every pressure solve starts cold, so the resumed run recovers the same
+    # pressure at every shared sample, the first one after the resume included
+    pa, pb = ({r["time"]: r["ens:wall_pressure"] for r in run.recorder.records} for run in (a, b))
+    shared = sorted(pa.keys() & pb.keys())
+    assert len(shared) >= 2 and all(np.isfinite(pa[t]) for t in shared)
+    assert [pa[t] for t in shared] == [pb[t] for t in shared]
 
 
 def _small_checkpoint(rng, time=0.0):

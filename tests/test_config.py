@@ -85,6 +85,7 @@ def test_dt_validation():
     ("time", "coupling_tol", "-1e-8"),
     ("output", "precision", "-1"),
     ("output", "precision", "0"),
+    ("output", "pressure_every", "-1"),
 ])
 def test_nonpositive_time_and_output_keys_named(section, key, value):
     # each would otherwise sample or checkpoint every step (and fail on

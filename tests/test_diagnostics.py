@@ -280,3 +280,60 @@ pressure_every = 1
     assert all(np.isfinite(shared.recorder.records[-1][name]) for name in ENSTROPHY_COLUMNS)
     assert ((tmp_path / "shared" / "diagnostics.csv").read_bytes()
             == (tmp_path / "fresh" / "diagnostics.csv").read_bytes())
+
+
+@pytest.mark.parametrize("pressure_every", [0, 2])
+def test_pressure_every_and_defect_summary(tmp_path, monkeypatch, pressure_every):
+    # pressure_every = 0 recovers no pressure: the bound report names the
+    # missing enstrophy ingredients instead of failing, and the summary's
+    # largest compatibility defect is NaN; otherwise it is the largest of
+    # the sampled defects
+    from rbns.elliptic import PoissonNeumann
+    from rbns.reporting import report_from_run_dir
+    from rbns.runner import read_summary
+
+    text = f"""
+[physical]
+ra = 1e4
+pr = 10.0
+
+[grid]
+n1 = 16
+n2 = 17
+
+[time]
+dt = 1e-4
+t_end = 1e-3
+sample_interval = 1e-4
+
+[initial]
+temp_perturbation = 0.01
+u0_amplitude = 1.0
+
+[bounds]
+background_delta = 0.25
+
+[output]
+pressure_every = {pressure_every}
+"""
+    solve = PoissonNeumann.solve
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(PoissonNeumann, "solve", counted)
+    result = run_simulation(parse_config(text), str(tmp_path))
+    assert not result.aborted
+    defects = result.recorder.column("pressure_defect")
+    reported = read_summary(str(tmp_path / "run_summary.txt"))["pressure_defect_max"]
+    report = report_from_run_dir(str(tmp_path))
+    if pressure_every == 0:
+        assert calls == [] and np.isnan(defects).all() and np.isnan(reported)
+        assert report.qform is None
+        assert any("missing ingredient" in note and "ens:wall_pressure" in note for note in report.notes)
+    else:
+        assert len(calls) == 6 == np.isfinite(defects).sum()
+        assert reported == np.nanmax(defects)
+        assert report.qform is not None

@@ -23,7 +23,6 @@ from rbns.geometry import FourierSeries
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
-    apply_L_tilde_coeffs,
     convolve,
     cosine_divisor,
     d2_x1,
@@ -32,6 +31,7 @@ from rbns.grid import (
     _cosine_difference,
     _sine_difference,
     from_coefficients,
+    grad_physical,
     to_coefficients,
     volume_integral,
     widen,
@@ -291,8 +291,8 @@ def test_interior_apply_matches_full_operator_rough(n1):
 
 
 def test_rough_grid_freed_without_cycle_collector():
-    # the grid keeps its Laplacian operator; that operator must not keep the
-    # grid, or a dropped grid and its scratch arrays outlive their last use
+    # nothing the grid keeps may refer back to it, or a dropped grid and its
+    # work arrays outlive their last use
     g = MappedGrid(TWO_MODES, 16, 17)
     apply_L_tilde(np.ones(g.shape), g)
     ref = weakref.ref(g)
@@ -486,8 +486,8 @@ def test_parity_split_eigen_solve_matches_dense(dense, n2):
     assert np.array_equal(basis.eig, eig[order])
 
 
-def _fft_apply_L_tilde_coeffs(c, g):
-    """Rough apply_L_tilde_coeffs with the h' products formed on the grid.
+def _fft_laplacian_coeffs(c, g):
+    """Rough Laplacian of interior-row coefficients c, zero walls, with the h' products formed on the grid.
 
     One batched inverse transform of the x2 face differences g and dx1 g,
     the products with h' and h'^2 at the grid points and one batched
@@ -541,8 +541,10 @@ def test_metric_convolutions_match_grid_products(profile, n1):
     g = MappedGrid(profile, n1, 17)
     rng = np.random.default_rng(n1)
     f = rng.standard_normal(g.shape)
-    c = to_coefficients(f[:, 1:-1], g)
-    assert _relmax(apply_L_tilde_coeffs(c, g), _fft_apply_L_tilde_coeffs(c, g)) <= 1e-13
+    f0 = f.copy()
+    f0[:, [0, -1]] = 0.0
+    expected = from_coefficients(_fft_laplacian_coeffs(to_coefficients(f0[:, 1:-1], g), g), g)
+    assert _relmax(apply_L_tilde(f0, g), expected) <= 1e-13
     y = to_coefficients(f, g)
     v = _split_cosine_basis(g.n2)
     assert _relmax(_cosine_apply(g, y), v.T @ _fft_neumann_apply(v @ y, g)) <= 1e-13
@@ -681,23 +683,30 @@ def test_pcg_without_iterations_raises_elliptic_error():
     assert err.value.iterations == 0 and err.value.rel_residual == pytest.approx(1.0)
 
 
-def test_rough_step_full_size_transform_count(monkeypatch):
-    # full-size x1 transforms of one rough step, its state derivatives
-    # included: the two gradients, the two advective fluxes and the new
-    # velocity (one rfft and one irfft each), and per Helmholtz solve the
-    # old field and the explicit terms into sine coordinates (two rfft)
-    # and the solution back (one irfft); the psi solve transforms only its
-    # starting guess and its solution.  Wall lines are not counted.
+def _stepper_and_state(modes, n1, n2):
     from rbns.config import RunConfig
     from rbns.runner import build_stepper, initial_stream_function, initial_temperature
 
     cfg = RunConfig()
-    cfg.geometry.modes = ((1, 0.0, 0.1),)
-    cfg.grid.n1, cfg.grid.n2 = 32, 33
+    cfg.geometry.modes = modes
+    cfg.grid.n1, cfg.grid.n2 = n1, n2
     cfg.initial.u0_amplitude = 1.0
     stepper = build_stepper(cfg)
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
                                       initial_stream_function(cfg, stepper.grid))
+    return stepper, state
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
+def test_rough_step_full_size_transform_count(monkeypatch, modes):
+    # full-size x1 transforms of one step, its state derivatives included:
+    # the two gradients, the two advective fluxes and the new velocity (one
+    # rfft and one irfft each), and per Helmholtz solve the old field and
+    # the explicit terms into x1 coefficients (two rfft) and the solution
+    # back (one irfft); the psi solve transforms its right-hand side (flat)
+    # or its starting guess (rough), and its solution.  Wall lines are not
+    # counted.  Flat and rough steps make the same calls.
+    stepper, state = _stepper_and_state(modes, 32, 33)
     calls = []
     for name in ("rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -710,3 +719,52 @@ def test_rough_step_full_size_transform_count(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     stepper.step(state, 2e-4, stepper.state_derivatives(state))
     assert (calls.count("rfft"), calls.count("irfft")) == (10, 8)
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
+def test_step_forms_no_grid_value_laplacian(monkeypatch, modes):
+    # the Crank-Nicolson right-hand sides are built in x1 coefficients
+    # (flat) or sine coordinates (rough); apply_L_tilde is for cold paths
+    import sys
+
+    import rbns.grid
+
+    stepper, state = _stepper_and_state(modes, 16, 17)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the step called apply_L_tilde")
+
+    original = rbns.grid.apply_L_tilde
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rbns") and getattr(module, "apply_L_tilde", None) is original:
+            monkeypatch.setattr(module, "apply_L_tilde", forbidden)
+    new = stepper.step(state, 2e-4, stepper.state_derivatives(state))
+    assert np.isfinite(new.omega).all()
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the 2-D and larger arrays an object holds, through dicts and attributes."""
+    total, seen, stack = 0, set(), [obj]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            total += item.nbytes if item.ndim >= 2 else 0
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            stack.extend(vars(item).values())
+    return total
+
+
+def test_rough_grid_work_arrays_small():
+    # the fold, one work plane and one buffer: about 0.55 MB at 128 x 129
+    stepper, state = _stepper_and_state(((1, 0.0, 0.1),), 128, 129)
+    grid = stepper.grid
+    state = stepper.step(state, 1e-5, stepper.state_derivatives(state))
+    derivs = stepper.state_derivatives(state)
+    grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
+    stepper.recover_pressure(state, derivs, grad_u)
+    assert _array_bytes(grid) <= 0.6e6
