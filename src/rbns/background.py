@@ -80,36 +80,9 @@ class BackgroundField:
         """eta sampled on the full grid (independent of x1 in these coordinates)."""
         return np.broadcast_to(self.eta_profile, self.grid.shape).copy()
 
-    def theta(self, temp: np.ndarray) -> np.ndarray:
-        return temp - self.eta_profile[None, :]
-
-    def theta_ingredients(self, temp: np.ndarray, grad_temp: tuple[np.ndarray, np.ndarray],
-                          u1: np.ndarray, u2: np.ndarray) -> tuple[float, float]:
-        """Domain averages <|grad theta|^2> and <theta u . grad eta>.
-
-        grad_temp is grad_physical(temp).
-
-        Both use grad eta analytically: u . grad eta = eta'(x2) (u2 - h' u1),
-        supported on the strips.  The kink-row slope average together with
-        full trapezoid weights reproduces the within-strip trapezoid rule
-        exactly, so the restriction to the strips is carried by the slope
-        array.  |grad theta|^2 is expanded as |grad T|^2 - 2 grad T.grad eta
-        + |grad eta|^2 with the last term from the closed-form strip
-        integral.
-        """
-        grid = self.grid
-        ty1, tz = grad_temp
-        grad_t_sq = float(np.sum((ty1**2 + tz**2) @ grid.w2) * grid.dx1) / grid.area
-
-        s = self.eta_slope[None, :]
-        hp = grid.hp[:, None]
-        # grad T . grad eta = eta' * (dT/dy2 - h' dT/dy1)
-        cross = float(np.sum((s * (tz - hp * ty1)) @ grid.w2) * grid.dx1) / grid.area
-        grad_theta_sq = grad_t_sq - 2.0 * cross + self.grad_eta_sq_avg
-
-        th = self.theta(temp)
-        coupling = float(np.sum((th * s * (u2 - hp * u1)) @ grid.w2) * grid.dx1) / grid.area
-        return grad_theta_sq, coupling
+    def theta(self, temp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The fluctuation theta = T - eta (into out, if given)."""
+        return np.subtract(temp, self.eta_profile, out=out)
 
 
 def build_background(delta: float, grid: MappedGrid) -> BackgroundField:

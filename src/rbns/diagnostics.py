@@ -31,16 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rbns.background import BackgroundField
-from rbns.geometry import BoundaryData, Side
-from rbns.grid import (
-    MappedGrid,
-    boundary_trace,
-    grad_physical,
-    level_index,
-    line_integral,
-    tangential_derivative,
-    volume_integral,
-)
+from rbns.geometry import BoundaryData
+from rbns.grid import MappedGrid, level_index, volume_integral, wall_tangential_derivatives
 from rbns.solver import FlowState, StateDerivatives
 
 STRIP_LEVELS = (0.25, 0.5, 0.75)
@@ -76,104 +68,56 @@ AVERAGED = (
 )
 
 
-def nusselt_flux(temp: np.ndarray, grid: MappedGrid) -> float:
-    """Instantaneous boundary-flux Nusselt number on the bottom wall."""
-    flux = boundary_trace(temp, grid, Side.BOTTOM, "normal_derivative")
-    return line_integral(flux, grid) / grid.area
-
-
-def nusselt_gradsq(temp: np.ndarray, grid: MappedGrid) -> float:
-    """Instantaneous (1/|Omega|) int |grad T|^2."""
-    ty1, ty2 = grad_physical(temp, grid)
-    return volume_integral(ty1**2 + ty2**2, grid) / grid.area
-
-
-def nusselt_strip(temp: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                  grid: MappedGrid, x2_level: float) -> float:
-    """Instantaneous level-line Nusselt number at wall distance x2_level.
-
-    The level line is a vertical translate of the bottom wall; its upward
-    normal is (-h', 1)/sqrt(1+h'^2), so the weighted integrand reduces to
-    -h'(u1 T - dT/dy1) + (u2 T - dT/dy2) per unit y1.
-    """
-    return _strip_nusselt(temp, grad_physical(temp, grid), u1, u2, grid, x2_level)
-
-
-def _strip_nusselt(temp, grad_temp, u1, u2, grid: MappedGrid, x2_level: float) -> float:
-    """nusselt_strip with (dT/dy1, dT/dy2) already evaluated."""
-    j = level_index(grid, x2_level)
-    ty1, ty2 = grad_temp
-    row = (-grid.hp * (u1[:, j] * temp[:, j] - ty1[:, j])
-           + (u2[:, j] * temp[:, j] - ty2[:, j]))
-    return float(np.sum(row) * grid.dx1) / grid.area
-
-
 def velocity_gradient_integrals(grad_u, grid: MappedGrid) -> float:
     """Raw int |grad u|^2 over the domain; grad_u holds the grad_physical pairs of (u1, u2)."""
     (u1y1, u1y2), (u2y1, u2y2) = grad_u
-    return volume_integral(u1y1**2 + u1y2**2 + u2y1**2 + u2y2**2, grid)
+    f, g = np.multiply(u1y1, u1y1), np.empty_like(u1y1)
+    for a in (u1y2, u2y1, u2y2):
+        f += np.multiply(a, a, out=g)
+    return volume_integral(f, grid)
 
 
-def boundary_friction_integral(u_tau, bottom: BoundaryData, top: BoundaryData,
-                               weight: str = "2a+k") -> float:
-    """Raw wall integral of (2a+k), (a+k) or k times u_tau^2; u_tau = (bottom, top)."""
-    weights = {
-        "2a+k": lambda bd: 2.0 * bd.alpha + bd.kappa,
-        "a+k": lambda bd: bd.alpha + bd.kappa,
-        "kappa": lambda bd: bd.kappa,
-    }
-    total = 0.0
-    for bd, ut in zip((bottom, top), u_tau):
-        total += bd.line_integral(weights[weight](bd) * ut**2)
-    return total
+class _Integrals:
+    """Named rows of one (rows, n1) array; each row's sum times dx1 is an integral.
 
-
-def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid: MappedGrid,
-                            bottom: BoundaryData, top: BoundaryData, pr: float, ra: float) -> dict:
-    """The five averaged-enstrophy-balance ingredients, instantaneous values.
-
-    grad_omega and grad_temp are grad_physical pairs and u_tau the (bottom,
-    top) wall u_tau.
-
-    On the walls u is purely tangential, so u.grad reduces to u_tau d/dlambda
-    acting on wall traces; those tangential derivatives are spectral.  The
-    signs are the ones under which the five long-time averages cancel: the
-    wall terms enter through the vorticity flux expansion
-
-        n.grad w = (1/Pr)(du_tau/dt + u_tau du_tau/dlambda) + dp/dlambda
-                   - Ra T n1   (along tau),
-
-    multiplied by the wall data w = -2(alpha+kappa) u_tau.
+    The x2 quadrature f @ w2 of a volume integrand, a wall-line integrand
+    times ds and a level-line integrand alike integrate as a sum over x1
+    times dx1, so all rows are summed in one reduction.  Rows that share a
+    name (one per wall) add up to its integral.
     """
-    wy1, wy2 = grad_omega
-    t_grad = volume_integral(wy1**2 + wy2**2, grid) / grid.area
 
-    t_buoy = -ra * volume_integral(omega * grad_temp[0], grid) / grid.area
+    CAPACITY = 32  # a sample with pressure and background fills 29
 
-    t_press = 0.0
-    t_inertia = 0.0
-    for bd, ut in zip((bottom, top), u_tau):
-        ak = bd.alpha + bd.kappa
-        dp_dlam = boundary_trace(pressure, grid, bd.side, "tangential_derivative")
-        t_press += 2.0 * bd.line_integral(ak * ut * dp_dlam) / grid.area
-        dut_dlam = tangential_derivative(ut, grid, bd.side)
-        t_inertia += (2.0 / pr) * bd.line_integral(ak * ut**2 * dut_dlam) / grid.area
+    def __init__(self, grid: MappedGrid):
+        self.grid = grid
+        self._data = np.empty((self.CAPACITY, grid.n1))
+        self._names: list[str] = []
 
-    n1_b = bottom.normal[:, 0]
-    t_wall_buoy = -2.0 * ra * bottom.line_integral((bottom.alpha + bottom.kappa) * u_tau[0] * n1_b) / grid.area
+    def rows(self, *names: str) -> np.ndarray:
+        """The next rows, (len(names), n1), one per name, to be filled."""
+        start = len(self._names)
+        self._names.extend(names)
+        return self._data[start:len(self._names)]
 
-    return {
-        "grad_omega_sq": t_grad,
-        "wall_pressure": t_press,
-        "buoyancy_torque": t_buoy,
-        "wall_inertia": t_inertia,
-        "wall_buoyancy": t_wall_buoy,
-    }
+    def row(self, name: str) -> np.ndarray:
+        """The next row, (n1,), to be filled."""
+        return self.rows(name)[0]
+
+    def quadrature(self, name: str, f: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """Write the x2 quadrature of f (weights w2 unless given) as the next row."""
+        return np.matmul(f, self.grid.w2 if weights is None else weights, out=self.row(name))
+
+    def totals(self) -> dict[str, float]:
+        out: dict[str, float] = {}
+        sums = self._data[:len(self._names)].sum(axis=1) * self.grid.dx1
+        for name, value in zip(self._names, sums.tolist()):
+            out[name] = out.get(name, 0.0) + value
+        return out
 
 
 def measure(state: FlowState, grid: MappedGrid,
             bottom: BoundaryData, top: BoundaryData, pr: float, ra: float,
-            derivs: StateDerivatives, grad_u,
+            derivs: StateDerivatives, grad_u_sq: float,
             pressure: np.ndarray | None = None,
             pressure_defect: float = float("nan"),
             background: BackgroundField | None = None) -> dict[str, float]:
@@ -183,54 +127,120 @@ def measure(state: FlowState, grid: MappedGrid,
     terms of the window estimators (heat_content, theta_sq) and the Neumann
     pressure_defect; the two residual columns stay NaN until
     Recorder.finalize.  derivs is the snapshot's state_derivatives (grad
-    omega, grad T) and grad_u the grad_physical pairs of (u1, u2); with the
-    state's wall u_tau nothing here differentiates a field again.
+    omega, grad T) and grad_u_sq its raw int |grad u|^2
+    (velocity_gradient_integrals, evaluated before the pressure solve).
+
+    One pass: each integrand is formed once, in one of two scratch arrays,
+    and all quadratures are reduced together (``_Integrals``).  The wall
+    heat flux reads grad T's wall row, and with pressure the x1 derivatives
+    of both walls' u_tau and pressure traces take one transform pair;
+    nothing else is differentiated.
     """
-    omega, temp, u1, u2, u_tau = state.omega, state.temp, state.u1, state.u2, state.u_tau
-    grad_temp = ty1, ty2 = derivs.grad_temp
-    row = {
-        "time": state.time,
-        "nu_flux": nusselt_flux(temp, grid),
-        "nu_gradsq": volume_integral(ty1**2 + ty2**2, grid) / grid.area,
-        **{name: _strip_nusselt(temp, grad_temp, u1, u2, grid, level)
-           for name, level in zip(STRIP_COLUMNS, STRIP_LEVELS)},
-        "energy": volume_integral(u1**2 + u2**2, grid),               # ||u||_2^2
-        "enstrophy": volume_integral(omega**2, grid),                 # ||w||_2^2
-        "grad_u_sq": velocity_gradient_integrals(grad_u, grid),       # int |grad u|^2
-        "boundary_friction": boundary_friction_integral(u_tau, bottom, top),  # int (2a+k) u_tau^2
-        "kappa_friction": boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
-        "ak_friction": boundary_friction_integral(u_tau, bottom, top, weight="a+k"),
-        "buoyancy_flux": ra * volume_integral(temp * u2, grid),       # Ra int T u2
-        "temp_min": float(np.min(temp)),
-        "temp_max": float(np.max(temp)),
-        "convective_transport": volume_integral(u2 * temp - ty2, grid) / grid.area,
-        "heat_content": volume_integral((1.0 - grid.x2)[None, :] * temp, grid),  # int (1-x2) T
-        "pressure_defect": pressure_defect,
-        "energy_residual": float("nan"),
-        "enstrophy_residual": float("nan"),
-    }
+    omega, temp, u1, u2 = state.omega, state.temp, state.u1, state.u2
+    ty1, ty2 = derivs.grad_temp
+    acc = _Integrals(grid)
+    f, g = np.empty(grid.shape), np.empty(grid.shape)
+
+    def sum_of_squares(a, b):
+        return np.add(np.multiply(a, a, out=f), np.multiply(b, b, out=g), out=f)
+
+    acc.quadrature("grad_t_sq", sum_of_squares(ty1, ty2))
+    acc.quadrature("u_sq", sum_of_squares(u1, u2))
+    omega_sq = np.multiply(omega, omega, out=g)
+    acc.quadrature("omega_sq", omega_sq)
+    # the p-norms from w^2 scaled by its largest value (overflow-safe for p > 2)
+    w_sup_sq = float(omega_sq.max())
+    norms = w_sup_sq > 0.0 and np.isfinite(w_sup_sq)
+    if norms:
+        power = np.divide(omega_sq, w_sup_sq, out=g)
+        for i, name in enumerate(OMEGA_NORM_COLUMNS):  # powers 2, 4, 8: each squares the last
+            if i:
+                power *= power
+            acc.quadrature(name, power)
+    w_sup = float(np.sqrt(w_sup_sq))                   # max |w|
+    acc.quadrature("heat_content", temp, (1.0 - grid.x2) * grid.w2)   # int (1-x2) T
+    acc.quadrature("t_u2", np.multiply(temp, u2, out=f))
+    flux2 = np.subtract(f, ty2, out=f)                   # u2 T - dT/dy2
+    acc.quadrature("convective_transport", flux2)
+    # level lines, vertical translates of the bottom wall: -h'(u1 T - dT/dy1)
+    # + (u2 T - dT/dy2) per unit y1
+    j = [level_index(grid, level) for level in STRIP_LEVELS]
+    strips = acc.rows(*STRIP_COLUMNS)
+    strips[:] = flux2[:, j].T
+    strips -= grid.hp * (u1[:, j] * temp[:, j] - ty1[:, j]).T
+    # the bottom wall: n.grad T ds = h' dT/dy1 - dT/dy2 per unit y1
+    np.subtract(grid.hp * ty1[:, 0], ty2[:, 0], out=acc.row("nu_flux"))
+
+    ak_ut_ds = []
+    for bd, ut in zip((bottom, top), state.u_tau):
+        ak = bd.alpha + bd.kappa
+        ut_ds = ut * grid.ds_weight
+        ut_sq_ds = ut * ut_ds
+        np.multiply(ak + bd.alpha, ut_sq_ds, out=acc.row("boundary_friction"))  # (2a+k) u_tau^2
+        np.multiply(bd.kappa, ut_sq_ds, out=acc.row("kappa_friction"))
+        np.multiply(ak, ut_sq_ds, out=acc.row("ak_friction"))
+        ak_ut_ds.append(ak * ut_ds)
 
     if pressure is not None:
-        terms = enstrophy_balance_terms(omega, derivs.grad_omega, grad_temp, u_tau,
-                                        pressure, grid, bottom, top, pr, ra)
-        row.update(zip(ENSTROPHY_COLUMNS, (terms[name] for name in ENSTROPHY_TERM_NAMES)))
-    else:
-        row.update(dict.fromkeys(ENSTROPHY_COLUMNS, float("nan")))
+        # the enstrophy ingredients; on the walls u.grad is u_tau d/dlambda
+        acc.quadrature("grad_omega_sq", sum_of_squares(*derivs.grad_omega))
+        acc.quadrature("buoyancy_torque", np.multiply(omega, ty1, out=f))
+        lines = np.empty((2, 2, grid.n1))
+        lines[0] = state.u_tau
+        lines[1] = pressure[:, [0, -1]].T
+        dut, dp = wall_tangential_derivatives(lines, grid)
+        for w, ut in enumerate(state.u_tau):
+            np.multiply(ak_ut_ds[w], dp[w], out=acc.row("wall_pressure"))
+            np.multiply(ak_ut_ds[w] * ut, dut[w], out=acc.row("wall_inertia"))
+        np.multiply(ak_ut_ds[0], bottom.normal[:, 0], out=acc.row("wall_buoyancy"))
 
-    gts, tue, tsq = float("nan"), float("nan"), float("nan")
     if background is not None:
-        gts, tue = background.theta_ingredients(temp, grad_temp, u1, u2)
-        tsq = volume_integral(background.theta(temp) ** 2, grid)
-    row.update(grad_theta_sq=gts, theta_u_grad_eta=tue, theta_sq=tsq)  # theta_sq = int theta^2
+        # grad T . grad eta = eta'(x2) (dT/dy2 - h' dT/dy1) and
+        # u . grad eta = eta'(x2) (u2 - h' u1): eta' joins the x2 weights
+        slope_w2 = background.eta_slope * grid.w2
+        cross = acc.quadrature("cross", ty2, slope_w2)
+        cross -= grid.hp * (ty1 @ slope_w2)
+        theta = background.theta(temp, out=f)
+        acc.quadrature("theta_sq", np.multiply(theta, theta, out=g))
+        u_eta = np.subtract(u2, np.multiply(grid.hp[:, None], u1, out=g), out=g)
+        acc.quadrature("theta_u_grad_eta", np.multiply(theta, u_eta, out=f), slope_w2)
 
-    abs_w = np.abs(omega)
-    w_sup = float(np.max(abs_w))
-    if w_sup > 0.0 and np.isfinite(w_sup):
-        scaled = abs_w / w_sup  # overflow-safe evaluation of the p-norms
-        row.update((name, w_sup * volume_integral(scaled**p, grid) ** (1.0 / p))
-                   for name, p in zip(OMEGA_NORM_COLUMNS, OMEGA_NORM_POWERS))
-    else:
-        row.update(dict.fromkeys(OMEGA_NORM_COLUMNS, w_sup))
+    total = acc.totals()
+    area, nan = grid.area, float("nan")
+    row = {
+        "time": state.time,
+        "nu_flux": total["nu_flux"] / area,
+        "nu_gradsq": total["grad_t_sq"] / area,
+        **{name: total[name] / area for name in STRIP_COLUMNS},
+        "energy": total["u_sq"],                          # ||u||_2^2
+        "enstrophy": total["omega_sq"],                   # ||w||_2^2
+        "grad_u_sq": grad_u_sq,                           # int |grad u|^2
+        "boundary_friction": total["boundary_friction"],  # int (2a+k) u_tau^2
+        "kappa_friction": total["kappa_friction"],
+        "ak_friction": total["ak_friction"],
+        "buoyancy_flux": ra * total["t_u2"],              # Ra int T u2
+        "temp_min": float(temp.min()),
+        "temp_max": float(temp.max()),
+        "convective_transport": total["convective_transport"] / area,
+        "heat_content": total["heat_content"],
+        "pressure_defect": pressure_defect,
+        "energy_residual": nan,
+        "enstrophy_residual": nan,
+        "grad_theta_sq": nan,
+        "theta_u_grad_eta": nan,
+        "theta_sq": nan,
+    }
+    scales = {"grad_omega_sq": 1.0, "wall_pressure": 2.0, "buoyancy_torque": -ra,
+              "wall_inertia": 2.0 / pr, "wall_buoyancy": -2.0 * ra}
+    row.update((column, scales[name] * total[name] / area if pressure is not None else nan)
+               for column, name in zip(ENSTROPHY_COLUMNS, ENSTROPHY_TERM_NAMES))
+    if background is not None:
+        row.update(grad_theta_sq=(total["grad_t_sq"] / area - 2.0 * (total["cross"] / area)
+                                  + background.grad_eta_sq_avg),
+                   theta_u_grad_eta=total["theta_u_grad_eta"] / area,
+                   theta_sq=total["theta_sq"])                 # int theta^2
+    row.update((name, w_sup * total[name] ** (1.0 / p) if norms else w_sup)
+               for name, p in zip(OMEGA_NORM_COLUMNS, OMEGA_NORM_POWERS))
     return row
 
 

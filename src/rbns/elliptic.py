@@ -90,7 +90,7 @@ class SolveInfo:
     rel_residual: float
     method: str
     compat_defect: float = 0.0
-    # rough Dirichlet solves: the solution's interior sine coordinates
+    # Dirichlet solves: the solution's interior x1 coefficients (flat) or sine coordinates (rough)
     coords: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -204,16 +204,17 @@ class HelmholtzDirichlet:
             self._operator = SineOperator(grid, self._sigma, self._ceff)
             self._inv_divisor = np.reciprocal(self._operator.divisor)
 
-    def solve(self, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
+    def solve(self, rhs_int: np.ndarray | None, bottom: np.ndarray, top: np.ndarray,
               x0: np.ndarray | None = None, *, crank_nicolson: bool = False,
               rhs_coords: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
         """Returns the full-field solution (wall rows set to the given traces).
 
         x0, a full field or its interior rows, starts the rough-grid PCG.
         With crank_nicolson the right-hand side is x0 + c L x0 + rhs_int
-        for the full field x0.  On rough grids rhs_coords, the sine
-        coordinates of rhs_int, stand in for it (and are overwritten), and
-        info.coords holds the solution's sine coordinates.
+        for the full field x0.  info.coords holds the solution's interior
+        coordinates: its x1_transform on flat grids, its sine coordinates
+        on rough ones.  rhs_coords, the same coordinates of rhs_int, may
+        stand in for it (they are overwritten).
         """
         grid = self.grid
         full = np.empty(grid.shape)
@@ -221,7 +222,14 @@ class HelmholtzDirichlet:
         if crank_nicolson:
             walls = (bottom + x0[:, 0], top + x0[:, -1])    # the old and the new traces
         if grid.is_flat:
-            b = x1_transform(_dirichlet_rhs(self._ceff, rhs_int, *walls, grid), grid)
+            if rhs_coords is None:
+                b = x1_transform(_dirichlet_rhs(self._ceff, rhs_int, *walls, grid), grid)
+            else:
+                # the wall terms live on the rows next to the walls
+                b = rhs_coords
+                g = x1_transform(np.column_stack(laplacian_of_walls(*walls, grid)), grid)
+                g *= self._ceff
+                b[[0, -1]] += g
             if crank_nicolson:
                 # b += y0 + c L y0, the old field transformed once
                 y = x1_transform(x0[:, 1:-1], grid)
@@ -231,7 +239,7 @@ class HelmholtzDirichlet:
                 b += cly
             u = _eigen_solve(self._basis, b, self._inv_divisor, grid)
             full[:, 1:-1] = x1_inverse(u, grid)
-            info = SolveInfo(1, 0.0, "direct")
+            info = SolveInfo(1, 0.0, "direct", coords=u)
         else:
             basis, op = self._basis, self._operator
             b = rhs_coords

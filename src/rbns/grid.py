@@ -21,8 +21,9 @@ it is uniformly elliptic for any bounded slope.  x1 derivatives are spectral
 stencils on the wall rows.
 
 Every mapped derivative is formed here: ``grad_physical``, the wall-line
-``tangential_derivative`` and the interior-row Laplacian of the elliptic
-solves, the Crank-Nicolson right-hand side and the MMS check.
+``wall_tangential_derivatives`` (both walls' lines in one transform pair)
+and the interior-row Laplacian of the elliptic solves, the Crank-Nicolson
+right-hand side and the MMS check.
 
 Grid values are float64 with shape (n1, n2); axis 0 is periodic by index
 arithmetic everywhere.  The elliptic solves work on x1-Fourier coefficients
@@ -220,7 +221,7 @@ def d2_x1(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
 
 
 def d_x1_line(g: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Spectral d/dx1 of a single periodic line sample (n1,)."""
+    """Spectral d/dx1 of periodic line samples (..., n1), all in one rfft/irfft pair."""
     return np.fft.irfft(grid.ik_d1 * np.fft.rfft(g), n=grid.n1)
 
 
@@ -235,9 +236,11 @@ def d_x2(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
 
 
 def grad_physical(f: np.ndarray, grid: MappedGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dy1 f, d/dy2 f) at every node, via the chain rule."""
+    """(d/dy1 f, d/dy2 f) at every node, via the chain rule (d/dy1 = d/dx1 on flat grids)."""
     fz = d_x2(f, grid)
-    fy1 = d_x1(f, grid) - grid.hp[:, None] * fz
+    fy1 = d_x1(f, grid)
+    if not grid.is_flat:
+        fy1 -= grid.hp[:, None] * fz
     return fy1, fz
 
 
@@ -689,15 +692,18 @@ def _d_x2_row(f: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
     return (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / h
 
 
-def tangential_derivative(g: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
-    """d/dlambda of a line sampled along a wall (n1,).
+def wall_tangential_derivatives(pairs: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """d/dlambda of (bottom, top) pairs of wall lines, stacked (..., 2, n1).
 
     The wall row *is* the wall curve, so the arc-length derivative is a
     spectral x1 derivative over sqrt(1+h'^2); the sign follows the tangent
-    orientation (+y1 on the bottom wall, -y1 on the top).
+    orientation (+y1 on the bottom wall, -y1 on the top).  The whole stack
+    takes one rfft/irfft pair, which costs little more than one line's.
     """
-    s = 1.0 if side is Side.BOTTOM else -1.0
-    return s * d_x1_line(g, grid) / grid.ds_weight
+    d = d_x1_line(pairs, grid)
+    d[..., 1, :] *= -1.0
+    d /= grid.ds_weight
+    return d
 
 
 def tangential_velocity(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
@@ -713,7 +719,7 @@ def boundary_trace(f: np.ndarray, grid: MappedGrid, side: Side, kind: str = "val
     if kind == "value":
         return f[:, j].copy()
     if kind == "tangential_derivative":
-        return tangential_derivative(f[:, j], grid, side)
+        return wall_tangential_derivatives(f[:, [0, -1]].T, grid)[j]
     if kind == "normal_derivative":
         fz = _d_x2_row(f, grid, side)
         fy1 = d_x1_line(f[:, j], grid) - grid.hp * fz

@@ -22,7 +22,7 @@ import rbns
 from rbns.background import build_background
 from rbns.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from rbns.config import RunConfig, serialize_config, validate_config
-from rbns.diagnostics import Recorder, measure
+from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
 from rbns.elliptic import EllipticError
 from rbns.geometry import boundary_frames, boundary_norms
 from rbns.grid import MappedGrid, grad_physical
@@ -203,21 +203,25 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     def take_sample(st: FlowState, derivs: StateDerivatives, index: int) -> str:
         """Record one sample; returns why the run must stop, or "".
 
-        derivs is state_derivatives(st).  A failed pressure solve still
-        records the sample, without pressure.
+        derivs is state_derivatives(st).  The velocity gradients give
+        int |grad u|^2 and the pressure right-hand side, and are dropped
+        before the pressure solve.  A failed pressure solve still records
+        the sample, without pressure.
         """
         if not (np.isfinite(st.omega).all() and np.isfinite(st.temp).all()):
             return f"non-finite fields at t = {st.time:.6g}"
-        grad_u = (grad_physical(st.u1, grid), grad_physical(st.u2, grid))
+        derivs.grad_u = (grad_physical(st.u1, grid), grad_physical(st.u2, grid))
+        grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
         pressure, defect, abort = None, float("nan"), ""
         if config.output.pressure_every > 0 and index % config.output.pressure_every == 0:
             try:
-                pressure, info = stepper.recover_pressure(st, derivs, grad_u)
+                pressure, info = stepper.recover_pressure(st, derivs)
                 defect = info.compat_defect
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
+        derivs.grad_u = None
         row = measure(st, grid, stepper.bottom, stepper.top,
-                      config.physical.pr, config.physical.ra, derivs, grad_u,
+                      config.physical.pr, config.physical.ra, derivs, grad_u_sq,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(row)
         if not (np.isfinite(row["energy"]) and np.isfinite(row["nu_gradsq"])):
@@ -240,13 +244,14 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     derivs = stepper.state_derivatives(state)
     abort = take_sample(state, derivs, 0) if state.time == 0.0 else ""
     while not abort and state.time < t_end - 1e-14:
+        limit = stepper.cfl_limit(state)  # sizes dt and checks it, evaluated once
         dt = tcfg.dt if tcfg.dt is not None else stepper.suggest_dt(
-            state, tcfg.dt_max if tcfg.dt_max is not None else np.inf)
+            limit, tcfg.dt_max if tcfg.dt_max is not None else np.inf)
         if not np.isfinite(dt):
             dt = sample_dt  # quiescent start at Ra = 0; any finite step works
         dt = min(dt, t_end - state.time)
         try:
-            state = stepper.step(state, dt, derivs)
+            state = stepper.step(state, dt, derivs, cfl_limit=limit)
         except CflViolation as exc:
             if np.isfinite(state.u1).all():
                 abort = f"step rejected at t = {state.time:.6g}: {exc}"

@@ -35,9 +35,9 @@ from rbns.grid import (
     d_x1,
     d_x2,
     grad_physical,
-    tangential_derivative,
     tangential_velocity,
     volume_integral,
+    wall_tangential_derivatives,
 )
 
 
@@ -93,11 +93,14 @@ class StateDerivatives:
 
     grad_omega and grad_temp are grad_physical pairs; the wall u_tau is the
     state's own.  The step consumes the set: it drops each gradient once
-    used, so neither is held through the elliptic solves.
+    used, so neither is held through the elliptic solves.  grad_u, the
+    grad_physical pairs of (u1, u2), is a sample's: recover_pressure drops
+    it once its right-hand side is formed, before the Neumann solve.
     """
 
     grad_omega: tuple[np.ndarray, np.ndarray] | None
     grad_temp: tuple[np.ndarray, np.ndarray] | None
+    grad_u: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def boundary_vorticity(u_tau: np.ndarray, boundary: BoundaryData) -> np.ndarray:
@@ -170,8 +173,9 @@ class BoussinesqStepper:
         prod = self.params.ra * self.params.pr
         return self.buoyancy_safety / np.sqrt(prod) if prod > 0 else np.inf
 
-    def suggest_dt(self, state: FlowState, dt_cap: float = np.inf) -> float:
-        return min(self.cfl_limit(state), self.buoyancy_limit(), dt_cap)
+    def suggest_dt(self, cfl_limit: float, dt_cap: float = np.inf) -> float:
+        """The automatic step from a state's cfl_limit: capped by the buoyancy limit and dt_cap."""
+        return min(cfl_limit, self.buoyancy_limit(), dt_cap)
 
     # -- pieces ---------------------------------------------------------------
 
@@ -223,14 +227,16 @@ class BoussinesqStepper:
 
     # -- the step ---------------------------------------------------------------
 
-    def step(self, state: FlowState, dt: float, derivs: StateDerivatives) -> FlowState:
+    def step(self, state: FlowState, dt: float, derivs: StateDerivatives,
+             cfl_limit: float | None = None) -> FlowState:
         """Advance one semi-implicit step; raises CflViolation for over-large dt.
 
         derivs is state_derivatives(state); the step consumes its gradients.
+        cfl_limit, if given, is cfl_limit(state), already evaluated to size dt.
         """
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        limit = self.cfl_limit(state)
+        limit = self.cfl_limit(state) if cfl_limit is None else cfl_limit
         if dt > limit * (1.0 + 1e-9):
             raise CflViolation(dt, limit)
         grid = self.grid
@@ -257,11 +263,11 @@ class BoussinesqStepper:
             w_b = boundary_vorticity(u_tau[0], self.bottom)
             w_t = boundary_vorticity(u_tau[1], self.top)
             omega_new, info = helm_w.solve(dt * expl_w, w_b, w_t, x0=state.omega, crank_nicolson=True)
-            # rough grids: the psi right-hand side's sine coordinates are minus omega_new's
+            # the psi right-hand side's coordinates are minus omega_new's
             w_hat, info = info.coords, None
             psi_new = self.poisson.solve(
-                -omega_new[:, 1:-1], np.zeros(grid.n1), np.full(grid.n1, psi_top),
-                x0=state.psi, rhs_coords=None if w_hat is None else np.negative(w_hat, out=w_hat))[0]
+                None, np.zeros(grid.n1), np.full(grid.n1, psi_top),
+                x0=state.psi, rhs_coords=np.negative(w_hat, out=w_hat))[0]
             w_hat = None
             u1, u2 = self._velocity(psi_new)
             u_tau_new = self.wall_u_tau(u1, u2)
@@ -279,30 +285,42 @@ class BoussinesqStepper:
 
     # -- pressure ---------------------------------------------------------------
 
-    def recover_pressure(self, state: FlowState, derivs: StateDerivatives,
-                         grad_u) -> tuple[np.ndarray, SolveInfo]:
+    def recover_pressure(self, state: FlowState,
+                         derivs: StateDerivatives) -> tuple[np.ndarray, SolveInfo]:
         """Mean-zero pressure from the Neumann problem the momentum balance implies.
 
         Bulk:  Lap p = -(1/Pr) (grad u)^T : grad u + Ra dT/dy2.
         Walls: n.grad p = -(kappa/Pr) u_tau^2 + 2 d/dlambda((alpha+kappa) u_tau),
         plus n2 Ra on the bottom wall where T = 1.
 
-        derivs is state_derivatives(state) and grad_u the grad_physical pairs
-        of (u1, u2).  Each solve starts cold, so a resumed run recovers the same pressures.
+        derivs is state_derivatives(state) with the sample's grad_u set; the
+        velocity gradients are dropped once the right-hand side is formed, so
+        the solve does not hold them.  Both walls' flux derivatives take one
+        transform pair.  Each solve starts cold, so a resumed run recovers
+        the same pressures.
         """
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        (u1y1, u1z), (u2y1, u2z) = grad_u
-        rhs = -(u1y1**2 + 2.0 * u2y1 * u1z + u2z**2) / pr
+        (u1y1, u1z), (u2y1, u2z) = derivs.grad_u
+        derivs.grad_u = None
+        # -(u1y1^2 + 2 u2y1 u1z + u2z^2) / Pr + Ra dT/dy2, in two arrays
+        rhs, work = np.multiply(u1y1, u1y1), np.multiply(2.0, u2y1)
+        rhs += np.multiply(work, u1z, out=work)
+        rhs += np.multiply(u2z, u2z, out=work)
+        del u1y1, u1z, u2y1, u2z
+        np.negative(rhs, out=rhs)
+        rhs /= pr
         if ra > 0.0:
-            rhs = rhs + ra * derivs.grad_temp[1]
+            rhs += np.multiply(ra, derivs.grad_temp[1], out=work)
+        del work
 
-        fluxes = {}
-        for bd, side, ut in zip((self.bottom, self.top), (Side.BOTTOM, Side.TOP), state.u_tau):
-            dg_dlam = tangential_derivative((bd.alpha + bd.kappa) * ut, grid, side)
-            flux = -(bd.kappa / pr) * ut**2 + 2.0 * dg_dlam
-            if side is Side.BOTTOM:
-                flux = flux + ra * bd.normal[:, 1]
-            fluxes[side] = flux
-
-        return self.neumann.solve(rhs, fluxes[Side.BOTTOM], fluxes[Side.TOP])
+        walls = (self.bottom, self.top)
+        g = np.empty((2, grid.n1))       # (alpha + kappa) u_tau on both walls
+        for line, bd, ut in zip(g, walls, state.u_tau):
+            np.multiply(bd.alpha + bd.kappa, ut, out=line)
+        fluxes = wall_tangential_derivatives(g, grid)
+        for flux, bd, ut in zip(fluxes, walls, state.u_tau):
+            flux *= 2.0
+            flux -= (bd.kappa / pr) * ut**2
+        fluxes[0] += ra * self.bottom.normal[:, 1]
+        return self.neumann.solve(rhs, *fluxes)

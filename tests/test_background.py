@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rbns.background import build_background
-from rbns.grid import MappedGrid, grad_physical
+from rbns.geometry import boundary_frames
+from rbns.grid import MappedGrid
 
 
 def test_eta_profile_values(flat_profile):
@@ -54,16 +55,19 @@ def test_theta_vanishes_on_walls(flat_profile):
     assert np.abs(th[:, -1]).max() <= 1e-15
 
 
-def test_theta_ingredients_conduction(flat_profile):
+def test_theta_ingredients_conduction(flat_profile, alpha_one):
     # closed forms for T = 1 - x2, u = 0:
     #   <|grad theta|^2> = 2 delta (1/(2 delta) - 1)^2 + (1 - 2 delta)
     #   <theta u . grad eta> = 0
+    from reference_diagnostics import measure_fields
+
     grid = MappedGrid(flat_profile, 8, 161)
+    bottom, top = boundary_frames(flat_profile, 8, alpha_one)
     delta = 0.125
     bg = build_background(delta, grid)
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
-    zeros = np.zeros(grid.shape)
-    gts, coupling = bg.theta_ingredients(temp, grad_physical(temp, grid), zeros, zeros)
+    row = measure_fields(grid, bottom, top, temp, background=bg)
+    gts, coupling = row["grad_theta_sq"], row["theta_u_grad_eta"]
     exact = 2 * delta * (1.0 / (2 * delta) - 1.0) ** 2 + (1.0 - 2 * delta)
     assert gts == pytest.approx(exact, rel=1e-10)
     assert coupling == pytest.approx(0.0, abs=1e-14)

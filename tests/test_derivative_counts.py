@@ -13,7 +13,7 @@ import pytest
 import rbns.grid
 from rbns.background import build_background
 from rbns.config import RunConfig
-from rbns.diagnostics import ENSTROPHY_COLUMNS, measure
+from rbns.diagnostics import ENSTROPHY_COLUMNS, measure, velocity_gradient_integrals
 from rbns.grid import grad_physical
 from rbns.runner import (
     build_stepper,
@@ -69,14 +69,16 @@ def test_measure_differentiates_each_field_once(monkeypatch, flat_state):
     stepper, state = flat_state
     state = stepper.step(state, 1e-4, stepper.state_derivatives(state))
     grid = stepper.grid
-    grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
-    pressure, _ = stepper.recover_pressure(state, stepper.state_derivatives(state), grad_u)
+    derivs = stepper.state_derivatives(state)
+    derivs.grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
+    pressure, _ = stepper.recover_pressure(state, derivs)
     background = build_background(0.25, grid)
     d_x1_calls = _count_calls(monkeypatch, "d_x1")
     u_tau_calls = _count_calls(monkeypatch, "tangential_velocity")
     derivs = stepper.state_derivatives(state)
-    grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
-    row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u,
+    grad_u_sq = velocity_gradient_integrals(
+        (grad_physical(state.u1, grid), grad_physical(state.u2, grid)), grid)
+    row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,
                   pressure=pressure, background=background)
     assert np.isfinite(row["grad_theta_sq"])
     assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)
@@ -114,3 +116,74 @@ def test_step_plus_sample_differentiates_each_state_once(monkeypatch):
     assert extra["d_x1"] <= 7
     assert extra["d_x2"] <= 7
     assert extra["tangential_velocity"] <= 2
+
+
+def _sampled_config(modes, sample_interval):
+    cfg = _flat_config()
+    cfg.geometry.modes = modes
+    dt = 1e-4
+    cfg.time.dt, cfg.time.t_end, cfg.time.sample_interval = dt, 2 * dt, sample_interval
+    cfg.bounds.background_delta = 0.25
+    cfg.output.pressure_every = 1
+    return cfg
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
+def test_sample_transform_count(monkeypatch, modes):
+    # one sample with pressure: the velocity gradients (two full-size
+    # transform pairs), the Neumann solve (one), and two batched wall-line
+    # pairs, the pressure fluxes and measure's u_tau and pressure traces.
+    # Two runs of the same two steps, sampled every step and only at t = 0,
+    # differ by two samples.
+    counts = {}
+    for label, interval in (("every", 1e-4), ("first", 1.0)):
+        calls = []
+        with monkeypatch.context() as mp:
+            for name in ("rfft", "irfft"):
+                original = getattr(np.fft, name)
+
+                def counted(a, *args, _original=original, _name=name, **kwargs):
+                    line = np.ndim(a) == 1 or min(np.shape(a)) <= 4
+                    calls.append((_name, "line" if line else "full"))
+                    return _original(a, *args, **kwargs)
+
+                mp.setattr(np.fft, name, counted)
+            res = run_simulation(_sampled_config(modes, interval))
+        assert res.steps_taken == 2
+        counts[label] = (len(res.recorder.records), calls)
+    (n_every, every), (n_first, first) = counts["every"], counts["first"]
+    assert n_every - n_first == 2
+    per_sample = {key: (every.count(key) - first.count(key)) / 2
+                  for key in {*every, *first}}
+    assert per_sample == {("rfft", "full"): 3, ("irfft", "full"): 3,
+                          ("rfft", "line"): 2, ("irfft", "line"): 2}
+
+
+def test_velocity_gradients_freed_before_pressure_solve(monkeypatch):
+    # the sample's four velocity-gradient arrays give int |grad u|^2 and the
+    # pressure right-hand side, and none is alive inside the Neumann solve
+    import weakref
+
+    import rbns.runner
+    from rbns.elliptic import PoissonNeumann
+
+    gradients = []
+    original_grad = rbns.runner.grad_physical
+
+    def recorded_grad(f, grid):
+        out = original_grad(f, grid)
+        gradients.extend(weakref.ref(a) for a in out)
+        return out
+
+    solve = PoissonNeumann.solve
+    alive = []
+
+    def checked_solve(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in gradients))
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(rbns.runner, "grad_physical", recorded_grad)
+    monkeypatch.setattr(PoissonNeumann, "solve", checked_solve)
+    res = run_simulation(_sampled_config((), 1e-4))
+    assert len(res.recorder.records) == 3 and len(gradients) == 12
+    assert alive == [0, 0, 0]

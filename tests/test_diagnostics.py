@@ -9,17 +9,23 @@ from rbns.diagnostics import (
     CSV_COLUMNS,
     CSV_HEADER,
     ENSTROPHY_COLUMNS,
+    STRIP_COLUMNS,
     Recorder,
-    enstrophy_balance_terms,
     measure,
-    nusselt_flux,
-    nusselt_gradsq,
-    nusselt_strip,
+    velocity_gradient_integrals,
 )
 from rbns.geometry import Side, boundary_frames
 from rbns.grid import MappedGrid, d_x1_line, grad_physical, tangential_velocity
 from rbns.runner import run_simulation
 from rbns.solver import FlowState, StateDerivatives
+
+from reference_diagnostics import (
+    enstrophy_balance_terms,
+    measure_fields,
+    nusselt_flux,
+    nusselt_gradsq,
+    nusselt_strip,
+)
 
 
 def conduction_setup(profile, alpha, n1=32, n2=33):
@@ -36,6 +42,9 @@ def test_nusselt_conduction_flat(flat_profile, alpha_one):
     assert nusselt_gradsq(temp, grid) == pytest.approx(1.0, abs=1e-13)
     for level in (0.25, 0.5, 0.75):
         assert nusselt_strip(temp, zeros, zeros, grid, level) == pytest.approx(1.0, abs=1e-13)
+    row = measure_fields(grid, bottom, top, temp)
+    for name in ("nu_flux", "nu_gradsq", *STRIP_COLUMNS):
+        assert row[name] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_nusselt_constant_temperature(flat_profile, alpha_one):
@@ -50,6 +59,7 @@ def test_nusselt_conduction_rough(sine_profile, alpha_one):
     grid, bottom, top, temp, zeros = conduction_setup(sine_profile, alpha_one, n1=64)
     expected = float(np.mean(1.0 + grid.hp**2))
     assert nusselt_flux(temp, grid) == pytest.approx(expected, rel=1e-12)
+    assert measure_fields(grid, bottom, top, temp)["nu_flux"] == pytest.approx(expected, rel=1e-12)
     # the level-line representation agrees at the wall level
     assert nusselt_strip(temp, zeros, zeros, grid, 0.0) == pytest.approx(expected, rel=1e-12)
 
@@ -144,7 +154,7 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
         state = FlowState(time=t, omega=zeros, psi=zeros, temp=temp, u1=zeros, u2=zeros,
                           psi_top=0.0, u_tau=(np.zeros(grid.n1), np.zeros(grid.n1)))
         rec.add(measure(state, grid, bottom, top, pr=1.0, ra=10.0, derivs=derivs,
-                        grad_u=(grad_zero, grad_zero), pressure=zeros))
+                        grad_u_sq=0.0, pressure=zeros))
     rec.finalize()
     path = tmp_path / "diag.csv"
     rec.write_csv(path)
@@ -220,13 +230,14 @@ temp_perturbation = 0.01
 
 
 def _fresh_derivatives(state, grid):
-    """A state with its wall u_tau, derivative set and velocity gradients, evaluated afresh."""
+    """A state with its wall u_tau and derivative set, velocity gradients included, evaluated afresh."""
     u1, u2 = state.u1, state.u2
     state = replace(state, u_tau=tuple(tangential_velocity(u1, u2, grid, side)
                                        for side in (Side.BOTTOM, Side.TOP)))
     derivs = StateDerivatives(grad_omega=grad_physical(state.omega, grid),
-                              grad_temp=grad_physical(state.temp, grid))
-    return state, derivs, (grad_physical(u1, grid), grad_physical(u2, grid))
+                              grad_temp=grad_physical(state.temp, grid),
+                              grad_u=(grad_physical(u1, grid), grad_physical(u2, grid)))
+    return state, derivs
 
 
 def test_shared_derivatives_reproduce_fresh_ones(tmp_path, monkeypatch):
@@ -265,12 +276,13 @@ pressure_every = 1
 
     recover = BoussinesqStepper.recover_pressure
 
-    def reference_pressure(self, state, derivs, grad_u):
+    def reference_pressure(self, state, derivs):
         return recover(self, *_fresh_derivatives(state, self.grid))
 
-    def reference_measure(state, grid, bottom, top, pr, ra, derivs, grad_u, **kwargs):
-        state, derivs, grad_u = _fresh_derivatives(state, grid)
-        return measure(state, grid, bottom, top, pr, ra, derivs, grad_u, **kwargs)
+    def reference_measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq, **kwargs):
+        state, derivs = _fresh_derivatives(state, grid)
+        grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
+        return measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq, **kwargs)
 
     monkeypatch.setattr(BoussinesqStepper, "recover_pressure", reference_pressure)
     monkeypatch.setattr(rbns.runner, "measure", reference_measure)
@@ -337,3 +349,67 @@ pressure_every = {pressure_every}
         assert len(calls) == 6 == np.isfinite(defects).sum()
         assert reported == np.nanmax(defects)
         assert report.qform is not None
+
+
+# quantities compared on a common scale: a term that vanishes on one grid
+# (ens:wall_inertia is ~1e-20 on flat walls) is held to its group's size
+_SCALE_GROUPS = (
+    ("nu_flux", "nu_gradsq", *STRIP_COLUMNS, "convective_transport",
+     "grad_theta_sq", "theta_u_grad_eta"),
+    ("energy", "enstrophy", "grad_u_sq", "boundary_friction", "kappa_friction",
+     "ak_friction", "buoyancy_flux"),
+    ENSTROPHY_COLUMNS,
+)
+
+
+def _stepped_state(modes, steps):
+    from rbns.runner import build_stepper, initial_stream_function, initial_temperature
+
+    cfg = parse_config("[physical]\nra = 1e4\npr = 10.0\n[grid]\nn1 = 32\nn2 = 33\n"
+                       "[initial]\ntemp_perturbation = 0.01\nu0_amplitude = 1.0\n")
+    cfg.geometry.modes = modes
+    stepper = build_stepper(cfg)
+    state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
+                                      initial_stream_function(cfg, stepper.grid))
+    for _ in range(steps):
+        state = stepper.step(state, 1e-4, stepper.state_derivatives(state))
+    return stepper, state
+
+
+@pytest.mark.parametrize("background", [False, True], ids=["no_bg", "bg"])
+@pytest.mark.parametrize("pressure", [False, True], ids=["no_p", "p"])
+@pytest.mark.parametrize("modes,steps", [((), 5), (((1, 0.0, 0.1),), 5), ((), 0)],
+                         ids=["flat", "rough", "flat_at_rest"])
+def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure, background):
+    # the one-pass row against every quantity evaluated on its own; steps = 0
+    # is the initial state, whose vorticity and velocity vanish
+    from reference_diagnostics import reference_row
+
+    from rbns.background import build_background
+
+    stepper, state = _stepped_state(modes, steps)
+    if steps == 0:
+        state = replace(state, omega=np.zeros_like(state.omega), u1=np.zeros_like(state.u1),
+                        u2=np.zeros_like(state.u2),
+                        u_tau=tuple(np.zeros_like(ut) for ut in state.u_tau))
+    grid = stepper.grid
+    bg = build_background(0.25, grid) if background else None
+    derivs = stepper.state_derivatives(state)
+    derivs.grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
+    grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
+    p = stepper.recover_pressure(state, derivs)[0] if pressure else None
+    row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,
+                  pressure=p, background=bg)
+    ref = reference_row(state, grid, stepper.bottom, stepper.top, 10.0, 1e4,
+                        pressure=p, background=bg)
+    assert set(ref) <= set(row)
+    scale = {name: max(abs(ref[n]) for n in group) for group in _SCALE_GROUPS for name in group}
+    for name, want in ref.items():
+        got = row[name]
+        if np.isnan(want):
+            assert np.isnan(got), name
+        else:
+            assert abs(got - want) <= 1e-13 * max(abs(want), scale.get(name, 0.0)), name
+    if pressure and modes:
+        # every enstrophy ingredient is nonzero on the rough state, so a wrong sign shows
+        assert all(ref[name] != 0.0 for name in ENSTROPHY_COLUMNS)

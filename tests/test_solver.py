@@ -31,8 +31,11 @@ def small_cfg(**kw):
     return cfg
 
 
-def _grad_u(state, grid):
-    return grad_physical(state.u1, grid), grad_physical(state.u2, grid)
+def _sample_derivatives(stepper, state):
+    """state_derivatives(state) with the sample's velocity gradients set."""
+    derivs = stepper.state_derivatives(state)
+    derivs.grad_u = (grad_physical(state.u1, stepper.grid), grad_physical(state.u2, stepper.grid))
+    return derivs
 
 
 def test_physical_params_validation():
@@ -119,7 +122,9 @@ def test_vorticity_gradient_identity(sine_profile, alpha_one):
     omega[:, 1:-1] = apply_L_tilde(psi, grid)
     # psi and dpsi/dx2 vanish on both walls, so there Lap psi = (1+h'^2) psi_x2x2
     omega[:, [0, -1]] = (grid.a22 * 2 * np.pi**2 * np.sin(2 * np.pi * grid.x1))[:, None]
-    from rbns.diagnostics import boundary_friction_integral, velocity_gradient_integrals
+    from reference_diagnostics import boundary_friction_integral
+
+    from rbns.diagnostics import velocity_gradient_integrals
 
     u_tau = [tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)]
     lhs = velocity_gradient_integrals((grad_physical(u1, grid), grad_physical(u2, grid)), grid)
@@ -145,8 +150,7 @@ def test_pressure_zero_state(flat_profile):
     stepper = build_stepper(cfg)
     temp = np.zeros(stepper.grid.shape)
     state = stepper.state_from_fields(temp)
-    p, info = stepper.recover_pressure(state, stepper.state_derivatives(state),
-                                       _grad_u(state, stepper.grid))
+    p, info = stepper.recover_pressure(state, _sample_derivatives(stepper, state))
     assert np.abs(p).max() <= 1e-12
 
 
@@ -154,8 +158,7 @@ def test_pressure_hydrostatic(flat_profile):
     cfg = small_cfg(ra=50.0, n2=65)
     stepper = build_stepper(cfg)
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid))
-    p, info = stepper.recover_pressure(state, stepper.state_derivatives(state),
-                                       _grad_u(state, stepper.grid))
+    p, info = stepper.recover_pressure(state, _sample_derivatives(stepper, state))
     x2 = stepper.grid.x2[None, :]
     expected = 50.0 * (x2 - 0.5 * x2**2 - 1.0 / 3.0) * np.ones((stepper.grid.n1, 1))
     assert np.abs(p - expected).max() <= 5e-5 * 50.0  # second-order in dx2
@@ -278,3 +281,21 @@ def test_contravariant_flux_divergence_matches_chain_rule(modes):
         assert np.array_equal(got, want)
     else:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_auto_dt_evaluates_cfl_limit_once_per_step(monkeypatch):
+    # the CFL limit sizes an automatic step and checks it, evaluated once
+    cfg = small_cfg(ra=1e4, n1=16, n2=17)
+    cfg.initial.u0_amplitude = 10.0
+    cfg.time.t_end, cfg.time.sample_interval = 2e-3, 1e-3
+    calls = []
+    cfl_limit = BoussinesqStepper.cfl_limit
+
+    def counted(self, state):
+        calls.append(state.time)
+        return cfl_limit(self, state)
+
+    monkeypatch.setattr(BoussinesqStepper, "cfl_limit", counted)
+    res = run_simulation(cfg)
+    assert cfg.time.dt is None and res.steps_taken >= 3 and not res.aborted
+    assert len(calls) == res.steps_taken
