@@ -72,8 +72,7 @@ class BackgroundField:
             s[np.abs(x2 - 1.0) <= 1e-12] = slope
         self.eta_slope = s
 
-        mean_a22 = float(np.mean(grid.a22))
-        self.grad_eta_sq_avg = mean_a22 / (2.0 * delta)
+        self.grad_eta_sq_avg = grid.a22_mean / (2.0 * delta)
 
     @property
     def eta(self) -> np.ndarray:

@@ -69,11 +69,12 @@ AVERAGED = (
 
 
 def velocity_gradient_integrals(grad_u, grid: MappedGrid) -> float:
-    """Raw int |grad u|^2 over the domain; grad_u holds the grad_physical pairs of (u1, u2)."""
-    (u1y1, u1y2), (u2y1, u2y2) = grad_u
-    f, g = np.multiply(u1y1, u1y1), np.empty_like(u1y1)
-    for a in (u1y2, u2y1, u2y2):
-        f += np.multiply(a, a, out=g)
+    """Raw int |grad u|^2 from ``rbns.solver.velocity_gradients``: d u1/dy1 = -d u2/dy2."""
+    u1y2, u2y1, u2y2 = grad_u
+    f, g = np.multiply(u2y2, u2y2), np.multiply(u1y2, u1y2)
+    f *= 2.0
+    f += g
+    f += np.multiply(u2y1, u2y1, out=g)
     return volume_integral(f, grid)
 
 

@@ -11,7 +11,9 @@ where L is the mapped divergence-form Laplacian.  The Dirichlet problems
 apply it through ``rbns.grid.SineOperator``; the Neumann problem has its own
 face discretization, applied by ``rbns.grid.CosineOperator``.  Dirichlet
 wall data reach only the two rows next to the walls
-(``rbns.grid.laplacian_of_walls``) and are moved into the right-hand side.
+(``rbns.grid.laplacian_of_walls``) and are moved into the right-hand side
+as the x1 spectra of those two rows (``wall_spectra``), so wall traces that
+are constant for a run are transformed once by the caller.
 
 Every solve works on x1-Fourier coefficients in the layout of
 ``rbns.grid.to_coefficients``: x2-major, (rows, n1//2+1) complex.  On a flat
@@ -24,6 +26,11 @@ eigenvalues, ``from_basis`` and one inverse transform.  The isometric
 scaling of the coefficients commutes with that solve, so the direct path
 leaves it out, and a flat Crank-Nicolson right-hand side x0 + c L x0 + rhs
 is built in the same coefficients (``rbns.grid._flat_laplacian``).
+
+The Crank-Nicolson entry takes the coordinates of x0 and rhs
+(``HelmholtzDirichlet.coordinates`` of their interior-row x1 spectra): the
+time step reads x0's spectra from its x1 derivatives and assembles rhs in
+spectra, so the solve makes no forward transform.
 
 On rough grids the operators are symmetric (positive semidefinite for
 Neumann; the coefficient matrix has unit determinant) and we run
@@ -116,19 +123,13 @@ def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray,
 # Dirichlet wall data
 # ---------------------------------------------------------------------------
 
-def _dirichlet_rhs(c: float, rhs_int: np.ndarray, bottom: np.ndarray, top: np.ndarray,
-                   grid: MappedGrid) -> np.ndarray:
-    """Move the Dirichlet data into the right-hand side of (sigma*I - c*L).
+def wall_spectra(bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """x1 spectra (2, n1//2+1) of ``laplacian_of_walls``, the Dirichlet wall terms.
 
-    This is rhs + c * (interior L of the wall-only field), nonzero only on
-    the two rows next to the walls.  b is Fortran-ordered, so x1_transform
-    reads its rows without a transposing copy.
+    Row 0 is the term on the row next to the bottom wall, row 1 next to the
+    top; each depends on its own trace only.
     """
-    b = np.array(rhs_int, order="F")
-    near_bottom, near_top = laplacian_of_walls(bottom, top, grid)
-    b[:, 0] += c * near_bottom
-    b[:, -1] += c * near_top
-    return b
+    return x1_transform(np.column_stack(laplacian_of_walls(bottom, top, grid)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -204,54 +205,59 @@ class HelmholtzDirichlet:
             self._operator = SineOperator(grid, self._sigma, self._ceff)
             self._inv_divisor = np.reciprocal(self._operator.divisor)
 
+    def coordinates(self, spectra: np.ndarray) -> np.ndarray:
+        """The solve's coordinates of interior-row x1 spectra (x1_transform's values).
+
+        The spectra themselves on flat grids; on rough ones, a new array of
+        the sine coordinates of the isometric coefficients.
+        """
+        grid = self.grid
+        if grid.is_flat:
+            return spectra
+        c = np.multiply(spectra, grid.coeff_scale, out=np.empty(spectra.shape, dtype=complex))
+        return to_basis(self._basis, c, grid)
+
     def solve(self, rhs_int: np.ndarray | None, bottom: np.ndarray, top: np.ndarray,
-              x0: np.ndarray | None = None, *, crank_nicolson: bool = False,
-              rhs_coords: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
+              x0: np.ndarray | None = None, *, rhs_coords: np.ndarray | None = None,
+              old: np.ndarray | None = None,
+              walls: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
         """Returns the full-field solution (wall rows set to the given traces).
 
-        x0, a full field or its interior rows, starts the rough-grid PCG.
-        With crank_nicolson the right-hand side is x0 + c L x0 + rhs_int
-        for the full field x0.  info.coords holds the solution's interior
-        coordinates: its x1_transform on flat grids, its sine coordinates
-        on rough ones.  rhs_coords, the same coordinates of rhs_int, may
-        stand in for it (they are overwritten).
+        The right-hand side is rhs_int, grid values of the interior rows, or
+        rhs_coords, its ``coordinates`` (overwritten).  walls, the
+        ``wall_spectra`` of the traces that enter the right-hand side, is
+        computed from (bottom, top) when not given.  With old, the
+        coordinates of a field's interior rows, the solve is the
+        Crank-Nicolson one: the right-hand side gains old + c L old, and
+        the rough-grid PCG starts from old (overwritten); walls must then be
+        those of the old plus the new traces.  Otherwise x0, a full field or
+        its interior rows, starts the rough-grid PCG.  info.coords holds the
+        solution's coordinates.
         """
         grid = self.grid
         full = np.empty(grid.shape)
-        walls = (bottom, top)
-        if crank_nicolson:
-            walls = (bottom + x0[:, 0], top + x0[:, -1])    # the old and the new traces
+        b = self.coordinates(x1_transform(rhs_int, grid)) if rhs_coords is None else rhs_coords
+        if walls is None:
+            walls = wall_spectra(bottom, top, grid)
         if grid.is_flat:
-            if rhs_coords is None:
-                b = x1_transform(_dirichlet_rhs(self._ceff, rhs_int, *walls, grid), grid)
-            else:
-                # the wall terms live on the rows next to the walls
-                b = rhs_coords
-                g = x1_transform(np.column_stack(laplacian_of_walls(*walls, grid)), grid)
-                g *= self._ceff
-                b[[0, -1]] += g
-            if crank_nicolson:
-                # b += y0 + c L y0, the old field transformed once
-                y = x1_transform(x0[:, 1:-1], grid)
-                cly = _flat_laplacian(y, grid, np.empty_like(y))
+            b[[0, -1]] += self._ceff * walls        # the rows next to the walls
+            if old is not None:
+                cly = _flat_laplacian(old, grid, np.empty_like(old))
                 cly *= self._ceff
-                cly += y
+                cly += old
                 b += cly
             u = _eigen_solve(self._basis, b, self._inv_divisor, grid)
             full[:, 1:-1] = x1_inverse(u, grid)
             info = SolveInfo(1, 0.0, "direct", coords=u)
         else:
             basis, op = self._basis, self._operator
-            b = rhs_coords
-            if b is None:
-                b = to_basis(basis, to_coefficients(rhs_int, grid), grid)
-            x = ax = None
-            if x0 is not None:
-                x = to_basis(basis, to_coefficients(x0[:, 1:-1] if x0.shape == grid.shape
-                                                    else x0, grid), grid)
+            x, ax = old, None
+            if x is None and x0 is not None:
+                x = self.coordinates(x1_transform(x0[:, 1:-1] if x0.shape == grid.shape else x0,
+                                                  grid))
             ap = np.empty_like(b)
-            if crank_nicolson:
-                # c L y0 = y0 - A y0: b = 2 y0 - A y0 + rhs + old and new wall terms
+            if old is not None:
+                # c L y0 = y0 - A y0: b = 2 y0 - A y0 + rhs + wall terms
                 ax = op.apply(x, ap)
                 b += x
                 b += x
@@ -259,7 +265,7 @@ class HelmholtzDirichlet:
             # the wall terms live on the rows next to the walls: their
             # coordinates are outer(S[0, :], g_bottom) + outer(S[-1, :], g_top)
             # with S[0, :] = (plus[0], minus[0]), S[-1, :] = (plus[0], -minus[0])
-            g = to_coefficients(np.column_stack(laplacian_of_walls(*walls, grid)), grid)
+            g = walls * grid.coeff_scale
             g *= self._ceff
             mid = basis.plus.shape[0]
             b[:mid] += np.multiply.outer(basis.plus[0], g[0] + g[1])
@@ -307,11 +313,13 @@ def _remove_kernel(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
     vector: the skew x1 derivative zeroes the Nyquist mode, so a field
     alternating in x1 and constant in x2 is annihilated too.  In x2-major
     coefficients each is a constant k = 0 or Nyquist column, so the
-    projection removes the plain mean of that column.
+    projection removes the plain mean of that column (sum over length: the
+    bits of ndarray.mean without its per-call overhead).
     """
-    c[:, 0] -= c[:, 0].mean()
+    rows = c.shape[0]
+    c[:, 0] -= c[:, 0].sum() / rows
     if grid.n1 % 2 == 0:
-        c[:, -1] -= c[:, -1].mean()
+        c[:, -1] -= c[:, -1].sum() / rows
     return c
 
 
@@ -343,17 +351,18 @@ class PoissonNeumann:
         # the x1 modes whose j = 0 coordinate spans the kernel: zero divisor, zero reciprocal
         self._kernel = grid.ik_d1 == 0.0
         self._inv_divisor[0, self._kernel] = 0.0
+        self._node_weight = -grid.dx1 * grid.w2
+        self._wall_weight = grid.dx1 * grid.ds_weight
 
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-        """Rough grids: PCG on cosine coordinates (``rbns.grid.CosineOperator``)."""
+        """(n1,) flux arrays.  Rough grids: PCG on cosine coordinates (``CosineOperator``)."""
         grid = self.grid
-        flux_bottom = np.broadcast_to(np.asarray(flux_bottom, dtype=float), (grid.n1,))
-        flux_top = np.broadcast_to(np.asarray(flux_top, dtype=float), (grid.n1,))
         # Fortran order: x1_transform reads the rows of b without a copy
-        b = np.multiply(rhs, -grid.dx1 * grid.w2, out=np.empty(grid.shape, order="F"))
-        b[:, 0] += grid.dx1 * grid.ds_weight * flux_bottom
-        b[:, -1] += grid.dx1 * grid.ds_weight * flux_top
+        b = np.multiply(rhs, self._node_weight, out=np.empty(grid.shape, order="F"))
+        line = np.empty(grid.n1)
+        b[:, 0] += np.multiply(self._wall_weight, flux_bottom, out=line)
+        b[:, -1] += np.multiply(self._wall_weight, flux_top, out=line)
         # compatibility: project out the kernel component and report it
         defect = float(np.sum(b))
         scale = float(np.sum(np.abs(b)))
@@ -395,5 +404,7 @@ class PoissonNeumann:
 def solve_poisson_neumann(rhs: np.ndarray, flux_bottom, flux_top, grid: MappedGrid,
                           tol: float = 1e-10, maxiter: int | None = None,
                           x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-    """One-shot Neumann solve; see :class:`PoissonNeumann`."""
+    """One-shot Neumann solve; see :class:`PoissonNeumann`.  The fluxes may be scalars."""
+    flux_bottom, flux_top = (np.broadcast_to(np.asarray(f, dtype=float), (grid.n1,))
+                             for f in (flux_bottom, flux_top))
     return PoissonNeumann(grid, tol, maxiter).solve(rhs, flux_bottom, flux_top, x0)

@@ -78,6 +78,7 @@ class MappedGrid:
     hpp: np.ndarray = field(init=False)
     hppp: np.ndarray = field(init=False)
     a22: np.ndarray = field(init=False)      # 1 + h'^2 per column
+    a22_mean: float = field(init=False)      # its mean, the flat-metric coefficient of the divisors
     ds_weight: np.ndarray = field(init=False)
     w2: np.ndarray = field(init=False)       # trapezoid weights in x2
     coeff_scale: np.ndarray = field(init=False)  # sqrt(w_k / n1), see the module docstring
@@ -113,6 +114,7 @@ class MappedGrid:
         self.hpp = np.asarray(self.profile.evaluate(self.x1, 2))
         self.hppp = np.asarray(self.profile.evaluate(self.x1, 3))
         self.a22 = 1.0 + self.hp**2
+        self.a22_mean = float(np.mean(self.a22))
         self.ds_weight = np.sqrt(self.a22)
         w2 = np.full(self.n2, self.dx2)
         w2[0] = w2[-1] = 0.5 * self.dx2
@@ -210,9 +212,11 @@ def metric_spectra(profile: FourierSeries, n1: int) -> tuple[dict[int, complex],
 # derivatives
 # ---------------------------------------------------------------------------
 
-def d_x1(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Spectral d/dx1 along the periodic axis."""
-    return np.fft.irfft(grid.ik_d1[:, None] * np.fft.rfft(f, axis=0), n=grid.n1, axis=0)
+def d_x1(f: np.ndarray, grid: MappedGrid, spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Spectral d/dx1 along the periodic axis; spectrum, if given, is rfft(f, axis=0)."""
+    if spectrum is None:
+        spectrum = np.fft.rfft(f, axis=0)
+    return np.fft.irfft(grid.ik_d1[:, None] * spectrum, n=grid.n1, axis=0)
 
 
 def d2_x1(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -235,10 +239,14 @@ def d_x2(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return out
 
 
-def grad_physical(f: np.ndarray, grid: MappedGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dy1 f, d/dy2 f) at every node, via the chain rule (d/dy1 = d/dx1 on flat grids)."""
+def grad_physical(f: np.ndarray, grid: MappedGrid,
+                  spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dy1 f, d/dy2 f) at every node, via the chain rule (d/dy1 = d/dx1 on flat grids).
+
+    spectrum, if given, is rfft(f, axis=0), the transform d_x1 would take.
+    """
     fz = d_x2(f, grid)
-    fy1 = d_x1(f, grid)
+    fy1 = d_x1(f, grid, spectrum)
     if not grid.is_flat:
         fy1 -= grid.hp[:, None] * fz
     return fy1, fz
@@ -438,10 +446,9 @@ def sine_divisor(grid: MappedGrid, sigma: float, c: float) -> np.ndarray:
 
     The flat-metric operator sigma - c (Dxx + a Dzz) is diagonal in the x1
     wavenumbers times the sine basis, with these eigenvalues; a is the mean
-    of 1 + h'^2 (exactly 1.0 on flat grids).
+    of 1 + h'^2, ``grid.a22_mean`` (exactly 1.0 on flat grids).
     """
-    a = float(np.mean(grid.a22))
-    out = np.add.outer(a * _parity_basis(_sine_basis, grid.n2).eig, grid.k2)
+    out = np.add.outer(grid.a22_mean * _parity_basis(_sine_basis, grid.n2).eig, grid.k2)
     out *= c
     out += sigma
     return out
@@ -514,11 +521,11 @@ def cosine_divisor(grid: MappedGrid) -> np.ndarray:
     The flat-metric Neumann operator dx1 dx2 (kk Av^T Av + a Gz^T Gz) per x1
     mode, diagonal in this basis as Av^T Av = W - (dx2^2/4) Gz^T Gz; zero in
     row 0 (mu = 0) where kk = |ik|^2 is: k = 0 and the even-n1 Nyquist mode.
-    a is the mean of 1 + h'^2 (exactly 1.0 on flat grids).
+    a is the mean of 1 + h'^2, ``grid.a22_mean`` (exactly 1.0 on flat grids).
     """
-    a = float(np.mean(grid.a22))
     kk = np.abs(grid.ik_d1) ** 2
-    out = np.multiply.outer(_parity_basis(_cosine_basis, grid.n2).eig, a - 0.25 * grid.dx2**2 * kk)
+    out = np.multiply.outer(_parity_basis(_cosine_basis, grid.n2).eig,
+                            grid.a22_mean - 0.25 * grid.dx2**2 * kk)
     out += kk
     out *= grid.dx1 * grid.dx2
     return out

@@ -25,13 +25,14 @@ from rbns.config import RunConfig, serialize_config, validate_config
 from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
 from rbns.elliptic import EllipticError
 from rbns.geometry import boundary_frames, boundary_norms
-from rbns.grid import MappedGrid, grad_physical
+from rbns.grid import MappedGrid
 from rbns.solver import (
     BoussinesqStepper,
     CflViolation,
     FlowState,
     PhysicalParams,
     StateDerivatives,
+    velocity_gradients,
 )
 
 
@@ -203,14 +204,14 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     def take_sample(st: FlowState, derivs: StateDerivatives, index: int) -> str:
         """Record one sample; returns why the run must stop, or "".
 
-        derivs is state_derivatives(st).  The velocity gradients give
-        int |grad u|^2 and the pressure right-hand side, and are dropped
-        before the pressure solve.  A failed pressure solve still records
+        derivs is state_derivatives(st).  The velocity gradients (three,
+        one transform pair) give int |grad u|^2 and the pressure right-hand
+        side, and are dropped before the pressure solve.  A failed pressure solve still records
         the sample, without pressure.
         """
         if not (np.isfinite(st.omega).all() and np.isfinite(st.temp).all()):
             return f"non-finite fields at t = {st.time:.6g}"
-        derivs.grad_u = (grad_physical(st.u1, grid), grad_physical(st.u2, grid))
+        derivs.grad_u = velocity_gradients(st, grid)
         grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
         pressure, defect, abort = None, float("nan"), ""
         if config.output.pressure_every > 0 and index % config.output.pressure_every == 0:

@@ -27,17 +27,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo
+from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo, wall_spectra
 from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
-    d_x1,
     d_x2,
     grad_physical,
     tangential_velocity,
     volume_integral,
     wall_tangential_derivatives,
+    x1_transform,
 )
 
 
@@ -67,7 +67,9 @@ class FlowState:
     """One time level; wall rows of the arrays hold the boundary data.
 
     u_tau is the (bottom, top) wall tangential velocity of (u1, u2),
-    evaluated where the state is built.
+    evaluated where the state is built.  The multistep history
+    prev_expl_* holds the explicit terms of the step that built the state,
+    as interior-row x1 spectra (x1_transform's layout).
     """
 
     time: float
@@ -92,15 +94,30 @@ class StateDerivatives:
     """Derivatives of one FlowState, shared by its sample and the step from it.
 
     grad_omega and grad_temp are grad_physical pairs; the wall u_tau is the
-    state's own.  The step consumes the set: it drops each gradient once
-    used, so neither is held through the elliptic solves.  grad_u, the
-    grad_physical pairs of (u1, u2), is a sample's: recover_pressure drops
-    it once its right-hand side is formed, before the Neumann solve.
+    state's own.  omega_spectrum and temp_spectrum are the rfft(f, axis=0)
+    of the full fields that their d_x1 took; the Crank-Nicolson solves read
+    their interior rows as the old fields' coefficients.  The step consumes
+    the set: it drops each gradient once its explicit terms are formed and
+    each spectrum once its solve has read it, so no gradient is held
+    through the elliptic solves.  grad_u is a sample's, from
+    ``velocity_gradients``: recover_pressure drops it once its right-hand
+    side is formed, before the Neumann solve.
     """
 
     grad_omega: tuple[np.ndarray, np.ndarray] | None
     grad_temp: tuple[np.ndarray, np.ndarray] | None
-    grad_u: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    omega_spectrum: np.ndarray | None = None
+    temp_spectrum: np.ndarray | None = None
+    grad_u: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def velocity_gradients(state: FlowState, grid: MappedGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d u1/dy2, d u2/dy1, d u2/dy2) of a state, one x1 transform pair.
+
+    d u1/dy1 = -d u2/dy2 to rounding at every node: u = (-d psi/dy2, d psi/dy1),
+    d_x1 and d_x2 act on different axes and h' is constant along x2.
+    """
+    return (d_x2(state.u1, grid), *grad_physical(state.u2, grid))
 
 
 def boundary_vorticity(u_tau: np.ndarray, boundary: BoundaryData) -> np.ndarray:
@@ -137,6 +154,10 @@ class BoussinesqStepper:
         self.t_top = np.zeros(grid.n1)
         self.poisson = HelmholtzDirichlet(grid, None)
         self.neumann = PoissonNeumann(grid)
+        # wall terms of constant traces: the temperature Crank-Nicolson solve's
+        # old plus new (a state's walls hold t_bottom, t_top), psi's per unit psi_+
+        self._temp_walls = wall_spectra(2.0 * self.t_bottom, 2.0 * self.t_top, grid)
+        self._psi_walls = wall_spectra(np.zeros(grid.n1), np.ones(grid.n1), grid)
 
     # -- state construction --------------------------------------------------
 
@@ -189,41 +210,61 @@ class BoussinesqStepper:
                 tangential_velocity(u1, u2, self.grid, Side.TOP))
 
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
-        """grad omega and grad T of a state, evaluated once."""
+        """grad omega and grad T of a state and their x1 spectra, evaluated once."""
         grid = self.grid
+        w_hat = np.fft.rfft(state.omega, axis=0)
+        t_hat = np.fft.rfft(state.temp, axis=0)
         return StateDerivatives(
-            grad_omega=grad_physical(state.omega, grid),
-            grad_temp=grad_physical(state.temp, grid),
+            grad_omega=grad_physical(state.omega, grid, w_hat),
+            grad_temp=grad_physical(state.temp, grid, t_hat),
+            omega_spectrum=w_hat, temp_spectrum=t_hat,
         )
 
     def _advection(self, f: np.ndarray, grad_f: tuple[np.ndarray, np.ndarray],
-                   u1: np.ndarray, u2: np.ndarray, u2c: np.ndarray) -> np.ndarray:
-        """Skew-symmetric centered advection -(u.grad f + div(u f))/2, full grid.
+                   u1: np.ndarray, u2: np.ndarray, u2c: np.ndarray,
+                   forcing: np.ndarray | None = None) -> np.ndarray:
+        """Skew-symmetric centered advection -(u.grad f + div(u f))/2 plus forcing (grid values).
 
-        grad_f is grad_physical(f).  The divergence is the contravariant flux
-        d_x1(u1 f) + d_x2(u2c f) with u2c = u2 - h' u1, equal to the chain rule
-        form because h' is constant along each x2 column.
+        Interior-row x1 spectra (rows, nk); grad_f is grad_physical(f).  The
+        divergence is the contravariant flux d_x1(u1 f) + d_x2(u2c f) with
+        u2c = u2 - h' u1, equal to the chain-rule form because h' is constant
+        along each x2 column.  g = -(u.grad f + d_x2(u2c f))/2 + forcing and
+        q = u1 f are transformed once each, and the result is g^ - ik q^/2.
         """
         grid = self.grid
         fy1, fz = grad_f
-        adv = u1 * fy1 + u2 * fz
-        dive = d_x1(u1 * f, grid) + d_x2(u2c * f, grid)
-        return -0.5 * (adv + dive)
+        # full-grid products: contiguous, several times faster than on the interior rows
+        g, w, p = np.multiply(u1, fy1), np.empty(grid.shape), np.empty(grid.shape)
+        g += np.multiply(u2, fz, out=w)
+        # the centered d_x2 of u2c f on the flattened C-ordered array: the
+        # differences that straddle two x1 columns land on the unused wall rows
+        np.multiply(u2c, f, out=p)
+        np.subtract(p.ravel()[2:], p.ravel()[:-2], out=w.ravel()[1:-1])
+        w /= 2.0 * grid.dx2
+        g += w
+        g *= -0.5
+        if forcing is not None:
+            g += forcing
+        n_hat = x1_transform(g[:, 1:-1], grid)
+        q_hat = x1_transform(np.multiply(u1, f, out=p)[:, 1:-1], grid)
+        q_hat *= -0.5 * grid.ik_d1
+        n_hat += q_hat
+        return n_hat
 
     def _explicit_terms(self, state: FlowState,
                         derivs: StateDerivatives) -> tuple[np.ndarray, np.ndarray]:
-        """Advection and buoyancy; drops each gradient of derivs once used."""
+        """Advection and buoyancy, interior-row x1 spectra; drops each gradient of derivs once used."""
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        u2c = state.u2 - grid.hp[:, None] * state.u1
-        grad_w, derivs.grad_omega = derivs.grad_omega, None
-        n_w = self._advection(state.omega, grad_w, state.u1, state.u2, u2c)
-        del grad_w
+        u1, u2 = state.u1, state.u2
+        u2c = u2 if grid.is_flat else u2 - grid.hp[:, None] * u1
         grad_t, derivs.grad_temp = derivs.grad_temp, None
-        n_t = self._advection(state.temp, grad_t, state.u1, state.u2, u2c)
-        if ra > 0.0:
-            n_w = n_w + pr * ra * grad_t[0]
-        return n_w[:, 1:-1], n_t[:, 1:-1]
+        n_t = self._advection(state.temp, grad_t, u1, u2, u2c)
+        buoyancy = (pr * ra) * grad_t[0] if ra > 0.0 else None
+        del grad_t
+        grad_w, derivs.grad_omega = derivs.grad_omega, None
+        n_w = self._advection(state.omega, grad_w, u1, u2, u2c, buoyancy)
+        return n_w, n_t
 
     # -- the step ---------------------------------------------------------------
 
@@ -251,23 +292,32 @@ class BoussinesqStepper:
             expl_w = c1 * n_w + c2 * state.prev_expl_omega
             expl_t = c1 * n_t + c2 * state.prev_expl_temp
 
-        # Crank-Nicolson: (I - c L) f_new = f + c L f + dt expl, assembled by the solver
-        temp_new = HelmholtzDirichlet(grid, 0.5 * dt).solve(
-            dt * expl_t, self.t_bottom, self.t_top, x0=state.temp, crank_nicolson=True)[0]
+        # Crank-Nicolson: (I - c L) f_new = f + c L f + dt expl, assembled by the
+        # solver from the interior x1 spectra of f (the state's) and dt expl
+        helm_t = HelmholtzDirichlet(grid, 0.5 * dt)
+        t_hat, derivs.temp_spectrum = derivs.temp_spectrum[:, 1:-1].T, None
+        temp_new = helm_t.solve(None, self.t_bottom, self.t_top,
+                                rhs_coords=helm_t.coordinates(dt * expl_t),
+                                old=helm_t.coordinates(t_hat), walls=self._temp_walls)[0]
+        del t_hat
 
         u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
         helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt)
+        w_old, derivs.omega_spectrum = derivs.omega_spectrum[:, 1:-1].T, None
         for sweep in range(self.coupling_sweeps + 1):
             w_b = boundary_vorticity(u_tau[0], self.bottom)
             w_t = boundary_vorticity(u_tau[1], self.top)
-            omega_new, info = helm_w.solve(dt * expl_w, w_b, w_t, x0=state.omega, crank_nicolson=True)
+            walls = wall_spectra(w_b + state.omega[:, 0], w_t + state.omega[:, -1], grid)
+            omega_new, info = helm_w.solve(None, w_b, w_t,
+                                           rhs_coords=helm_w.coordinates(dt * expl_w),
+                                           old=helm_w.coordinates(w_old), walls=walls)
             # the psi right-hand side's coordinates are minus omega_new's
             w_hat, info = info.coords, None
             psi_new = self.poisson.solve(
-                None, np.zeros(grid.n1), np.full(grid.n1, psi_top),
-                x0=state.psi, rhs_coords=np.negative(w_hat, out=w_hat))[0]
+                None, np.zeros(grid.n1), np.full(grid.n1, psi_top), x0=state.psi,
+                rhs_coords=np.negative(w_hat, out=w_hat), walls=psi_top * self._psi_walls)[0]
             w_hat = None
             u1, u2 = self._velocity(psi_new)
             u_tau_new = self.wall_u_tau(u1, u2)
@@ -293,23 +343,21 @@ class BoussinesqStepper:
         Walls: n.grad p = -(kappa/Pr) u_tau^2 + 2 d/dlambda((alpha+kappa) u_tau),
         plus n2 Ra on the bottom wall where T = 1.
 
-        derivs is state_derivatives(state) with the sample's grad_u set; the
-        velocity gradients are dropped once the right-hand side is formed, so
-        the solve does not hold them.  Both walls' flux derivatives take one
+        derivs is state_derivatives(state) with the sample's grad_u set
+        (``velocity_gradients``); they are dropped once the right-hand side
+        is formed, so the solve does not hold them.  Both walls' flux derivatives take one
         transform pair.  Each solve starts cold, so a resumed run recovers
         the same pressures.
         """
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
-        (u1y1, u1z), (u2y1, u2z) = derivs.grad_u
+        u1z, u2y1, u2z = derivs.grad_u
         derivs.grad_u = None
-        # -(u1y1^2 + 2 u2y1 u1z + u2z^2) / Pr + Ra dT/dy2, in two arrays
-        rhs, work = np.multiply(u1y1, u1y1), np.multiply(2.0, u2y1)
-        rhs += np.multiply(work, u1z, out=work)
-        rhs += np.multiply(u2z, u2z, out=work)
-        del u1y1, u1z, u2y1, u2z
-        np.negative(rhs, out=rhs)
-        rhs /= pr
+        # -2 (u2z^2 + u2y1 u1z) / Pr + Ra dT/dy2 (u1y1 = -u2z), in two arrays
+        rhs, work = np.multiply(u2z, u2z), np.multiply(u2y1, u1z)
+        rhs += work
+        del u1z, u2y1, u2z
+        rhs *= -2.0 / pr
         if ra > 0.0:
             rhs += np.multiply(ra, derivs.grad_temp[1], out=work)
         del work

@@ -20,7 +20,6 @@ from rbns.diagnostics import (
     STRIP_COLUMNS,
     STRIP_LEVELS,
     measure,
-    velocity_gradient_integrals,
 )
 from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
@@ -40,6 +39,12 @@ def nusselt_flux(temp: np.ndarray, grid: MappedGrid) -> float:
     """Instantaneous boundary-flux Nusselt number on the bottom wall."""
     flux = boundary_trace(temp, grid, Side.BOTTOM, "normal_derivative")
     return line_integral(flux, grid) / grid.area
+
+
+def grad_u_sq(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid) -> float:
+    """int |grad u|^2 from all four velocity gradients, each from its own grad_physical."""
+    (u1y1, u1y2), (u2y1, u2y2) = grad_physical(u1, grid), grad_physical(u2, grid)
+    return volume_integral(u1y1**2 + u1y2**2 + u2y1**2 + u2y2**2, grid)
 
 
 def nusselt_gradsq(temp: np.ndarray, grid: MappedGrid) -> float:
@@ -142,7 +147,6 @@ def reference_row(state, grid: MappedGrid, bottom: BoundaryData, top: BoundaryDa
     """The sample row of ``measure``, every quantity evaluated on its own."""
     omega, temp, u1, u2, u_tau = state.omega, state.temp, state.u1, state.u2, state.u_tau
     grad_temp = ty1, ty2 = grad_physical(temp, grid)
-    grad_u = (grad_physical(u1, grid), grad_physical(u2, grid))
     row = {
         "time": state.time,
         "nu_flux": nusselt_flux(temp, grid),
@@ -151,7 +155,7 @@ def reference_row(state, grid: MappedGrid, bottom: BoundaryData, top: BoundaryDa
            for name, level in zip(STRIP_COLUMNS, STRIP_LEVELS)},
         "energy": volume_integral(u1**2 + u2**2, grid),
         "enstrophy": volume_integral(omega**2, grid),
-        "grad_u_sq": velocity_gradient_integrals(grad_u, grid),
+        "grad_u_sq": grad_u_sq(u1, u2, grid),
         "boundary_friction": boundary_friction_integral(u_tau, bottom, top),
         "kappa_friction": boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
         "ak_friction": boundary_friction_integral(u_tau, bottom, top, weight="a+k"),
@@ -189,8 +193,9 @@ def measure_fields(grid: MappedGrid, bottom: BoundaryData, top: BoundaryData, te
                    time: float = 0.0) -> dict[str, float]:
     """``measure`` of hand-made fields (velocity and vorticity zero unless given).
 
-    The wall u_tau, the state derivatives and int |grad u|^2 are evaluated
-    here, as the runner does for a sampled state.
+    The wall u_tau and the state derivatives are evaluated here, as the
+    runner does for a sampled state; int |grad u|^2 takes all four velocity
+    gradients, as hand-made velocities need not be divergence free.
     """
     zeros = np.zeros(grid.shape)
     u1, u2, omega = (zeros if a is None else a for a in (u1, u2, omega))
@@ -199,6 +204,5 @@ def measure_fields(grid: MappedGrid, bottom: BoundaryData, top: BoundaryData, te
                       psi_top=0.0, u_tau=u_tau)
     derivs = StateDerivatives(grad_omega=grad_physical(omega, grid),
                               grad_temp=grad_physical(temp, grid))
-    grad_u_sq = velocity_gradient_integrals((grad_physical(u1, grid), grad_physical(u2, grid)), grid)
-    return measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq,
+    return measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq(u1, u2, grid),
                    pressure=pressure, background=background)

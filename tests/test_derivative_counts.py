@@ -14,13 +14,13 @@ import rbns.grid
 from rbns.background import build_background
 from rbns.config import RunConfig
 from rbns.diagnostics import ENSTROPHY_COLUMNS, measure, velocity_gradient_integrals
-from rbns.grid import grad_physical
 from rbns.runner import (
     build_stepper,
     initial_stream_function,
     initial_temperature,
     run_simulation,
 )
+from rbns.solver import velocity_gradients
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -54,15 +54,15 @@ def flat_state():
     return stepper, state
 
 
-def test_flat_step_takes_five_x1_derivatives(monkeypatch, flat_state):
-    # temperature and vorticity gradients of the state, the two x1 fluxes of
-    # the skew advection, and the new velocity; buoyancy reuses the
-    # temperature gradient
+def test_flat_step_takes_three_x1_derivatives(monkeypatch, flat_state):
+    # temperature and vorticity gradients of the state and the new velocity;
+    # buoyancy reuses the temperature gradient, and the x1 fluxes of the
+    # skew advection are differentiated on their spectra
     stepper, state = flat_state
     assert stepper.coupling_sweeps == 0
     calls = _count_calls(monkeypatch, "d_x1")
     stepper.step(state, 1e-4, stepper.state_derivatives(state))
-    assert len(calls) <= 5
+    assert len(calls) <= 3
 
 
 def test_measure_differentiates_each_field_once(monkeypatch, flat_state):
@@ -70,20 +70,19 @@ def test_measure_differentiates_each_field_once(monkeypatch, flat_state):
     state = stepper.step(state, 1e-4, stepper.state_derivatives(state))
     grid = stepper.grid
     derivs = stepper.state_derivatives(state)
-    derivs.grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
+    derivs.grad_u = velocity_gradients(state, grid)
     pressure, _ = stepper.recover_pressure(state, derivs)
     background = build_background(0.25, grid)
     d_x1_calls = _count_calls(monkeypatch, "d_x1")
     u_tau_calls = _count_calls(monkeypatch, "tangential_velocity")
     derivs = stepper.state_derivatives(state)
-    grad_u_sq = velocity_gradient_integrals(
-        (grad_physical(state.u1, grid), grad_physical(state.u2, grid)), grid)
+    grad_u_sq = velocity_gradient_integrals(velocity_gradients(state, grid), grid)
     row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,
                   pressure=pressure, background=background)
     assert np.isfinite(row["grad_theta_sq"])
     assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)
-    # grad T, grad u1, grad u2 and grad omega; one u_tau per wall
-    assert len(d_x1_calls) <= 4
+    # grad T, grad u2 and grad omega (d u1/dy1 = -d u2/dy2); one u_tau per wall
+    assert len(d_x1_calls) <= 3
     assert len(u_tau_calls) <= 2
 
 
@@ -105,16 +104,18 @@ def _run_counts(monkeypatch, steps: int) -> dict:
 
 def test_step_plus_sample_differentiates_each_state_once(monkeypatch):
     # one more step of a run sampled every step, with pressure and the
-    # background terms: the step, the new state's derivative set and the
-    # sample (grad u1, grad u2).  Differentiating a state twice (pressure and
-    # measure, or the sample and the next step) costs 11 d_x1, 14 d_x2 and 8
+    # background terms: the step (the new velocity), the new state's
+    # derivative set (grad omega, grad T) and the sample (d u1/dy2, grad u2).
+    # The advective fluxes are differentiated on their spectra, on the
+    # interior rows.  Differentiating a state twice (pressure and measure,
+    # or the sample and the next step) costs 11 d_x1, 14 d_x2 and 8
     # tangential_velocity calls.  The wall u_tau is evaluated once per wall,
     # in the step's coupling sweep that builds the new state.
     one = _run_counts(monkeypatch, 1)
     two = _run_counts(monkeypatch, 2)
     extra = {name: two[name] - one[name] for name in one}
-    assert extra["d_x1"] <= 7
-    assert extra["d_x2"] <= 7
+    assert extra["d_x1"] <= 4
+    assert extra["d_x2"] <= 5
     assert extra["tangential_velocity"] <= 2
 
 
@@ -130,9 +131,10 @@ def _sampled_config(modes, sample_interval):
 
 @pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
 def test_sample_transform_count(monkeypatch, modes):
-    # one sample with pressure: the velocity gradients (two full-size
-    # transform pairs), the Neumann solve (one), and two batched wall-line
-    # pairs, the pressure fluxes and measure's u_tau and pressure traces.
+    # one sample with pressure: the velocity gradients (one full-size
+    # transform pair, grad u2), the Neumann solve (one), and two batched
+    # wall-line pairs, the pressure fluxes and measure's u_tau and pressure
+    # traces.
     # Two runs of the same two steps, sampled every step and only at t = 0,
     # differ by two samples.
     counts = {}
@@ -155,12 +157,12 @@ def test_sample_transform_count(monkeypatch, modes):
     assert n_every - n_first == 2
     per_sample = {key: (every.count(key) - first.count(key)) / 2
                   for key in {*every, *first}}
-    assert per_sample == {("rfft", "full"): 3, ("irfft", "full"): 3,
+    assert per_sample == {("rfft", "full"): 2, ("irfft", "full"): 2,
                           ("rfft", "line"): 2, ("irfft", "line"): 2}
 
 
 def test_velocity_gradients_freed_before_pressure_solve(monkeypatch):
-    # the sample's four velocity-gradient arrays give int |grad u|^2 and the
+    # the sample's three velocity-gradient arrays give int |grad u|^2 and the
     # pressure right-hand side, and none is alive inside the Neumann solve
     import weakref
 
@@ -168,10 +170,10 @@ def test_velocity_gradients_freed_before_pressure_solve(monkeypatch):
     from rbns.elliptic import PoissonNeumann
 
     gradients = []
-    original_grad = rbns.runner.grad_physical
+    original = rbns.runner.velocity_gradients
 
-    def recorded_grad(f, grid):
-        out = original_grad(f, grid)
+    def recorded(state, grid):
+        out = original(state, grid)
         gradients.extend(weakref.ref(a) for a in out)
         return out
 
@@ -182,8 +184,8 @@ def test_velocity_gradients_freed_before_pressure_solve(monkeypatch):
         alive.append(sum(ref() is not None for ref in gradients))
         return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(rbns.runner, "grad_physical", recorded_grad)
+    monkeypatch.setattr(rbns.runner, "velocity_gradients", recorded)
     monkeypatch.setattr(PoissonNeumann, "solve", checked_solve)
     res = run_simulation(_sampled_config((), 1e-4))
-    assert len(res.recorder.records) == 3 and len(gradients) == 12
+    assert len(res.recorder.records) == 3 and len(gradients) == 9
     assert alive == [0, 0, 0]

@@ -17,7 +17,7 @@ from rbns.diagnostics import (
 from rbns.geometry import Side, boundary_frames
 from rbns.grid import MappedGrid, d_x1_line, grad_physical, tangential_velocity
 from rbns.runner import run_simulation
-from rbns.solver import FlowState, StateDerivatives
+from rbns.solver import FlowState, StateDerivatives, velocity_gradients
 
 from reference_diagnostics import (
     enstrophy_balance_terms,
@@ -236,7 +236,7 @@ def _fresh_derivatives(state, grid):
                                        for side in (Side.BOTTOM, Side.TOP)))
     derivs = StateDerivatives(grad_omega=grad_physical(state.omega, grid),
                               grad_temp=grad_physical(state.temp, grid),
-                              grad_u=(grad_physical(u1, grid), grad_physical(u2, grid)))
+                              grad_u=velocity_gradients(state, grid))
     return state, derivs
 
 
@@ -395,7 +395,7 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
     grid = stepper.grid
     bg = build_background(0.25, grid) if background else None
     derivs = stepper.state_derivatives(state)
-    derivs.grad_u = (grad_physical(state.u1, grid), grad_physical(state.u2, grid))
+    derivs.grad_u = velocity_gradients(state, grid)
     grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
     p = stepper.recover_pressure(state, derivs)[0] if pressure else None
     row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,

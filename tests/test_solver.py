@@ -11,6 +11,7 @@ from rbns.grid import (
     grad_physical,
     tangential_velocity,
     volume_integral,
+    x1_inverse,
 )
 from rbns.runner import build_stepper, initial_temperature, run_simulation
 from rbns.solver import (
@@ -18,6 +19,7 @@ from rbns.solver import (
     CflViolation,
     PhysicalParams,
     boundary_vorticity,
+    velocity_gradients,
 )
 
 
@@ -34,7 +36,7 @@ def small_cfg(**kw):
 def _sample_derivatives(stepper, state):
     """state_derivatives(state) with the sample's velocity gradients set."""
     derivs = stepper.state_derivatives(state)
-    derivs.grad_u = (grad_physical(state.u1, stepper.grid), grad_physical(state.u2, stepper.grid))
+    derivs.grad_u = velocity_gradients(state, stepper.grid)
     return derivs
 
 
@@ -127,7 +129,7 @@ def test_vorticity_gradient_identity(sine_profile, alpha_one):
     from rbns.diagnostics import velocity_gradient_integrals
 
     u_tau = [tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)]
-    lhs = velocity_gradient_integrals((grad_physical(u1, grid), grad_physical(u2, grid)), grid)
+    lhs = velocity_gradient_integrals((d_x2(u1, grid), *grad_physical(u2, grid)), grid)
     rhs = volume_integral(omega**2, grid) + boundary_friction_integral(
         u_tau, bottom, top, weight="kappa")
     assert abs(lhs - rhs) <= 2e-3 * abs(lhs)
@@ -274,13 +276,77 @@ def test_contravariant_flux_divergence_matches_chain_rule(modes):
     u1, u2, f = state.u1, state.u2, state.temp
     u2c = u2 - grid.hp[:, None] * u1
     grad_f = grad_physical(f, grid)
-    got = stepper._advection(f, grad_f, u1, u2, u2c)
+    # the interior rows, as x1 spectra; d_x1 of the flux is taken on them,
+    # so even the flat form (h' = 0, the same terms) agrees only to rounding
+    got = x1_inverse(stepper._advection(f, grad_f, u1, u2, u2c), grid)
     chain = grad_physical(u1 * f, grid)[0] + d_x2(u2 * f, grid)
-    want = -0.5 * (u1 * grad_f[0] + u2 * grad_f[1] + chain)
-    if grid.is_flat:
-        assert np.array_equal(got, want)
-    else:
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    want = (-0.5 * (u1 * grad_f[0] + u2 * grad_f[1] + chain))[:, 1:-1]
+    tol = 4e-15 if grid.is_flat else 1e-13
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def _started_state(modes, n1=32, n2=33):
+    cfg = small_cfg(ra=1e4, pert=0.01, n1=n1, n2=n2)
+    cfg.geometry.modes = modes
+    cfg.initial.u0_amplitude = 1.0
+    stepper = build_stepper(cfg)
+    from rbns.runner import initial_stream_function
+
+    grid = stepper.grid
+    return stepper, stepper.state_from_fields(initial_temperature(cfg, grid),
+                                              initial_stream_function(cfg, grid))
+
+
+TWO_WALL_MODES = ((1, 0.0, 0.1), (3, 0.02, -0.05))
+
+
+@pytest.mark.parametrize("modes", [(), TWO_WALL_MODES], ids=["flat", "two_modes"])
+def test_step_matches_grid_value_reference(modes):
+    # 20 steps with alternating dt (variable-step Adams-Bashforth) against
+    # the grid-value formulation of the scheme in tests/reference_step.py
+    from reference_step import reference_step
+
+    stepper, state = _started_state(modes)
+    assert stepper.coupling_sweeps == 0
+    ref = state
+    for i in range(20):
+        dt = 2e-4 if i % 2 == 0 else 1.5e-4
+        state = stepper.step(state, dt, stepper.state_derivatives(state))
+        ref = reference_step(stepper, ref, dt)
+    for name in ("omega", "psi", "temp", "u1", "u2"):
+        got, want = getattr(state, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("modes", [(), TWO_WALL_MODES], ids=["flat", "two_modes"])
+def test_sample_velocity_gradients_match_four_gradient_form(monkeypatch, modes):
+    # int |grad u|^2 and the pressure right-hand side from the sample's three
+    # gradients (d u1/dy1 = -d u2/dy2) against all four grad_physical ones
+    from rbns.diagnostics import velocity_gradient_integrals
+    from rbns.elliptic import PoissonNeumann
+
+    stepper, state = _started_state(modes)
+    for _ in range(5):
+        state = stepper.step(state, 2e-4, stepper.state_derivatives(state))
+    grid = stepper.grid
+    pr, ra = stepper.params.pr, stepper.params.ra
+    (u1y1, u1y2), (u2y1, u2y2) = grad_physical(state.u1, grid), grad_physical(state.u2, grid)
+    want = volume_integral(u1y1**2 + u1y2**2 + u2y1**2 + u2y2**2, grid)
+    got = velocity_gradient_integrals(velocity_gradients(state, grid), grid)
+    assert abs(got - want) <= 1e-13 * want
+
+    velocity_part = -(u1y1**2 + 2.0 * u2y1 * u1y2 + u2y2**2) / pr
+    want_rhs = velocity_part + ra * grad_physical(state.temp, grid)[1]
+    captured = []
+    solve = PoissonNeumann.solve
+
+    def recorded(self, rhs, *args, **kwargs):
+        captured.append(rhs.copy())
+        return solve(self, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(PoissonNeumann, "solve", recorded)
+    stepper.recover_pressure(state, _sample_derivatives(stepper, state))
+    assert np.abs(captured[0] - want_rhs).max() <= 1e-13 * np.abs(velocity_part).max()
 
 
 def test_auto_dt_evaluates_cfl_limit_once_per_step(monkeypatch):
