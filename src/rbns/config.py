@@ -19,7 +19,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from rbns.geometry import FourierSeries
+import numpy as np
+
+from rbns.geometry import FourierSeries, Side, curvature
 
 
 class ConfigError(ValueError):
@@ -28,7 +30,7 @@ class ConfigError(ValueError):
 
 _SMALL_PRIMES = (2, 3, 5, 7)
 
-# README "Numerical notes": the lagged wall coupling is stiff above this alpha * dt
+# README "Numerical notes": the lagged wall coupling is stiff above this (alpha + kappa) * dt
 _STIFF_ALPHA_DT = 0.02
 
 
@@ -293,13 +295,16 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.output.pressure_every < 0:
         raise ConfigError(f"[output] pressure_every: must be >= 0, got {cfg.output.pressure_every}")
     # confirm the wall shapes construct (raises on bad series)
-    cfg.geometry.profile()
+    profile = cfg.geometry.profile()
     alphas = cfg.boundary.series(cfg.geometry.gamma)
     if t.dt is not None and t.coupling_sweeps == 0:
-        stiffness = max(a.extrema_range()[1] for a in alphas) * t.dt
+        # alpha + kappa, the Navier-slip coupling's coefficient, sampled as by extrema_range
+        y = np.linspace(0.0, profile.gamma, 8192, endpoint=False)
+        stiffness = t.dt * max(float(np.max(a.evaluate(y) + curvature(profile, y, side)))
+                               for a, side in zip(alphas, (Side.BOTTOM, Side.TOP)))
         if stiffness > _STIFF_ALPHA_DT:
             warnings.warn(
-                f"[time] dt: max(alpha) * dt = {stiffness:.3g} exceeds the stiffness "
+                f"[time] dt: max(alpha + kappa) * dt = {stiffness:.3g} exceeds the stiffness "
                 f"guideline {_STIFF_ALPHA_DT} with coupling_sweeps = 0; reduce dt or "
                 f"enable coupling_sweeps",
                 stacklevel=2,

@@ -78,42 +78,29 @@ def velocity_gradient_integrals(grad_u, grid: MappedGrid) -> float:
     return volume_integral(f, grid)
 
 
-class _Integrals:
-    """Named rows of one (rows, n1) array; each row's sum times dx1 is an integral.
+# measure's integrand rows: each row's sum times dx1 is an integral, as the
+# x2 quadrature f @ w2 of a volume integrand, a wall-line integrand times ds
+# and a level-line integrand all integrate as a sum over x1.  A wall
+# integrand fills a (bottom, top) pair of rows that add up to its integral.
+_LINE_ROWS = ("grad_t_sq", "u_sq", "omega_sq", *OMEGA_NORM_COLUMNS, "heat_content", "t_u2",
+              "convective_transport", *STRIP_COLUMNS, "nu_flux", "grad_omega_sq",
+              "buoyancy_torque", "wall_buoyancy", "cross", "theta_sq", "theta_u_grad_eta")
+_WALL_ROWS = ("boundary_friction", "kappa_friction", "ak_friction", "wall_pressure", "wall_inertia")
+_ROW = {name: i for i, name in enumerate(_LINE_ROWS)}
+_WALL = {name: slice(len(_LINE_ROWS) + 2 * i, len(_LINE_ROWS) + 2 * i + 2)
+         for i, name in enumerate(_WALL_ROWS)}
 
-    The x2 quadrature f @ w2 of a volume integrand, a wall-line integrand
-    times ds and a level-line integrand alike integrate as a sum over x1
-    times dx1, so all rows are summed in one reduction.  Rows that share a
-    name (one per wall) add up to its integral.
-    """
 
-    CAPACITY = 32  # a sample with pressure and background fills 29
-
-    def __init__(self, grid: MappedGrid):
-        self.grid = grid
-        self._data = np.empty((self.CAPACITY, grid.n1))
-        self._names: list[str] = []
-
-    def rows(self, *names: str) -> np.ndarray:
-        """The next rows, (len(names), n1), one per name, to be filled."""
-        start = len(self._names)
-        self._names.extend(names)
-        return self._data[start:len(self._names)]
-
-    def row(self, name: str) -> np.ndarray:
-        """The next row, (n1,), to be filled."""
-        return self.rows(name)[0]
-
-    def quadrature(self, name: str, f: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Write the x2 quadrature of f (weights w2 unless given) as the next row."""
-        return np.matmul(f, self.grid.w2 if weights is None else weights, out=self.row(name))
-
-    def totals(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        sums = self._data[:len(self._names)].sum(axis=1) * self.grid.dx1
-        for name, value in zip(self._names, sums.tolist()):
-            out[name] = out.get(name, 0.0) + value
-        return out
+def _totals(rows: np.ndarray, grid: MappedGrid) -> dict[str, float]:
+    """Every integral of measure's rows, in one reduction."""
+    sums = rows.sum(axis=1)
+    sums *= grid.dx1
+    sums += 0.0                 # a -0.0 integral reads +0.0, as from a sum started at 0.0
+    values = sums.tolist()
+    total = dict(zip(_LINE_ROWS, values))
+    for name, w in _WALL.items():
+        total[name] = values[w.start] + values[w.start + 1]
+    return total
 
 
 def measure(state: FlowState, grid: MappedGrid,
@@ -132,23 +119,26 @@ def measure(state: FlowState, grid: MappedGrid,
     (velocity_gradient_integrals, evaluated before the pressure solve).
 
     One pass: each integrand is formed once, in one of two scratch arrays,
-    and all quadratures are reduced together (``_Integrals``).  The wall
-    heat flux reads grad T's wall row, and with pressure the x1 derivatives
-    of both walls' u_tau and pressure traces take one transform pair;
-    nothing else is differentiated.
+    into its fixed row (``_ROW``, ``_WALL``), and all rows are reduced
+    together.  Both walls are one (2, n1) stack throughout.  The wall heat
+    flux reads grad T's wall row, and with pressure the x1 derivatives of
+    both walls' u_tau and pressure traces take one transform pair; nothing
+    else is differentiated.  Flat grids skip every h' product.
     """
-    omega, temp, u1, u2 = state.omega, state.temp, state.u1, state.u2
+    omega, temp, u1, u2, ut = state.omega, state.temp, state.u1, state.u2, state.u_tau
     ty1, ty2 = derivs.grad_temp
-    acc = _Integrals(grid)
+    flat, w2 = grid.is_flat, grid.w2
+    rows = np.zeros((len(_LINE_ROWS) + 2 * len(_WALL_ROWS), grid.n1))
+    row = dict(zip(_LINE_ROWS, rows))
     f, g = np.empty(grid.shape), np.empty(grid.shape)
 
     def sum_of_squares(a, b):
         return np.add(np.multiply(a, a, out=f), np.multiply(b, b, out=g), out=f)
 
-    acc.quadrature("grad_t_sq", sum_of_squares(ty1, ty2))
-    acc.quadrature("u_sq", sum_of_squares(u1, u2))
+    np.matmul(sum_of_squares(ty1, ty2), w2, out=row["grad_t_sq"])
+    np.matmul(sum_of_squares(u1, u2), w2, out=row["u_sq"])
     omega_sq = np.multiply(omega, omega, out=g)
-    acc.quadrature("omega_sq", omega_sq)
+    np.matmul(omega_sq, w2, out=row["omega_sq"])
     # the p-norms from w^2 scaled by its largest value (overflow-safe for p > 2)
     w_sup_sq = float(omega_sq.max())
     norms = w_sup_sq > 0.0 and np.isfinite(w_sup_sq)
@@ -157,58 +147,63 @@ def measure(state: FlowState, grid: MappedGrid,
         for i, name in enumerate(OMEGA_NORM_COLUMNS):  # powers 2, 4, 8: each squares the last
             if i:
                 power *= power
-            acc.quadrature(name, power)
+            np.matmul(power, w2, out=row[name])
     w_sup = float(np.sqrt(w_sup_sq))                   # max |w|
-    acc.quadrature("heat_content", temp, (1.0 - grid.x2) * grid.w2)   # int (1-x2) T
-    acc.quadrature("t_u2", np.multiply(temp, u2, out=f))
+    np.matmul(temp, (1.0 - grid.x2) * w2, out=row["heat_content"])   # int (1-x2) T
+    np.matmul(np.multiply(temp, u2, out=f), w2, out=row["t_u2"])
     flux2 = np.subtract(f, ty2, out=f)                   # u2 T - dT/dy2
-    acc.quadrature("convective_transport", flux2)
+    np.matmul(flux2, w2, out=row["convective_transport"])
     # level lines, vertical translates of the bottom wall: -h'(u1 T - dT/dy1)
     # + (u2 T - dT/dy2) per unit y1
     j = [level_index(grid, level) for level in STRIP_LEVELS]
-    strips = acc.rows(*STRIP_COLUMNS)
+    strips = rows[_ROW[STRIP_COLUMNS[0]]:_ROW[STRIP_COLUMNS[-1]] + 1]
     strips[:] = flux2[:, j].T
-    strips -= grid.hp * (u1[:, j] * temp[:, j] - ty1[:, j]).T
+    if not flat:
+        strips -= grid.hp * (u1[:, j] * temp[:, j] - ty1[:, j]).T
     # the bottom wall: n.grad T ds = h' dT/dy1 - dT/dy2 per unit y1
-    np.subtract(grid.hp * ty1[:, 0], ty2[:, 0], out=acc.row("nu_flux"))
+    if flat:
+        np.negative(ty2[:, 0], out=row["nu_flux"])
+    else:
+        np.subtract(grid.hp * ty1[:, 0], ty2[:, 0], out=row["nu_flux"])
 
-    ak_ut_ds = []
-    for bd, ut in zip((bottom, top), state.u_tau):
-        ak = bd.alpha + bd.kappa
-        ut_ds = ut * grid.ds_weight
-        ut_sq_ds = ut * ut_ds
-        np.multiply(ak + bd.alpha, ut_sq_ds, out=acc.row("boundary_friction"))  # (2a+k) u_tau^2
-        np.multiply(bd.kappa, ut_sq_ds, out=acc.row("kappa_friction"))
-        np.multiply(ak, ut_sq_ds, out=acc.row("ak_friction"))
-        ak_ut_ds.append(ak * ut_ds)
+    alpha = np.array((bottom.alpha, top.alpha))
+    kappa = np.array((bottom.kappa, top.kappa))
+    ak = alpha + kappa
+    ut_ds = ut * grid.ds_weight
+    ut_sq_ds = ut * ut_ds
+    np.multiply(ak + alpha, ut_sq_ds, out=rows[_WALL["boundary_friction"]])  # (2a+k) u_tau^2
+    np.multiply(kappa, ut_sq_ds, out=rows[_WALL["kappa_friction"]])
+    np.multiply(ak, ut_sq_ds, out=rows[_WALL["ak_friction"]])
 
     if pressure is not None:
         # the enstrophy ingredients; on the walls u.grad is u_tau d/dlambda
-        acc.quadrature("grad_omega_sq", sum_of_squares(*derivs.grad_omega))
-        acc.quadrature("buoyancy_torque", np.multiply(omega, ty1, out=f))
+        np.matmul(sum_of_squares(*derivs.grad_omega), w2, out=row["grad_omega_sq"])
+        np.matmul(np.multiply(omega, ty1, out=f), w2, out=row["buoyancy_torque"])
         lines = np.empty((2, 2, grid.n1))
-        lines[0] = state.u_tau
-        lines[1] = pressure[:, [0, -1]].T
+        lines[0] = ut
+        lines[1] = pressure.T[[0, -1]]
         dut, dp = wall_tangential_derivatives(lines, grid)
-        for w, ut in enumerate(state.u_tau):
-            np.multiply(ak_ut_ds[w], dp[w], out=acc.row("wall_pressure"))
-            np.multiply(ak_ut_ds[w] * ut, dut[w], out=acc.row("wall_inertia"))
-        np.multiply(ak_ut_ds[0], bottom.normal[:, 0], out=acc.row("wall_buoyancy"))
+        ak_ut_ds = np.multiply(ak, ut_ds, out=ut_ds)
+        np.multiply(ak_ut_ds, dp, out=rows[_WALL["wall_pressure"]])
+        np.multiply(np.multiply(ak_ut_ds, ut, out=ut_sq_ds), dut, out=rows[_WALL["wall_inertia"]])
+        np.multiply(ak_ut_ds[0], bottom.normal[:, 0], out=row["wall_buoyancy"])
 
     if background is not None:
         # grad T . grad eta = eta'(x2) (dT/dy2 - h' dT/dy1) and
         # u . grad eta = eta'(x2) (u2 - h' u1): eta' joins the x2 weights
-        slope_w2 = background.eta_slope * grid.w2
-        cross = acc.quadrature("cross", ty2, slope_w2)
-        cross -= grid.hp * (ty1 @ slope_w2)
+        slope_w2 = background.eta_slope * w2
+        cross = np.matmul(ty2, slope_w2, out=row["cross"])
         theta = background.theta(temp, out=f)
-        acc.quadrature("theta_sq", np.multiply(theta, theta, out=g))
-        u_eta = np.subtract(u2, np.multiply(grid.hp[:, None], u1, out=g), out=g)
-        acc.quadrature("theta_u_grad_eta", np.multiply(theta, u_eta, out=f), slope_w2)
+        np.matmul(np.multiply(theta, theta, out=g), w2, out=row["theta_sq"])
+        u_eta = u2
+        if not flat:
+            cross -= grid.hp * (ty1 @ slope_w2)
+            u_eta = np.subtract(u2, np.multiply(grid.hp[:, None], u1, out=g), out=g)
+        np.matmul(np.multiply(theta, u_eta, out=f), slope_w2, out=row["theta_u_grad_eta"])
 
-    total = acc.totals()
+    total = _totals(rows, grid)
     area, nan = grid.area, float("nan")
-    row = {
+    out = {
         "time": state.time,
         "nu_flux": total["nu_flux"] / area,
         "nu_gradsq": total["grad_t_sq"] / area,
@@ -231,18 +226,17 @@ def measure(state: FlowState, grid: MappedGrid,
         "theta_u_grad_eta": nan,
         "theta_sq": nan,
     }
-    scales = {"grad_omega_sq": 1.0, "wall_pressure": 2.0, "buoyancy_torque": -ra,
-              "wall_inertia": 2.0 / pr, "wall_buoyancy": -2.0 * ra}
-    row.update((column, scales[name] * total[name] / area if pressure is not None else nan)
-               for column, name in zip(ENSTROPHY_COLUMNS, ENSTROPHY_TERM_NAMES))
+    scales = (1.0, 2.0, -ra, 2.0 / pr, -2.0 * ra)     # ENSTROPHY_TERM_NAMES order
+    for column, name, scale in zip(ENSTROPHY_COLUMNS, ENSTROPHY_TERM_NAMES, scales):
+        out[column] = scale * total[name] / area if pressure is not None else nan
     if background is not None:
-        row.update(grad_theta_sq=(total["grad_t_sq"] / area - 2.0 * (total["cross"] / area)
+        out.update(grad_theta_sq=(total["grad_t_sq"] / area - 2.0 * (total["cross"] / area)
                                   + background.grad_eta_sq_avg),
                    theta_u_grad_eta=total["theta_u_grad_eta"] / area,
                    theta_sq=total["theta_sq"])                 # int theta^2
-    row.update((name, w_sup * total[name] ** (1.0 / p) if norms else w_sup)
-               for name, p in zip(OMEGA_NORM_COLUMNS, OMEGA_NORM_POWERS))
-    return row
+    for name, p in zip(OMEGA_NORM_COLUMNS, OMEGA_NORM_POWERS):
+        out[name] = w_sup * total[name] ** (1.0 / p) if norms else w_sup
+    return out
 
 
 @dataclass

@@ -123,13 +123,14 @@ def _eigen_solve(basis: _ParityBasis, x: np.ndarray, inv_divisor: np.ndarray,
 # Dirichlet wall data
 # ---------------------------------------------------------------------------
 
-def wall_spectra(bottom: np.ndarray, top: np.ndarray, grid: MappedGrid) -> np.ndarray:
+def wall_spectra(walls: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """x1 spectra (2, n1//2+1) of ``laplacian_of_walls``, the Dirichlet wall terms.
 
-    Row 0 is the term on the row next to the bottom wall, row 1 next to the
-    top; each depends on its own trace only.
+    walls stacks the (bottom, top) traces, (2, n1).  Row 0 is the term on
+    the row next to the bottom wall, row 1 next to the top; each depends on
+    its own trace only.
     """
-    return x1_transform(np.column_stack(laplacian_of_walls(bottom, top, grid)), grid)
+    return np.fft.rfft(laplacian_of_walls(walls, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +209,13 @@ class HelmholtzDirichlet:
     def coordinates(self, spectra: np.ndarray) -> np.ndarray:
         """The solve's coordinates of interior-row x1 spectra (x1_transform's values).
 
-        The spectra themselves on flat grids; on rough ones, a new array of
-        the sine coordinates of the isometric coefficients.
+        The spectra themselves on flat grids, C-ordered (the flat Laplacian is
+        faster on contiguous rows); on rough ones, a new array of the sine
+        coordinates of the isometric coefficients.
         """
         grid = self.grid
         if grid.is_flat:
-            return spectra
+            return np.ascontiguousarray(spectra)
         c = np.multiply(spectra, grid.coeff_scale, out=np.empty(spectra.shape, dtype=complex))
         return to_basis(self._basis, c, grid)
 
@@ -238,9 +240,11 @@ class HelmholtzDirichlet:
         full = np.empty(grid.shape)
         b = self.coordinates(x1_transform(rhs_int, grid)) if rhs_coords is None else rhs_coords
         if walls is None:
-            walls = wall_spectra(bottom, top, grid)
+            walls = wall_spectra(np.array((bottom, top)), grid)
         if grid.is_flat:
-            b[[0, -1]] += self._ceff * walls        # the rows next to the walls
+            g = walls * self._ceff                  # on the rows next to the walls
+            b[0] += g[0]
+            b[-1] += g[1]
             if old is not None:
                 cly = _flat_laplacian(old, grid, np.empty_like(old))
                 cly *= self._ceff

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rbns.geometry import FourierSeries, Side
+from rbns.geometry import FourierSeries
 
 
 @dataclass
@@ -71,6 +71,7 @@ class MappedGrid:
     dx2: float = field(init=False)
     x1: np.ndarray = field(init=False)
     x2: np.ndarray = field(init=False)
+    shape: tuple[int, int] = field(init=False)
     k: np.ndarray = field(init=False)        # rfft wavenumbers 2 pi j / Gamma
     ik_d1: np.ndarray = field(init=False)    # i*k with the Nyquist mode zeroed
     k2: np.ndarray = field(init=False)       # full k^2 (spectral second derivative)
@@ -79,6 +80,7 @@ class MappedGrid:
     hppp: np.ndarray = field(init=False)
     a22: np.ndarray = field(init=False)      # 1 + h'^2 per column
     a22_mean: float = field(init=False)      # its mean, the flat-metric coefficient of the divisors
+    sine_eig: np.ndarray | None = field(init=False, repr=False)  # flat grids: see sine_divisor
     ds_weight: np.ndarray = field(init=False)
     w2: np.ndarray = field(init=False)       # trapezoid weights in x2
     coeff_scale: np.ndarray = field(init=False)  # sqrt(w_k / n1), see the module docstring
@@ -102,6 +104,7 @@ class MappedGrid:
         self.dx2 = 1.0 / (self.n2 - 1)
         self.x1 = np.arange(self.n1) * self.dx1
         self.x2 = np.linspace(0.0, 1.0, self.n2)
+        self.shape = (self.n1, self.n2)
         k = 2.0 * np.pi * np.fft.rfftfreq(self.n1, d=self.dx1)
         self.k = k
         ik = 1j * k
@@ -126,6 +129,7 @@ class MappedGrid:
         self.coeff_scale = np.sqrt(w / self.n1)
         self.fold = np.empty((self.n2 + 1, 2 * k.size))
         self.is_flat = self.profile.is_flat
+        self.sine_eig = _sine_eig(self) if self.is_flat else None
         hp_hat, hp2_hat = metric_spectra(self.profile, self.n1)
         self.band = max((abs(m) for m in (*hp_hat, *hp2_hat)), default=0)
         self.mhp_shifts = self._shift_weights({m: -v for m, v in hp_hat.items()})
@@ -168,10 +172,6 @@ class MappedGrid:
     def metric_fourier_terms(self) -> int:
         """Nonzero grid Fourier coefficients of h' plus those of h'^2."""
         return len(self.mhp_shifts) + len(self.hp2_shifts)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n1, self.n2)
 
     @property
     def area(self) -> float:
@@ -230,12 +230,23 @@ def d_x1_line(g: np.ndarray, grid: MappedGrid) -> np.ndarray:
 
 
 def d_x2(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Second-order d/dx2: centered inside, one-sided on the wall rows."""
-    out = np.empty_like(f)
-    h = 2.0 * grid.dx2
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / h
-    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / h
-    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / h
+    """Second-order d/dx2: centered inside, one-sided on the wall rows.
+
+    One subtraction on the flattened C-ordered array forms every centered
+    difference; those that straddle two x1 columns land on the wall rows,
+    which the one-sided differences then overwrite, and one division by
+    2 dx2 scales the whole array.
+    """
+    flat, out = f.ravel(), np.empty(f.shape)      # ravel copies only a strided f
+    np.subtract(flat[2:], flat[:-2], out=out.reshape(-1)[1:-1])
+    bottom, top = out[:, 0], out[:, -1]
+    np.multiply(f[:, 0], -3.0, out=bottom)
+    bottom += 4.0 * f[:, 1]
+    bottom -= f[:, 2]
+    np.multiply(f[:, -1], 3.0, out=top)
+    top -= 4.0 * f[:, -2]
+    top += f[:, -3]
+    out /= 2.0 * grid.dx2
     return out
 
 
@@ -441,15 +452,21 @@ def _cosine_difference(n2: int) -> tuple[np.ndarray, np.ndarray]:
 # the mapped Laplacian
 # ---------------------------------------------------------------------------
 
+def _sine_eig(grid: MappedGrid) -> np.ndarray:
+    """k^2 + a lam in the sine basis' split order, (n2-2, nk); a = ``grid.a22_mean``."""
+    return np.add.outer(grid.a22_mean * _parity_basis(_sine_basis, grid.n2).eig, grid.k2)
+
+
 def sine_divisor(grid: MappedGrid, sigma: float, c: float) -> np.ndarray:
     """sigma + c (k^2 + a lam) in the sine basis' split order, a new (n2-2, nk) array.
 
     The flat-metric operator sigma - c (Dxx + a Dzz) is diagonal in the x1
     wavenumbers times the sine basis, with these eigenvalues; a is the mean
-    of 1 + h'^2, ``grid.a22_mean`` (exactly 1.0 on flat grids).
+    of 1 + h'^2, ``grid.a22_mean`` (exactly 1.0 on flat grids).  A flat grid
+    holds k^2 + a lam (``grid.sine_eig``), so its divisor is one multiply and
+    one add: the stepper builds two per step, as auto dt changes c.
     """
-    out = np.add.outer(grid.a22_mean * _parity_basis(_sine_basis, grid.n2).eig, grid.k2)
-    out *= c
+    out = np.multiply(_sine_eig(grid) if grid.sine_eig is None else grid.sine_eig, c)
     out += sigma
     return out
 
@@ -612,25 +629,22 @@ def _flat_laplacian(c: np.ndarray, grid: MappedGrid, out: np.ndarray) -> np.ndar
     return out
 
 
-def laplacian_of_walls(bottom: np.ndarray, top: np.ndarray,
-                       grid: MappedGrid) -> tuple[np.ndarray, np.ndarray]:
+def laplacian_of_walls(walls: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Interior Laplacian of the field that is zero except for its wall traces.
 
-    It is nonzero only on the rows next to the walls, returned as that
-    (bottom, top) pair of rows: there the 3-point x2 stencil reads the wall
-    value and, on rough grids, the centered x2 difference in the two cross
-    terms gives +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the wall trace g.
+    walls stacks the (bottom, top) traces, (2, n1).  The Laplacian is
+    nonzero only on the rows next to the walls, returned as that (2, n1)
+    pair of rows: there the 3-point x2 stencil reads the wall value and, on
+    rough grids, the centered x2 difference in the two cross terms gives
+    +-[dx1(h' g) + h' dx1 g] / (2 dx2) for the wall trace g.
     """
-    near_bottom = grid.a22 * bottom / grid.dx2**2
-    near_top = grid.a22 * top / grid.dx2**2
+    near = grid.a22 * walls / grid.dx2**2
     if not grid.is_flat:
-        hp = grid.hp[:, None]
-        wall = np.stack([bottom, top], axis=1)                    # (n1, 2)
-        d = d_x1(np.hstack([hp * wall, wall]), grid)
-        cross = (d[:, :2] + hp * d[:, 2:]) / (2.0 * grid.dx2)
-        near_bottom += cross[:, 0]
-        near_top -= cross[:, 1]
-    return near_bottom, near_top
+        d = d_x1_line(np.concatenate([grid.hp * walls, walls]), grid)
+        cross = (d[:2] + grid.hp * d[2:]) / (2.0 * grid.dx2)
+        near[0] += cross[0]
+        near[1] -= cross[1]
+    return near
 
 
 def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -651,9 +665,9 @@ def apply_L_tilde(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
         y = to_basis(basis, to_coefficients(c, grid), grid)
         y = SineOperator(grid, 0.0, -1.0).apply(y, y)
         out = from_coefficients(from_basis(basis, y, grid, y), grid)
-    near_bottom, near_top = laplacian_of_walls(f[:, 0], f[:, -1], grid)
-    out[:, 0] += near_bottom
-    out[:, -1] += near_top
+    near = laplacian_of_walls(f.T[[0, -1]], grid)
+    out[:, 0] += near[0]
+    out[:, -1] += near[1]
     return out
 
 
@@ -688,17 +702,6 @@ def level_index(grid: MappedGrid, x2_level: float) -> int:
 # traces
 # ---------------------------------------------------------------------------
 
-def _row(side: Side) -> int:
-    return 0 if side is Side.BOTTOM else -1
-
-
-def _d_x2_row(f: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
-    h = 2.0 * grid.dx2
-    if side is Side.BOTTOM:
-        return (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / h
-    return (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / h
-
-
 def wall_tangential_derivatives(pairs: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """d/dlambda of (bottom, top) pairs of wall lines, stacked (..., 2, n1).
 
@@ -713,24 +716,14 @@ def wall_tangential_derivatives(pairs: np.ndarray, grid: MappedGrid) -> np.ndarr
     return d
 
 
-def tangential_velocity(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
-    """u . tau on a wall row; tau points along +y1 on the bottom wall, -y1 on top."""
-    j = _row(side)
-    s = 1.0 if side is Side.BOTTOM else -1.0
-    return s * (u1[:, j] + grid.hp * u2[:, j]) / grid.ds_weight
+def wall_tangential_velocity(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """u . tau on both wall rows, stacked (bottom, top) as (2, n1).
 
-
-def boundary_trace(f: np.ndarray, grid: MappedGrid, side: Side, kind: str = "value") -> np.ndarray:
-    """Wall trace of a field: value, physical normal or tangential derivative."""
-    j = _row(side)
-    if kind == "value":
-        return f[:, j].copy()
-    if kind == "tangential_derivative":
-        return wall_tangential_derivatives(f[:, [0, -1]].T, grid)[j]
-    if kind == "normal_derivative":
-        fz = _d_x2_row(f, grid, side)
-        fy1 = d_x1_line(f[:, j], grid) - grid.hp * fz
-        if side is Side.BOTTOM:   # n = (h', -1)/w
-            return (grid.hp * fy1 - fz) / grid.ds_weight
-        return (-grid.hp * fy1 + fz) / grid.ds_weight
-    raise ValueError(f"unknown trace kind {kind!r}")
+    tau points along +y1 on the bottom wall and -y1 on the top, so
+    u . tau = +-(u1 + h' u2) / sqrt(1+h'^2).
+    """
+    ut = np.multiply(grid.hp, u2.T[[0, -1]])
+    ut += u1.T[[0, -1]]
+    ut[1] *= -1.0
+    ut /= grid.ds_weight
+    return ut

@@ -28,15 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo, wall_spectra
-from rbns.geometry import BoundaryData, Side
+from rbns.geometry import BoundaryData
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
     d_x2,
     grad_physical,
-    tangential_velocity,
-    volume_integral,
     wall_tangential_derivatives,
+    wall_tangential_velocity,
     x1_transform,
 )
 
@@ -67,7 +66,7 @@ class FlowState:
     """One time level; wall rows of the arrays hold the boundary data.
 
     u_tau is the (bottom, top) wall tangential velocity of (u1, u2),
-    evaluated where the state is built.  The multistep history
+    stacked (2, n1), evaluated where the state is built.  The multistep history
     prev_expl_* holds the explicit terms of the step that built the state,
     as interior-row x1 spectra (x1_transform's layout).
     """
@@ -79,7 +78,7 @@ class FlowState:
     u1: np.ndarray
     u2: np.ndarray
     psi_top: float
-    u_tau: tuple[np.ndarray, np.ndarray]
+    u_tau: np.ndarray
     prev_expl_omega: np.ndarray | None = None
     prev_expl_temp: np.ndarray | None = None
     prev_dt: float | None = None
@@ -127,11 +126,6 @@ def boundary_vorticity(u_tau: np.ndarray, boundary: BoundaryData) -> np.ndarray:
     return -2.0 * (boundary.alpha + boundary.kappa) * u_tau
 
 
-def stream_trace_from_velocity(u1: np.ndarray, grid: MappedGrid) -> float:
-    """Top stream-function trace -(1/|Omega|) int u1 by quadrature."""
-    return -volume_integral(u1, grid) / grid.area
-
-
 class BoussinesqStepper:
     """Owns the elliptic solvers and advances FlowState in time."""
 
@@ -156,8 +150,14 @@ class BoussinesqStepper:
         self.neumann = PoissonNeumann(grid)
         # wall terms of constant traces: the temperature Crank-Nicolson solve's
         # old plus new (a state's walls hold t_bottom, t_top), psi's per unit psi_+
-        self._temp_walls = wall_spectra(2.0 * self.t_bottom, 2.0 * self.t_top, grid)
-        self._psi_walls = wall_spectra(np.zeros(grid.n1), np.ones(grid.n1), grid)
+        self._temp_walls = wall_spectra(2.0 * np.array((self.t_bottom, self.t_top)), grid)
+        self._psi_walls = wall_spectra(np.array((np.zeros(grid.n1), np.ones(grid.n1))), grid)
+        # (bottom, top) stacks: alpha + kappa, boundary_vorticity's factor
+        # -2 (alpha + kappa), and kappa/Pr and Ra n2 of the pressure fluxes
+        self._ak = np.array((bottom.alpha + bottom.kappa, top.alpha + top.kappa))
+        self._slip = -2.0 * self._ak
+        self._kappa_pr = np.array((bottom.kappa, top.kappa)) / params.pr
+        self._ra_n2 = params.ra * bottom.normal[:, 1]
 
     # -- state construction --------------------------------------------------
 
@@ -181,7 +181,8 @@ class BoussinesqStepper:
     def cfl_limit(self, state: FlowState) -> float:
         grid = self.grid
         u1m = float(np.max(np.abs(state.u1)))
-        u2c = float(np.max(np.abs(state.u2 - grid.hp[:, None] * state.u1)))
+        u2c = state.u2 if grid.is_flat else state.u2 - grid.hp[:, None] * state.u1
+        u2c = float(np.max(np.abs(u2c)))
         lim = np.inf
         if u1m > 0.0:
             lim = min(lim, grid.dx1 / u1m)
@@ -204,10 +205,9 @@ class BoussinesqStepper:
         psi_y1, psi_y2 = grad_physical(psi, self.grid)
         return -psi_y2, psi_y1
 
-    def wall_u_tau(self, u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bottom, top) wall tangential velocity of (u1, u2)."""
-        return (tangential_velocity(u1, u2, self.grid, Side.BOTTOM),
-                tangential_velocity(u1, u2, self.grid, Side.TOP))
+    def wall_u_tau(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """(bottom, top) wall tangential velocity of (u1, u2), stacked (2, n1)."""
+        return wall_tangential_velocity(u1, u2, self.grid)
 
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
         """grad omega and grad T of a state and their x1 spectra, evaluated once."""
@@ -284,35 +284,40 @@ class BoussinesqStepper:
         pr = self.params.pr
 
         n_w, n_t = self._explicit_terms(state, derivs)
+        # dt times the explicit terms, AB2 (forward Euler on the first step)
         if state.prev_expl_omega is None or state.prev_dt is None:
-            expl_w, expl_t = n_w, n_t
+            rhs_w, rhs_t = n_w * dt, n_t * dt
         else:
             r = dt / state.prev_dt
-            c1, c2 = 1.0 + 0.5 * r, -0.5 * r
-            expl_w = c1 * n_w + c2 * state.prev_expl_omega
-            expl_t = c1 * n_t + c2 * state.prev_expl_temp
+            rhs_w, rhs_t = n_w * (1.0 + 0.5 * r), n_t * (1.0 + 0.5 * r)
+            rhs_w += state.prev_expl_omega * (-0.5 * r)
+            rhs_t += state.prev_expl_temp * (-0.5 * r)
+            rhs_w *= dt
+            rhs_t *= dt
 
         # Crank-Nicolson: (I - c L) f_new = f + c L f + dt expl, assembled by the
         # solver from the interior x1 spectra of f (the state's) and dt expl
         helm_t = HelmholtzDirichlet(grid, 0.5 * dt)
         t_hat, derivs.temp_spectrum = derivs.temp_spectrum[:, 1:-1].T, None
         temp_new = helm_t.solve(None, self.t_bottom, self.t_top,
-                                rhs_coords=helm_t.coordinates(dt * expl_t),
+                                rhs_coords=helm_t.coordinates(rhs_t),
                                 old=helm_t.coordinates(t_hat), walls=self._temp_walls)[0]
-        del t_hat
+        del t_hat, rhs_t
 
         u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
         helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt)
         w_old, derivs.omega_spectrum = derivs.omega_spectrum[:, 1:-1].T, None
+        old_walls = state.omega.T[[0, -1]]
         for sweep in range(self.coupling_sweeps + 1):
-            w_b = boundary_vorticity(u_tau[0], self.bottom)
-            w_t = boundary_vorticity(u_tau[1], self.top)
-            walls = wall_spectra(w_b + state.omega[:, 0], w_t + state.omega[:, -1], grid)
-            omega_new, info = helm_w.solve(None, w_b, w_t,
-                                           rhs_coords=helm_w.coordinates(dt * expl_w),
-                                           old=helm_w.coordinates(w_old), walls=walls)
+            w_new = self._slip * u_tau                  # boundary_vorticity on both walls
+            # the solve overwrites its right-hand side; a further sweep needs it again
+            rhs = rhs_w if sweep == self.coupling_sweeps else rhs_w.copy()
+            omega_new, info = helm_w.solve(None, w_new[0], w_new[1],
+                                           rhs_coords=helm_w.coordinates(rhs),
+                                           old=helm_w.coordinates(w_old),
+                                           walls=wall_spectra(w_new + old_walls, grid))
             # the psi right-hand side's coordinates are minus omega_new's
             w_hat, info = info.coords, None
             psi_new = self.poisson.solve(
@@ -320,10 +325,9 @@ class BoussinesqStepper:
                 rhs_coords=np.negative(w_hat, out=w_hat), walls=psi_top * self._psi_walls)[0]
             w_hat = None
             u1, u2 = self._velocity(psi_new)
-            u_tau_new = self.wall_u_tau(u1, u2)
-            delta = max(float(np.max(np.abs(new - old))) for new, old in zip(u_tau_new, u_tau))
-            u_tau = u_tau_new
-            if sweep >= self.coupling_sweeps or delta <= self.coupling_tol:
+            u_tau, u_tau_old = self.wall_u_tau(u1, u2), u_tau
+            if (sweep >= self.coupling_sweeps
+                    or float(np.max(np.abs(u_tau - u_tau_old))) <= self.coupling_tol):
                 break
 
         return FlowState(
@@ -362,13 +366,9 @@ class BoussinesqStepper:
             rhs += np.multiply(ra, derivs.grad_temp[1], out=work)
         del work
 
-        walls = (self.bottom, self.top)
-        g = np.empty((2, grid.n1))       # (alpha + kappa) u_tau on both walls
-        for line, bd, ut in zip(g, walls, state.u_tau):
-            np.multiply(bd.alpha + bd.kappa, ut, out=line)
-        fluxes = wall_tangential_derivatives(g, grid)
-        for flux, bd, ut in zip(fluxes, walls, state.u_tau):
-            flux *= 2.0
-            flux -= (bd.kappa / pr) * ut**2
-        fluxes[0] += ra * self.bottom.normal[:, 1]
+        # both walls' (bottom, top) lines at once
+        fluxes = wall_tangential_derivatives(self._ak * state.u_tau, grid)
+        fluxes *= 2.0
+        fluxes -= self._kappa_pr * state.u_tau**2
+        fluxes[0] += self._ra_n2
         return self.neumann.solve(rhs, *fluxes)

@@ -24,15 +24,41 @@ from rbns.diagnostics import (
 from rbns.geometry import BoundaryData, Side
 from rbns.grid import (
     MappedGrid,
-    boundary_trace,
     d_x1_line,
     grad_physical,
     level_index,
     line_integral,
-    tangential_velocity,
     volume_integral,
+    wall_tangential_derivatives,
 )
 from rbns.solver import FlowState, StateDerivatives
+
+
+def tangential_velocity(u1: np.ndarray, u2: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
+    """u . tau on one wall row; tau points along +y1 on the bottom wall, -y1 on top."""
+    j = 0 if side is Side.BOTTOM else -1
+    s = 1.0 if side is Side.BOTTOM else -1.0
+    return s * (u1[:, j] + grid.hp * u2[:, j]) / grid.ds_weight
+
+
+def boundary_trace(f: np.ndarray, grid: MappedGrid, side: Side, kind: str = "value") -> np.ndarray:
+    """Wall trace of a field: value, physical normal or tangential derivative."""
+    j = 0 if side is Side.BOTTOM else -1
+    if kind == "value":
+        return f[:, j].copy()
+    if kind == "tangential_derivative":
+        return wall_tangential_derivatives(f[:, [0, -1]].T, grid)[j]
+    if kind == "normal_derivative":
+        h = 2.0 * grid.dx2
+        if side is Side.BOTTOM:
+            fz = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / h
+        else:
+            fz = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / h
+        fy1 = d_x1_line(f[:, j], grid) - grid.hp * fz
+        if side is Side.BOTTOM:   # n = (h', -1)/w
+            return (grid.hp * fy1 - fz) / grid.ds_weight
+        return (-grid.hp * fy1 + fz) / grid.ds_weight
+    raise ValueError(f"unknown trace kind {kind!r}")
 
 
 def nusselt_flux(temp: np.ndarray, grid: MappedGrid) -> float:
@@ -199,7 +225,7 @@ def measure_fields(grid: MappedGrid, bottom: BoundaryData, top: BoundaryData, te
     """
     zeros = np.zeros(grid.shape)
     u1, u2, omega = (zeros if a is None else a for a in (u1, u2, omega))
-    u_tau = tuple(tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP))
+    u_tau = np.array([tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)])
     state = FlowState(time=time, omega=omega, psi=zeros, temp=temp, u1=u1, u2=u2,
                       psi_top=0.0, u_tau=u_tau)
     derivs = StateDerivatives(grad_omega=grad_physical(omega, grid),

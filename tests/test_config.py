@@ -143,8 +143,20 @@ dt = 2e-3
 
 def test_stiff_wall_coupling_warns():
     # max alpha over both walls (the top one here) times dt = 0.04 > 0.02
-    with pytest.warns(UserWarning, match=r"\[time\] dt: max\(alpha\) \* dt = 0\.04"):
+    with pytest.warns(UserWarning, match=r"\[time\] dt: max\(alpha \+ kappa\) \* dt = 0\.04"):
         parse_config(STIFF)
+
+
+def test_curved_wall_stiffness_counts_kappa():
+    # h = 0.1 sin(2 pi y1): max kappa = 0.4 pi^2 = 3.95 on both walls, so with
+    # alpha = 1 and dt = 5e-3, alpha dt = 0.005 but (alpha + kappa) dt = 0.0247
+    text = (STIFF.replace("20.0", "1.0").replace("dt = 2e-3", "dt = 5e-3")
+            .replace("[boundary]", "[geometry]\nmodes = 1:0.0:0.1\n\n[boundary]"))
+    with pytest.warns(UserWarning, match=r"max\(alpha \+ kappa\) \* dt = 0\.0247"):
+        parse_config(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parse_config(text.replace("dt = 5e-3", "dt = 3e-3"))    # (alpha + kappa) dt = 0.0148
 
 
 @pytest.mark.parametrize("text", [
@@ -175,7 +187,7 @@ def test_run_simulation_validates_code_built_config():
 def test_run_simulation_warns_for_stiff_code_built_config():
     cfg = _code_config(dt=2e-3)
     cfg.boundary.alpha_top_mean = 20.0
-    with pytest.warns(UserWarning, match=r"\[time\] dt: max\(alpha\) \* dt = 0\.04"):
+    with pytest.warns(UserWarning, match=r"\[time\] dt: max\(alpha \+ kappa\) \* dt = 0\.04"):
         run_simulation(cfg)
 
 
@@ -186,5 +198,5 @@ def test_cli_simulate_warns_once_for_stiff_config(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 0
-    stiff = [w for w in caught if "max(alpha) * dt" in str(w.message)]
+    stiff = [w for w in caught if "max(alpha + kappa) * dt" in str(w.message)]
     assert len(stiff) == 1

@@ -15,7 +15,7 @@ from rbns.diagnostics import (
     velocity_gradient_integrals,
 )
 from rbns.geometry import Side, boundary_frames
-from rbns.grid import MappedGrid, d_x1_line, grad_physical, tangential_velocity
+from rbns.grid import MappedGrid, d_x1_line, grad_physical
 from rbns.runner import run_simulation
 from rbns.solver import FlowState, StateDerivatives, velocity_gradients
 
@@ -25,6 +25,7 @@ from reference_diagnostics import (
     nusselt_flux,
     nusselt_gradsq,
     nusselt_strip,
+    tangential_velocity,
 )
 
 
@@ -152,7 +153,7 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
     derivs = StateDerivatives(grad_omega=grad_zero, grad_temp=grad_physical(temp, grid))
     for t in (0.0, 0.1, 0.2):
         state = FlowState(time=t, omega=zeros, psi=zeros, temp=temp, u1=zeros, u2=zeros,
-                          psi_top=0.0, u_tau=(np.zeros(grid.n1), np.zeros(grid.n1)))
+                          psi_top=0.0, u_tau=np.zeros((2, grid.n1)))
         rec.add(measure(state, grid, bottom, top, pr=1.0, ra=10.0, derivs=derivs,
                         grad_u_sq=0.0, pressure=zeros))
     rec.finalize()
@@ -232,8 +233,8 @@ temp_perturbation = 0.01
 def _fresh_derivatives(state, grid):
     """A state with its wall u_tau and derivative set, velocity gradients included, evaluated afresh."""
     u1, u2 = state.u1, state.u2
-    state = replace(state, u_tau=tuple(tangential_velocity(u1, u2, grid, side)
-                                       for side in (Side.BOTTOM, Side.TOP)))
+    state = replace(state, u_tau=np.array([tangential_velocity(u1, u2, grid, side)
+                                           for side in (Side.BOTTOM, Side.TOP)]))
     derivs = StateDerivatives(grad_omega=grad_physical(state.omega, grid),
                               grad_temp=grad_physical(state.temp, grid),
                               grad_u=velocity_gradients(state, grid))
@@ -391,7 +392,7 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
     if steps == 0:
         state = replace(state, omega=np.zeros_like(state.omega), u1=np.zeros_like(state.u1),
                         u2=np.zeros_like(state.u2),
-                        u_tau=tuple(np.zeros_like(ut) for ut in state.u_tau))
+                        u_tau=np.zeros_like(state.u_tau))
     grid = stepper.grid
     bg = build_background(0.25, grid) if background else None
     derivs = stepper.state_derivatives(state)

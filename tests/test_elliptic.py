@@ -28,6 +28,7 @@ from rbns.grid import (
     d2_x1,
     d_x1,
     d_x2,
+    sine_divisor,
     _cosine_difference,
     _sine_difference,
     from_basis,
@@ -41,6 +42,23 @@ from rbns.grid import (
 
 # two wall modes, so h' and h'' are not single harmonics
 TWO_MODES = FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1), (3, 0.02, -0.01)))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_flat_helmholtz_divisor_is_one_multiply_add():
+    # the grid holds k^2 + lam, so each construction (a new c every auto-dt
+    # step) gives the reciprocal of the divisor built from scratch
+    g = MappedGrid(FourierSeries(gamma=1.0), 48, 49)
+    lam = _parity_basis(_sine_basis, g.n2).eig
+    for c in (5e-5, 0.37, 1.3e-3, 5e-5, 2.0, None):
+        sigma, ceff = (0.0, 1.0) if c is None else (1.0, c)
+        inv = HelmholtzDirichlet(g, c)._inv_divisor
+        assert _same_bits(inv, 1.0 / sine_divisor(g, sigma, ceff))
+        assert _same_bits(inv, 1.0 / (np.add.outer(g.a22_mean * lam, g.k2) * ceff + sigma))
 
 
 def _relmax(a, b):
@@ -316,7 +334,7 @@ def test_dirichlet_rhs_is_operator_of_wall_field(n1, rough):
     walls = np.zeros(g.shape)
     walls[:, 0], walls[:, -1] = bottom, top
     expected = x1_transform(apply_L_tilde(walls, g), g)
-    got = wall_spectra(bottom, top, g)
+    got = wall_spectra(np.array((bottom, top)), g)
     if rough:
         assert _relmax(got, expected[[0, -1]]) <= 1e-13
     else:
@@ -445,7 +463,7 @@ def test_rough_pcg_iterations_match_grid_value_reference(monkeypatch):
             return from_coefficients(from_basis(self._basis, coords, grid, np.empty_like(coords)), grid)
 
         rhs = rhs_int.copy() if rhs_coords is None else values(rhs_coords)
-        wall_rows = x1_inverse(wall_spectra(bottom, top, grid) if walls is None else walls, grid)
+        wall_rows = x1_inverse(wall_spectra(np.array((bottom, top)), grid) if walls is None else walls, grid)
         rhs[:, [0, -1]] += self._ceff * wall_rows
         if old is None:
             start = x0[:, 1:-1].copy()
@@ -473,7 +491,7 @@ def test_dirichlet_rhs_transforms_only_wall_data(monkeypatch, rough):
     g = MappedGrid(TWO_MODES if rough else FourierSeries(gamma=1.0), 32, 33)
     rng = np.random.default_rng(1)
     shapes = _count_transforms(monkeypatch)
-    wall_spectra(rng.standard_normal(g.n1), rng.standard_normal(g.n1), g)
+    wall_spectra(rng.standard_normal((2, g.n1)), g)
     # at most a few wall lines per transform, never a grid-sized field
     assert shapes and all(min(s) <= 4 for s in shapes)
 

@@ -3,19 +3,50 @@ import pytest
 from scipy.integrate import quad
 
 from rbns.geometry import Side
+from rbns.geometry import FourierSeries
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
-    boundary_trace,
+    d_x2,
     grad_physical,
     level_index,
     line_integral,
     volume_integral,
 )
 
+from reference_diagnostics import boundary_trace
+
 
 def make_grid(profile, n1=32, n2=33):
     return MappedGrid(profile, n1, n2)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _d_x2_three_expressions(f, grid):
+    """d_x2 as the centered and two one-sided expressions, each divided by 2 dx2."""
+    out = np.empty_like(f)
+    h = 2.0 * grid.dx2
+    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / h
+    out[:, 0] = (-3.0 * f[:, 0] + 4.0 * f[:, 1] - f[:, 2]) / h
+    out[:, -1] = (3.0 * f[:, -1] - 4.0 * f[:, -2] + f[:, -3]) / h
+    return out
+
+
+@pytest.mark.parametrize("n1, n2", [(33, 34), (16, 35), (8, 9)])
+def test_d_x2_matches_three_expressions_bit_for_bit(n1, n2):
+    # one subtraction on the flattened array, in-place wall rows and one
+    # division: the same operations per entry, on C-ordered and strided input
+    g = MappedGrid(FourierSeries(gamma=1.0), n1, n2)
+    rng = np.random.default_rng(n1 + n2)
+    c_order = rng.standard_normal((n1, n2))
+    transposed = np.ascontiguousarray(c_order.T).T
+    sliced = rng.standard_normal((n1, n2 + 3))[:, 1:n2 + 1]
+    for f in (c_order, transposed, sliced):
+        assert _same_bits(d_x2(f, g), _d_x2_three_expressions(f, g))
 
 
 def test_grad_flat_trivial(flat_profile):

@@ -9,7 +9,6 @@ from rbns.grid import (
     d_x1,
     d_x2,
     grad_physical,
-    tangential_velocity,
     volume_integral,
     x1_inverse,
 )
@@ -21,6 +20,8 @@ from rbns.solver import (
     boundary_vorticity,
     velocity_gradients,
 )
+
+from reference_diagnostics import tangential_velocity
 
 
 def small_cfg(**kw):
@@ -137,13 +138,11 @@ def test_vorticity_gradient_identity(sine_profile, alpha_one):
 
 def test_stream_trace_fixed_point(sine_profile):
     # -(1/|O|) int u1 telescopes to the imposed top trace for smooth psi
-    from rbns.solver import stream_trace_from_velocity
-
     grid = MappedGrid(sine_profile, 32, 65)
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     psi = 0.37 * x2**2 + np.sin(2 * np.pi * x1) * np.sin(np.pi * x2) ** 2
     u1 = -d_x2(psi, grid)
-    got = stream_trace_from_velocity(u1, grid)
+    got = -volume_integral(u1, grid) / grid.area
     assert got == pytest.approx(0.37, abs=1e-4)  # quadrature-level agreement
 
 
@@ -230,6 +229,33 @@ def test_fixed_point_coupling_converges():
                                       initial_stream_function(cfg, stepper.grid))
     nxt = stepper.step(state, 1e-4, stepper.state_derivatives(state))
     assert np.isfinite(nxt.omega).all()
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1), (3, 0.02, -0.01))], ids=["flat", "rough"])
+def test_stacked_walls_match_per_wall_formulas(modes):
+    # the (2, n1) u_tau and the new wall vorticity -2 (alpha + kappa) u_tau,
+    # bit for bit against the one-wall formulas, with alpha varying along x1
+    from rbns.runner import initial_stream_function
+
+    cfg = small_cfg(ra=1e3, pr=1.0, pert=0.01)
+    cfg.geometry.modes = modes
+    cfg.boundary.alpha_bottom_modes = ((1, 0.3, 0.1),)
+    cfg.initial.u0_amplitude = 0.5
+    stepper = build_stepper(cfg)
+    grid = stepper.grid
+    state = stepper.state_from_fields(initial_temperature(cfg, grid),
+                                      initial_stream_function(cfg, grid))
+    nxt = stepper.step(state, 1e-4, stepper.state_derivatives(state))
+    sides = (Side.BOTTOM, Side.TOP)
+    for st in (state, nxt):
+        assert st.u_tau.shape == (2, grid.n1)
+        for row, side in zip(st.u_tau, sides):
+            want = tangential_velocity(st.u1, st.u2, grid, side)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+    for j, ut, bd in zip((0, -1), state.u_tau, (stepper.bottom, stepper.top)):
+        want = boundary_vorticity(ut, bd)
+        assert np.array_equal(np.ascontiguousarray(nxt.omega[:, j]).view(np.uint64),
+                              want.view(np.uint64))
 
 
 def test_state_derivatives_match_fresh_evaluations():
