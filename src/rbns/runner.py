@@ -53,9 +53,10 @@ def initial_temperature(config: RunConfig, grid: MappedGrid) -> np.ndarray:
     """Conduction profile plus a seeded band-limited perturbation.
 
     The perturbation is amplitude * sin(pi x2) * f(x1) with f a random-phase
-    combination of the four lowest modes normalized to unit sup; the sine
-    envelope keeps the wall values exact and the result is clipped to [0,1]
-    so the maximum principle applies from the start.
+    combination of the four lowest modes normalized to unit sup; the result
+    is clipped to [0,1] so the maximum principle applies from the start.
+    The sine envelope vanishes on the walls only to rounding (sin(pi) is
+    1.2e-16), so the wall rows are then set to the exact data 1 and 0.
     """
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
     amp = config.initial.temp_perturbation
@@ -71,6 +72,7 @@ def initial_temperature(config: RunConfig, grid: MappedGrid) -> np.ndarray:
             f /= sup
         temp += amp * f[:, None] * np.sin(np.pi * grid.x2)[None, :]
         np.clip(temp, 0.0, 1.0, out=temp)
+        temp[:, 0], temp[:, -1] = 1.0, 0.0
     return temp
 
 

@@ -17,7 +17,8 @@ import pytest
 
 from rbns.config import parse_config
 from rbns.diagnostics import AVERAGED, CSV_COLUMNS
-from rbns.runner import read_summary, run_simulation
+from rbns.grid import MappedGrid
+from rbns.runner import initial_temperature, read_summary, run_simulation
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SPANS = BENCH / "spans.py"
@@ -49,6 +50,17 @@ def tiny_calls(tmp_path_factory):
         result = run_simulation(parse_config(text), out, resume=resume, config_text=text)
         calls.append((result, out, call["resume"]))
     return calls
+
+
+@pytest.mark.parametrize("name", ["rough_pcg", "sampled_restart"])
+def test_gated_initial_temperatures_hold_the_wall_data_exactly(name):
+    # the step's temperature wall terms assume T = 1 and 0 on the walls
+    workloads = _load("bench_workloads", WORKLOADS)
+    for seed in range(workloads.N_CASES):
+        cfg = parse_config(workloads.config_text(name, seed))
+        temp = initial_temperature(cfg, MappedGrid(cfg.geometry.profile(), cfg.grid.n1,
+                                                   cfg.grid.n2))
+        assert np.all(temp[:, 0] == 1.0) and np.all(temp[:, -1] == 0.0)
 
 
 def test_tracer_installs_every_wrap():
