@@ -86,7 +86,7 @@ _LINE_ROWS = ("grad_t_sq", "u_sq", "omega_sq", *OMEGA_NORM_COLUMNS, "heat_conten
               "convective_transport", *STRIP_COLUMNS, "nu_flux", "grad_omega_sq",
               "buoyancy_torque", "wall_buoyancy", "cross", "theta_sq", "theta_u_grad_eta")
 _WALL_ROWS = ("boundary_friction", "kappa_friction", "ak_friction", "wall_pressure", "wall_inertia")
-_ROW = {name: i for i, name in enumerate(_LINE_ROWS)}
+_STRIPS = slice(_LINE_ROWS.index(STRIP_COLUMNS[0]), _LINE_ROWS.index(STRIP_COLUMNS[-1]) + 1)
 _WALL = {name: slice(len(_LINE_ROWS) + 2 * i, len(_LINE_ROWS) + 2 * i + 2)
          for i, name in enumerate(_WALL_ROWS)}
 
@@ -119,7 +119,7 @@ def measure(state: FlowState, grid: MappedGrid,
     (velocity_gradient_integrals, evaluated before the pressure solve).
 
     One pass: each integrand is formed once, in one of two scratch arrays,
-    into its fixed row (``_ROW``, ``_WALL``), and all rows are reduced
+    into its fixed row (``_LINE_ROWS``, ``_WALL``), and all rows are reduced
     together.  Both walls are one (2, n1) stack throughout.  The wall heat
     flux reads grad T's wall row, and with pressure the x1 derivatives of
     both walls' u_tau and pressure traces take one transform pair; nothing
@@ -156,7 +156,7 @@ def measure(state: FlowState, grid: MappedGrid,
     # level lines, vertical translates of the bottom wall: -h'(u1 T - dT/dy1)
     # + (u2 T - dT/dy2) per unit y1
     j = [level_index(grid, level) for level in STRIP_LEVELS]
-    strips = rows[_ROW[STRIP_COLUMNS[0]]:_ROW[STRIP_COLUMNS[-1]] + 1]
+    strips = rows[_STRIPS]
     strips[:] = flux2[:, j].T
     if not flat:
         strips -= grid.hp * (u1[:, j] * temp[:, j] - ty1[:, j]).T
