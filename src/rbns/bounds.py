@@ -60,11 +60,6 @@ from rbns.solver import PhysicalParams
 
 CASES = ("interp_kappa_leq_alpha", "interp_general", "three_sevenths")
 
-BOUNDS_CSV_HEADER = (
-    "ra,pr,case,applicable,bound_value,measured_nu,margin,delta,a,b,big_m,user_c,"
-    "ec_ok,kappa_leq_alpha_ok,kappa_general_ok,smallness_ok,pr_ok,ra_ok"
-)
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -270,35 +265,8 @@ class BoundReport:
     notes: list[str] = field(default_factory=list)
 
     def csv_rows(self) -> list[str]:
-        rows = []
-        cond_cols = self._condition_flags()
-        for ev in self.evaluations:
-            p = ev.params
-            margin = ev.bound_value - self.measured_nu if np.isfinite(self.measured_nu) else float("nan")
-            cols = [
-                f"{self.ra:.17g}", f"{self.pr:.17g}", ev.name, str(int(ev.applicable)),
-                f"{ev.bound_value:.17g}",
-                f"{self.measured_nu:.17g}" if np.isfinite(self.measured_nu) else "",
-                f"{margin:.17g}" if np.isfinite(margin) else "",
-                f"{p.delta:.17g}" if p else "", f"{p.a:.17g}" if p else "",
-                f"{p.b:.17g}" if p else "", f"{p.big_m:.17g}" if p else "",
-                f"{self.user_c:.17g}",
-            ] + [str(int(v)) for v in cond_cols]
-            rows.append(",".join(cols))
-        return rows
-
-    def _condition_flags(self) -> list[bool]:
-        ec = self.conditions.get("ec")
-        kla = self.conditions.get("theorem2_kappa_leq_alpha")
-        gen = self.conditions.get("theorem2_general")
-        return [
-            ec.passed if ec else False,
-            kla.passed if kla else False,
-            gen.passed if gen else False,
-            self.norms.alpha_plus_kappa_inf <= self.user_cbar,
-            self.pr > 0,
-            self.ra >= 1.0,
-        ]
+        return [",".join(value(self, ev) for _, value in _CSV_COLUMNS)
+                for ev in self.evaluations]
 
     def render_text(self) -> str:
         lines = [
@@ -339,6 +307,45 @@ class BoundReport:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines) + "\n"
+
+
+def _number(x: float) -> str:
+    return f"{x:.17g}" if np.isfinite(x) else ""
+
+
+def _flag(value: bool) -> str:
+    return str(int(value))
+
+
+def _param(name: str):
+    return lambda r, ev: f"{getattr(ev.params, name):.17g}" if ev.params else ""
+
+
+def _condition(name: str):
+    return lambda r, ev: _flag(name in r.conditions and r.conditions[name].passed)
+
+
+# bounds.csv: one row per TheoremEvaluation, (column, value of (report, evaluation))
+_CSV_COLUMNS = (
+    ("ra", lambda r, ev: f"{r.ra:.17g}"),
+    ("pr", lambda r, ev: f"{r.pr:.17g}"),
+    ("case", lambda r, ev: ev.name),
+    ("applicable", lambda r, ev: _flag(ev.applicable)),
+    ("bound_value", lambda r, ev: f"{ev.bound_value:.17g}"),
+    ("measured_nu", lambda r, ev: _number(r.measured_nu)),
+    ("margin", lambda r, ev: _number(ev.bound_value - r.measured_nu)
+     if np.isfinite(r.measured_nu) else ""),
+    *((name, _param(name)) for name in ("delta", "a", "b", "big_m")),
+    ("user_c", lambda r, ev: f"{r.user_c:.17g}"),
+    ("ec_ok", _condition("ec")),
+    ("kappa_leq_alpha_ok", _condition("theorem2_kappa_leq_alpha")),
+    ("kappa_general_ok", _condition("theorem2_general")),
+    ("smallness_ok", lambda r, ev: _flag(r.norms.alpha_plus_kappa_inf <= r.user_cbar)),
+    ("pr_ok", lambda r, ev: _flag(r.pr > 0)),
+    ("ra_ok", lambda r, ev: _flag(r.ra >= 1.0)),
+)
+
+BOUNDS_CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 
 def sweep_slope(ra_values, nu_values) -> float:

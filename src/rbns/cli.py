@@ -20,6 +20,7 @@ import copy
 import os
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 
@@ -227,7 +228,7 @@ def cmd_scaling(args) -> int:
 def cmd_geometry_report(args) -> int:
     config, _ = _load_config(args.config)
     norms, conditions = reporting.conditions_for_config(config, args.samples)
-    for key, value in norms.to_dict().items():
+    for key, value in asdict(norms).items():
         print(f"{key} = {value}")
     for name, rep in conditions.items():
         for key, value in rep.to_dict().items():

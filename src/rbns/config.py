@@ -3,9 +3,12 @@
 The format is INI-style with the sections geometry / boundary / physical /
 grid / time / initial / bounds / output.  Fourier mode lists are written as
 comma-separated  k:cos:sin  triples.  Every key has a default; a minimal
-config only needs [physical] and [grid].  Unknown keys and invariant
-violations, non-finite numbers among them, are rejected with messages
-naming the section and key.
+config only needs [physical] and [grid].  The section dataclasses are the
+schema: each field is a key, and its type hint picks the converter
+(``_KINDS``), so parsing, validation, serialization and ``simulate
+--sweep`` read one definition.  Unknown keys and invariant violations,
+non-finite numbers among them, are rejected with messages naming the
+section and key.
 
 ``parse_config(serialize_config(cfg))`` reproduces cfg exactly: floats are
 emitted with repr (round-trip exact) and "auto" markers survive.
@@ -17,10 +20,12 @@ import configparser
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
+from rbns.bounds import CASES
 from rbns.geometry import FourierSeries, Side, curvature
 
 
@@ -59,10 +64,6 @@ def _parse_modes(text: str, where: str) -> tuple[tuple[int, float, float], ...]:
             raise ConfigError(f"{where}: wavenumber must be a positive integer, got {k}")
         out.append((k, c, s))
     return tuple(out)
-
-
-def _format_modes(modes) -> str:
-    return ", ".join(f"{k}:{c!r}:{s!r}" for k, c, s in modes)
 
 
 @dataclass
@@ -134,7 +135,7 @@ class InitialConfig:
 
 @dataclass
 class BoundsConfig:
-    cases: tuple[str, ...] = ("interp_kappa_leq_alpha", "interp_general", "three_sevenths")
+    cases: tuple[str, ...] = CASES
     user_c: float = 1.0
     user_cbar: float = 1.0
     u0_norm: float = 1.0
@@ -161,34 +162,24 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_KNOWN_CASES = ("interp_kappa_leq_alpha", "interp_general", "three_sevenths")
+_KINDS = {
+    float: "float",
+    int: "int",
+    str: "str",
+    float | None: "float_or_auto",             # None is written and read as "auto"
+    tuple[tuple[int, float, float], ...]: "modes",
+    tuple[str, ...]: "cases",
+}
 
-# (section, key) -> (target dataclass attribute, converter tag)
+
+def _section_schema(section: type) -> dict[str, str]:
+    hints = get_type_hints(section)
+    return {f.name: _KINDS[hints[f.name]] for f in fields(section)}
+
+
+# section -> key -> converter tag, in the order the dataclasses declare them
 _SCHEMA: dict[str, dict[str, str]] = {
-    "geometry": {"gamma": "float", "mean_offset": "float", "modes": "modes"},
-    "boundary": {
-        "alpha_bottom_mean": "float", "alpha_bottom_modes": "modes",
-        "alpha_top_mean": "float", "alpha_top_modes": "modes",
-    },
-    "physical": {"ra": "float", "pr": "float"},
-    "grid": {"n1": "int", "n2": "int"},
-    "time": {
-        "dt": "float_or_auto", "dt_max": "float_or_auto", "t_end": "float",
-        "burn_in": "float_or_auto", "sample_interval": "float_or_auto",
-        "checkpoint_interval": "float_or_auto",
-        "coupling_sweeps": "int", "coupling_tol": "float",
-        "cfl_safety": "float", "buoyancy_safety": "float",
-    },
-    "initial": {
-        "temp_perturbation": "float", "seed": "int",
-        "u0_amplitude": "float", "u0_mode": "int", "u0_phase": "float",
-    },
-    "bounds": {
-        "cases": "cases", "user_c": "float", "user_cbar": "float",
-        "u0_norm": "float", "delta_override": "float_or_auto",
-        "background_delta": "float_or_auto",
-    },
-    "output": {"directory": "str", "precision": "int", "pressure_every": "int"},
+    name: _section_schema(section) for name, section in get_type_hints(RunConfig).items()
 }
 
 
@@ -208,9 +199,9 @@ def _convert(kind: str, raw: str, where: str):
         if kind == "cases":
             cases = tuple(c.strip() for c in raw.split(",") if c.strip())
             for c in cases:
-                if c not in _KNOWN_CASES:
+                if c not in CASES:
                     raise ConfigError(f"{where}: unknown bound case {c!r} "
-                                      f"(known: {', '.join(_KNOWN_CASES)})")
+                                      f"(known: {', '.join(CASES)})")
             return cases
     except ConfigError:
         raise
@@ -311,7 +302,9 @@ def validate_config(cfg: RunConfig) -> None:
             )
 
 
-def _emit(value) -> str:
+def _emit(kind: str, value) -> str:
+    if kind == "modes":
+        return ", ".join(f"{k}:{c!r}:{s!r}" for k, c, s in value)
     if value is None:
         return "auto"
     if isinstance(value, float):
@@ -327,10 +320,6 @@ def serialize_config(cfg: RunConfig) -> str:
         target = getattr(cfg, section)
         out.write(f"[{section}]\n")
         for key, kind in schema.items():
-            value = getattr(target, key)
-            if kind == "modes":
-                out.write(f"{key} = {_format_modes(value)}\n")
-            else:
-                out.write(f"{key} = {_emit(value)}\n")
+            out.write(f"{key} = {_emit(kind, getattr(target, key))}\n")
         out.write("\n")
     return out.getvalue()

@@ -29,7 +29,7 @@ formulas apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -233,20 +233,6 @@ class BoundaryNorms:
     gamma: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_min": self.alpha_min,
-            "kappa_inf": self.kappa_inf,
-            "alpha_plus_kappa_inf": self.alpha_plus_kappa_inf,
-            "alpha_plus_kappa_w1inf": self.alpha_plus_kappa_w1inf,
-            "alpha_dot_inf": self.alpha_dot_inf,
-            "kappa_dot_inf": self.kappa_dot_inf,
-            "hprime_inf": self.hprime_inf,
-            "height_range": self.height_range,
-            "gamma": self.gamma,
-            "n_samples": self.n_samples,
-        }
-
 
 def boundary_norms(profile: FourierSeries, bottom: BoundaryData, top: BoundaryData) -> BoundaryNorms:
     ak_b = bottom.alpha + bottom.kappa
@@ -298,7 +284,7 @@ class ConditionReport:
             "n_samples": self.n_samples,
         }
         if self.norms is not None:
-            d.update(self.norms.to_dict())
+            d.update(asdict(self.norms))
         return d
 
 

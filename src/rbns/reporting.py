@@ -7,6 +7,8 @@ import os
 
 from rbns.background import build_background
 from rbns.bounds import (
+    BOUNDS_CSV_HEADER,
+    CASES,
     BoundReport,
     QFormResult,
     TheoremEvaluation,
@@ -78,7 +80,7 @@ def conditions_from_norms(norms: BoundaryNorms) -> dict[str, ConditionReport]:
 def assemble_report(physical: PhysicalParams, norms: BoundaryNorms,
                     conditions: dict[str, ConditionReport],
                     measured_nu: float = float("nan"),
-                    cases=("interp_kappa_leq_alpha", "interp_general", "three_sevenths"),
+                    cases=CASES,
                     user_c: float = 1.0, user_cbar: float = 1.0, u0_norm: float = 1.0,
                     delta_override: float | None = None,
                     qform: QFormResult | None = None,
@@ -107,7 +109,7 @@ def report_for_run(config: RunConfig, averages: dict,
     if b.background_delta is not None:
         grid = MappedGrid(config.geometry.profile(), config.grid.n1, config.grid.n2)
         bg = build_background(b.background_delta, grid)
-        params = choose_proof_parameters(b.cases[0] if b.cases else "interp_kappa_leq_alpha",
+        params = choose_proof_parameters(b.cases[0] if b.cases else CASES[0],
                                          physical, norms, b.user_c, b.u0_norm,
                                          b.background_delta)
         try:
@@ -139,8 +141,6 @@ def report_from_run_dir(run_dir: str) -> BoundReport:
 
 
 def write_report(run_dir: str, report: BoundReport) -> None:
-    from rbns.bounds import BOUNDS_CSV_HEADER
-
     with open(os.path.join(run_dir, "bound_report.txt"), "w") as fh:
         fh.write(report.render_text())
     with open(os.path.join(run_dir, "bounds.csv"), "w") as fh:

@@ -14,7 +14,7 @@ summary), the diagnostics CSV and checkpoints.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -317,7 +317,7 @@ def _write_summary(path: str, config: RunConfig, result: RunResult,
     }
     for key, value in result.averages.items():
         lines[f"avg:{key}"] = value
-    for key, value in norms.to_dict().items():
+    for key, value in asdict(norms).items():
         lines[f"norm:{key}"] = value
     with open(path, "w") as fh:
         for key, value in lines.items():
