@@ -321,6 +321,11 @@ def _param(name: str):
     return lambda r, ev: f"{getattr(ev.params, name):.17g}" if ev.params else ""
 
 
+def _own_flag(name: str):
+    """The row's own regime flag; empty where its theorem has no such flag."""
+    return lambda r, ev: _flag(ev.flags[name]) if name in ev.flags else ""
+
+
 def _condition(name: str):
     return lambda r, ev: _flag(name in r.conditions and r.conditions[name].passed)
 
@@ -341,8 +346,8 @@ _CSV_COLUMNS = (
     ("kappa_leq_alpha_ok", _condition("theorem2_kappa_leq_alpha")),
     ("kappa_general_ok", _condition("theorem2_general")),
     ("smallness_ok", lambda r, ev: _flag(r.norms.alpha_plus_kappa_inf <= r.user_cbar)),
-    ("pr_ok", lambda r, ev: _flag(r.pr > 0)),
-    ("ra_ok", lambda r, ev: _flag(r.ra >= 1.0)),
+    ("pr_ok", _own_flag("pr_ok")),
+    ("ra_ok", _own_flag("ra_ok")),
 )
 
 BOUNDS_CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)

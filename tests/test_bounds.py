@@ -5,6 +5,7 @@ import pytest
 
 from rbns.background import build_background
 from rbns.bounds import (
+    BOUNDS_CSV_HEADER,
     Q_INGREDIENTS,
     BoundParams,
     choose_proof_parameters,
@@ -16,7 +17,7 @@ from rbns.bounds import (
 from rbns.diagnostics import AVERAGED
 from rbns.geometry import BoundaryNorms, ConditionReport, Side
 from rbns.grid import MappedGrid
-from rbns.reporting import conditions_from_norms
+from rbns.reporting import assemble_report, conditions_from_norms
 from rbns.solver import PhysicalParams
 
 
@@ -179,6 +180,26 @@ def test_conditions_from_norms_conservative():
     conds = conditions_from_norms(norms_with(alpha_min=0.04, kappa_inf=0.2))
     assert not conds["ec"].passed
     assert conds["ec"].margin == pytest.approx(0.13 - 0.2, abs=1e-12)
+
+
+def test_csv_rows_carry_their_own_regime_flags():
+    # Ra 1e4, Pr 10: below Pr >= Ra^(3/4) and Pr >= Ra^(5/7), so every
+    # theorem-2 case fails its Pr regime; theorem1 has no Pr flag and
+    # three_sevenths no Ra flag
+    norms = norms_with()
+    report = assemble_report(PhysicalParams(1e4, 10.0), norms, conditions_from_norms(norms),
+                             measured_nu=2.0)
+    header = BOUNDS_CSV_HEADER.split(",")
+    rows = {row["case"]: row for row in (dict(zip(header, line.split(",")))
+                                         for line in report.csv_rows())}
+    assert {case: (row["pr_ok"], row["ra_ok"]) for case, row in rows.items()} == {
+        "theorem1": ("", "1"),
+        "interp_kappa_leq_alpha": ("0", "1"),
+        "interp_general": ("0", "1"),
+        "three_sevenths": ("0", ""),
+    }
+    for ev in report.evaluations:
+        assert rows[ev.name]["applicable"] == str(int(ev.applicable))
 
 
 # --- quadratic form -----------------------------------------------------------
