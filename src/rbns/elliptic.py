@@ -286,26 +286,6 @@ class HelmholtzDirichlet:
         return full, info
 
 
-def solve_poisson_dirichlet(rhs: np.ndarray, bottom, top, grid: MappedGrid,
-                            tol: float = 1e-10, maxiter: int | None = None,
-                            x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-    """Solve L u = rhs with Dirichlet traces; rhs given at interior nodes.
-
-    rhs may be a full (n1, n2) array (wall rows ignored) or (n1, n2-2).
-    """
-    return solve_helmholtz_dirichlet(None, -rhs, bottom, top, grid, tol, maxiter, x0)  # -L u = -rhs
-
-
-def solve_helmholtz_dirichlet(c: float | None, rhs: np.ndarray, bottom, top, grid: MappedGrid,
-                              tol: float = 1e-10, maxiter: int | None = None,
-                              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-    rhs_int = rhs[:, 1:-1] if rhs.shape == grid.shape else rhs
-    bottom = np.broadcast_to(np.asarray(bottom, dtype=float), (grid.n1,))
-    top = np.broadcast_to(np.asarray(top, dtype=float), (grid.n1,))
-    solver = HelmholtzDirichlet(grid, c, tol, maxiter)
-    return solver.solve(rhs_int, bottom, top, x0)
-
-
 # ---------------------------------------------------------------------------
 # Neumann Poisson (mean-zero pressure)
 # ---------------------------------------------------------------------------
@@ -404,11 +384,3 @@ class PoissonNeumann:
         p[:, 0] -= grid.w2 @ p[:, 0]         # zero volume mean (the weights w2 sum to 1)
         return (x1_inverse if grid.is_flat else from_coefficients)(p, grid), info
 
-
-def solve_poisson_neumann(rhs: np.ndarray, flux_bottom, flux_top, grid: MappedGrid,
-                          tol: float = 1e-10, maxiter: int | None = None,
-                          x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-    """One-shot Neumann solve; see :class:`PoissonNeumann`.  The fluxes may be scalars."""
-    flux_bottom, flux_top = (np.broadcast_to(np.asarray(f, dtype=float), (grid.n1,))
-                             for f in (flux_bottom, flux_top))
-    return PoissonNeumann(grid, tol, maxiter).solve(rhs, flux_bottom, flux_top, x0)

@@ -77,7 +77,6 @@ class MappedGrid:
     k2: np.ndarray = field(init=False)       # full k^2 (spectral second derivative)
     hp: np.ndarray = field(init=False)
     hpp: np.ndarray = field(init=False)
-    hppp: np.ndarray = field(init=False)
     a22: np.ndarray = field(init=False)      # 1 + h'^2 per column
     a22_mean: float = field(init=False)      # its mean, the flat-metric coefficient of the divisors
     sine_eig: np.ndarray | None = field(init=False, repr=False)  # flat grids: see sine_divisor
@@ -115,7 +114,6 @@ class MappedGrid:
         self.k2 = k**2
         self.hp = np.asarray(self.profile.evaluate(self.x1, 1))
         self.hpp = np.asarray(self.profile.evaluate(self.x1, 2))
-        self.hppp = np.asarray(self.profile.evaluate(self.x1, 3))
         self.a22 = 1.0 + self.hp**2
         self.a22_mean = float(np.mean(self.a22))
         self.ds_weight = np.sqrt(self.a22)

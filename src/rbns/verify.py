@@ -12,7 +12,7 @@ import numpy as np
 from rbns.config import RunConfig
 from rbns.geometry import FourierSeries, boundary_frames, check_condition_ec
 from rbns.grid import MappedGrid, apply_L_tilde, grad_physical
-from rbns.elliptic import solve_poisson_dirichlet, solve_poisson_neumann
+from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann
 from rbns.runner import run_simulation
 
 Row = tuple[str, bool, str]
@@ -101,10 +101,10 @@ def mms_errors(n2: int, n1: int = 32) -> dict[str, float]:
     fy1, fy2 = grad_physical(f, grid)
     out["grad_physical"] = float(max(np.abs(fy1 - gy1).max(), np.abs(fy2 - gy2).max()))
     out["apply_L_tilde"] = float(np.abs(apply_L_tilde(f, grid) - lap[:, 1:-1]).max())
-    sol, _ = solve_poisson_dirichlet(lap, f[:, 0], f[:, -1], grid)
+    sol, _ = HelmholtzDirichlet(grid, None).solve(-lap[:, 1:-1], f[:, 0], f[:, -1])  # -L u = -lap
     out["solve_poisson_dirichlet"] = float(np.abs(sol - f).max())
     p, plap, gb, gt = _neumann_fields(grid)
-    sol, _ = solve_poisson_neumann(plap, gb, gt, grid)
+    sol, _ = PoissonNeumann(grid).solve(plap, gb, gt)
     pm = p - (np.sum(p @ grid.w2) * grid.dx1) / grid.area
     out["solve_poisson_neumann"] = float(np.abs(sol - pm).max())
     return out

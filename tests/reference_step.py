@@ -5,7 +5,7 @@ hands the Crank-Nicolson solves the state's own spectra.  This reference
 forms every term on grid values, as the scheme reads: the skew-symmetric
 advection from full-grid derivatives, the Adams-Bashforth combination, the
 Crank-Nicolson right-hand side f + c L f + dt expl from ``apply_L_tilde``,
-and one-shot Dirichlet solves that add the new wall traces themselves.  Its
+and Dirichlet solves of grid values that add the new wall traces themselves.  Its
 multistep history is kept as grid values in the returned state's
 ``prev_expl_*``.  The two must agree to rounding.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from rbns.elliptic import solve_helmholtz_dirichlet, solve_poisson_dirichlet
+from rbns.elliptic import HelmholtzDirichlet
 from rbns.grid import apply_L_tilde, d_x1, d_x2, grad_physical
 from rbns.solver import BoussinesqStepper, FlowState, boundary_vorticity
 
@@ -40,14 +40,14 @@ def reference_step(stepper: BoussinesqStepper, state: FlowState, dt: float) -> F
 
     def crank_nicolson(f, c, expl, bottom, top):
         rhs = f[:, 1:-1] + c * apply_L_tilde(f, grid) + dt * expl
-        return solve_helmholtz_dirichlet(c, rhs, bottom, top, grid, x0=f)[0]
+        return HelmholtzDirichlet(grid, c).solve(rhs, bottom, top, x0=f)[0]
 
     temp = crank_nicolson(state.temp, 0.5 * dt, expl_t, stepper.t_bottom, stepper.t_top)
     omega = crank_nicolson(state.omega, 0.5 * pr * dt, expl_w,
                            boundary_vorticity(state.u_tau[0], stepper.bottom),
                            boundary_vorticity(state.u_tau[1], stepper.top))
-    psi = solve_poisson_dirichlet(omega, np.zeros(grid.n1), np.full(grid.n1, state.psi_top),
-                                  grid, x0=state.psi)[0]
+    psi = HelmholtzDirichlet(grid, None).solve(-omega[:, 1:-1], np.zeros(grid.n1),
+                                               np.full(grid.n1, state.psi_top), x0=state.psi)[0]
     psi_y1, psi_y2 = grad_physical(psi, grid)
     u1, u2 = -psi_y2, psi_y1
     return FlowState(time=state.time + dt, omega=omega, psi=psi, temp=temp, u1=u1, u2=u2,

@@ -14,9 +14,6 @@ from rbns.elliptic import (
     _pcg,
     _remove_kernel,
     _sine_basis,
-    solve_helmholtz_dirichlet,
-    solve_poisson_dirichlet,
-    solve_poisson_neumann,
     wall_spectra,
 )
 from rbns.geometry import FourierSeries
@@ -79,14 +76,14 @@ def test_flat_eigenfunction(flat_profile):
     g = MappedGrid(flat_profile, 32, 33)
     x1, x2 = g.x1[:, None], g.x2[None, :]
     f = np.sin(2 * np.pi * x1) * np.sin(np.pi * x2)
-    sol, info = solve_poisson_dirichlet(-5 * np.pi**2 * f, np.zeros(32), np.zeros(32), g)
+    sol, info = HelmholtzDirichlet(g, None).solve(5 * np.pi**2 * f[:, 1:-1], np.zeros(32), np.zeros(32))
     assert info.method == "direct"
     assert np.abs(sol - f).max() <= 2e-4  # truncation of the discrete eigenvalue
 
 
 def test_flat_harmonic_linear(flat_profile):
     g = MappedGrid(flat_profile, 16, 33)
-    sol, _ = solve_poisson_dirichlet(np.zeros(g.shape), np.zeros(16), np.ones(16), g)
+    sol, _ = HelmholtzDirichlet(g, None).solve(np.zeros((16, 31)), np.zeros(16), np.ones(16))
     assert np.abs(sol - g.x2[None, :]).max() <= 1e-12
 
 
@@ -94,7 +91,7 @@ def test_dirichlet_solve_then_apply(sine_profile):
     g = MappedGrid(sine_profile, 32, 33)
     rng = np.random.default_rng(5)
     rhs = rng.standard_normal((g.n1, g.n2 - 2))
-    sol, info = solve_poisson_dirichlet(rhs, np.zeros(32), np.zeros(32), g)
+    sol, info = HelmholtzDirichlet(g, None).solve(-rhs, np.zeros(32), np.zeros(32))
     assert info.method == "pcg"
     resid = apply_L_tilde(sol, g) - rhs
     assert np.abs(resid).max() <= 1e-8 * max(np.abs(rhs).max(), 1.0)
@@ -106,7 +103,7 @@ def test_dirichlet_self_consistent_recovery(sine_profile):
     x1, x2 = g.x1[:, None], g.x2[None, :]
     f = np.cos(2 * np.pi * x1) * x2 * (1.0 - x2) + 0.2 * x2
     rhs = apply_L_tilde(f, g)
-    sol, _ = solve_poisson_dirichlet(rhs, f[:, 0], f[:, -1], g)
+    sol, _ = HelmholtzDirichlet(g, None).solve(-rhs, f[:, 0], f[:, -1])
     assert np.abs(sol - f).max() <= 1e-8 * np.abs(f).max()
 
 
@@ -116,7 +113,7 @@ def test_helmholtz_flat_exact_mode(flat_profile):
     f = np.sin(2 * np.pi * x1) * np.sin(np.pi * x2)
     c = 0.01
     rhs = f[:, 1:-1] - c * apply_L_tilde(f, g)
-    sol, info = solve_helmholtz_dirichlet(c, rhs, f[:, 0], f[:, -1], g)
+    sol, info = HelmholtzDirichlet(g, c).solve(rhs, f[:, 0], f[:, -1])
     assert info.method == "direct"
     assert np.abs(sol - f).max() <= 1e-12
 
@@ -184,11 +181,11 @@ def test_flat_neumann_matches_dense_per_mode(flat_profile, n1):
 
 def test_neumann_trivial_and_mean_zero(flat_profile):
     g = MappedGrid(flat_profile, 16, 17)
-    sol, info = solve_poisson_neumann(np.zeros(g.shape), np.zeros(16), np.zeros(16), g)
+    sol, info = PoissonNeumann(g).solve(np.zeros(g.shape), np.zeros(16), np.zeros(16))
     assert np.abs(sol).max() <= 1e-14
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.shape)
-    sol, info = solve_poisson_neumann(rhs, np.zeros(16), np.zeros(16), g)
+    sol, info = PoissonNeumann(g).solve(rhs, np.zeros(16), np.zeros(16))
     assert abs(volume_integral(sol, g)) <= 1e-12 * max(np.abs(sol).max(), 1.0)
 
 
@@ -196,7 +193,7 @@ def test_neumann_flat_mode_oracle(flat_profile):
     # rhs = cos(2 pi x1), zero flux: per-mode two-point BVP solved densely
     g = MappedGrid(flat_profile, 32, 33)
     rhs = np.cos(2 * np.pi * g.x1)[:, None] * np.ones(g.n2)
-    sol, info = solve_poisson_neumann(rhs, np.zeros(32), np.zeros(32), g)
+    sol, info = PoissonNeumann(g).solve(rhs, np.zeros(32), np.zeros(32))
     # 1D oracle: (d^2/dz^2 - k^2) v = 1, v'(0) = v'(1) = 0  =>  v = -1/k^2
     k = 2 * np.pi
     n = 401
@@ -219,7 +216,7 @@ def test_neumann_compatibility_defect_reported(flat_profile):
     g = MappedGrid(flat_profile, 16, 17)
     # incompatible data: rhs with nonzero mean and zero flux
     rhs = np.ones(g.shape)
-    sol, info = solve_poisson_neumann(rhs, np.zeros(16), np.zeros(16), g)
+    sol, info = PoissonNeumann(g).solve(rhs, np.zeros(16), np.zeros(16))
     assert info.compat_defect > 0.1
     assert abs(volume_integral(sol, g)) <= 1e-12
 
@@ -291,7 +288,7 @@ def test_nonconvergence_raises(sine_profile):
     rng = np.random.default_rng(8)
     rhs = rng.standard_normal((g.n1, g.n2 - 2))
     with pytest.raises(EllipticError) as err:
-        solve_poisson_dirichlet(rhs, np.zeros(32), np.zeros(32), g, maxiter=2)
+        HelmholtzDirichlet(g, None, maxiter=2).solve(-rhs, np.zeros(32), np.zeros(32))
     assert err.value.iterations == 2
     assert err.value.rel_residual > 0
 
@@ -700,7 +697,8 @@ def test_pcg_without_iterations_raises_elliptic_error():
     g = MappedGrid(FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1),)), 16, 17)
     rng = np.random.default_rng(3)
     with pytest.raises(EllipticError) as err:
-        solve_poisson_dirichlet(rng.standard_normal(g.shape), 0.0, 0.0, g, maxiter=0)
+        HelmholtzDirichlet(g, None, maxiter=0).solve(rng.standard_normal(g.shape)[:, 1:-1],
+                                                     np.zeros(16), np.zeros(16))
     assert err.value.iterations == 0 and err.value.rel_residual == pytest.approx(1.0)
     with pytest.raises(EllipticError) as err:
         PoissonNeumann(g, maxiter=0).solve(rng.standard_normal(g.shape), 0.0, 0.0)
