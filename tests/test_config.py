@@ -1,10 +1,19 @@
+import dataclasses
 import re
 import warnings
 
 import pytest
 
 from rbns.cli import main
-from rbns.config import _SCHEMA, ConfigError, RunConfig, parse_config, serialize_config
+from rbns.config import (
+    _SCHEMA,
+    ConfigError,
+    RunConfig,
+    _convert,
+    _emit,
+    parse_config,
+    serialize_config,
+)
 from rbns.runner import run_simulation
 
 MINIMAL = """
@@ -124,6 +133,71 @@ def test_round_trip_idempotent():
 def test_round_trip_default_config():
     cfg = RunConfig()
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_schema_covers_every_dataclass_field():
+    assert list(_SCHEMA) == [f.name for f in dataclasses.fields(RunConfig)]
+    defaults = RunConfig()
+    for section, schema in _SCHEMA.items():
+        target = getattr(defaults, section)
+        assert list(schema) == [f.name for f in dataclasses.fields(target)]
+        for key, kind in schema.items():
+            # the kind converts its own serialized default back to the default
+            value = getattr(target, key)
+            assert _convert(kind, _emit(kind, value), f"[{section}] {key}") == value
+
+
+def _config_without_defaults() -> RunConfig:
+    sections = {
+        "geometry": dict(gamma=2.0, mean_offset=0.05, modes=((1, 0.0, 0.05), (3, 0.01, -0.02))),
+        "boundary": dict(alpha_bottom_mean=2.0, alpha_bottom_modes=((1, 0.1, 0.0),),
+                         alpha_top_mean=3.0, alpha_top_modes=((2, 0.0, 0.2),)),
+        "physical": dict(ra=2.5e4, pr=0.7),
+        "grid": dict(n1=48, n2=33),
+        "time": dict(dt=1e-4, dt_max=1e-3, t_end=0.3, burn_in=0.1, sample_interval=0.01,
+                     checkpoint_interval=0.05, coupling_sweeps=2, coupling_tol=1e-9,
+                     cfl_safety=0.3, buoyancy_safety=0.25),
+        "initial": dict(temp_perturbation=0.02, seed=7, u0_amplitude=1.5, u0_mode=2,
+                        u0_phase=0.25),
+        "bounds": dict(cases=("three_sevenths", "interp_general"), user_c=2.0, user_cbar=3.0,
+                       u0_norm=0.5, delta_override=0.125, background_delta=0.25),
+        "output": dict(directory="runs/other", precision=12, pressure_every=3),
+    }
+    defaults = RunConfig()
+    return dataclasses.replace(defaults, **{
+        name: dataclasses.replace(getattr(defaults, name), **keys) for name, keys in sections.items()})
+
+
+def test_round_trip_every_key_set():
+    cfg = _config_without_defaults()
+    defaults = RunConfig()
+    for section, schema in _SCHEMA.items():
+        for key in schema:
+            assert getattr(getattr(cfg, section), key) != getattr(getattr(defaults, section), key)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+_DEFAULT_TEXT = "".join(f"{line}\n" for line in (
+    "[geometry]", "gamma = 1.0", "mean_offset = 0.0", "modes = ", "",
+    "[boundary]", "alpha_bottom_mean = 1.0", "alpha_bottom_modes = ", "alpha_top_mean = 1.0",
+    "alpha_top_modes = ", "",
+    "[physical]", "ra = 100000.0", "pr = 10.0", "",
+    "[grid]", "n1 = 64", "n2 = 65", "",
+    "[time]", "dt = auto", "dt_max = auto", "t_end = 1.0", "burn_in = auto",
+    "sample_interval = auto", "checkpoint_interval = auto", "coupling_sweeps = 0",
+    "coupling_tol = 1e-08", "cfl_safety = 0.4", "buoyancy_safety = 0.35", "",
+    "[initial]", "temp_perturbation = 0.01", "seed = 0", "u0_amplitude = 0.0", "u0_mode = 1",
+    "u0_phase = 0.0", "",
+    "[bounds]", "cases = interp_kappa_leq_alpha, interp_general, three_sevenths",
+    "user_c = 1.0", "user_cbar = 1.0", "u0_norm = 1.0", "delta_override = auto",
+    "background_delta = auto", "",
+    "[output]", "directory = runs/latest", "precision = 17", "pressure_every = 1", "",
+))
+
+
+def test_serialize_default_config_golden():
+    # guards the key order and the value format of effective_config.txt
+    assert serialize_config(RunConfig()) == _DEFAULT_TEXT
 
 
 def test_bad_case_named():
