@@ -303,14 +303,15 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _emit(kind: str, value) -> str:
-    if kind == "modes":
-        return ", ".join(f"{k}:{c!r}:{s!r}" for k, c, s in value)
+    # float() first: the repr of a numpy scalar, np.float64(0.5), would not parse back
     if value is None:
         return "auto"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ", ".join(str(v) for v in value)
+    if kind == "modes":
+        return ", ".join(f"{k}:{float(c)!r}:{float(s)!r}" for k, c, s in value)
+    if kind == "cases":
+        return ", ".join(value)
+    if kind in ("float", "float_or_auto"):
+        return repr(float(value))
     return str(value)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from rbns.cli import main
@@ -193,6 +194,16 @@ _DEFAULT_TEXT = "".join(f"{line}\n" for line in (
     "background_delta = auto", "",
     "[output]", "directory = runs/latest", "precision = 17", "pressure_every = 1", "",
 ))
+
+
+def test_numpy_scalars_serialize_as_python_numbers():
+    # a config built in code from numpy values must write a file that parses back
+    cfg = _config_without_defaults()
+    text = serialize_config(cfg)
+    cfg.physical.ra, cfg.time.dt, cfg.grid.n1 = np.float64(2.5e4), np.float64(1e-4), np.int64(48)
+    cfg.geometry.modes = ((np.int64(1), np.float64(0.0), np.float64(0.05)), (3, 0.01, -0.02))
+    assert serialize_config(cfg) == text
+    assert parse_config(text) == cfg
 
 
 def test_serialize_default_config_golden():
