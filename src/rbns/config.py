@@ -303,7 +303,7 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _emit(kind: str, value) -> str:
-    # float() first: the repr of a numpy scalar, np.float64(0.5), would not parse back
+    # numbers pass through float(): the repr of np.float64(0.5) would not parse back
     if value is None:
         return "auto"
     if kind == "modes":

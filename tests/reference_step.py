@@ -5,7 +5,7 @@ hands the Crank-Nicolson solves the state's own spectra.  This reference
 forms every term on grid values, as the scheme reads: the skew-symmetric
 advection from full-grid derivatives, the Adams-Bashforth combination, the
 Crank-Nicolson right-hand side f + c L f + dt expl from ``apply_L_tilde``,
-and Dirichlet solves of grid values that add the new wall traces themselves.  Its
+and fresh Dirichlet solvers that add the new wall traces themselves.  Its
 multistep history is kept as grid values in the returned state's
 ``prev_expl_*``.  The two must agree to rounding.
 """
