@@ -14,8 +14,7 @@ from rbns.geometry import (
     Side,
     boundary_frames,
     boundary_norms,
-    check_condition_ec,
-    check_condition_theorem2,
+    check_conditions,
     curvature,
     evaluate_height,
 )
@@ -27,8 +26,7 @@ __all__ = [
     "Side",
     "boundary_frames",
     "boundary_norms",
-    "check_condition_ec",
-    "check_condition_theorem2",
+    "check_conditions",
     "curvature",
     "evaluate_height",
     "MappedGrid",

@@ -140,7 +140,6 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.run:
-        status = 0
         ra_values, nu_values = [], []
         for run_dir in args.run:
             report = reporting.report_from_run_dir(run_dir)
@@ -151,8 +150,10 @@ def cmd_bounds(args) -> int:
         if len(args.run) >= 2 and len(set(ra_values)) > 1:
             slope = bounds_mod.sweep_slope(ra_values, nu_values)
             print(f"log_nu_vs_log_ra_slope = {slope!r}")
-        return status
+        return 0
     # pure-formula mode
+    if not args.alpha_min >= 0.0:
+        raise ValueError(f"--alpha-min must be nonnegative, got {args.alpha_min}")
     norms = BoundaryNorms(
         alpha_min=args.alpha_min,
         kappa_inf=args.kappa_inf,
@@ -232,7 +233,7 @@ def cmd_geometry_report(args) -> int:
         print(f"{key} = {value}")
     for name, rep in conditions.items():
         for key, value in rep.to_dict().items():
-            if key in ("condition",):
+            if key == "name":
                 continue
             print(f"{name}:{key} = {value}")
     return 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rbns.background import BackgroundField
-from rbns.geometry import BoundaryData
+from rbns.geometry import Walls
 from rbns.grid import MappedGrid, level_index, volume_integral, wall_tangential_derivatives
 from rbns.solver import FlowState, StateDerivatives
 
@@ -104,7 +104,7 @@ def _totals(rows: np.ndarray, grid: MappedGrid) -> dict[str, float]:
 
 
 def measure(state: FlowState, grid: MappedGrid,
-            bottom: BoundaryData, top: BoundaryData, pr: float, ra: float,
+            walls: Walls, pr: float, ra: float,
             derivs: StateDerivatives, grad_u_sq: float,
             pressure: np.ndarray | None = None,
             pressure_defect: float = float("nan"),
@@ -166,8 +166,7 @@ def measure(state: FlowState, grid: MappedGrid,
     else:
         np.subtract(grid.hp * ty1[:, 0], ty2[:, 0], out=row["nu_flux"])
 
-    alpha = np.array((bottom.alpha, top.alpha))
-    kappa = np.array((bottom.kappa, top.kappa))
+    alpha, kappa = walls.alpha, walls.kappa
     ak = alpha + kappa
     ut_ds = ut * grid.ds_weight
     ut_sq_ds = ut * ut_ds
@@ -186,7 +185,7 @@ def measure(state: FlowState, grid: MappedGrid,
         ak_ut_ds = np.multiply(ak, ut_ds, out=ut_ds)
         np.multiply(ak_ut_ds, dp, out=rows[_WALL["wall_pressure"]])
         np.multiply(np.multiply(ak_ut_ds, ut, out=ut_sq_ds), dut, out=rows[_WALL["wall_inertia"]])
-        np.multiply(ak_ut_ds[0], bottom.normal[:, 0], out=row["wall_buoyancy"])
+        np.multiply(ak_ut_ds[0], walls.normal[0, :, 0], out=row["wall_buoyancy"])
 
     if background is not None:
         # grad T . grad eta = eta'(x2) (dT/dy2 - h' dT/dy1) and

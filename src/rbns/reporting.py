@@ -20,14 +20,13 @@ from rbns.bounds import (
 from rbns.config import RunConfig, parse_config
 from rbns.geometry import (
     CONDITION_SAMPLES,
+    CONDITIONS,
     BoundaryNorms,
     ConditionReport,
     Side,
-    Theorem2Variant,
     boundary_frames,
     boundary_norms,
-    check_condition_ec,
-    check_condition_theorem2,
+    check_conditions,
 )
 from rbns.grid import MappedGrid
 from rbns.runner import read_summary
@@ -43,37 +42,25 @@ _CASE_CONDITION = {
 def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES):
     """Frames at the report sampling density, all three condition checks, norms."""
     profile = config.geometry.profile()
-    a_bot, a_top = config.boundary.series(profile.gamma)
-    bottom, top = boundary_frames(profile, n_samples, a_bot, a_top)
-    norms = boundary_norms(profile, bottom, top)
-    conditions = {
-        "ec": check_condition_ec(bottom, top),
-        "theorem2_kappa_leq_alpha": check_condition_theorem2(
-            bottom, top, Theorem2Variant.KAPPA_LEQ_ALPHA, profile),
-        "theorem2_general": check_condition_theorem2(
-            bottom, top, Theorem2Variant.GENERAL, profile),
-    }
-    return norms, conditions
+    walls = boundary_frames(profile, n_samples, *config.boundary.series(profile.gamma))
+    return boundary_norms(profile, walls), check_conditions(walls)
 
 
 def conditions_from_norms(norms: BoundaryNorms) -> dict[str, ConditionReport]:
     """Conservative pointwise-condition checks from sup-norms alone.
 
-    Uses |kappa| <= ||kappa||_inf and alpha >= alpha_min pointwise, so a pass
-    is sound but a fail may be pessimistic (pure-formula mode only).
+    Evaluates each CONDITIONS right-hand side at (alpha_min, sqrt(1 + ||h'||_inf^2))
+    against ||kappa||_inf: every rhs grows with alpha and shrinks with |h'|,
+    so a pass is sound but a fail may be pessimistic (pure-formula mode only).
     """
     w = math.sqrt(1.0 + norms.hprime_inf**2)
-    am, ki = norms.alpha_min, norms.kappa_inf
-    defs = {
-        "ec": 2.0 * am + min(1.0, math.sqrt(am)) / (4.0 * w) - ki,
-        "theorem2_kappa_leq_alpha": am - ki,
-        "theorem2_general": 2.0 * am + math.sqrt(am) / (4.0 * w) - ki,
-    }
+    margins = {name: float(rhs(norms.alpha_min, w) - norms.kappa_inf)
+               for name, rhs in CONDITIONS.items()}
     return {
         name: ConditionReport(name=name, passed=margin >= 0.0, margin=margin,
                               worst_y1=float("nan"), worst_side=Side.BOTTOM,
-                              n_fail=0 if margin >= 0.0 else 1, n_samples=0, norms=norms)
-        for name, margin in defs.items()
+                              n_fail=0 if margin >= 0.0 else 1, n_samples=0)
+        for name, margin in margins.items()
     }
 
 
@@ -133,7 +120,8 @@ def report_from_run_dir(run_dir: str) -> BoundReport:
         if not os.path.exists(p):
             raise FileNotFoundError(f"{run_dir}: missing {os.path.basename(p)}; "
                                     "not a completed run directory")
-    config = parse_config(open(cfg_path).read())
+    with open(cfg_path) as fh:
+        config = parse_config(fh.read())
     summary = read_summary(summary_path)
     averages = {k[len("avg:"):]: v for k, v in summary.items() if k.startswith("avg:")}
     measured = averages.get("nu_flux", float("nan"))

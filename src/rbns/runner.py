@@ -88,12 +88,11 @@ def initial_stream_function(config: RunConfig, grid: MappedGrid) -> np.ndarray |
 def build_stepper(config: RunConfig) -> BoussinesqStepper:
     profile = config.geometry.profile()
     grid = MappedGrid(profile, config.grid.n1, config.grid.n2)
-    a_bot, a_top = config.boundary.series(profile.gamma)
-    bottom, top = boundary_frames(profile, grid.n1, a_bot, a_top)
+    walls = boundary_frames(profile, grid.n1, *config.boundary.series(profile.gamma))
     params = PhysicalParams(ra=config.physical.ra, pr=config.physical.pr)
     t = config.time
     return BoussinesqStepper(
-        grid, params, bottom, top,
+        grid, params, walls,
         coupling_sweeps=t.coupling_sweeps, coupling_tol=t.coupling_tol,
         cfl_safety=t.cfl_safety, buoyancy_safety=t.buoyancy_safety,
     )
@@ -163,7 +162,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     stepper = build_stepper(config)
     grid = stepper.grid
     profile = config.geometry.profile()
-    norms = boundary_norms(profile, stepper.bottom, stepper.top)
+    norms = boundary_norms(profile, stepper.walls)
 
     tcfg = config.time
     sample_dt = tcfg.effective_sample_interval()
@@ -223,7 +222,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
         derivs.grad_u = None
-        row = measure(st, grid, stepper.bottom, stepper.top,
+        row = measure(st, grid, stepper.walls,
                       config.physical.pr, config.physical.ra, derivs, grad_u_sq,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(row)

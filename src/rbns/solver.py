@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann, SolveInfo, wall_spectra
-from rbns.geometry import BoundaryData
+from rbns.geometry import Walls
 from rbns.grid import (
     MappedGrid,
     apply_L_tilde,
@@ -119,26 +119,25 @@ def velocity_gradients(state: FlowState, grid: MappedGrid) -> tuple[np.ndarray, 
     return (d_x2(state.u1, grid), *grad_physical(state.u2, grid))
 
 
-def boundary_vorticity(u_tau: np.ndarray, boundary: BoundaryData) -> np.ndarray:
-    """Navier-slip vorticity wall data: -2 (alpha + kappa) u_tau."""
-    if u_tau.shape != boundary.alpha.shape:
+def boundary_vorticity(u_tau: np.ndarray, walls: Walls) -> np.ndarray:
+    """Navier-slip vorticity wall data -2 (alpha + kappa) u_tau, (2, n1) like u_tau."""
+    if u_tau.shape != walls.alpha.shape:
         raise ValueError("u_tau and boundary sample counts differ")
-    return -2.0 * (boundary.alpha + boundary.kappa) * u_tau
+    return -2.0 * (walls.alpha + walls.kappa) * u_tau
 
 
 class BoussinesqStepper:
     """Owns the elliptic solvers and advances FlowState in time."""
 
     def __init__(self, grid: MappedGrid, params: PhysicalParams,
-                 bottom: BoundaryData, top: BoundaryData, *,
+                 walls: Walls, *,
                  coupling_sweeps: int = 0, coupling_tol: float = 1e-8,
                  cfl_safety: float = 0.4, buoyancy_safety: float = 0.35):
-        if bottom.n_samples != grid.n1:
+        if walls.n_samples != grid.n1:
             raise ValueError("boundary data must be sampled on the grid columns")
         self.grid = grid
         self.params = params
-        self.bottom = bottom
-        self.top = top
+        self.walls = walls
         self.coupling_sweeps = coupling_sweeps
         self.coupling_tol = coupling_tol
         self.cfl_safety = cfl_safety
@@ -154,10 +153,10 @@ class BoussinesqStepper:
         self._psi_walls = wall_spectra(np.array((np.zeros(grid.n1), np.ones(grid.n1))), grid)
         # (bottom, top) stacks: alpha + kappa, boundary_vorticity's factor
         # -2 (alpha + kappa), and kappa/Pr and Ra n2 of the pressure fluxes
-        self._ak = np.array((bottom.alpha + bottom.kappa, top.alpha + top.kappa))
+        self._ak = walls.alpha + walls.kappa
         self._slip = -2.0 * self._ak
-        self._kappa_pr = np.array((bottom.kappa, top.kappa)) / params.pr
-        self._ra_n2 = params.ra * bottom.normal[:, 1]
+        self._kappa_pr = walls.kappa / params.pr
+        self._ra_n2 = params.ra * walls.normal[0, :, 1]
 
     # -- state construction --------------------------------------------------
 
@@ -171,8 +170,7 @@ class BoussinesqStepper:
         psi_top = float(np.mean(psi[:, -1]))
         omega = np.empty(grid.shape)
         omega[:, 1:-1] = apply_L_tilde(psi, grid)
-        omega[:, 0] = boundary_vorticity(u_tau[0], self.bottom)
-        omega[:, -1] = boundary_vorticity(u_tau[1], self.top)
+        omega[:, [0, -1]] = boundary_vorticity(u_tau, self.walls).T
         return FlowState(time=time, omega=omega, psi=psi.copy(), temp=temp.copy(),
                          u1=u1, u2=u2, psi_top=psi_top, u_tau=u_tau)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from rbns.config import RunConfig
-from rbns.geometry import FourierSeries, boundary_frames, check_condition_ec
+from rbns.geometry import FourierSeries, Side, boundary_frames, check_conditions
 from rbns.grid import MappedGrid, apply_L_tilde, grad_physical
 from rbns.elliptic import HelmholtzDirichlet, PoissonNeumann
 from rbns.runner import run_simulation
@@ -32,26 +32,26 @@ def geometry_suite(n1: int = 1024) -> list[Row]:
     rows = []
     for label, profile in (("flat", FourierSeries(gamma=1.0)), ("sine", SINE_PROFILE)):
         alpha = FourierSeries(gamma=1.0, offset=1.0)
-        bottom, top = boundary_frames(profile, n1, alpha)
-        for bd in (bottom, top):
-            nrm = np.abs(np.linalg.norm(bd.normal, axis=1) - 1.0).max()
-            tnrm = np.abs(np.linalg.norm(bd.tangent, axis=1) - 1.0).max()
-            dot = np.abs(np.einsum("ij,ij->i", bd.normal, bd.tangent)).max()
-            rows.append(_row(f"{label}/{bd.side.value}: |n|=1", nrm <= 1e-14, f"dev {nrm:.2e}"))
-            rows.append(_row(f"{label}/{bd.side.value}: |tau|=1", tnrm <= 1e-14, f"dev {tnrm:.2e}"))
-            rows.append(_row(f"{label}/{bd.side.value}: tau.n=0", dot <= 1e-14, f"dev {dot:.2e}"))
-        closure = abs(bottom.line_integral(bottom.kappa))
+        walls = boundary_frames(profile, n1, alpha)
+        for side, normal, tangent in zip(Side, walls.normal, walls.tangent):
+            nrm = np.abs(np.linalg.norm(normal, axis=1) - 1.0).max()
+            tnrm = np.abs(np.linalg.norm(tangent, axis=1) - 1.0).max()
+            dot = np.abs(np.einsum("ij,ij->i", normal, tangent)).max()
+            rows.append(_row(f"{label}/{side.value}: |n|=1", nrm <= 1e-14, f"dev {nrm:.2e}"))
+            rows.append(_row(f"{label}/{side.value}: |tau|=1", tnrm <= 1e-14, f"dev {tnrm:.2e}"))
+            rows.append(_row(f"{label}/{side.value}: tau.n=0", dot <= 1e-14, f"dev {dot:.2e}"))
+        closure = abs(walls.line_integral(walls.kappa[0]))
         rows.append(_row(f"{label}: int kappa dS = 0", closure <= 1e-12, f"value {closure:.2e}"))
-        anti = np.abs(top.kappa + bottom.kappa).max()
+        anti = np.abs(walls.kappa[1] + walls.kappa[0]).max()
         rows.append(_row(f"{label}: kappa_top = -kappa_bottom", anti == 0.0, f"dev {anti:.2e}"))
         # refinement consistency of sup-norm estimates (cos-aligned extrema)
-        b2, t2 = boundary_frames(profile, 2 * n1, alpha)
-        n_a = np.max(np.abs(bottom.alpha + bottom.kappa))
-        n_b = np.max(np.abs(b2.alpha + b2.kappa))
+        fine = boundary_frames(profile, 2 * n1, alpha)
+        n_a = np.max(np.abs(walls.alpha[0] + walls.kappa[0]))
+        n_b = np.max(np.abs(fine.alpha[0] + fine.kappa[0]))
         rows.append(_row(f"{label}: norm refinement", abs(n_a - n_b) < 1e-10,
                          f"change {abs(n_a - n_b):.2e}"))
-    rep = check_condition_ec(*boundary_frames(FourierSeries(gamma=1.0), n1,
-                                              FourierSeries(gamma=1.0, offset=1.0)))
+    rep = check_conditions(boundary_frames(FourierSeries(gamma=1.0), n1,
+                                           FourierSeries(gamma=1.0, offset=1.0)))["ec"]
     rows.append(_row("flat alpha=1: condition ec margin 2.25",
                      abs(rep.margin - 2.25) <= 1e-12, f"margin {rep.margin}"))
     return rows

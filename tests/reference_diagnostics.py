@@ -21,7 +21,7 @@ from rbns.diagnostics import (
     STRIP_LEVELS,
     measure,
 )
-from rbns.geometry import BoundaryData, Side
+from rbns.geometry import Side, Walls
 from rbns.grid import (
     MappedGrid,
     d_x1_line,
@@ -94,18 +94,14 @@ def nusselt_strip(temp: np.ndarray, u1: np.ndarray, u2: np.ndarray,
     return float(np.sum(row) * grid.dx1) / grid.area
 
 
-def boundary_friction_integral(u_tau, bottom: BoundaryData, top: BoundaryData,
-                               weight: str = "2a+k") -> float:
+def boundary_friction_integral(u_tau, walls: Walls, weight: str = "2a+k") -> float:
     """Raw wall integral of (2a+k), (a+k) or k times u_tau^2; u_tau = (bottom, top)."""
     weights = {
-        "2a+k": lambda bd: 2.0 * bd.alpha + bd.kappa,
-        "a+k": lambda bd: bd.alpha + bd.kappa,
-        "kappa": lambda bd: bd.kappa,
+        "2a+k": 2.0 * walls.alpha + walls.kappa,
+        "a+k": walls.alpha + walls.kappa,
+        "kappa": walls.kappa,
     }
-    total = 0.0
-    for bd, ut in zip((bottom, top), u_tau):
-        total += bd.line_integral(weights[weight](bd) * ut**2)
-    return total
+    return float(np.sum(walls.line_integral(weights[weight] * u_tau**2)))
 
 
 def _d_dlambda(line: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
@@ -115,7 +111,7 @@ def _d_dlambda(line: np.ndarray, grid: MappedGrid, side: Side) -> np.ndarray:
 
 
 def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid: MappedGrid,
-                            bottom: BoundaryData, top: BoundaryData, pr: float, ra: float) -> dict:
+                            walls: Walls, pr: float, ra: float) -> dict:
     """The five averaged-enstrophy-balance ingredients, instantaneous values.
 
     The wall terms enter through the vorticity flux expansion
@@ -130,15 +126,14 @@ def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid:
     t_buoy = -ra * volume_integral(omega * grad_temp[0], grid) / grid.area
     t_press = 0.0
     t_inertia = 0.0
-    for bd, ut in zip((bottom, top), u_tau):
-        ak = bd.alpha + bd.kappa
-        dp_dlam = _d_dlambda(pressure[:, 0 if bd.side is Side.BOTTOM else -1], grid, bd.side)
-        t_press += 2.0 * bd.line_integral(ak * ut * dp_dlam) / grid.area
-        dut_dlam = _d_dlambda(ut, grid, bd.side)
-        t_inertia += (2.0 / pr) * bd.line_integral(ak * ut**2 * dut_dlam) / grid.area
-    n1_b = bottom.normal[:, 0]
-    t_wall_buoy = (-2.0 * ra * bottom.line_integral((bottom.alpha + bottom.kappa) * u_tau[0] * n1_b)
-                   / grid.area)
+    ak = walls.alpha + walls.kappa
+    for side, j, ak_side, ut in zip(Side, (0, -1), ak, u_tau):
+        dp_dlam = _d_dlambda(pressure[:, j], grid, side)
+        t_press += 2.0 * walls.line_integral(ak_side * ut * dp_dlam) / grid.area
+        dut_dlam = _d_dlambda(ut, grid, side)
+        t_inertia += (2.0 / pr) * walls.line_integral(ak_side * ut**2 * dut_dlam) / grid.area
+    n1_b = walls.normal[0, :, 0]
+    t_wall_buoy = -2.0 * ra * walls.line_integral(ak[0] * u_tau[0] * n1_b) / grid.area
     return {
         "grad_omega_sq": t_grad,
         "wall_pressure": t_press,
@@ -167,8 +162,7 @@ def theta_ingredients(background: BackgroundField, temp, grad_temp, u1, u2) -> t
     return grad_theta_sq, coupling
 
 
-def reference_row(state, grid: MappedGrid, bottom: BoundaryData, top: BoundaryData,
-                  pr: float, ra: float, pressure=None,
+def reference_row(state, grid: MappedGrid, walls: Walls, pr: float, ra: float, pressure=None,
                   background: BackgroundField | None = None) -> dict[str, float]:
     """The sample row of ``measure``, every quantity evaluated on its own."""
     omega, temp, u1, u2, u_tau = state.omega, state.temp, state.u1, state.u2, state.u_tau
@@ -182,9 +176,9 @@ def reference_row(state, grid: MappedGrid, bottom: BoundaryData, top: BoundaryDa
         "energy": volume_integral(u1**2 + u2**2, grid),
         "enstrophy": volume_integral(omega**2, grid),
         "grad_u_sq": grad_u_sq(u1, u2, grid),
-        "boundary_friction": boundary_friction_integral(u_tau, bottom, top),
-        "kappa_friction": boundary_friction_integral(u_tau, bottom, top, weight="kappa"),
-        "ak_friction": boundary_friction_integral(u_tau, bottom, top, weight="a+k"),
+        "boundary_friction": boundary_friction_integral(u_tau, walls),
+        "kappa_friction": boundary_friction_integral(u_tau, walls, weight="kappa"),
+        "ak_friction": boundary_friction_integral(u_tau, walls, weight="a+k"),
         "buoyancy_flux": ra * volume_integral(temp * u2, grid),
         "temp_min": float(np.min(temp)),
         "temp_max": float(np.max(temp)),
@@ -193,7 +187,7 @@ def reference_row(state, grid: MappedGrid, bottom: BoundaryData, top: BoundaryDa
     }
     if pressure is not None:
         terms = enstrophy_balance_terms(omega, grad_physical(omega, grid), grad_temp, u_tau,
-                                        pressure, grid, bottom, top, pr, ra)
+                                        pressure, grid, walls, pr, ra)
         row.update(zip(ENSTROPHY_COLUMNS, (terms[name] for name in ENSTROPHY_TERM_NAMES)))
     else:
         row.update(dict.fromkeys(ENSTROPHY_COLUMNS, float("nan")))
@@ -213,7 +207,7 @@ def reference_row(state, grid: MappedGrid, bottom: BoundaryData, top: BoundaryDa
     return row
 
 
-def measure_fields(grid: MappedGrid, bottom: BoundaryData, top: BoundaryData, temp,
+def measure_fields(grid: MappedGrid, walls: Walls, temp,
                    u1=None, u2=None, omega=None, *, pr: float = 1.0, ra: float = 0.0,
                    pressure=None, background: BackgroundField | None = None,
                    time: float = 0.0) -> dict[str, float]:
@@ -230,5 +224,5 @@ def measure_fields(grid: MappedGrid, bottom: BoundaryData, top: BoundaryData, te
                       psi_top=0.0, u_tau=u_tau)
     derivs = StateDerivatives(grad_omega=grad_physical(omega, grid),
                               grad_temp=grad_physical(temp, grid))
-    return measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq(u1, u2, grid),
+    return measure(state, grid, walls, pr, ra, derivs, grad_u_sq(u1, u2, grid),
                    pressure=pressure, background=background)

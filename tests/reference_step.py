@@ -44,8 +44,7 @@ def reference_step(stepper: BoussinesqStepper, state: FlowState, dt: float) -> F
 
     temp = crank_nicolson(state.temp, 0.5 * dt, expl_t, stepper.t_bottom, stepper.t_top)
     omega = crank_nicolson(state.omega, 0.5 * pr * dt, expl_w,
-                           boundary_vorticity(state.u_tau[0], stepper.bottom),
-                           boundary_vorticity(state.u_tau[1], stepper.top))
+                           *boundary_vorticity(state.u_tau, stepper.walls))
     psi = HelmholtzDirichlet(grid, None).solve(-omega[:, 1:-1], np.zeros(grid.n1),
                                                np.full(grid.n1, state.psi_top), x0=state.psi)[0]
     psi_y1, psi_y2 = grad_physical(psi, grid)

@@ -8,6 +8,7 @@ across criteria 5-8.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +16,7 @@ import pytest
 from rbns.bounds import choose_proof_parameters, evaluate_theorem1, evaluate_theorem2
 from rbns.config import RunConfig, parse_config, serialize_config
 from rbns.diagnostics import STRIP_COLUMNS
-from rbns.geometry import (
-    FourierSeries,
-    Theorem2Variant,
-    boundary_frames,
-    boundary_norms,
-    check_condition_ec,
-    check_condition_theorem2,
-)
+from rbns.geometry import boundary_frames, check_conditions
 from rbns.runner import run_simulation
 from rbns.scaling import DimensionalSetup, curvature_scaling, ratio_for_target_exponent
 from rbns.solver import PhysicalParams
@@ -146,8 +140,7 @@ def test_criterion_4_energy_decay():
     t0 = time.time()
     cfg = decay_fixture(n1=48, n2=49, pr=1.0, t_end=0.25, dt=5e-4)
     profile = cfg.geometry.profile()
-    bottom, top = boundary_frames(profile, 1024, *cfg.boundary.series(profile.gamma))
-    ec = check_condition_ec(bottom, top)
+    ec = check_conditions(boundary_frames(profile, 1024, *cfg.boundary.series(profile.gamma)))["ec"]
     rate, bound_rate, t, e = decay_rate_check(cfg)
     envelope_ok = bool(np.all(e <= e[0] * np.exp(-bound_rate * t) * 1.05 + 1e-300))
     elapsed = time.time() - t0
@@ -377,7 +370,7 @@ temp_perturbation = 0.01
     b = run_simulation(parse_config(text), str(tmp_path / "b"), resume=mid)
     fa = [p for p in a.checkpoints if "final" in p][0]
     fb = [p for p in b.checkpoints if "final" in p][0]
-    bit_exact = open(fa, "rb").read() == open(fb, "rb").read()
+    bit_exact = Path(fa).read_bytes() == Path(fb).read_bytes()
     rt = parse_config(serialize_config(cfg))
     round_trip = rt == cfg and serialize_config(rt) == serialize_config(cfg)
     _report(11, bit_exact and round_trip,

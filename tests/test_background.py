@@ -62,11 +62,11 @@ def test_theta_ingredients_conduction(flat_profile, alpha_one):
     from reference_diagnostics import measure_fields
 
     grid = MappedGrid(flat_profile, 8, 161)
-    bottom, top = boundary_frames(flat_profile, 8, alpha_one)
+    walls = boundary_frames(flat_profile, 8, alpha_one)
     delta = 0.125
     bg = build_background(delta, grid)
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
-    row = measure_fields(grid, bottom, top, temp, background=bg)
+    row = measure_fields(grid, walls, temp, background=bg)
     gts, coupling = row["grad_theta_sq"], row["theta_u_grad_eta"]
     exact = 2 * delta * (1.0 / (2 * delta) - 1.0) ** 2 + (1.0 - 2 * delta)
     assert gts == pytest.approx(exact, rel=1e-10)

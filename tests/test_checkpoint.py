@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ temp_perturbation = 0.01
     assert not a.aborted and not b.aborted
     fa = [p for p in a.checkpoints if "final" in p][0]
     fb = [p for p in b.checkpoints if "final" in p][0]
-    assert open(fa, "rb").read() == open(fb, "rb").read()
+    assert Path(fa).read_bytes() == Path(fb).read_bytes()
     # every pressure solve starts cold, so the resumed run recovers the same
     # pressure at every shared sample, the first one after the resume included
     pa, pb = ({r["time"]: r["ens:wall_pressure"] for r in run.recorder.records} for run in (a, b))

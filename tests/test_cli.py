@@ -1,9 +1,15 @@
+import gc
 import os
+import warnings
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rbns import reporting
 from rbns.cli import main
+from rbns.geometry import CONDITIONS, BoundaryNorms
 
 TINY = """
 [physical]
@@ -41,10 +47,10 @@ def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
                  "bound_report.txt"):
         assert os.path.exists(os.path.join(out, name)), name
     assert os.path.exists(os.path.join(out, "checkpoints", "final.ckpt"))
-    text = open(os.path.join(out, "provenance.txt")).read()
+    text = Path(out, "provenance.txt").read_text()
     assert "tool_version" in text and "grid = 16 x 17" in text
     assert "metric_fourier_terms = 0\n" in text
-    assert open(os.path.join(out, "config.txt")).read() == TINY
+    assert Path(out, "config.txt").read_text() == TINY
 
 
 def test_provenance_counts_metric_fourier_terms(tmp_path):
@@ -54,7 +60,7 @@ def test_provenance_counts_metric_fourier_terms(tmp_path):
                     + TINY.replace("t_end = 0.05", "t_end = 0.0"))
     out = str(tmp_path / "rough_run")
     assert main(["simulate", "--config", str(path), "--output", out]) == 0
-    text = open(os.path.join(out, "provenance.txt")).read()
+    text = Path(out, "provenance.txt").read_text()
     assert "flat = 0\n" in text and "metric_fourier_terms = 5\n" in text
 
 
@@ -64,7 +70,7 @@ def test_simulate_t_end_zero_initial_diagnostics_only(tiny_config, tmp_path):
     path.write_text(cfg)
     out = str(tmp_path / "zero_run")
     assert main(["simulate", "--config", str(path), "--output", out]) == 0
-    lines = open(os.path.join(out, "diagnostics.csv")).read().strip().split("\n")
+    lines = Path(out, "diagnostics.csv").read_text().strip().split("\n")
     assert len(lines) == 2  # header + the t = 0 sample
 
 
@@ -80,8 +86,8 @@ def test_simulate_resume_matches(tiny_config, tmp_path):
     out_b = str(tmp_path / "b")
     assert main(["simulate", "--config", str(path), "--output", out_b,
                  "--resume", mid]) == 0
-    fa = open(os.path.join(out_a, "checkpoints", "final.ckpt"), "rb").read()
-    fb = open(os.path.join(out_b, "checkpoints", "final.ckpt"), "rb").read()
+    fa = Path(out_a, "checkpoints", "final.ckpt").read_bytes()
+    fb = Path(out_b, "checkpoints", "final.ckpt").read_bytes()
     assert fa == fb
 
 
@@ -101,12 +107,27 @@ def test_bounds_pure_formula(capsys):
     assert "theorem1: bound = 1000" in out
 
 
+def test_bounds_pure_formula_rejects_negative_alpha_min(capsys):
+    assert main(["bounds", "--alpha-min", "-0.5"]) == 2
+    assert "--alpha-min must be nonnegative, got -0.5" in capsys.readouterr().err
+
+
 def test_bounds_run_dir(tiny_config, tmp_path, capsys):
     out = str(tmp_path / "run")
     main(["simulate", "--config", tiny_config, "--output", out])
     capsys.readouterr()
     assert main(["bounds", "--run", out]) == 0
     assert "bound report" in capsys.readouterr().out
+
+
+def test_report_from_run_dir_closes_its_files(tiny_config, tmp_path):
+    out = str(tmp_path / "run")
+    main(["simulate", "--config", tiny_config, "--output", out])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        reporting.report_from_run_dir(out)
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_scaling_cli(capsys):
@@ -127,6 +148,27 @@ def test_geometry_report(tmp_path, capsys):
     assert main(["geometry-report", "--config", str(path), "--samples", "256"]) == 0
     out = capsys.readouterr().out
     assert "kappa_inf" in out and "ec:passed" in out
+
+
+def test_geometry_report_counts_each_condition_over_both_walls(tmp_path, capsys):
+    # alpha = 0.05 against |kappa| up to 0.4 pi^2: every condition fails on
+    # part of both walls
+    path = tmp_path / "geo.cfg"
+    path.write_text(TINY + "\n[geometry]\nmodes = 1:0.0:0.1\n\n"
+                    "[boundary]\nalpha_bottom_mean = 0.05\nalpha_top_mean = 0.05\n")
+    assert main(["geometry-report", "--config", str(path), "--samples", "256"]) == 0
+    pairs = [line.split(" = ") for line in capsys.readouterr().out.strip().split("\n")]
+    keys = [key for key, _ in pairs]
+    values = dict(pairs)
+    assert len(keys) == len(set(keys))
+    assert [key for key in keys if ":" not in key] == [f.name for f in fields(BoundaryNorms)]
+    assert values["n_samples"] == "256"
+    report_fields = ("passed", "margin", "worst_y1", "worst_side", "n_fail", "n_samples")
+    assert [key for key in keys if ":" in key] == [f"{name}:{field}" for name in CONDITIONS
+                                                  for field in report_fields]
+    for name in CONDITIONS:
+        assert values[f"{name}:n_samples"] == "512"
+        assert 0 < int(values[f"{name}:n_fail"]) <= 512
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_measure_differentiates_each_field_once(monkeypatch, flat_state):
     u_tau_calls = _count_calls(monkeypatch, "wall_tangential_velocity")
     derivs = stepper.state_derivatives(state)
     grad_u_sq = velocity_gradient_integrals(velocity_gradients(state, grid), grid)
-    row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,
+    row = measure(state, grid, stepper.walls, 10.0, 1e4, derivs, grad_u_sq,
                   pressure=pressure, background=background)
     assert np.isfinite(row["grad_theta_sq"])
     assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)
@@ -145,7 +145,8 @@ def test_step_plus_sample_call_floor(flat_state):
     # velocity gradients, pressure, measure with the background terms).  On
     # this grid the per-call cost of Python and numpy outweighs the
     # arithmetic; the walls as one (2, n1) stack and measure's fixed rows
-    # took the count from 364 to 177.  numpy ufuncs and operators
+    # took the count from 364 to 177, and measure reading the stacked Walls
+    # record instead of stacking alpha and kappa to 175.  numpy ufuncs and operators
     # raise no profile event, so the count is of function calls only.
     stepper, state = flat_state
     grid = stepper.grid
@@ -157,12 +158,12 @@ def test_step_plus_sample_call_floor(flat_state):
         derivs.grad_u = velocity_gradients(nxt, grid)
         grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
         pressure, info = stepper.recover_pressure(nxt, derivs)
-        row = measure(nxt, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,
+        row = measure(nxt, grid, stepper.walls, 10.0, 1e4, derivs, grad_u_sq,
                       pressure=pressure, pressure_defect=info.compat_defect, background=background)
         assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)
 
     step_and_sample()       # first use builds the shared bases
-    assert _rbns_calls(step_and_sample) <= 177
+    assert _rbns_calls(step_and_sample) <= 175
 
 
 def _sampled_config(modes, sample_interval):

@@ -31,25 +31,25 @@ from reference_diagnostics import (
 
 def conduction_setup(profile, alpha, n1=32, n2=33):
     grid = MappedGrid(profile, n1, n2)
-    bottom, top = boundary_frames(profile, n1, alpha)
+    walls = boundary_frames(profile, n1, alpha)
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
     zeros = np.zeros(grid.shape)
-    return grid, bottom, top, temp, zeros
+    return grid, walls, temp, zeros
 
 
 def test_nusselt_conduction_flat(flat_profile, alpha_one):
-    grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
+    grid, walls, temp, zeros = conduction_setup(flat_profile, alpha_one)
     assert nusselt_flux(temp, grid) == pytest.approx(1.0, abs=1e-13)
     assert nusselt_gradsq(temp, grid) == pytest.approx(1.0, abs=1e-13)
     for level in (0.25, 0.5, 0.75):
         assert nusselt_strip(temp, zeros, zeros, grid, level) == pytest.approx(1.0, abs=1e-13)
-    row = measure_fields(grid, bottom, top, temp)
+    row = measure_fields(grid, walls, temp)
     for name in ("nu_flux", "nu_gradsq", *STRIP_COLUMNS):
         assert row[name] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_nusselt_constant_temperature(flat_profile, alpha_one):
-    grid, bottom, top, _, zeros = conduction_setup(flat_profile, alpha_one)
+    grid, _, _, zeros = conduction_setup(flat_profile, alpha_one)
     temp = np.full(grid.shape, 0.4)
     assert nusselt_flux(temp, grid) == pytest.approx(0.0, abs=1e-13)
     assert nusselt_gradsq(temp, grid) == pytest.approx(0.0, abs=1e-13)
@@ -57,10 +57,10 @@ def test_nusselt_constant_temperature(flat_profile, alpha_one):
 
 def test_nusselt_conduction_rough(sine_profile, alpha_one):
     # T = 1 - (y2 - h): wall-flux Nusselt is the mean of 1 + h'^2 exactly
-    grid, bottom, top, temp, zeros = conduction_setup(sine_profile, alpha_one, n1=64)
+    grid, walls, temp, zeros = conduction_setup(sine_profile, alpha_one, n1=64)
     expected = float(np.mean(1.0 + grid.hp**2))
     assert nusselt_flux(temp, grid) == pytest.approx(expected, rel=1e-12)
-    assert measure_fields(grid, bottom, top, temp)["nu_flux"] == pytest.approx(expected, rel=1e-12)
+    assert measure_fields(grid, walls, temp)["nu_flux"] == pytest.approx(expected, rel=1e-12)
     # the level-line representation agrees at the wall level
     assert nusselt_strip(temp, zeros, zeros, grid, 0.0) == pytest.approx(expected, rel=1e-12)
 
@@ -78,7 +78,7 @@ def test_nusselt_gradsq_manufactured(flat_profile):
 
 
 def test_strip_level_equals_flux_at_wall(sine_profile, alpha_one, rng):
-    grid, bottom, top, _, _ = conduction_setup(sine_profile, alpha_one, n1=48, n2=49)
+    grid, _, _, _ = conduction_setup(sine_profile, alpha_one, n1=48, n2=49)
     temp = 1.0 - grid.x2[None, :] + 0.05 * rng.standard_normal(grid.shape)
     temp[:, 0], temp[:, -1] = 1.0, 0.0
     zeros = np.zeros(grid.shape)
@@ -91,28 +91,25 @@ def test_strip_level_equals_flux_at_wall(sine_profile, alpha_one, rng):
 def test_wall_pressure_integration_by_parts(flat_profile, alpha_one, rng):
     # int (a+k) u.grad p dS = -int p d/dlambda((a+k) u_tau) dS on periodic walls
     grid = MappedGrid(flat_profile, 64, 17)
-    bottom, top = boundary_frames(flat_profile, 64, alpha_one)
+    walls = boundary_frames(flat_profile, 64, alpha_one)
     p = rng.standard_normal(grid.shape)
     u1 = rng.standard_normal(grid.shape)
     u2 = np.zeros(grid.shape)
     total_a = 0.0
     total_b = 0.0
-    for bd, side in ((bottom, Side.BOTTOM), (top, Side.TOP)):
+    for side, sgn, j, ak in zip(Side, (1.0, -1.0), (0, -1), walls.alpha + walls.kappa):
         ut = tangential_velocity(u1, u2, grid, side)
-        ak = bd.alpha + bd.kappa
-        sgn = 1.0 if side is Side.BOTTOM else -1.0
-        dp = sgn * d_x1_line(p[:, 0 if side is Side.BOTTOM else -1], grid) / grid.ds_weight
-        total_a += bd.line_integral(ak * ut * dp)
+        dp = sgn * d_x1_line(p[:, j], grid) / grid.ds_weight
+        total_a += walls.line_integral(ak * ut * dp)
         dg = sgn * d_x1_line(ak * ut, grid) / grid.ds_weight
-        total_b -= bd.line_integral(p[:, 0 if side is Side.BOTTOM else -1] * dg)
+        total_b -= walls.line_integral(p[:, j] * dg)
     assert total_a == pytest.approx(total_b, abs=1e-8 * max(1.0, abs(total_a)))
 
 
 def test_enstrophy_terms_zero_velocity(flat_profile, alpha_one):
-    grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
-    u_tau = (np.zeros(grid.n1), np.zeros(grid.n1))
+    grid, walls, temp, zeros = conduction_setup(flat_profile, alpha_one)
     terms = enstrophy_balance_terms(zeros, grad_physical(zeros, grid), grad_physical(temp, grid),
-                                    u_tau, zeros, grid, bottom, top, pr=1.0, ra=100.0)
+                                    np.zeros((2, grid.n1)), zeros, grid, walls, pr=1.0, ra=100.0)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms.values())
 
 
@@ -147,14 +144,14 @@ def test_energy_residual_zero_for_rest_state():
 
 
 def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
-    grid, bottom, top, temp, zeros = conduction_setup(flat_profile, alpha_one)
+    grid, walls, temp, zeros = conduction_setup(flat_profile, alpha_one)
     rec = Recorder(burn_in=0.0, pr=1.0, area=grid.area)
     grad_zero = grad_physical(zeros, grid)
     derivs = StateDerivatives(grad_omega=grad_zero, grad_temp=grad_physical(temp, grid))
     for t in (0.0, 0.1, 0.2):
         state = FlowState(time=t, omega=zeros, psi=zeros, temp=temp, u1=zeros, u2=zeros,
                           psi_top=0.0, u_tau=np.zeros((2, grid.n1)))
-        rec.add(measure(state, grid, bottom, top, pr=1.0, ra=10.0, derivs=derivs,
+        rec.add(measure(state, grid, walls, pr=1.0, ra=10.0, derivs=derivs,
                         grad_u_sq=0.0, pressure=zeros))
     rec.finalize()
     path = tmp_path / "diag.csv"
@@ -280,10 +277,10 @@ pressure_every = 1
     def reference_pressure(self, state, derivs):
         return recover(self, *_fresh_derivatives(state, self.grid))
 
-    def reference_measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq, **kwargs):
+    def reference_measure(state, grid, walls, pr, ra, derivs, grad_u_sq, **kwargs):
         state, derivs = _fresh_derivatives(state, grid)
         grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
-        return measure(state, grid, bottom, top, pr, ra, derivs, grad_u_sq, **kwargs)
+        return measure(state, grid, walls, pr, ra, derivs, grad_u_sq, **kwargs)
 
     monkeypatch.setattr(BoussinesqStepper, "recover_pressure", reference_pressure)
     monkeypatch.setattr(rbns.runner, "measure", reference_measure)
@@ -399,10 +396,9 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
     derivs.grad_u = velocity_gradients(state, grid)
     grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
     p = stepper.recover_pressure(state, derivs)[0] if pressure else None
-    row = measure(state, grid, stepper.bottom, stepper.top, 10.0, 1e4, derivs, grad_u_sq,
+    row = measure(state, grid, stepper.walls, 10.0, 1e4, derivs, grad_u_sq,
                   pressure=p, background=bg)
-    ref = reference_row(state, grid, stepper.bottom, stepper.top, 10.0, 1e4,
-                        pressure=p, background=bg)
+    ref = reference_row(state, grid, stepper.walls, 10.0, 1e4, pressure=p, background=bg)
     assert set(ref) <= set(row)
     scale = {name: max(abs(ref[n]) for n in group) for group in _SCALE_GROUPS for name in group}
     for name, want in ref.items():

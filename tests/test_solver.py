@@ -49,15 +49,18 @@ def test_physical_params_validation():
 
 
 def test_boundary_vorticity_values(flat_profile, alpha_one):
-    bottom, top = boundary_frames(flat_profile, 16, alpha_one)
-    assert np.all(boundary_vorticity(np.zeros(16), bottom) == 0.0)
-    got = boundary_vorticity(np.full(16, 0.5), bottom)
+    walls = boundary_frames(flat_profile, 16, alpha_one)
+    assert np.all(boundary_vorticity(np.zeros((2, 16)), walls) == 0.0)
+    got = boundary_vorticity(np.full((2, 16), 0.5), walls)
+    assert got.shape == (2, 16)
     assert np.allclose(got, -1.0)
     free_slip = FourierSeries(gamma=1.0, offset=0.0)
-    b0, _ = boundary_frames(flat_profile, 16, free_slip)
-    assert np.all(boundary_vorticity(np.full(16, 0.7), b0) == 0.0)
+    walls0 = boundary_frames(flat_profile, 16, free_slip)
+    assert np.all(boundary_vorticity(np.full((2, 16), 0.7), walls0) == 0.0)
     with pytest.raises(ValueError):
-        boundary_vorticity(np.zeros(8), bottom)
+        boundary_vorticity(np.zeros((2, 8)), walls)
+    with pytest.raises(ValueError):
+        boundary_vorticity(np.zeros(16), walls)
 
 
 def test_conduction_is_steady(flat_profile):
@@ -116,7 +119,7 @@ def test_discrete_incompressibility(sine_profile):
 def test_vorticity_gradient_identity(sine_profile, alpha_one):
     # int |grad u|^2 = int w^2 + int kappa u_tau^2 for smooth wall-respecting u
     grid = MappedGrid(sine_profile, 64, 129)
-    bottom, top = boundary_frames(sine_profile, 64, alpha_one)
+    walls = boundary_frames(sine_profile, 64, alpha_one)
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     psi = np.sin(2 * np.pi * x1) * (np.sin(np.pi * x2)) ** 2
     psi_z = d_x2(psi, grid)
@@ -129,10 +132,10 @@ def test_vorticity_gradient_identity(sine_profile, alpha_one):
 
     from rbns.diagnostics import velocity_gradient_integrals
 
-    u_tau = [tangential_velocity(u1, u2, grid, side) for side in (Side.BOTTOM, Side.TOP)]
+    u_tau = np.array([tangential_velocity(u1, u2, grid, side) for side in Side])
     lhs = velocity_gradient_integrals((d_x2(u1, grid), *grad_physical(u2, grid)), grid)
     rhs = volume_integral(omega**2, grid) + boundary_friction_integral(
-        u_tau, bottom, top, weight="kappa")
+        u_tau, walls, weight="kappa")
     assert abs(lhs - rhs) <= 2e-3 * abs(lhs)
 
 
@@ -210,10 +213,8 @@ def test_omega_trace_matches_lagged_coupling():
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid),
                                       initial_stream_function(cfg, stepper.grid))
     nxt = stepper.step(state, 1e-4, stepper.state_derivatives(state))
-    ut_b = tangential_velocity(state.u1, state.u2, stepper.grid, Side.BOTTOM)
-    ut_t = tangential_velocity(state.u1, state.u2, stepper.grid, Side.TOP)
-    assert np.array_equal(nxt.omega[:, 0], boundary_vorticity(ut_b, stepper.bottom))
-    assert np.array_equal(nxt.omega[:, -1], boundary_vorticity(ut_t, stepper.top))
+    u_tau = np.array([tangential_velocity(state.u1, state.u2, stepper.grid, side) for side in Side])
+    assert np.array_equal(nxt.omega[:, [0, -1]].T, boundary_vorticity(u_tau, stepper.walls))
 
 
 def test_fixed_point_coupling_converges():
@@ -251,8 +252,9 @@ def test_stacked_walls_match_per_wall_formulas(modes):
         assert st.u_tau.shape == (2, grid.n1)
         for row, side in zip(st.u_tau, sides):
             assert np.array_equal(row, tangential_velocity(st.u1, st.u2, grid, side))
-    for j, ut, bd in zip((0, -1), state.u_tau, (stepper.bottom, stepper.top)):
-        assert np.array_equal(nxt.omega[:, j], boundary_vorticity(ut, bd))
+    walls = stepper.walls
+    for i, (j, ut) in enumerate(zip((0, -1), state.u_tau)):
+        assert np.array_equal(nxt.omega[:, j], -2.0 * (walls.alpha[i] + walls.kappa[i]) * ut)
 
 
 def test_state_derivatives_match_fresh_evaluations():
