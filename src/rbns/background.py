@@ -74,11 +74,6 @@ class BackgroundField:
 
         self.grad_eta_sq_avg = grid.a22_mean / (2.0 * delta)
 
-    @property
-    def eta(self) -> np.ndarray:
-        """eta sampled on the full grid (independent of x1 in these coordinates)."""
-        return np.broadcast_to(self.eta_profile, self.grid.shape).copy()
-
     def theta(self, temp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The fluctuation theta = T - eta (into out, if given)."""
         return np.subtract(temp, self.eta_profile, out=out)

@@ -72,9 +72,6 @@ class BoundParams:
     user_constant_c: float
     used_proof_delta: bool = True
 
-    def b_cap(self, height_range: float) -> float:
-        return 1.0 / (1.0 + height_range)
-
 
 def choose_proof_parameters(case: str, physical: PhysicalParams, norms: BoundaryNorms,
                             user_constant_c: float = 1.0, u0_norm: float = 1.0,

@@ -287,12 +287,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[output] pressure_every: must be >= 0, got {cfg.output.pressure_every}")
     # confirm the wall shapes construct (raises on bad series)
     profile = cfg.geometry.profile()
-    alphas = cfg.boundary.series(cfg.geometry.gamma)
+    # the friction coefficients, sampled as by extrema_range
+    y = np.linspace(0.0, profile.gamma, 8192, endpoint=False)
+    alphas = [a.evaluate(y) for a in cfg.boundary.series(cfg.geometry.gamma)]
+    for side, a in zip(Side, alphas):
+        low = float(np.min(a))
+        if low < 0.0:
+            raise ConfigError(f"[boundary] alpha_{side.value}_mean/alpha_{side.value}_modes: the "
+                              f"friction coefficient must be nonnegative, sampled min {low:.6g}")
     if t.dt is not None and t.coupling_sweeps == 0:
-        # alpha + kappa, the Navier-slip coupling's coefficient, sampled as by extrema_range
-        y = np.linspace(0.0, profile.gamma, 8192, endpoint=False)
-        stiffness = t.dt * max(float(np.max(a.evaluate(y) + curvature(profile, y, side)))
-                               for a, side in zip(alphas, (Side.BOTTOM, Side.TOP)))
+        # alpha + kappa, the Navier-slip coupling's coefficient
+        stiffness = t.dt * max(float(np.max(a + curvature(profile, y, side)))
+                               for a, side in zip(alphas, Side))
         if stiffness > _STIFF_ALPHA_DT:
             warnings.warn(
                 f"[time] dt: max(alpha + kappa) * dt = {stiffness:.3g} exceeds the stiffness "

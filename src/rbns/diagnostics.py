@@ -20,13 +20,10 @@ exact long-time averages:
 
 Angle brackets carry the 1/|Omega| normalization; the raw integrals in the
 energy budget do not.  The long-time average of the theory is approximated
-by the running mean over samples past a burn-in time, reported together
-with the max over the trailing half of the window.
+by the mean over the samples past a burn-in time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,21 +235,12 @@ def measure(state: FlowState, grid: MappedGrid,
     return out
 
 
-@dataclass
-class AverageStat:
-    mean: float
-    tail_max: float
-    n_samples: int
-    t_start: float
-    t_end: float
-
-
 class Recorder:
-    """Accumulates sample rows, maintains post-burn-in running means and tail stats.
+    """Accumulates sample rows and forms their post-burn-in window means.
 
     The limiting long-time average is approximated by the arithmetic mean of
-    samples with t >= burn_in; the max over the trailing half of that window
-    is reported alongside so a non-converged average is visible.
+    the window: the samples with t >= burn_in, or every sample while none is
+    past burn-in.
 
     For the balance and inequality checks the finite-window averages are
     corrected by the exact endpoint (budget) terms of the corresponding
@@ -290,27 +278,21 @@ class Recorder:
         """The named column of every sample, in sample order."""
         return np.array([r[name] for r in self.records])
 
-    def average(self, name: str) -> AverageStat:
-        t, v = self.column("time"), self.column(name)
-        sel = t >= self.burn_in
-        if not np.any(sel):
-            sel = np.ones_like(t, dtype=bool)  # nothing past burn-in yet
-        t, v = t[sel], v[sel]
-        ok = np.isfinite(v)
-        if not np.any(ok):
-            return AverageStat(float("nan"), float("nan"), 0, float("nan"), float("nan"))
-        t, v = t[ok], v[ok]
-        tail = v[t >= 0.5 * (t[0] + t[-1])] if v.size > 1 else v
-        return AverageStat(float(np.mean(v)), float(np.max(tail)), v.size, float(t[0]), float(t[-1]))
+    def _window(self) -> np.ndarray:
+        """Sample mask of the window: t >= burn_in, or every sample while none is past it."""
+        post = self.column("time") >= self.burn_in
+        return post if np.any(post) else np.ones_like(post)
+
+    def average(self, name: str) -> float:
+        """Mean of the named column's finite values in the window; NaN if there are none."""
+        v = self.column(name)[self._window()]
+        v = v[np.isfinite(v)]
+        return float(np.mean(v)) if v.size else float("nan")
 
     def averages(self) -> dict[str, float]:
-        return {name: self.average(name).mean for name in AVERAGED}
+        return {name: self.average(name) for name in AVERAGED}
 
     # -- endpoint-corrected window estimators --------------------------------
-
-    def _window(self) -> list[dict[str, float]]:
-        recs = [r for r in self.records if r["time"] >= self.burn_in]
-        return recs if recs else self.records
 
     def _window_span(self) -> tuple[dict | None, dict | None, float]:
         """First and last sample of the window and the time between them.
@@ -319,23 +301,23 @@ class Recorder:
         samples are None and the span 0, so each estimator returns its
         (NaN) window average without an endpoint correction.
         """
-        recs = self._window()
-        if not recs:
+        if not self.records:
             return None, None, 0.0
-        first, last = recs[0], recs[-1]
+        window = np.flatnonzero(self._window())
+        first, last = self.records[window[0]], self.records[window[-1]]
         return first, last, max(last["time"] - first["time"], 0.0)
 
     def convective_transport_corrected(self) -> float:
         """Drift-free estimator of the long-time <(u2 - d2) T>."""
         first, last, span = self._window_span()
-        raw = self.average("convective_transport").mean
+        raw = self.average("convective_transport")
         if span == 0.0 or not self.is_flat:
             return raw  # rough walls: the inequality carries genuine slack
         return raw + (last["heat_content"] - first["heat_content"]) / (span * self.area)
 
     def nusselt_inequality_defect(self) -> float:
         """nu_flux - <(u2 - d2) T>/(1 + max h - min h); negative = violation."""
-        nu = self.average("nu_flux").mean
+        nu = self.average("nu_flux")
         return nu - self.convective_transport_corrected() / (1.0 + self.height_range)
 
     def energy_inequality_slack(self) -> tuple[float, float]:
@@ -346,8 +328,8 @@ class Recorder:
         kinetic-energy and (flat) heat-content endpoint corrections.
         """
         first, last, span = self._window_span()
-        nu = self.average("nu_flux").mean
-        lhs = self.average("grad_u_sq").mean + self.average("boundary_friction").mean
+        nu = self.average("nu_flux")
+        lhs = self.average("grad_u_sq") + self.average("boundary_friction")
         if span > 0.0:
             lhs += (last["energy"] - first["energy"]) / (2.0 * self.pr * span)
             if self.is_flat:
@@ -361,8 +343,8 @@ class Recorder:
         if self.grad_eta_sq is None:
             return float("nan")
         first, last, span = self._window_span()
-        nu = (self.grad_eta_sq - self.average("grad_theta_sq").mean
-              - 2.0 * self.average("theta_u_grad_eta").mean)
+        nu = (self.grad_eta_sq - self.average("grad_theta_sq")
+              - 2.0 * self.average("theta_u_grad_eta"))
         if span > 0.0 and np.isfinite(first["theta_sq"]) and np.isfinite(last["theta_sq"]):
             nu -= (last["theta_sq"] - first["theta_sq"]) / (span * self.area)
         return nu

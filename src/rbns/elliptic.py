@@ -41,10 +41,9 @@ problems iterate on the sine coordinates S^T c of the isometric
 coefficients c (S orthonormal: the iterates of grid-value PCG) and build a
 Crank-Nicolson right-hand side x0 + c L x0 + rhs there, one apply giving
 c L y0 = y0 - A y0 and the first residual.  The Neumann problem iterates on
-cosine coordinates y, p = V y with V^T W V = I; b = V^T b and the warm
-start V^T W p0 make it a congruence of node-coefficient PCG with the
-cosine-basis solve as preconditioner, and its stopping test keeps the node
-norm.
+cosine coordinates y, p = V y with V^T W V = I; b = V^T b and the zero
+start make it a congruence of node-coefficient PCG with the cosine-basis
+solve as preconditioner, and its stopping test keeps the node norm.
 
 The Neumann problem is discretized from the Dirichlet energy on x2 cell
 faces (gradient components averaged/differenced to face midpoints), which
@@ -232,9 +231,9 @@ class HelmholtzDirichlet:
         coordinates of a field's interior rows, the solve is the
         Crank-Nicolson one: the right-hand side gains old + c L old, and
         the rough-grid PCG starts from old (overwritten); walls must then be
-        those of the old plus the new traces.  Otherwise x0, a full field or
-        its interior rows, starts the rough-grid PCG.  info.coords holds the
-        solution's coordinates.
+        those of the old plus the new traces.  Otherwise x0, a full field,
+        starts the rough-grid PCG.  info.coords holds the solution's
+        coordinates.
         """
         grid = self.grid
         full = np.empty(grid.shape)
@@ -257,8 +256,7 @@ class HelmholtzDirichlet:
             basis, op = self._basis, self._operator
             x, ax = old, None
             if x is None and x0 is not None:
-                x = self.coordinates(x1_transform(x0[:, 1:-1] if x0.shape == grid.shape else x0,
-                                                  grid))
+                x = self.coordinates(x1_transform(x0[:, 1:-1], grid))
             ap = np.empty_like(b)
             if old is not None:
                 # c L y0 = y0 - A y0: b = 2 y0 - A y0 + rhs + wall terms
@@ -338,9 +336,8 @@ class PoissonNeumann:
         self._node_weight = -grid.dx1 * grid.w2
         self._wall_weight = grid.dx1 * grid.ds_weight
 
-    def solve(self, rhs: np.ndarray, flux_bottom, flux_top,
-              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveInfo]:
-        """(n1,) flux arrays.  Rough grids: PCG on cosine coordinates (``CosineOperator``)."""
+    def solve(self, rhs: np.ndarray, flux_bottom, flux_top) -> tuple[np.ndarray, SolveInfo]:
+        """(n1,) flux arrays.  Rough grids: PCG from zero on ``CosineOperator`` coordinates."""
         grid = self.grid
         # Fortran order: x1_transform reads the rows of b without a copy
         b = np.multiply(rhs, self._node_weight, out=np.empty(grid.shape, order="F"))
@@ -360,11 +357,6 @@ class PoissonNeumann:
         else:
             b = to_basis(basis, _remove_kernel(to_coefficients(b, grid), grid), grid)
             b[0, self._kernel] = 0.0                # the kernel coordinates stay zero
-            y0 = None
-            if x0 is not None:
-                y0 = to_coefficients(x0, grid)
-                y0[[0, -1]] *= 0.5                  # V^T W p0
-                y0 = to_basis(basis, y0, grid)
             op = self._operator
             ap, z = np.empty_like(b), np.empty_like(b)
 
@@ -374,7 +366,7 @@ class PoissonNeumann:
                 return float(np.sqrt(np.vdot(r, r).real - 0.25 * np.vdot(q, q)))
 
             y, info = _pcg(lambda q: op.apply(q, ap),
-                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, y0,
+                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, None,
                            self.tol, self.maxiter, "neumann", norm=node_norm)
             info.compat_defect = rel_defect
             p = from_basis(basis, y, grid, y)

@@ -175,9 +175,6 @@ class MappedGrid:
     def area(self) -> float:
         return self.gamma  # unit gap, unit Jacobian
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 def metric_spectra(profile: FourierSeries, n1: int) -> tuple[dict[int, complex], dict[int, complex]]:
     """Grid DFT coefficients of h' and h'^2, keyed by the shift m.

@@ -25,7 +25,7 @@ from rbns.config import RunConfig, serialize_config, validate_config
 from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
 from rbns.elliptic import EllipticError
 from rbns.geometry import boundary_frames, boundary_norms
-from rbns.grid import MappedGrid
+from rbns.grid import MappedGrid, wall_tangential_velocity
 from rbns.solver import (
     BoussinesqStepper,
     CflViolation,
@@ -101,7 +101,8 @@ def build_stepper(config: RunConfig) -> BoussinesqStepper:
 def _state_from_checkpoint(stepper: BoussinesqStepper, data: CheckpointData) -> FlowState:
     u1, u2 = stepper._velocity(data.psi)
     return FlowState(time=data.time, omega=data.omega, psi=data.psi, temp=data.temp,
-                     u1=u1, u2=u2, psi_top=data.psi_top, u_tau=stepper.wall_u_tau(u1, u2))
+                     u1=u1, u2=u2, psi_top=data.psi_top,
+                     u_tau=wall_tangential_velocity(u1, u2, stepper.grid))
 
 
 def _checkpoint_payload(config: RunConfig, state: FlowState) -> CheckpointData:

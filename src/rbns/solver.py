@@ -164,9 +164,9 @@ class BoussinesqStepper:
                           time: float = 0.0) -> FlowState:
         grid = self.grid
         if psi is None:
-            psi = grid.zeros()
+            psi = np.zeros(grid.shape)
         u1, u2 = self._velocity(psi)
-        u_tau = self.wall_u_tau(u1, u2)
+        u_tau = wall_tangential_velocity(u1, u2, grid)
         psi_top = float(np.mean(psi[:, -1]))
         omega = np.empty(grid.shape)
         omega[:, 1:-1] = apply_L_tilde(psi, grid)
@@ -202,10 +202,6 @@ class BoussinesqStepper:
     def _velocity(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         psi_y1, psi_y2 = grad_physical(psi, self.grid)
         return -psi_y2, psi_y1
-
-    def wall_u_tau(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """(bottom, top) wall tangential velocity of (u1, u2), stacked (2, n1)."""
-        return wall_tangential_velocity(u1, u2, self.grid)
 
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
         """grad omega and grad T of a state and their x1 spectra, evaluated once."""
@@ -323,7 +319,7 @@ class BoussinesqStepper:
                 rhs_coords=np.negative(w_hat, out=w_hat), walls=psi_top * self._psi_walls)[0]
             w_hat = None
             u1, u2 = self._velocity(psi_new)
-            u_tau, u_tau_old = self.wall_u_tau(u1, u2), u_tau
+            u_tau, u_tau_old = wall_tangential_velocity(u1, u2, grid), u_tau
             if (sweep >= self.coupling_sweeps
                     or float(np.max(np.abs(u_tau - u_tau_old))) <= self.coupling_tol):
                 break

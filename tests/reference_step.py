@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from rbns.elliptic import HelmholtzDirichlet
-from rbns.grid import apply_L_tilde, d_x1, d_x2, grad_physical
+from rbns.grid import apply_L_tilde, d_x1, d_x2, grad_physical, wall_tangential_velocity
 from rbns.solver import BoussinesqStepper, FlowState, boundary_vorticity
 
 
@@ -50,5 +50,5 @@ def reference_step(stepper: BoussinesqStepper, state: FlowState, dt: float) -> F
     psi_y1, psi_y2 = grad_physical(psi, grid)
     u1, u2 = -psi_y2, psi_y1
     return FlowState(time=state.time + dt, omega=omega, psi=psi, temp=temp, u1=u1, u2=u2,
-                     psi_top=state.psi_top, u_tau=stepper.wall_u_tau(u1, u2),
+                     psi_top=state.psi_top, u_tau=wall_tangential_velocity(u1, u2, grid),
                      prev_expl_omega=n_w, prev_expl_temp=n_t, prev_dt=dt)

@@ -158,7 +158,7 @@ def test_criterion_5_balance_residuals(flat_run):
     rec = flat_run.recorder
     e_res = rec.mean_abs_energy_residual()
     s_res = rec.final_enstrophy_residual()
-    nu = rec.average("nu_flux").mean
+    nu = rec.average("nu_flux")
     _report(5, e_res <= 1e-3 and s_res <= 5e-3 and flat_run.elapsed < 600.0
             and 2.0 < nu < 20.0,
             f"energy residual {e_res:.2e} <= 1e-3, enstrophy residual "
@@ -203,7 +203,7 @@ def test_criterion_7_inequalities(flat_run, rough_run):
 def test_criterion_8_background_identity(flat_run):
     rec = flat_run.recorder
     nu_eta = rec.nu_eta_corrected()
-    nu_ref = rec.average("nu_gradsq").mean
+    nu_ref = rec.average("nu_gradsq")
     rel = abs(nu_eta - nu_ref) / nu_ref
     _report(8, rel <= 0.05,
             f"nu from eta/theta = {nu_eta:.4f} vs nu_gradsq = {nu_ref:.4f} "

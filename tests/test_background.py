@@ -9,16 +9,16 @@ from rbns.grid import MappedGrid
 def test_eta_profile_values(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
     bg = build_background(0.1, grid)
-    eta = bg.eta
+    eta = bg.eta_profile
     x2 = grid.x2
     # wall traces and bulk plateau
-    assert np.all(eta[:, 0] == 1.0)
-    assert np.all(eta[:, -1] == 0.0)
+    assert eta[0] == 1.0
+    assert eta[-1] == 0.0
     j = np.argmin(np.abs(x2 - 0.5))
-    assert eta[0, j] == pytest.approx(0.5)
+    assert eta[j] == pytest.approx(0.5)
     # inside the lower strip: eta(0.05) = 1 - 0.05/0.2 = 0.75
     j = np.argmin(np.abs(x2 - 0.05))
-    assert eta[0, j] == pytest.approx(0.75)
+    assert eta[j] == pytest.approx(0.75)
 
 
 def test_grad_eta_sq_flat(flat_profile):

@@ -74,7 +74,6 @@ def test_choose_parameters_flat_b_is_half():
     p = choose_proof_parameters("interp_kappa_leq_alpha", PhysicalParams(1e6, 1e6),
                                 norms_with())
     assert p.b == 0.5
-    assert p.b < p.b_cap(0.0)
 
 
 def test_choose_parameters_delta_formula():

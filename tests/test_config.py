@@ -255,6 +255,35 @@ def test_wall_coupling_without_stiffness_is_quiet(text):
         parse_config(text)
 
 
+def _negative_friction(side, dt):
+    # alpha = 0.05 + 0.17 cos(2 pi y1) on one wall: sampled min -0.12 at y1 = 1/2
+    return MINIMAL + f"""
+[boundary]
+alpha_{side}_mean = 0.05
+alpha_{side}_modes = 1:0.17:0.0
+
+[time]
+dt = {dt}
+t_end = 0.0
+"""
+
+
+@pytest.mark.parametrize("dt", ["2e-3", "auto"])
+@pytest.mark.parametrize("side", ["bottom", "top"])
+def test_negative_friction_named(side, dt):
+    with pytest.raises(ConfigError, match=rf"^\[boundary\] alpha_{side}_mean/alpha_{side}_modes: "
+                                          r".*nonnegative, sampled min -0\.12$"):
+        parse_config(_negative_friction(side, dt))
+
+
+def test_cli_simulate_rejects_negative_friction(tmp_path, capsys):
+    path = tmp_path / "negative.cfg"
+    path.write_text(_negative_friction("top", "auto").replace("n1 = 64", "n1 = 16")
+                    .replace("n2 = 65", "n2 = 17"))
+    assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+    assert "[boundary] alpha_top_mean/alpha_top_modes" in capsys.readouterr().err
+
+
 def _code_config(n1=16, dt=None):
     cfg = RunConfig()
     cfg.physical.ra, cfg.physical.pr = 1e3, 10.0

@@ -145,9 +145,10 @@ def test_step_plus_sample_call_floor(flat_state):
     # velocity gradients, pressure, measure with the background terms).  On
     # this grid the per-call cost of Python and numpy outweighs the
     # arithmetic; the walls as one (2, n1) stack and measure's fixed rows
-    # took the count from 364 to 177, and measure reading the stacked Walls
-    # record instead of stacking alpha and kappa to 175.  numpy ufuncs and operators
-    # raise no profile event, so the count is of function calls only.
+    # took the count from 364 to 177, measure reading the stacked Walls
+    # record instead of stacking alpha and kappa to 175, and the step calling
+    # wall_tangential_velocity without a stepper wrapper to 174.  numpy ufuncs
+    # and operators raise no profile event, so the count is of function calls only.
     stepper, state = flat_state
     grid = stepper.grid
     background = build_background(0.25, grid)
@@ -163,7 +164,7 @@ def test_step_plus_sample_call_floor(flat_state):
         assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)
 
     step_and_sample()       # first use builds the shared bases
-    assert _rbns_calls(step_and_sample) <= 175
+    assert _rbns_calls(step_and_sample) <= 174
 
 
 def _sampled_config(modes, sample_interval):

@@ -122,17 +122,35 @@ def test_recorder_constant_and_oscillating_signal():
     rec = Recorder(burn_in=0.0, pr=1.0, area=1.0)
     for t in np.linspace(0, 10, 101):
         rec.add(_sample(t, nu_flux=3.5))
-    stat = rec.average("nu_flux")
-    assert stat.mean == pytest.approx(3.5)
-    assert stat.tail_max == pytest.approx(3.5)
+    assert rec.average("nu_flux") == pytest.approx(3.5)
 
     rec2 = Recorder(burn_in=0.0, pr=1.0, area=1.0)
     ts = np.linspace(0, 50 * 2 * np.pi, 20001)
     for t in ts:
         rec2.add(_sample(t, nu_flux=np.sin(t)))
-    stat = rec2.average("nu_flux")
-    assert abs(stat.mean) <= 1e-3
-    assert stat.tail_max == pytest.approx(1.0, abs=1e-4)
+    assert abs(rec2.average("nu_flux")) <= 1e-3
+
+
+@pytest.mark.parametrize("burn_in, mean, window", [
+    (1.0, 3.0, (1.0, 3.0)),           # t >= burn_in: the sample at t = burn_in is in
+    (1.5, 4.0, (2.0, 3.0)),           # the window starts at a NaN sample
+    (10.0, 7.0 / 3.0, (0.0, 3.0)),    # nothing past burn-in: every sample
+])
+def test_recorder_window(burn_in, mean, window):
+    # averages skip NaN samples; the endpoint span is over the same window
+    rec = Recorder(burn_in=burn_in, pr=1.0, area=1.0)
+    for t, nu in enumerate((1.0, 2.0, np.nan, 4.0)):
+        rec.add(_sample(float(t), nu_flux=nu, energy=np.nan))
+    assert rec.average("nu_flux") == pytest.approx(mean, rel=1e-15)
+    assert np.isnan(rec.average("energy"))
+    first, last, span = rec._window_span()
+    assert (first["time"], last["time"], span) == (*window, window[1] - window[0])
+
+
+def test_recorder_window_without_samples():
+    rec = Recorder(burn_in=0.5, pr=1.0, area=1.0)
+    assert np.isnan(rec.average("nu_flux"))
+    assert rec._window_span() == (None, None, 0.0)
 
 
 def test_energy_residual_zero_for_rest_state():
