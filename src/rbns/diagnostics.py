@@ -47,8 +47,7 @@ ENSTROPHY_COLUMNS = tuple(f"ens:{name}" for name in ENSTROPHY_TERM_NAMES)
 OMEGA_NORM_POWERS = (2, 4, 8)
 OMEGA_NORM_COLUMNS = tuple(f"omega_l{p}" for p in OMEGA_NORM_POWERS)
 
-# A sample is one dict keyed by column name; these tuples are the only
-# place the names and their order are written down.
+# the only place the column names and their order are written down
 CSV_COLUMNS = (
     "time", "nu_flux", "nu_gradsq", *STRIP_COLUMNS,
     "energy", "enstrophy", "grad_u_sq", "boundary_friction", "buoyancy_flux",
@@ -63,6 +62,11 @@ AVERAGED = (
     "ak_friction", "buoyancy_flux", "convective_transport",
     "grad_theta_sq", "theta_u_grad_eta", *ENSTROPHY_COLUMNS,
 )
+
+# one sample, derived from the tuples: a float64 field per name measure
+# writes, CSV_COLUMNS first (in CSV order), then the rest of AVERAGED
+ROW = np.dtype([(name, np.float64) for name in dict.fromkeys(
+    (*CSV_COLUMNS, *AVERAGED, "heat_content", "theta_sq", "pressure_defect", *OMEGA_NORM_COLUMNS))])
 
 
 def velocity_gradient_integrals(grad_u, grid: MappedGrid) -> float:
@@ -108,11 +112,9 @@ def measure(state: FlowState, grid: MappedGrid,
             background: BackgroundField | None = None) -> dict[str, float]:
     """Evaluate every instantaneous diagnostic for one snapshot, as one row.
 
-    The row holds every CSV_COLUMNS and AVERAGED name plus the endpoint
-    terms of the window estimators (heat_content, theta_sq) and the Neumann
-    pressure_defect; the two residual columns stay NaN until
-    Recorder.finalize.  derivs is the snapshot's state_derivatives (grad
-    omega, grad T) and grad_u_sq its raw int |grad u|^2
+    The row holds the ROW names it measures: the enstrophy terms need
+    pressure, the theta terms a background.  derivs is the snapshot's
+    state_derivatives (grad omega, grad T) and grad_u_sq its raw int |grad u|^2
     (velocity_gradient_integrals, evaluated before the pressure solve).
 
     One pass: each integrand is formed once, in one of two scratch arrays,
@@ -198,7 +200,7 @@ def measure(state: FlowState, grid: MappedGrid,
         np.matmul(np.multiply(theta, u_eta, out=f), slope_w2, out=row["theta_u_grad_eta"])
 
     total = _totals(rows, grid)
-    area, nan = grid.area, float("nan")
+    area = grid.area
     out = {
         "time": state.time,
         "nu_flux": total["nu_flux"] / area,
@@ -216,15 +218,11 @@ def measure(state: FlowState, grid: MappedGrid,
         "convective_transport": total["convective_transport"] / area,
         "heat_content": total["heat_content"],
         "pressure_defect": pressure_defect,
-        "energy_residual": nan,
-        "enstrophy_residual": nan,
-        "grad_theta_sq": nan,
-        "theta_u_grad_eta": nan,
-        "theta_sq": nan,
     }
-    scales = (1.0, 2.0, -ra, 2.0 / pr, -2.0 * ra)     # ENSTROPHY_TERM_NAMES order
-    for column, name, scale in zip(ENSTROPHY_COLUMNS, ENSTROPHY_TERM_NAMES, scales):
-        out[column] = scale * total[name] / area if pressure is not None else nan
+    if pressure is not None:
+        scales = (1.0, 2.0, -ra, 2.0 / pr, -2.0 * ra)     # ENSTROPHY_TERM_NAMES order
+        for column, name, scale in zip(ENSTROPHY_COLUMNS, ENSTROPHY_TERM_NAMES, scales):
+            out[column] = scale * total[name] / area
     if background is not None:
         out.update(grad_theta_sq=(total["grad_t_sq"] / area - 2.0 * (total["cross"] / area)
                                   + background.grad_eta_sq_avg),
@@ -236,8 +234,9 @@ def measure(state: FlowState, grid: MappedGrid,
 
 
 class Recorder:
-    """Accumulates sample rows and forms their post-burn-in window means.
+    """The sample table and its post-burn-in window means.
 
+    ``records`` is the filled part of a ``ROW`` table; ``column(name)`` views it.
     The limiting long-time average is approximated by the arithmetic mean of
     the window: the samples with t >= burn_in, or every sample while none is
     past burn-in.
@@ -267,41 +266,49 @@ class Recorder:
         self.height_range = height_range
         self.is_flat = is_flat
         self.grad_eta_sq = grad_eta_sq
-        self.records: list[dict[str, float]] = []
+        self._table = self.records = np.empty(0, ROW)
 
     def add(self, row: dict[str, float]) -> None:
-        self.records.append(row)
+        """Append measure's row; its names must be ROW's (else KeyError), the rest stay NaN."""
+        n = len(self.records)
+        if n == len(self._table):
+            self._table = np.concatenate((self.records, np.full(max(n, 64), np.nan, ROW)))
+        self._table[list(row)][n] = tuple(row.values())
+        self.records = self._table[:n + 1]
 
     # -- averaging ---------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
-        """The named column of every sample, in sample order."""
-        return np.array([r[name] for r in self.records])
+        """The named column, in sample order: a view of the table until the next ``add``."""
+        return self.records[name]
 
     def _window(self) -> np.ndarray:
         """Sample mask of the window: t >= burn_in, or every sample while none is past it."""
         post = self.column("time") >= self.burn_in
         return post if np.any(post) else np.ones_like(post)
 
+    def _finite(self, reduce, name: str, rows=slice(None)) -> float:
+        """reduce() of the named column's finite values among rows; NaN if there are none."""
+        v = self.column(name)[rows]
+        v = v[np.isfinite(v)]
+        return float(reduce(v)) if v.size else float("nan")
+
     def average(self, name: str) -> float:
         """Mean of the named column's finite values in the window; NaN if there are none."""
-        v = self.column(name)[self._window()]
-        v = v[np.isfinite(v)]
-        return float(np.mean(v)) if v.size else float("nan")
+        return self._finite(np.mean, name, self._window())
 
     def averages(self) -> dict[str, float]:
         return {name: self.average(name) for name in AVERAGED}
 
     # -- endpoint-corrected window estimators --------------------------------
 
-    def _window_span(self) -> tuple[dict | None, dict | None, float]:
-        """First and last sample of the window and the time between them.
+    def _window_span(self) -> tuple[np.void | None, np.void | None, float]:
+        """First and last row of the window and the time between them.
 
-        A run that stopped before its first sample has no records: then both
-        samples are None and the span 0, so each estimator returns its
-        (NaN) window average without an endpoint correction.
+        Without records both rows are None and the span 0: each estimator
+        then returns its (NaN) window average uncorrected.
         """
-        if not self.records:
+        if not len(self.records):
             return None, None, 0.0
         window = np.flatnonzero(self._window())
         first, last = self.records[window[0]], self.records[window[-1]]
@@ -401,34 +408,27 @@ class Recorder:
         return np.where(np.cumsum(post) > 0, window_residuals(post), window_residuals(finite))
 
     def finalize(self) -> None:
-        for r, e_res, s_res in zip(self.records, self._energy_residuals(),
-                                   self._enstrophy_residuals()):
-            r["energy_residual"], r["enstrophy_residual"] = float(e_res), float(s_res)
+        self.records["energy_residual"] = self._energy_residuals()
+        self.records["enstrophy_residual"] = self._enstrophy_residuals()
 
     # -- output ------------------------------------------------------------
 
     def write_csv(self, path, precision: int = 17) -> None:
-        fmt = f"{{:.{precision}g}}"
+        line = ",".join([f"%.{precision}g"] * len(CSV_COLUMNS)) + "\n"
         with open(path, "w") as fh:
             fh.write(CSV_HEADER + "\n")
-            for r in self.records:
-                fh.write(",".join(fmt.format(r[name]) for name in CSV_COLUMNS) + "\n")
+            fh.writelines(line % r for r in self.records[list(CSV_COLUMNS)].tolist())
 
     # -- derived checks ----------------------------------------------------
 
     def mean_abs_energy_residual(self) -> float:
-        t, res = self.column("time"), self.column("energy_residual")
-        sel = (t >= self.burn_in) & np.isfinite(res)
         # end samples carry one-sided d/dt stencils; they are still included
-        return float(np.mean(np.abs(res[sel]))) if np.any(sel) else float("nan")
+        return self._finite(lambda res: np.mean(np.abs(res)), "energy_residual",
+                            self.column("time") >= self.burn_in)
 
     def pressure_defect_max(self) -> float:
         """Largest Neumann compatibility defect over the samples; NaN if none recovered pressure."""
-        defects = self.column("pressure_defect")
-        defects = defects[np.isfinite(defects)]
-        return float(np.max(defects)) if defects.size else float("nan")
+        return self._finite(np.max, "pressure_defect")
 
     def final_enstrophy_residual(self) -> float:
-        res = [r["enstrophy_residual"] for r in self.records
-               if np.isfinite(r["enstrophy_residual"])]
-        return abs(res[-1]) if res else float("nan")
+        return self._finite(lambda res: abs(res[-1]), "enstrophy_residual")

@@ -215,7 +215,7 @@ def test_invariant_omega_lp_bounded(flat_run):
     # post-transient maxima do not grow over the window
     rec = flat_run.recorder
     for p in (2, 4, 8):
-        vals = np.array([r[f"omega_l{p}"] for r in rec.records if r["time"] >= rec.burn_in])
+        vals = rec.column(f"omega_l{p}")[rec.column("time") >= rec.burn_in]
         half = len(vals) // 2
         assert np.max(vals[half:]) <= 2.0 * np.max(vals[:half])
         assert np.isfinite(vals).all()

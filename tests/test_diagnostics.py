@@ -5,10 +5,9 @@ import pytest
 
 from rbns.config import parse_config
 from rbns.diagnostics import (
-    AVERAGED,
-    CSV_COLUMNS,
     CSV_HEADER,
     ENSTROPHY_COLUMNS,
+    ROW,
     STRIP_COLUMNS,
     Recorder,
     measure,
@@ -113,9 +112,12 @@ def test_enstrophy_terms_zero_velocity(flat_profile, alpha_one):
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms.values())
 
 
+_ZEROS = dict.fromkeys(ROW.names, 0.0)
+
+
 def _sample(time, **values):
-    """A hand-built sample row: every CSV and averaged column 0 unless given."""
-    return {**dict.fromkeys((*CSV_COLUMNS, *AVERAGED), 0.0), "time": time, **values}
+    """A hand-built sample row: every ROW column 0 unless given."""
+    return dict(_ZEROS, time=time, **values)
 
 
 def test_recorder_constant_and_oscillating_signal():
@@ -151,6 +153,71 @@ def test_recorder_window_without_samples():
     rec = Recorder(burn_in=0.5, pr=1.0, area=1.0)
     assert np.isnan(rec.average("nu_flux"))
     assert rec._window_span() == (None, None, 0.0)
+
+
+def test_recorder_add_leaves_unmeasured_names_nan_and_rejects_unknown_ones():
+    rec = Recorder(burn_in=0.0, pr=1.0, area=1.0)
+    rec.add({"time": 0.0, "nu_flux": 2.0})
+    assert rec.records[0]["nu_flux"] == 2.0 and np.isnan(rec.records[0]["energy"])
+    with pytest.raises(KeyError):
+        rec.add({"time": 1.0, "nu_fluxx": 2.0})
+    assert len(rec.records) == 1
+
+
+def test_recorder_table_memory_and_column_views():
+    # 100,000 samples hold at most two float64 per ROW name each (the
+    # capacity doubles), and a column is a view of the table, not a copy
+    import tracemalloc
+
+    n = 100_000
+    rec = Recorder(burn_in=0.0, pr=1.0, area=1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            rec.add(_sample(i * 1e-3, nu_flux=i * 0.5))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rec.records) == n
+    assert held <= 2 * 8 * len(ROW.names) * n
+    nu = rec.column("nu_flux")
+    assert np.shares_memory(nu, rec.records) and np.array_equal(nu, np.arange(n) * 0.5)
+
+
+def test_nu_eta_endpoint_term():
+    # theta_sq linear in t with slope s, <|grad theta|^2> = a and
+    # <theta u.grad eta> = b constant: the window estimator of the background
+    # identity is G - a - 2b - s/|Omega|, the last term d|theta|^2/dt / |Omega|
+    g, a, b, s, area = 3.0, 0.7, 0.4, 0.6, 2.0
+    rec = Recorder(burn_in=0.5, pr=1.0, area=area, grad_eta_sq=g)
+    for t in np.linspace(0.0, 2.0, 21):
+        rec.add(_sample(t, theta_sq=1.0 + s * t, grad_theta_sq=a, theta_u_grad_eta=b))
+    assert abs(rec.nu_eta_corrected() - (g - a - 2.0 * b - s / area)) <= 1e-12
+
+
+def test_enstrophy_endpoint_term():
+    # Z = enstrophy/(2 Pr) + ak_friction/Pr grows at dZ/dt = e + k; five
+    # constant terms summing to -(dZ/dt)/|Omega| balance it, so the residual
+    # of every sample past the first (which has no span) is zero
+    pr, area, e, k = 2.0, 1.5, 0.8, 0.5
+    terms = (1.0, -0.5, 2.0, 0.25)
+    terms += (-(e + k) / area - sum(terms),)
+    rec = Recorder(burn_in=0.0, pr=pr, area=area)
+    for t in np.linspace(0.0, 1.0, 11):
+        rec.add(_sample(t, enstrophy=2.0 * pr * e * t, ak_friction=pr * k * t,
+                        **dict(zip(ENSTROPHY_COLUMNS, terms))))
+    rec.finalize()
+    assert np.all(np.abs(rec.column("enstrophy_residual")[1:]) <= 1e-12)
+    assert rec.final_enstrophy_residual() <= 1e-12
+
+
+def test_heat_content_of_conduction(flat_profile, alpha_one):
+    # H = int (1 - x2) T of T = 1 - x2 is |Omega|/3; the trapezoid rule at
+    # 17 rows is 2e-3 high
+    grid, walls, temp, _ = conduction_setup(flat_profile, alpha_one, n1=16, n2=17)
+    heat = measure_fields(grid, walls, temp)["heat_content"]
+    assert heat == pytest.approx(grid.area / 3.0, rel=1e-2)
 
 
 def test_energy_residual_zero_for_rest_state():
@@ -414,10 +481,12 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
     derivs.grad_u = velocity_gradients(state, grid)
     grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
     p = stepper.recover_pressure(state, derivs)[0] if pressure else None
-    row = measure(state, grid, stepper.walls, 10.0, 1e4, derivs, grad_u_sq,
-                  pressure=p, background=bg)
+    rec = Recorder(burn_in=0.0, pr=10.0, area=grid.area)
+    rec.add(measure(state, grid, stepper.walls, 10.0, 1e4, derivs, grad_u_sq,
+                    pressure=p, background=bg))
+    row = rec.records[0]   # as the table holds it: a name measure leaves out reads NaN
     ref = reference_row(state, grid, stepper.walls, 10.0, 1e4, pressure=p, background=bg)
-    assert set(ref) <= set(row)
+    assert set(ref) <= set(ROW.names)
     scale = {name: max(abs(ref[n]) for n in group) for group in _SCALE_GROUPS for name in group}
     for name, want in ref.items():
         got = row[name]

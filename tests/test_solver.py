@@ -195,8 +195,8 @@ def test_maximum_principle_short_convection():
     cfg.time.t_end = 0.05
     cfg.time.sample_interval = 5e-3
     res = run_simulation(cfg)
-    t_min = min(r["temp_min"] for r in res.recorder.records)
-    t_max = max(r["temp_max"] for r in res.recorder.records)
+    t_min = res.recorder.column("temp_min").min()
+    t_max = res.recorder.column("temp_max").max()
     assert t_min >= -1e-3
     assert t_max <= 1.0 + 1e-3
 
