@@ -141,16 +141,19 @@ def _pcg(apply_a, apply_m, b: np.ndarray, x0: np.ndarray | None,
          norm=lambda r: float(np.sqrt(np.vdot(r, r).real))) -> tuple[np.ndarray, SolveInfo]:
     """Preconditioned conjugate gradients; x0, if given, is updated in place.
 
-    ax0, if given, is apply_a(x0).  apply_a and apply_m may return the same
-    buffer at every call; the spent A p takes the x update, so the loop
-    allocates nothing.  norm measures b and r for the stopping test (the
-    default, from vdot, takes a third of the time of np.linalg.norm).
+    b is overwritten: the residual is formed in its buffer.  ax0, if given,
+    is apply_a(x0).  apply_a and apply_m may return the same buffer at every
+    call, and the two may share one: each result is spent before the other
+    is formed.  The spent A p takes the x update, so the loop allocates
+    nothing.  norm measures b and r for the stopping test (the default, from
+    vdot, takes a third of the time of np.linalg.norm).
     """
     bnorm = norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0, "pcg")
     x = np.zeros_like(b) if x0 is None else x0
-    r = b - (apply_a(x) if ax0 is None else ax0)
+    r = b
+    r -= apply_a(x) if ax0 is None else ax0
     rel = norm(r) / bnorm
     z = apply_m(r)
     p = z.copy()
@@ -236,7 +239,6 @@ class HelmholtzDirichlet:
         coordinates.
         """
         grid = self.grid
-        full = np.empty(grid.shape)
         b = self.coordinates(x1_transform(rhs_int, grid)) if rhs_coords is None else rhs_coords
         if walls is None:
             walls = wall_spectra(np.array((bottom, top)), grid)
@@ -250,7 +252,8 @@ class HelmholtzDirichlet:
                 cly += old
                 b += cly
             u = _eigen_solve(self._basis, b, self._inv_divisor, grid)
-            full[:, 1:-1] = x1_inverse(u, grid)
+            full = np.empty(grid.shape)
+            x1_inverse(u, grid, full[:, 1:-1])
             info = SolveInfo(1, 0.0, "direct", coords=u)
         else:
             basis, op = self._basis, self._operator
@@ -272,13 +275,15 @@ class HelmholtzDirichlet:
             mid = basis.plus.shape[0]
             b[:mid] += np.multiply.outer(basis.plus[0], g[0] + g[1])
             b[mid:] += np.multiply.outer(basis.minus[0], g[0] - g[1])
-            z = np.empty_like(b)
+            # z = M r goes to the A p buffer: each is spent before the other is formed
             u, info = _pcg(lambda p: op.apply(p, ap),
-                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, x, self.tol,
+                           lambda r: np.multiply(r, self._inv_divisor, out=ap), b, x, self.tol,
                            self.maxiter, "helmholtz" if self._sigma else "poisson", ax0=ax)
-            del b, ap, z
+            del ax, ap
             info.coords = u
-            full[:, 1:-1] = from_coefficients(from_basis(basis, u, grid, np.empty_like(u)), grid)
+            full = np.empty(grid.shape)
+            # synthesized in the spent residual buffer, b
+            from_coefficients(from_basis(basis, u, grid, b), grid, full[:, 1:-1])
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info
@@ -358,7 +363,7 @@ class PoissonNeumann:
             b = to_basis(basis, _remove_kernel(to_coefficients(b, grid), grid), grid)
             b[0, self._kernel] = 0.0                # the kernel coordinates stay zero
             op = self._operator
-            ap, z = np.empty_like(b), np.empty_like(b)
+            ap = np.empty_like(b)                   # A p, and z = M r as in the Dirichlet PCG
 
             def node_norm(r):
                 # |W V r|, the stopping test's norm: V^T W^2 V = I - V^T diag(1/4, 0, ..., 0, 1/4) V
@@ -366,7 +371,7 @@ class PoissonNeumann:
                 return float(np.sqrt(np.vdot(r, r).real - 0.25 * np.vdot(q, q)))
 
             y, info = _pcg(lambda q: op.apply(q, ap),
-                           lambda r: np.multiply(r, self._inv_divisor, out=z), b, None,
+                           lambda r: np.multiply(r, self._inv_divisor, out=ap), b, None,
                            self.tol, self.maxiter, "neumann", norm=node_norm)
             info.compat_defect = rel_defect
             p = from_basis(basis, y, grid, y)

@@ -264,12 +264,15 @@ def grad_physical(f: np.ndarray, grid: MappedGrid,
 
 def x1_transform(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Unscaled rfft of every x2 row of f: (n1, rows) -> (rows, n1//2+1), C order."""
-    return np.fft.rfft(np.ascontiguousarray(f.T), axis=1)
+    return np.fft.rfft(f.T, axis=1, out=np.empty((f.shape[1], grid.k.size), dtype=complex))
 
 
-def x1_inverse(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Inverse of x1_transform: (rows, n1//2+1) -> (n1, rows), a transposed view."""
-    return np.fft.irfft(c, n=grid.n1, axis=1).T
+def x1_inverse(c: np.ndarray, grid: MappedGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of x1_transform: (rows, n1//2+1) -> (n1, rows), a transposed view.
+
+    out, if given, is an (n1, rows) array (a field's interior rows) to write to.
+    """
+    return np.fft.irfft(c, n=grid.n1, axis=1, out=None if out is None else out.T).T
 
 
 def to_coefficients(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -279,9 +282,13 @@ def to_coefficients(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return c
 
 
-def from_coefficients(c: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Grid values of isometric coefficients: (rows, n1//2+1) -> (n1, rows)."""
-    return x1_inverse(c * (1.0 / grid.coeff_scale), grid)
+def from_coefficients(c: np.ndarray, grid: MappedGrid, out: np.ndarray | None = None) -> np.ndarray:
+    """Grid values of isometric coefficients: (rows, n1//2+1) -> (n1, rows).
+
+    c is overwritten: it is unscaled in place.  out is as for ``x1_inverse``.
+    """
+    c *= 1.0 / grid.coeff_scale
+    return x1_inverse(c, grid, out)
 
 
 # ---------------------------------------------------------------------------

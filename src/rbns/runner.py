@@ -35,11 +35,15 @@ from rbns.solver import (
     velocity_gradients,
 )
 
+# T stays in [0, 1] by the maximum principle; a sample outside it by more
+# than this marks an unstable time step, which the run does not outlive
+TEMP_EXCURSION_TOL = 1e-3
+
 
 @dataclass
 class RunResult:
     recorder: Recorder
-    final_state: FlowState
+    final_state: FlowState | None = None    # set when the run ends
     aborted: bool = False
     abort_reason: str = ""
     output_dir: str | None = None
@@ -154,10 +158,11 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                    config_text: str | None = None) -> RunResult:
     """Time-step from t=0 (or a checkpoint) to t_end, sampling diagnostics.
 
-    NaN detection, a rejected step or a failed elliptic solve aborts the run;
-    the last written checkpoint is retained and everything sampled so far is
-    still flushed to the CSV.  The config is validated first (ConfigError,
-    stiffness warning), also when it was built in code.
+    NaN detection, a sampled temperature outside [0, 1] by more than
+    TEMP_EXCURSION_TOL, a rejected step or a failed elliptic solve aborts
+    the run; the last written checkpoint is retained and everything sampled
+    so far is still flushed to the CSV.  The config is validated first
+    (ConfigError, stiffness warning), also when it was built in code.
     """
     validate_config(config)
     stepper = build_stepper(config)
@@ -180,6 +185,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
         data = read_checkpoint(resume)
         _check_resume_compatible(config, data)
         state = _state_from_checkpoint(stepper, data)
+        del data                            # its fields are the state's, released with it
     else:
         state = stepper.state_from_fields(
             initial_temperature(config, grid),
@@ -201,7 +207,8 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
         with open(os.path.join(out, "provenance.txt"), "w") as fh:
             fh.write(provenance_text(config, grid))
 
-    result = RunResult(recorder=recorder, final_state=state, output_dir=out)
+    # holds no state until the end, so each state is freed once the run moves on
+    result = RunResult(recorder=recorder, output_dir=out)
 
     def take_sample(st: FlowState, derivs: StateDerivatives, index: int) -> str:
         """Record one sample; returns why the run must stop, or "".
@@ -229,6 +236,11 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
         recorder.add(row)
         if not (np.isfinite(row["energy"]) and np.isfinite(row["nu_gradsq"])):
             return f"non-finite fields at t = {st.time:.6g}"
+        excursion = max(-row["temp_min"], row["temp_max"] - 1.0)
+        if excursion > TEMP_EXCURSION_TOL:
+            return (f"temperature outside [0, 1] by {excursion:.3g} at t = {st.time:.6g}: "
+                    f"the step is unstable (cfl_safety = {tcfg.cfl_safety:g}, "
+                    f"buoyancy_safety = {tcfg.buoyancy_safety:g})")
         return abort
 
     def write_ckpt(st: FlowState, label: str) -> None:

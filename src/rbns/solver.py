@@ -296,7 +296,7 @@ class BoussinesqStepper:
         temp_new = helm_t.solve(None, self.t_bottom, self.t_top,
                                 rhs_coords=helm_t.coordinates(rhs_t),
                                 old=helm_t.coordinates(t_hat), walls=self._temp_walls)[0]
-        del t_hat, rhs_t
+        del t_hat, rhs_t, helm_t
 
         u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
@@ -305,13 +305,16 @@ class BoussinesqStepper:
         w_old, derivs.omega_spectrum = derivs.omega_spectrum[:, 1:-1].T, None
         old_walls = state.omega.T[[0, -1]]
         for sweep in range(self.coupling_sweeps + 1):
+            last = sweep == self.coupling_sweeps
             w_new = self._slip * u_tau                  # boundary_vorticity on both walls
             # the solve overwrites its right-hand side; a further sweep needs it again
-            rhs = rhs_w if sweep == self.coupling_sweeps else rhs_w.copy()
+            rhs = rhs_w if last else rhs_w.copy()
             omega_new, info = helm_w.solve(None, w_new[0], w_new[1],
                                            rhs_coords=helm_w.coordinates(rhs),
                                            old=helm_w.coordinates(w_old),
                                            walls=wall_spectra(w_new + old_walls, grid))
+            if last:
+                del rhs, rhs_w, w_old
             # the psi right-hand side's coordinates are minus omega_new's
             w_hat, info = info.coords, None
             psi_new = self.poisson.solve(

@@ -26,9 +26,55 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIAGNOSTICS = "src/rbns/diagnostics.py"
+SOLVER = "src/rbns/solver.py"
+GRID = "src/rbns/grid.py"
 
 # id: (file, old, new, why)
 MUTANTS = {
+    "M1": (SOLVER,
+           "fluxes -= self._kappa_pr * state.u_tau**2",
+           "fluxes += self._kappa_pr * state.u_tau**2",
+           "recover_pressure: wall flux -(kappa/Pr) u_tau^2 -> +"),
+    "M2": (DIAGNOSTICS,
+           "scales = (1.0, 2.0, -ra, 2.0 / pr, -2.0 * ra)",
+           "scales = (1.0, 2.0, -ra, -2.0 / pr, -2.0 * ra)",
+           "measure: wall_inertia scale 2/Pr -> -2/Pr"),
+    "M3": (SOLVER,
+           "self._slip = -2.0 * self._ak",
+           "self._slip = -2.0 * (walls.alpha - walls.kappa)",
+           "step: slip vorticity -2(alpha+kappa) -> -2(alpha-kappa)"),
+    "M4": (SOLVER,
+           "rhs_w += state.prev_expl_omega * (-0.5 * r)",
+           "rhs_w += state.prev_expl_omega * 0.0",
+           "step: the AB2 history of omega dropped"),
+    "M5": (DIAGNOSTICS,
+           'np.multiply(ak + alpha, ut_sq_ds, out=rows[_WALL["boundary_friction"]])',
+           'np.multiply(ak + kappa, ut_sq_ds, out=rows[_WALL["boundary_friction"]])',
+           "measure: boundary friction (2 alpha + kappa) -> (alpha + 2 kappa)"),
+    "M6": (DIAGNOSTICS,
+           'walls.normal[0, :, 0], out=row["wall_buoyancy"]',
+           'walls.normal[0, :, 1], out=row["wall_buoyancy"]',
+           "measure: wall_buoyancy reads n2 for n1"),
+    "M7": (SOLVER,
+           "fluxes[0] += self._ra_n2",
+           "fluxes[0] -= self._ra_n2",
+           "recover_pressure: bottom wall flux Ra n2 -> -Ra n2"),
+    "M8": (DIAGNOSTICS,
+           'np.subtract(grid.hp * ty1[:, 0], ty2[:, 0], out=row["nu_flux"])',
+           'np.subtract(-grid.hp * ty1[:, 0], ty2[:, 0], out=row["nu_flux"])',
+           "measure: sign of h' in the rough wall heat flux"),
+    "M11": (GRID,
+            "ut[1] *= -1.0",
+            "ut[1] *= 1.0",
+            "wall_tangential_velocity: top-wall orientation dropped"),
+    "M12": (DIAGNOSTICS,
+            'np.multiply(kappa, ut_sq_ds, out=rows[_WALL["kappa_friction"]])',
+            'np.multiply(alpha, ut_sq_ds, out=rows[_WALL["kappa_friction"]])',
+            "measure: kappa_friction reads alpha"),
+    "M13": (DIAGNOSTICS,
+            "cross -= grid.hp * (ty1 @ slope_w2)",
+            "cross += grid.hp * (ty1 @ slope_w2)",
+            "measure: sign of the rough background cross term"),
     "M14": (DIAGNOSTICS,
             'nu -= (last["theta_sq"] - first["theta_sq"])',
             'nu += (last["theta_sq"] - first["theta_sq"])',
