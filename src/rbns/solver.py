@@ -313,6 +313,8 @@ class BoussinesqStepper:
                                            rhs_coords=helm_w.coordinates(rhs),
                                            old=helm_w.coordinates(w_old),
                                            walls=wall_spectra(w_new + old_walls, grid))
+            # spent after the last sweep; a sweep that converges early holds
+            # them through its psi solve, since only that solve's u_tau shows it
             if last:
                 del rhs, rhs_w, w_old
             # the psi right-hand side's coordinates are minus omega_new's
