@@ -251,6 +251,7 @@ class HelmholtzDirichlet:
                 cly *= self._ceff
                 cly += old
                 b += cly
+                del cly
             u = _eigen_solve(self._basis, b, self._inv_divisor, grid)
             full = np.empty(grid.shape)
             x1_inverse(u, grid, full[:, 1:-1])
@@ -342,10 +343,10 @@ class PoissonNeumann:
         self._wall_weight = grid.dx1 * grid.ds_weight
 
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top) -> tuple[np.ndarray, SolveInfo]:
-        """(n1,) flux arrays.  Rough grids: PCG from zero on ``CosineOperator`` coordinates."""
+        """(n1,) flux arrays; rhs is overwritten.  Rough grids: PCG from zero on cosine coordinates."""
         grid = self.grid
-        # Fortran order: x1_transform reads the rows of b without a copy
-        b = np.multiply(rhs, self._node_weight, out=np.empty(grid.shape, order="F"))
+        b = np.multiply(rhs, self._node_weight, out=rhs)
+        del rhs                                 # b alone holds it: freed once transformed
         line = np.empty(grid.n1)
         b[:, 0] += np.multiply(self._wall_weight, flux_bottom, out=line)
         b[:, -1] += np.multiply(self._wall_weight, flux_top, out=line)

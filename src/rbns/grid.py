@@ -90,7 +90,8 @@ class MappedGrid:
     mhp_shifts: tuple = field(init=False)    # -h'
     hp2_shifts: tuple = field(init=False)    # h'^2
     cross_shifts: tuple = field(init=False)  # -h' dx1 (.) - dx1 (h' .), times 1/(2 dx2)
-    # float64 work array of the basis changes' folds
+    # the rough kernels' complex (n2 + 1, nk) buffer; fold, its float64 view, the basis changes'
+    buffer: np.ndarray = field(init=False, repr=False, compare=False)
     fold: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,7 +126,8 @@ class MappedGrid:
         if self.n1 % 2 == 0:
             w[-1] = 1.0
         self.coeff_scale = np.sqrt(w / self.n1)
-        self.fold = np.empty((self.n2 + 1, 2 * k.size))
+        self.buffer = np.empty((self.n2 + 1, k.size), dtype=complex)
+        self.fold = self.buffer.view(np.float64)
         self.is_flat = self.profile.is_flat
         self.sine_eig = _sine_eig(self) if self.is_flat else None
         hp_hat, hp2_hat = metric_spectra(self.profile, self.n1)
@@ -155,16 +157,11 @@ class MappedGrid:
         """Complex (2, n2, nk + 2 band) work plane of the rough kernels, built on first use.
 
         Kernels slice it and ``buffer`` to the rows they need; contents are
-        undefined, and a kernel must not call another while it holds them.
-        Temporaries allocated per call let the C heap return their pages and
-        fault them in again (tens of thousands of page faults per rough run).
+        undefined, and while a kernel holds them it calls no other kernel and
+        no basis change (``fold`` is ``buffer``'s memory).  Per-call temporaries
+        let the C heap return pages and fault them in again (tens of thousands per rough run).
         """
         return np.empty((2, self.n2, self.k.size + 2 * self.band), dtype=complex)
-
-    @functools.cached_property
-    def buffer(self) -> np.ndarray:
-        """Complex (n2, nk) work buffer of the rough kernels, built on first use; contents undefined."""
-        return np.empty((self.n2, self.k.size), dtype=complex)
 
     @property
     def metric_fourier_terms(self) -> int:
@@ -339,13 +336,12 @@ class _ParityBasis:
     one on the sums of mirrored rows of x (plus columns) and one on their
     differences (minus columns), and Q y is their mirror butterfly.  For odd
     r the middle row is its own mirror: it enters the sums twice, so
-    ``plus_in`` has that row halved, and the minus columns vanish on it, so
+    ``to_basis`` halves that sum, and the minus columns vanish on it, so
     ``minus`` has it set to zero.  ``eig`` holds the eigenvalues in this
     split order: plus columns, then minus columns.
     """
 
     plus: np.ndarray       # Q[:mid, 0::2], mid = r - r//2
-    plus_in: np.ndarray    # the same with an odd r's middle row halved
     minus: np.ndarray      # Q[:mid, 1::2] with an odd r's middle row zeroed
     eig: np.ndarray
 
@@ -357,10 +353,9 @@ def _parity_basis(dense, n2: int) -> _ParityBasis:
     half = q.shape[0] // 2
     mid = q.shape[0] - half
     plus = np.ascontiguousarray(q[:mid, 0::2])
-    plus_in, minus = plus.copy(), np.ascontiguousarray(q[:mid, 1::2])
-    plus_in[half:] *= 0.5
+    minus = np.ascontiguousarray(q[:mid, 1::2])
     minus[half:] = 0.0
-    return _ParityBasis(*_read_only(plus, plus_in, minus, np.concatenate([eig[0::2], eig[1::2]])))
+    return _ParityBasis(*_read_only(plus, minus, np.concatenate([eig[0::2], eig[1::2]])))
 
 
 def _read_only(*parts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -381,9 +376,10 @@ def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray
     mid = xf.shape[0] - half
     fold = grid.fold[:xf.shape[0]]
     np.add(xf[:mid], xf[:-mid - 1:-1], out=fold[:mid])              # sums (plus half)
+    fold[half:mid] *= 0.5                                           # an odd middle row, twice
     np.subtract(xf[:half], xf[:-half - 1:-1], out=fold[mid:])
     y = np.empty_like(xf)
-    np.matmul(basis.plus_in.T, fold[:mid], out=y[:mid])
+    np.matmul(basis.plus.T, fold[:mid], out=y[:mid])
     np.matmul(basis.minus[:half].T, fold[mid:], out=y[mid:])
     return y.view(complex)
 
@@ -581,7 +577,7 @@ class CosineOperator(_EigenOperator):
         np.matmul(self.wall_rows, y.view(np.float64), out=lines[:, b:b + nk].view(np.float64))
         wall[:] = 0.0
         convolve(wall, widen(lines, grid), self._wall, grid)
-        rank_two = grid.buffer.view(np.float64)
+        rank_two = grid.fold[:y.shape[0]]
         out += np.matmul(self._wall_cols, wall.view(np.float64), out=rank_two).view(complex)
         return out
 

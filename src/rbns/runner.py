@@ -32,8 +32,13 @@ from rbns.solver import (
     FlowState,
     PhysicalParams,
     StateDerivatives,
+    field_derivatives,
     velocity_gradients,
 )
+
+
+# the exact T stays in [0, 1]; a sample outside by more aborts the run as unstable
+TEMP_EXCURSION_TOL = 1e-3
 
 
 @dataclass
@@ -154,10 +159,10 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                    config_text: str | None = None) -> RunResult:
     """Time-step from t=0 (or a checkpoint) to t_end, sampling diagnostics.
 
-    NaN detection, a rejected step or a failed elliptic solve aborts the run;
-    the last written checkpoint is retained and everything sampled so far is
-    still flushed to the CSV.  The config is validated first (ConfigError,
-    stiffness warning), also when it was built in code.
+    NaN detection, a sampled T outside [0, 1], a rejected step or a failed
+    elliptic solve aborts the run; the last written checkpoint is retained
+    and everything sampled so far is still flushed to the CSV.  The config
+    is validated first (ConfigError, stiffness warning), also when built in code.
     """
     validate_config(config)
     stepper = build_stepper(config)
@@ -205,16 +210,17 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     # holds no state until the end, so each state is freed once the run moves on
     result = RunResult(recorder=recorder, output_dir=out)
 
-    def take_sample(st: FlowState, derivs: StateDerivatives, index: int) -> str:
-        """Record one sample; returns why the run must stop, or "".
+    def take_sample(st: FlowState, index: int) -> tuple[StateDerivatives | None, str]:
+        """Record one sample; returns the state's derivative set and why the run must stop, or "".
 
-        derivs is state_derivatives(st).  The velocity gradients (three,
-        one transform pair) give int |grad u|^2 and the pressure right-hand
-        side, and are dropped before the pressure solve.  A failed pressure solve still records
-        the sample, without pressure.
+        grad T (the pressure right-hand side reads dT/dy2) and grad u come before
+        the pressure solve, grad omega after it.  A failed pressure solve still
+        records the sample, without pressure.
         """
         if not (np.isfinite(st.omega).all() and np.isfinite(st.temp).all()):
-            return f"non-finite fields at t = {st.time:.6g}"
+            return None, f"non-finite fields at t = {st.time:.6g}"
+        derivs = StateDerivatives(None, None)
+        derivs.grad_temp, derivs.temp_spectrum = field_derivatives(st.temp, grid)
         derivs.grad_u = velocity_gradients(st, grid)
         grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)
         pressure, defect, abort = None, float("nan"), ""
@@ -225,13 +231,19 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             except EllipticError as exc:
                 abort = f"pressure solve failed at t = {st.time:.6g}: {exc}"
         derivs.grad_u = None
+        derivs.grad_omega, derivs.omega_spectrum = field_derivatives(st.omega, grid)
         row = measure(st, grid, stepper.walls,
                       config.physical.pr, config.physical.ra, derivs, grad_u_sq,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(row)
         if not (np.isfinite(row["energy"]) and np.isfinite(row["nu_gradsq"])):
-            return f"non-finite fields at t = {st.time:.6g}"
-        return abort
+            return derivs, f"non-finite fields at t = {st.time:.6g}"
+        excursion = max(-row["temp_min"], row["temp_max"] - 1.0)
+        if excursion > TEMP_EXCURSION_TOL:
+            return derivs, (f"temperature outside [0, 1] by {excursion:.3g} at t = {st.time:.6g}: "
+                            f"the step is unstable (cfl_safety = {tcfg.cfl_safety:g}, "
+                            f"buoyancy_safety = {tcfg.buoyancy_safety:g})")
+        return derivs, abort
 
     def write_ckpt(st: FlowState, label: str) -> None:
         if ckpt_dir is None:
@@ -246,8 +258,8 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     if tcfg.checkpoint_interval is not None and state.time > 0:
         ckpt_count = int(np.floor(state.time / tcfg.checkpoint_interval + 1e-12)) + 1
     # one derivative set per state: its sample and the step from it share it
-    derivs = stepper.state_derivatives(state)
-    abort = take_sample(state, derivs, 0) if state.time == 0.0 else ""
+    derivs, abort = (take_sample(state, 0) if state.time == 0.0
+                     else (stepper.state_derivatives(state), ""))
     while not abort and state.time < t_end - 1e-14:
         limit = stepper.cfl_limit(state)  # sizes dt and checks it, evaluated once
         dt = tcfg.dt if tcfg.dt is not None else stepper.suggest_dt(
@@ -267,13 +279,13 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             abort = f"step solve failed at t = {state.time:.6g}: {exc}"
             break
         result.steps_taken += 1
-        derivs = stepper.state_derivatives(state)
-
         if state.time >= sample_count * sample_dt - 1e-12:
-            abort = take_sample(state, derivs, sample_count)
+            derivs, abort = take_sample(state, sample_count)
             sample_count += 1
             if abort:
                 break
+        else:
+            derivs = stepper.state_derivatives(state)
         if (tcfg.checkpoint_interval is not None
                 and state.time >= ckpt_count * tcfg.checkpoint_interval - 1e-12):
             write_ckpt(state, f"checkpoint_{ckpt_count:06d}")

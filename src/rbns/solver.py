@@ -92,15 +92,12 @@ class FlowState:
 class StateDerivatives:
     """Derivatives of one FlowState, shared by its sample and the step from it.
 
-    grad_omega and grad_temp are grad_physical pairs; the wall u_tau is the
-    state's own.  omega_spectrum and temp_spectrum are the rfft(f, axis=0)
-    of the full fields that their d_x1 took; the Crank-Nicolson solves read
-    their interior rows as the old fields' coefficients.  The step consumes
-    the set: it drops each gradient once its explicit terms are formed and
-    each spectrum once its solve has read it, so no gradient is held
-    through the elliptic solves.  grad_u is a sample's, from
-    ``velocity_gradients``: recover_pressure drops it once its right-hand
-    side is formed, before the Neumann solve.
+    grad_omega and grad_temp are grad_physical pairs, omega_spectrum and
+    temp_spectrum the rfft(f, axis=0) that their d_x1 took; the Crank-Nicolson
+    solves read its interior rows as the old field's coefficients.  The step
+    consumes the set: each gradient dies at its last use in the explicit terms
+    and each spectrum once its solve's coordinates are formed.  grad_u is a
+    sample's (``velocity_gradients``), dropped before the Neumann solve.
     """
 
     grad_omega: tuple[np.ndarray, np.ndarray] | None
@@ -108,6 +105,12 @@ class StateDerivatives:
     omega_spectrum: np.ndarray | None = None
     temp_spectrum: np.ndarray | None = None
     grad_u: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def field_derivatives(f: np.ndarray, grid: MappedGrid) -> tuple[tuple, np.ndarray]:
+    """grad_physical(f) and the x1 spectrum rfft(f, axis=0) that its d_x1 takes."""
+    spectrum = np.fft.rfft(f, axis=0)
+    return grad_physical(f, grid, spectrum), spectrum
 
 
 def velocity_gradients(state: FlowState, grid: MappedGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,41 +208,45 @@ class BoussinesqStepper:
 
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
         """grad omega and grad T of a state and their x1 spectra, evaluated once."""
-        grid = self.grid
-        w_hat = np.fft.rfft(state.omega, axis=0)
-        t_hat = np.fft.rfft(state.temp, axis=0)
-        return StateDerivatives(
-            grad_omega=grad_physical(state.omega, grid, w_hat),
-            grad_temp=grad_physical(state.temp, grid, t_hat),
-            omega_spectrum=w_hat, temp_spectrum=t_hat,
-        )
+        grad_omega, w_hat = field_derivatives(state.omega, self.grid)
+        grad_temp, t_hat = field_derivatives(state.temp, self.grid)
+        return StateDerivatives(grad_omega, grad_temp, w_hat, t_hat)
 
-    def _advection(self, f: np.ndarray, grad_f: tuple[np.ndarray, np.ndarray],
+    def _advection(self, f: np.ndarray, grad_f: list | tuple,
                    u1: np.ndarray, u2: np.ndarray, u2c: np.ndarray,
-                   forcing: np.ndarray | None = None) -> np.ndarray:
+                   forcing: list | tuple = ()) -> np.ndarray:
         """Skew-symmetric centered advection -(u.grad f + div(u f))/2 plus forcing (grid values).
 
-        Interior-row x1 spectra (rows, nk); grad_f is grad_physical(f).  The
-        divergence is the contravariant flux d_x1(u1 f) + d_x2(u2c f) with
-        u2c = u2 - h' u1, equal to the chain-rule form because h' is constant
+        Interior-row x1 spectra (rows, nk); grad_f is grad_physical(f), forcing
+        none or one array of grid values, and a list of either is emptied as it
+        is read.  The divergence is the contravariant flux d_x1(u1 f) + d_x2(u2c f)
+        with u2c = u2 - h' u1, equal to the chain-rule form because h' is constant
         along each x2 column.  g = -(u.grad f + d_x2(u2c f))/2 + forcing and
         q = u1 f are transformed once each, and the result is g^ - ik q^/2.
         """
         grid = self.grid
         fy1, fz = grad_f
+        grad_f *= 0                 # empties a list in place (a tuple is only rebound)
         # full-grid products: contiguous, several times faster than on the interior rows
-        g, w, p = np.multiply(u1, fy1), np.empty(grid.shape), np.empty(grid.shape)
-        g += np.multiply(u2, fz, out=w)
+        g = np.multiply(u1, fy1)
+        del fy1
+        w = np.multiply(u2, fz)
+        del fz
+        g += w
         # the centered d_x2 of u2c f on the flattened C-ordered array: the
         # differences that straddle two x1 columns land on the unused wall rows
-        np.multiply(u2c, f, out=p)
-        np.subtract(p.ravel()[2:], p.ravel()[:-2], out=w.ravel()[1:-1])
+        p = np.multiply(u2c, f)
+        flat = p.ravel()
+        np.subtract(flat[2:], flat[:-2], out=w.ravel()[1:-1])
         w /= 2.0 * grid.dx2
         g += w
+        del w
         g *= -0.5
-        if forcing is not None:
-            g += forcing
+        if forcing:
+            g += forcing[0]
+            forcing *= 0
         n_hat = x1_transform(g[:, 1:-1], grid)
+        del g
         q_hat = x1_transform(np.multiply(u1, f, out=p)[:, 1:-1], grid)
         q_hat *= -0.5 * grid.ik_d1
         n_hat += q_hat
@@ -247,16 +254,15 @@ class BoussinesqStepper:
 
     def _explicit_terms(self, state: FlowState,
                         derivs: StateDerivatives) -> tuple[np.ndarray, np.ndarray]:
-        """Advection and buoyancy, interior-row x1 spectra; drops each gradient of derivs once used."""
+        """Advection and buoyancy, interior-row x1 spectra; derivs' gradients die at last use."""
         grid = self.grid
         pr, ra = self.params.pr, self.params.ra
         u1, u2 = state.u1, state.u2
         u2c = u2 if grid.is_flat else u2 - grid.hp[:, None] * u1
-        grad_t, derivs.grad_temp = derivs.grad_temp, None
+        grad_t, derivs.grad_temp = [*derivs.grad_temp], None
+        buoyancy = [(pr * ra) * grad_t[0]] if ra > 0.0 else []
         n_t = self._advection(state.temp, grad_t, u1, u2, u2c)
-        buoyancy = (pr * ra) * grad_t[0] if ra > 0.0 else None
-        del grad_t
-        grad_w, derivs.grad_omega = derivs.grad_omega, None
+        grad_w, derivs.grad_omega = [*derivs.grad_omega], None
         n_w = self._advection(state.omega, grad_w, u1, u2, u2c, buoyancy)
         return n_w, n_t
 
@@ -278,26 +284,28 @@ class BoussinesqStepper:
         pr = self.params.pr
 
         n_w, n_t = self._explicit_terms(state, derivs)
-        # dt times the explicit terms, AB2 (forward Euler on the first step)
-        if state.prev_expl_omega is None or state.prev_dt is None:
-            rhs_w, rhs_t = n_w * dt, n_t * dt
-        else:
-            r = dt / state.prev_dt
-            rhs_w, rhs_t = n_w * (1.0 + 0.5 * r), n_t * (1.0 + 0.5 * r)
-            rhs_w += state.prev_expl_omega * (-0.5 * r)
+        # dt times the explicit terms, AB2 (forward Euler on the first step); the
+        # vorticity's waits until the temperature solve is done, so that it does not hold it
+        ab2 = state.prev_expl_omega is not None and state.prev_dt is not None
+        r = dt / state.prev_dt if ab2 else 0.0
+        rhs_t = n_t * (1.0 + 0.5 * r) if ab2 else n_t * dt
+        if ab2:
             rhs_t += state.prev_expl_temp * (-0.5 * r)
-            rhs_w *= dt
             rhs_t *= dt
 
         # Crank-Nicolson: (I - c L) f_new = f + c L f + dt expl, assembled by the
         # solver from the interior x1 spectra of f (the state's) and dt expl
         helm_t = HelmholtzDirichlet(grid, 0.5 * dt)
-        t_hat, derivs.temp_spectrum = derivs.temp_spectrum[:, 1:-1].T, None
-        temp_new = helm_t.solve(None, self.t_bottom, self.t_top,
-                                rhs_coords=helm_t.coordinates(rhs_t),
-                                old=helm_t.coordinates(t_hat), walls=self._temp_walls)[0]
-        del t_hat, rhs_t, helm_t
+        old, derivs.temp_spectrum = helm_t.coordinates(derivs.temp_spectrum[:, 1:-1].T), None
+        rhs, rhs_t = helm_t.coordinates(rhs_t), None
+        temp_new = helm_t.solve(None, self.t_bottom, self.t_top, rhs_coords=rhs, old=old,
+                                walls=self._temp_walls)[0]
+        del rhs, old, helm_t
 
+        rhs_w = n_w * (1.0 + 0.5 * r) if ab2 else n_w * dt
+        if ab2:
+            rhs_w += state.prev_expl_omega * (-0.5 * r)
+            rhs_w *= dt
         u_tau = state.u_tau
         psi_top = state.psi_top  # exact fixed point of the trace recomputation
         omega_new = psi_new = u1 = u2 = None
@@ -307,16 +315,18 @@ class BoussinesqStepper:
         for sweep in range(self.coupling_sweeps + 1):
             last = sweep == self.coupling_sweeps
             w_new = self._slip * u_tau                  # boundary_vorticity on both walls
+            old = helm_w.coordinates(w_old)
             # the solve overwrites its right-hand side; a further sweep needs it again
-            rhs = rhs_w if last else rhs_w.copy()
-            omega_new, info = helm_w.solve(None, w_new[0], w_new[1],
-                                           rhs_coords=helm_w.coordinates(rhs),
-                                           old=helm_w.coordinates(w_old),
-                                           walls=wall_spectra(w_new + old_walls, grid))
+            rhs = helm_w.coordinates(rhs_w if last else rhs_w.copy())
             # spent after the last sweep; a sweep that converges early holds
             # them through its psi solve, since only that solve's u_tau shows it
             if last:
-                del rhs, rhs_w, w_old
+                del rhs_w, w_old
+            omega_new, info = helm_w.solve(None, w_new[0], w_new[1], rhs_coords=rhs, old=old,
+                                           walls=wall_spectra(w_new + old_walls, grid))
+            del rhs, old
+            if last:
+                del helm_w
             # the psi right-hand side's coordinates are minus omega_new's
             w_hat, info = info.coords, None
             psi_new = self.poisson.solve(
@@ -346,28 +356,28 @@ class BoussinesqStepper:
         Walls: n.grad p = -(kappa/Pr) u_tau^2 + 2 d/dlambda((alpha+kappa) u_tau),
         plus n2 Ra on the bottom wall where T = 1.
 
-        derivs is state_derivatives(state) with the sample's grad_u set
-        (``velocity_gradients``); they are dropped once the right-hand side
-        is formed, so the solve does not hold them.  Both walls' flux derivatives take one
-        transform pair.  Each solve starts cold, so a resumed run recovers
-        the same pressures.
+        derivs holds the state's grad_temp and the sample's grad_u
+        (``velocity_gradients``); grad_u is dropped once the bulk term is formed.  Both
+        walls' flux derivatives take one transform pair.  Each solve starts
+        cold, so a resumed run recovers the same pressures.
         """
-        grid = self.grid
+        # both walls' (bottom, top) lines at once
+        fluxes = wall_tangential_derivatives(self._ak * state.u_tau, self.grid)
+        fluxes *= 2.0
+        fluxes -= self._kappa_pr * state.u_tau**2
+        fluxes[0] += self._ra_n2
+        # the solve weights the bulk term in place; unnamed here, it is freed once transformed
+        return self.neumann.solve(self._pressure_bulk(derivs), fluxes[0], fluxes[1])
+
+    def _pressure_bulk(self, derivs: StateDerivatives) -> np.ndarray:
+        """-2 (u2z^2 + u2y1 u1z) / Pr + Ra dT/dy2 (u1y1 = -u2z), F-ordered; drops grad_u."""
         pr, ra = self.params.pr, self.params.ra
         u1z, u2y1, u2z = derivs.grad_u
         derivs.grad_u = None
-        # -2 (u2z^2 + u2y1 u1z) / Pr + Ra dT/dy2 (u1y1 = -u2z), in two arrays
-        rhs, work = np.multiply(u2z, u2z), np.multiply(u2y1, u1z)
+        rhs, work = np.multiply(u2z, u2z, order="F"), np.multiply(u2y1, u1z, order="F")
         rhs += work
         del u1z, u2y1, u2z
         rhs *= -2.0 / pr
         if ra > 0.0:
             rhs += np.multiply(ra, derivs.grad_temp[1], out=work)
-        del work
-
-        # both walls' (bottom, top) lines at once
-        fluxes = wall_tangential_derivatives(self._ak * state.u_tau, grid)
-        fluxes *= 2.0
-        fluxes -= self._kappa_pr * state.u_tau**2
-        fluxes[0] += self._ra_n2
-        return self.neumann.solve(rhs, *fluxes)
+        return rhs

@@ -178,10 +178,16 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "n2" in capsys.readouterr().err
 
 
-def test_nan_abort_exit_code(tmp_path, capsys):
-    # disable the CFL guard and force unstable steps so the run blows up
+def test_nan_abort_exit_code(tmp_path, capsys, monkeypatch):
+    # disable the CFL guard and force unstable steps so the run blows up (at
+    # cfl_safety = 1e30 the step at t = 0.12 is still rejected first); its
+    # samples leave [0, 1] first, so the excursion guard is off to reach the
+    # non-finite abort
+    import rbns.runner
+
+    monkeypatch.setattr(rbns.runner, "TEMP_EXCURSION_TOL", np.inf)
     cfg = TINY.replace("[initial]",
-                       "dt = 0.02\ncfl_safety = 1e30\nbuoyancy_safety = 1e30\n\n[initial]")
+                       "dt = 0.02\ncfl_safety = 1e100\nbuoyancy_safety = 1e30\n\n[initial]")
     cfg = cfg.replace("ra = 2000", "ra = 1e8")
     cfg = cfg.replace("t_end = 0.05", "t_end = 5.0")
     path = tmp_path / "blow.cfg"
@@ -189,9 +195,51 @@ def test_nan_abort_exit_code(tmp_path, capsys):
     out = str(tmp_path / "blow_run")
     rc = main(["simulate", "--config", str(path), "--output", out])
     assert rc == 1
-    assert "error in solver" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error in solver" in err and "non-finite fields" in err
     # the diagnostics sampled before the abort are still flushed
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+
+
+ONSET = """
+[physical]
+ra = 1e5
+pr = 1.0
+
+[grid]
+n1 = 32
+n2 = 33
+
+[time]
+t_end = 0.06
+sample_interval = 1e-4
+cfl_safety = {cfl}
+
+[output]
+pressure_every = 0
+"""
+
+
+@pytest.mark.parametrize("cfl", [0.4, 0.2])
+def test_unstable_step_aborts_at_onset(tmp_path, capsys, cfl):
+    # flat walls, Ra 1e5, Pr 1: at the default cfl_safety the sampled
+    # temperature leaves [0, 1] by 5.9e-3 at t = 0.0542, long before a field
+    # goes non-finite; half that safety factor keeps it inside
+    from rbns.runner import read_summary
+
+    path = tmp_path / "onset.cfg"
+    path.write_text(ONSET.format(cfl=cfl))
+    out = str(tmp_path / "onset_run")
+    rc = main(["simulate", "--config", str(path), "--output", out])
+    err = capsys.readouterr().err
+    summary = read_summary(os.path.join(out, "run_summary.txt"))
+    assert os.path.exists(os.path.join(out, "diagnostics.csv"))
+    if cfl == 0.2:
+        assert rc == 0 and summary["aborted"] == 0 and err == ""
+        return
+    assert rc == 1 and summary["aborted"] == 1
+    assert ("temperature outside [0, 1] by 0.00588 at t = 0.0542106: the step is unstable "
+            "(cfl_safety = 0.4, buoyancy_safety = 0.35)") in err
 
 
 @pytest.mark.parametrize("after_setup, stage", [

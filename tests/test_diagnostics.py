@@ -497,3 +497,23 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
     if pressure and modes:
         # every enstrophy ingredient is nonzero on the rough state, so a wrong sign shows
         assert all(ref[name] != 0.0 for name in ENSTROPHY_COLUMNS)
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
+def test_friction_terms_close_through_kappa(modes):
+    # boundary_friction, kappa_friction and ak_friction integrate (2 alpha +
+    # kappa), kappa and alpha + kappa times u_tau^2 ds, so the first two sum
+    # to twice the third; on the rough walls kappa_friction differs from the
+    # alpha part, so each weight shows.  Flat walls have no curvature.
+    stepper, state = _stepped_state(modes, 5)
+    grid = stepper.grid
+    grad_u_sq = velocity_gradient_integrals(velocity_gradients(state, grid), grid)
+    row = measure(state, grid, stepper.walls, 10.0, 1e4, stepper.state_derivatives(state),
+                  grad_u_sq)
+    friction, kappa, ak = row["boundary_friction"], row["kappa_friction"], row["ak_friction"]
+    assert ak > 0.0
+    assert abs(friction + kappa - 2.0 * ak) <= 1e-12 * ak
+    if modes:
+        assert abs(kappa - (friction - ak)) >= 0.1 * ak
+    else:
+        assert kappa == 0.0

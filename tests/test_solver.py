@@ -12,7 +12,7 @@ from rbns.grid import (
     volume_integral,
     x1_inverse,
 )
-from rbns.runner import build_stepper, initial_temperature, run_simulation
+from rbns.runner import TEMP_EXCURSION_TOL, build_stepper, initial_temperature, run_simulation
 from rbns.solver import (
     BoussinesqStepper,
     CflViolation,
@@ -197,8 +197,8 @@ def test_maximum_principle_short_convection():
     res = run_simulation(cfg)
     t_min = res.recorder.column("temp_min").min()
     t_max = res.recorder.column("temp_max").max()
-    assert t_min >= -1e-3
-    assert t_max <= 1.0 + 1e-3
+    assert t_min >= -TEMP_EXCURSION_TOL
+    assert t_max <= 1.0 + TEMP_EXCURSION_TOL
 
 
 def test_omega_trace_matches_lagged_coupling():
