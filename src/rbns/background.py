@@ -77,8 +77,3 @@ class BackgroundField:
     def theta(self, temp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The fluctuation theta = T - eta (into out, if given)."""
         return np.subtract(temp, self.eta_profile, out=out)
-
-
-def build_background(delta: float, grid: MappedGrid) -> BackgroundField:
-    """Background profile with strips of width delta (rejects delta > 1/2)."""
-    return BackgroundField(delta=delta, grid=grid)

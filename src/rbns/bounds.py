@@ -58,18 +58,22 @@ from rbns.diagnostics import ENSTROPHY_COLUMNS
 from rbns.geometry import BoundaryNorms, ConditionReport
 from rbns.solver import PhysicalParams
 
-CASES = ("interp_kappa_leq_alpha", "interp_general", "three_sevenths")
+# each background-field case and the ``geometry.CONDITIONS`` entry its hypotheses need
+CASE_CONDITION = {
+    "interp_kappa_leq_alpha": "theorem2_kappa_leq_alpha",
+    "interp_general": "theorem2_general",
+    "three_sevenths": "theorem2_general",
+}
+CASES = tuple(CASE_CONDITION)
 
 
 @dataclass(frozen=True)
 class BoundParams:
-    case: str
     a: float
     b: float
     big_m: float
     a0: float
     delta: float
-    user_constant_c: float
     used_proof_delta: bool = True
 
 
@@ -78,6 +82,9 @@ def choose_proof_parameters(case: str, physical: PhysicalParams, norms: Boundary
                             delta_override: float | None = None) -> BoundParams:
     """The b, a0, a, delta, M recipe of the background-field argument.
 
+    With b = 1 / (2 (1 + max h - min h)) and S = N0^2 + ||alpha'||^2 + ||kappa'||^2 + 1,
+    a0 is b / (8 C S), sqrt(alpha_min) b / (8 C S) and
+    alpha_min b / (8 C (S + alpha_min^(-2))) in the three cases.
     Parameters are computed even when the case hypotheses fail (the caller
     flags applicability separately).  alpha_min = 0 degrades gracefully:
     the affected cases get a = 0 and an empty strip.
@@ -104,11 +111,10 @@ def choose_proof_parameters(case: str, physical: PhysicalParams, norms: Boundary
         a = a0 * ra ** (-11.0 / 7.0)
         delta = (a0 * b / (4.0 * c)) ** (1.0 / 6.0) * ra ** (-3.0 / 7.0)
     big_m = c * a * norms.alpha_plus_kappa_w1inf**2
-    used_proof = delta_override is None
     if delta_override is not None:
         delta = delta_override
-    return BoundParams(case=case, a=a, b=b, big_m=big_m, a0=a0, delta=delta,
-                       user_constant_c=c, used_proof_delta=used_proof)
+    return BoundParams(a=a, b=b, big_m=big_m, a0=a0, delta=delta,
+                       used_proof_delta=delta_override is None)
 
 
 @dataclass
@@ -116,13 +122,11 @@ class TheoremEvaluation:
     name: str
     bound_value: float
     flags: dict[str, bool]
-    applicable: bool
     params: BoundParams | None = None
 
-    @classmethod
-    def build(cls, name, bound_value, flags, params=None):
-        return cls(name=name, bound_value=float(bound_value), flags=dict(flags),
-                   applicable=all(flags.values()), params=params)
+    @property
+    def applicable(self) -> bool:
+        return all(self.flags.values())
 
 
 def evaluate_theorem1(physical: PhysicalParams, norms: BoundaryNorms,
@@ -134,25 +138,7 @@ def evaluate_theorem1(physical: PhysicalParams, norms: BoundaryNorms,
         "ra_ok": physical.ra >= 1.0,
         "alpha_positive": norms.alpha_min > 0.0,
     }
-    return TheoremEvaluation.build("theorem1", bound, flags)
-
-
-def _regime_flags(case: str, physical: PhysicalParams, norms: BoundaryNorms,
-                  condition: ConditionReport, user_cbar: float) -> dict[str, bool]:
-    ra, pr, am = physical.ra, physical.pr, norms.alpha_min
-    flags = {
-        "condition_ok": condition.passed,
-        "smallness_ok": norms.alpha_plus_kappa_inf <= user_cbar,
-    }
-    if case == "three_sevenths":
-        flags["pr_ok"] = pr >= ra ** (5.0 / 7.0)
-    else:
-        flags["pr_ok"] = am > 0.0 and pr >= am ** (-1.5) * ra**0.75
-        if case == "interp_kappa_leq_alpha":
-            flags["ra_ok"] = ra ** (-0.5) <= am
-        else:
-            flags["ra_ok"] = ra ** (-1.0) <= am
-    return flags
+    return TheoremEvaluation("theorem1", bound, flags)
 
 
 def evaluate_theorem2(case: str, physical: PhysicalParams, norms: BoundaryNorms,
@@ -162,25 +148,29 @@ def evaluate_theorem2(case: str, physical: PhysicalParams, norms: BoundaryNorms,
     """One of the three background-field bounds plus all its regime flags."""
     if case not in CASES:
         raise ValueError(f"unknown case {case!r} (known: {', '.join(CASES)})")
-    ra, am, c = physical.ra, norms.alpha_min, user_constant_c
+    ra, pr, am, c = physical.ra, physical.pr, norms.alpha_min, user_constant_c
     akw = norms.alpha_plus_kappa_w1inf
-    c_half = c / (1.0 + u0_norm**2)
-    c_5_12 = c * (u0_norm + norms.alpha_dot_inf + norms.kappa_dot_inf + 1.0) ** (1.0 / 3.0)
-    if case == "interp_kappa_leq_alpha":
-        bound = c_half * akw**2 * ra**0.5 + c_5_12 * ra ** (5.0 / 12.0)
-    elif case == "interp_general":
-        bound = (c_half * math.sqrt(am) * akw**2 * ra**0.5
-                 + (c_5_12 * am ** (-1.0 / 12.0) if am > 0 else math.inf) * ra ** (5.0 / 12.0))
-    else:
-        if am > 0:
-            c_3_7 = c * (akw**2 + am**-0.5
-                         + am ** (-1.0 / 6.0)
-                         * (u0_norm + norms.alpha_dot_inf + norms.kappa_dot_inf + 1.0) ** (1.0 / 3.0))
-        else:
-            c_3_7 = math.inf
+    # (N0 + ||alpha'||_inf + ||kappa'||_inf + 1)^(1/3), in C_5/12 and C_3/7
+    smooth = (u0_norm + norms.alpha_dot_inf + norms.kappa_dot_inf + 1.0) ** (1.0 / 3.0)
+    flags = {
+        "condition_ok": condition.passed,
+        "smallness_ok": norms.alpha_plus_kappa_inf <= user_cbar,
+    }
+    if case == "three_sevenths":
+        c_3_7 = c * (akw**2 + am**-0.5 + am ** (-1.0 / 6.0) * smooth) if am > 0 else math.inf
         bound = c_3_7 * ra ** (3.0 / 7.0)
-    flags = _regime_flags(case, physical, norms, condition, user_cbar)
-    return TheoremEvaluation.build(case, bound, flags, params)
+        flags["pr_ok"] = pr >= ra ** (5.0 / 7.0)
+    else:
+        c_half, c_5_12 = c / (1.0 + u0_norm**2), c * smooth
+        flags["pr_ok"] = am > 0.0 and pr >= am ** (-1.5) * ra**0.75
+        if case == "interp_kappa_leq_alpha":
+            bound = c_half * akw**2 * ra**0.5 + c_5_12 * ra ** (5.0 / 12.0)
+            flags["ra_ok"] = ra ** (-0.5) <= am
+        else:
+            bound = (c_half * math.sqrt(am) * akw**2 * ra**0.5
+                     + (c_5_12 * am ** (-1.0 / 12.0) if am > 0 else math.inf) * ra ** (5.0 / 12.0))
+            flags["ra_ok"] = ra ** (-1.0) <= am
+    return TheoremEvaluation(case, bound, flags, params)
 
 
 # ---------------------------------------------------------------------------

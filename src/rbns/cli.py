@@ -28,7 +28,7 @@ import rbns
 from rbns import bounds as bounds_mod
 from rbns import reporting, scaling, verify
 from rbns.config import _SCHEMA, ConfigError, RunConfig, _convert, parse_config, serialize_config
-from rbns.geometry import BoundaryNorms
+from rbns.geometry import CONDITION_SAMPLES, BoundaryNorms
 from rbns.runner import run_simulation
 from rbns.solver import PhysicalParams
 
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry-report", help="condition checks for a geometry")
     p.add_argument("--config", required=True)
-    p.add_argument("--samples", type=int, default=1024)
+    p.add_argument("--samples", type=int, default=CONDITION_SAMPLES)
     p.set_defaults(func=cmd_geometry_report)
     return parser
 

@@ -26,7 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from rbns.bounds import CASES
-from rbns.geometry import FourierSeries, Side, curvature
+from rbns.geometry import DENSE_SAMPLES, FourierSeries, Side, curvature
 
 
 class ConfigError(ValueError):
@@ -288,7 +288,7 @@ def validate_config(cfg: RunConfig) -> None:
     # confirm the wall shapes construct (raises on bad series)
     profile = cfg.geometry.profile()
     # the friction coefficients, sampled as by extrema_range
-    y = np.linspace(0.0, profile.gamma, 8192, endpoint=False)
+    y = np.linspace(0.0, profile.gamma, DENSE_SAMPLES, endpoint=False)
     alphas = [a.evaluate(y) for a in cfg.boundary.series(cfg.geometry.gamma)]
     for side, a in zip(Side, alphas):
         low = float(np.min(a))

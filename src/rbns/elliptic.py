@@ -100,6 +100,10 @@ class SolveInfo:
     coords: np.ndarray | None = field(default=None, repr=False)
 
 
+# relative residual at which the rough-grid PCG stops
+SOLVER_TOL = 1e-10
+
+
 def default_maxiter(grid: MappedGrid) -> int:
     return int(10 * grid.n2 * np.sqrt(grid.n1))
 
@@ -192,12 +196,9 @@ class HelmholtzDirichlet:
     coordinates, with the reciprocals as its diagonal preconditioner.
     """
 
-    def __init__(self, grid: MappedGrid, c: float | None, tol: float = 1e-10,
-                 maxiter: int | None = None):
+    def __init__(self, grid: MappedGrid, c: float | None):
         self.grid = grid
         self.c = c
-        self.tol = tol
-        self.maxiter = maxiter if maxiter is not None else default_maxiter(grid)
         self._sigma = 0.0 if c is None else 1.0
         self._ceff = 1.0 if c is None else c
         self._basis = _parity_basis(_sine_basis, grid.n2)
@@ -205,6 +206,7 @@ class HelmholtzDirichlet:
             self._inv_divisor = sine_divisor(grid, self._sigma, self._ceff)
             np.reciprocal(self._inv_divisor, out=self._inv_divisor)
         else:
+            self.maxiter = default_maxiter(grid)
             self._operator = SineOperator(grid, self._sigma, self._ceff)
             self._inv_divisor = np.reciprocal(self._operator.divisor)
 
@@ -278,7 +280,7 @@ class HelmholtzDirichlet:
             b[mid:] += np.multiply.outer(basis.minus[0], g[0] - g[1])
             # z = M r goes to the A p buffer: each is spent before the other is formed
             u, info = _pcg(lambda p: op.apply(p, ap),
-                           lambda r: np.multiply(r, self._inv_divisor, out=ap), b, x, self.tol,
+                           lambda r: np.multiply(r, self._inv_divisor, out=ap), b, x, SOLVER_TOL,
                            self.maxiter, "helmholtz" if self._sigma else "poisson", ax0=ax)
             del ax, ap
             info.coords = u
@@ -326,12 +328,11 @@ class PoissonNeumann:
     with zero volume mean.
     """
 
-    def __init__(self, grid: MappedGrid, tol: float = 1e-10, maxiter: int | None = None):
+    def __init__(self, grid: MappedGrid):
         self.grid = grid
-        self.tol = tol
-        self.maxiter = maxiter if maxiter is not None else default_maxiter(grid)
         self._basis = _parity_basis(_cosine_basis, grid.n2)
         if not grid.is_flat:
+            self.maxiter = default_maxiter(grid)
             self._operator = CosineOperator(grid)
         with np.errstate(divide="ignore"):
             self._inv_divisor = np.reciprocal(cosine_divisor(grid) if grid.is_flat
@@ -373,7 +374,7 @@ class PoissonNeumann:
 
             y, info = _pcg(lambda q: op.apply(q, ap),
                            lambda r: np.multiply(r, self._inv_divisor, out=ap), b, None,
-                           self.tol, self.maxiter, "neumann", norm=node_norm)
+                           SOLVER_TOL, self.maxiter, "neumann", norm=node_norm)
             info.compat_defect = rel_defect
             p = from_basis(basis, y, grid, y)
             if grid.n1 % 2 == 0:

@@ -41,6 +41,10 @@ class Side(Enum):
     TOP = "top"
 
 
+# Samples per period at which a series' extrema are taken
+DENSE_SAMPLES = 8192
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Real periodic series  offset + sum_k [c_k cos(2 pi k y/gamma) + s_k sin(2 pi k y/gamma)].
@@ -82,9 +86,9 @@ class FourierSeries:
             out = out + ck * np.cos(w * y) + sk * np.sin(w * y)
         return out if out.ndim else float(out)
 
-    def extrema_range(self, n_dense: int = 8192) -> tuple[float, float]:
+    def extrema_range(self) -> tuple[float, float]:
         """(min, max) over one period, by dense sampling of the band-limited series."""
-        y = np.linspace(0.0, self.gamma, n_dense, endpoint=False)
+        y = np.linspace(0.0, self.gamma, DENSE_SAMPLES, endpoint=False)
         v = self.evaluate(y)
         return float(np.min(v)), float(np.max(v))
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import math
 import os
 
-from rbns.background import build_background
+from rbns.background import BackgroundField
 from rbns.bounds import (
     BOUNDS_CSV_HEADER,
+    CASE_CONDITION,
     CASES,
     BoundReport,
     QFormResult,
-    TheoremEvaluation,
     choose_proof_parameters,
     evaluate_theorem1,
     evaluate_theorem2,
@@ -31,12 +31,6 @@ from rbns.geometry import (
 from rbns.grid import MappedGrid
 from rbns.runner import read_summary
 from rbns.solver import PhysicalParams
-
-_CASE_CONDITION = {
-    "interp_kappa_leq_alpha": "theorem2_kappa_leq_alpha",
-    "interp_general": "theorem2_general",
-    "three_sevenths": "theorem2_general",
-}
 
 
 def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES):
@@ -77,7 +71,7 @@ def assemble_report(physical: PhysicalParams, norms: BoundaryNorms,
         params = choose_proof_parameters(case, physical, norms, user_c, u0_norm,
                                          delta_override)
         evaluations.append(evaluate_theorem2(case, physical, norms,
-                                             conditions[_CASE_CONDITION[case]],
+                                             conditions[CASE_CONDITION[case]],
                                              user_c, user_cbar, u0_norm, params))
     return BoundReport(ra=physical.ra, pr=physical.pr, measured_nu=measured_nu,
                        user_c=user_c, user_cbar=user_cbar, norms=norms,
@@ -95,7 +89,7 @@ def report_for_run(config: RunConfig, averages: dict,
     notes = list(notes or [])
     if b.background_delta is not None:
         grid = MappedGrid(config.geometry.profile(), config.grid.n1, config.grid.n2)
-        bg = build_background(b.background_delta, grid)
+        bg = BackgroundField(b.background_delta, grid)
         params = choose_proof_parameters(b.cases[0] if b.cases else CASES[0],
                                          physical, norms, b.user_c, b.u0_norm,
                                          b.background_delta)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 import rbns
-from rbns.background import build_background
+from rbns.background import BackgroundField
 from rbns.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from rbns.config import RunConfig, serialize_config, validate_config
 from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
@@ -47,8 +47,6 @@ class RunResult:
     final_state: FlowState | None = None    # set when the run ends
     aborted: bool = False
     abort_reason: str = ""
-    output_dir: str | None = None
-    csv_path: str | None = None
     checkpoints: list[str] = field(default_factory=list)
     averages: dict = field(default_factory=dict)
     steps_taken: int = 0
@@ -175,7 +173,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     burn_in = tcfg.effective_burn_in()
     background = None
     if config.bounds.background_delta is not None:
-        background = build_background(config.bounds.background_delta, grid)
+        background = BackgroundField(config.bounds.background_delta, grid)
     recorder = Recorder(burn_in=burn_in, pr=config.physical.pr, area=grid.area,
                         height_range=norms.height_range, ra=config.physical.ra,
                         is_flat=grid.is_flat,
@@ -208,7 +206,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             fh.write(provenance_text(config, grid))
 
     # holds no state until the end, so each state is freed once the run moves on
-    result = RunResult(recorder=recorder, output_dir=out)
+    result = RunResult(recorder=recorder)
 
     def take_sample(st: FlowState, index: int) -> tuple[StateDerivatives | None, str]:
         """Record one sample; returns the state's derivative set and why the run must stop, or "".
@@ -299,9 +297,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     recorder.finalize()
     result.averages = recorder.averages()
     if out is not None:
-        csv_path = os.path.join(out, "diagnostics.csv")
-        recorder.write_csv(csv_path, precision=config.output.precision)
-        result.csv_path = csv_path
+        recorder.write_csv(os.path.join(out, "diagnostics.csv"), precision=config.output.precision)
         _write_summary(os.path.join(out, "run_summary.txt"), config, result, norms)
     return result
 

@@ -32,11 +32,10 @@ class DimensionalSetup:
     thermal_diffusivity: float
     expansion_coeff: float
     gravity: float
-    density_ref: float = 1.0
 
     def __post_init__(self):
         for name in ("height_gap", "temp_gap", "viscosity", "thermal_diffusivity",
-                     "expansion_coeff", "gravity", "density_ref"):
+                     "expansion_coeff", "gravity"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
 

@@ -132,10 +132,9 @@ def boundary_vorticity(u_tau: np.ndarray, walls: Walls) -> np.ndarray:
 class BoussinesqStepper:
     """Owns the elliptic solvers and advances FlowState in time."""
 
-    def __init__(self, grid: MappedGrid, params: PhysicalParams,
-                 walls: Walls, *,
-                 coupling_sweeps: int = 0, coupling_tol: float = 1e-8,
-                 cfl_safety: float = 0.4, buoyancy_safety: float = 0.35):
+    def __init__(self, grid: MappedGrid, params: PhysicalParams, walls: Walls, *,
+                 coupling_sweeps: int, coupling_tol: float,
+                 cfl_safety: float, buoyancy_safety: float):
         if walls.n_samples != grid.n1:
             raise ValueError("boundary data must be sampled on the grid columns")
         self.grid = grid

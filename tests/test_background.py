@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from rbns.background import build_background
+from rbns.background import BackgroundField
 from rbns.geometry import boundary_frames
 from rbns.grid import MappedGrid
 
 
 def test_eta_profile_values(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
-    bg = build_background(0.1, grid)
+    bg = BackgroundField(0.1, grid)
     eta = bg.eta_profile
     x2 = grid.x2
     # wall traces and bulk plateau
@@ -23,12 +23,12 @@ def test_eta_profile_values(flat_profile):
 
 def test_grad_eta_sq_flat(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
-    assert build_background(0.1, grid).grad_eta_sq_avg == pytest.approx(5.0, rel=1e-14)
+    assert BackgroundField(0.1, grid).grad_eta_sq_avg == pytest.approx(5.0, rel=1e-14)
 
 
 def test_grad_eta_sq_rough_strip_formula(sine_profile):
     grid = MappedGrid(sine_profile, 64, 41)
-    bg = build_background(0.1, grid)
+    bg = BackgroundField(0.1, grid)
     expected = float(np.mean(1.0 + grid.hp**2)) / 0.2
     assert bg.grad_eta_sq_avg == pytest.approx(expected, rel=1e-13)
 
@@ -38,7 +38,7 @@ def test_strip_formula_matches_grid_quadrature(flat_profile):
     errs = []
     for n2 in (41, 81, 161):
         grid = MappedGrid(flat_profile, 8, n2)
-        bg = build_background(0.1, grid)
+        bg = BackgroundField(0.1, grid)
         prof = bg.eta_profile
         slopes = (prof[1:] - prof[:-1]) / grid.dx2
         quad = float(np.sum(slopes**2) * grid.dx2)  # exact for node-aligned kinks
@@ -48,7 +48,7 @@ def test_strip_formula_matches_grid_quadrature(flat_profile):
 
 def test_theta_vanishes_on_walls(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
-    bg = build_background(0.25, grid)
+    bg = BackgroundField(0.25, grid)
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
     th = bg.theta(temp)
     assert np.abs(th[:, 0]).max() <= 1e-15
@@ -64,7 +64,7 @@ def test_theta_ingredients_conduction(flat_profile, alpha_one):
     grid = MappedGrid(flat_profile, 8, 161)
     walls = boundary_frames(flat_profile, 8, alpha_one)
     delta = 0.125
-    bg = build_background(delta, grid)
+    bg = BackgroundField(delta, grid)
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
     row = measure_fields(grid, walls, temp, background=bg)
     gts, coupling = row["grad_theta_sq"], row["theta_u_grad_eta"]
@@ -79,8 +79,8 @@ def test_theta_ingredients_conduction(flat_profile, alpha_one):
 def test_delta_validation(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
     with pytest.raises(ValueError):
-        build_background(0.7, grid)
+        BackgroundField(0.7, grid)
     with pytest.raises(ValueError):
-        build_background(0.0, grid)
+        BackgroundField(0.0, grid)
     with pytest.warns(UserWarning, match="fewer than 4 cells"):
-        build_background(0.05, MappedGrid(flat_profile, 8, 17))
+        BackgroundField(0.05, MappedGrid(flat_profile, 8, 17))

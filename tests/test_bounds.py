@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rbns.background import build_background
+from rbns.background import BackgroundField
 from rbns.bounds import (
     BOUNDS_CSV_HEADER,
     Q_INGREDIENTS,
@@ -163,6 +163,30 @@ def test_theorem2_case2_alpha_factors():
     assert ev.bound_value == pytest.approx(expected, rel=1e-12)
 
 
+def test_theorem2_alpha_min_quarter():
+    # alpha_min = 1/4, N0 = 0.5, ||alpha'|| = 0.3, ||kappa'|| = 0.2 (they sum
+    # with 1 to 2), ||alpha+kappa||_W1inf = 1.5, C = 2, max h - min h = 0.2;
+    # expected values from the formulas of the bounds module's docs
+    norms = norms_with(alpha_min=0.25, alpha_plus_kappa_w1inf=1.5, alpha_dot_inf=0.3,
+                       kappa_dot_inf=0.2, height_range=0.2)
+    physical = PhysicalParams(1e7, 1e6)
+    # three_sevenths: a0 = alpha_min b / (8 C (N0^2 + alpha_min^-2 + 0.3^2 + 0.2^2 + 1))
+    # with b = 1/(2 * 1.2) = 5/12
+    p = choose_proof_parameters("three_sevenths", physical, norms, 2.0, 0.5)
+    assert p.a0 == pytest.approx(0.25 * (5.0 / 12.0) / (16.0 * 17.38), rel=1e-12)
+    # C_3/7 = C (1.5^2 + 4^(1/2) + 4^(1/6) 2^(1/3)) = 2 (4.25 + 2^(2/3))
+    ev = evaluate_theorem2("three_sevenths", physical, norms, passing_condition(), 2.0,
+                           u0_norm=0.5)
+    assert ev.bound_value == pytest.approx(2.0 * (4.25 + 2.0 ** (2.0 / 3.0)) * 1e7 ** (3.0 / 7.0),
+                                           rel=1e-12)
+    # interp_general needs Ra^(-1) <= alpha_min, Ra >= 4; the flags keep their order
+    for ra, ok in ((4.04, True), (3.96, False)):
+        ev = evaluate_theorem2("interp_general", PhysicalParams(ra, 1e6), norms,
+                               passing_condition())
+        assert ev.flags["ra_ok"] == ok
+        assert list(ev.flags) == ["condition_ok", "smallness_ok", "pr_ok", "ra_ok"]
+
+
 def test_theorem2_smallness_flag():
     norms = norms_with(alpha_plus_kappa_inf=1.5)
     ev = evaluate_theorem2("interp_kappa_leq_alpha", PhysicalParams(1e6, 1e6), norms,
@@ -214,9 +238,8 @@ def zero_averages():
 
 def test_q_form_zero_averages(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
-    bg = build_background(0.1, grid)
-    params = BoundParams(case="interp_kappa_leq_alpha", a=1.0, b=0.0, big_m=0.0,
-                         a0=1.0, delta=0.1, user_constant_c=1.0)
+    bg = BackgroundField(0.1, grid)
+    params = BoundParams(a=1.0, b=0.0, big_m=0.0, a0=1.0, delta=0.1)
     res = q_form(zero_averages(), bg, params, PhysicalParams(10.0, 1.0),
                  norms_with(), nu_measured=0.0)
     assert res.q == pytest.approx(bg.grad_eta_sq_avg, rel=1e-14)
@@ -227,13 +250,12 @@ def test_q_form_conduction_closed_form(flat_profile):
     # reconstruction identity returns Nu = 1 exactly
     grid = MappedGrid(flat_profile, 8, 161)
     delta = 0.125
-    bg = build_background(delta, grid)
+    bg = BackgroundField(delta, grid)
     gts_exact = 2 * delta * (1 / (2 * delta) - 1.0) ** 2 + (1 - 2 * delta)
     av = zero_averages()
     av["grad_theta_sq"] = gts_exact
     ra = 100.0
-    params = BoundParams(case="interp_kappa_leq_alpha", a=1e-3, b=0.5, big_m=2e-3,
-                         a0=1.0, delta=delta, user_constant_c=1.0)
+    params = BoundParams(a=1e-3, b=0.5, big_m=2e-3, a0=1.0, delta=delta)
     res = q_form(av, bg, params, PhysicalParams(ra, 1.0), norms_with(), nu_measured=1.0)
     expected_q = params.big_m * ra**2 + bg.grad_eta_sq_avg + gts_exact \
         + (params.b / ra) * 0.0 - (params.b / ra) * (0.0 - ra * (1.0 - 1.0))
@@ -244,9 +266,8 @@ def test_q_form_conduction_closed_form(flat_profile):
 
 def test_q_form_missing_ingredients_named(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
-    bg = build_background(0.1, grid)
-    params = BoundParams(case="interp_kappa_leq_alpha", a=1.0, b=0.1, big_m=0.0,
-                         a0=1.0, delta=0.1, user_constant_c=1.0)
+    bg = BackgroundField(0.1, grid)
+    params = BoundParams(a=1.0, b=0.1, big_m=0.0, a0=1.0, delta=0.1)
     av = zero_averages()
     av["grad_theta_sq"] = float("nan")
     del av["ens:wall_pressure"]

@@ -13,7 +13,7 @@ import pytest
 
 import rbns
 import rbns.grid
-from rbns.background import build_background
+from rbns.background import BackgroundField
 from rbns.config import RunConfig
 from rbns.diagnostics import ENSTROPHY_COLUMNS, measure, velocity_gradient_integrals
 from rbns.runner import (
@@ -74,7 +74,7 @@ def test_measure_differentiates_each_field_once(monkeypatch, flat_state):
     derivs = stepper.state_derivatives(state)
     derivs.grad_u = velocity_gradients(state, grid)
     pressure, _ = stepper.recover_pressure(state, derivs)
-    background = build_background(0.25, grid)
+    background = BackgroundField(0.25, grid)
     d_x1_calls = _count_calls(monkeypatch, "d_x1")
     u_tau_calls = _count_calls(monkeypatch, "wall_tangential_velocity")
     derivs = stepper.state_derivatives(state)
@@ -144,14 +144,12 @@ def test_step_plus_sample_call_floor(flat_state):
     # one flat 16 x 17 step and the sample of the new state (derivative set,
     # velocity gradients, pressure, measure with the background terms).  On
     # this grid the per-call cost of Python and numpy outweighs the
-    # arithmetic; the walls as one (2, n1) stack and measure's fixed rows
-    # took the count from 364 to 177, measure reading the stacked Walls
-    # record instead of stacking alpha and kappa to 175, and the step calling
-    # wall_tangential_velocity without a stepper wrapper to 174.  numpy ufuncs
-    # and operators raise no profile event, so the count is of function calls only.
+    # arithmetic, so the bound is the measured count: a change that adds a
+    # call to this path raises it knowingly.  numpy ufuncs and operators
+    # raise no profile event, so the count is of function calls only.
     stepper, state = flat_state
     grid = stepper.grid
-    background = build_background(0.25, grid)
+    background = BackgroundField(0.25, grid)
 
     def step_and_sample():
         nxt = stepper.step(state, 1e-4, stepper.state_derivatives(state))
@@ -164,7 +162,7 @@ def test_step_plus_sample_call_floor(flat_state):
         assert all(np.isfinite(row[name]) for name in ENSTROPHY_COLUMNS)
 
     step_and_sample()       # first use builds the shared bases
-    assert _rbns_calls(step_and_sample) <= 174
+    assert _rbns_calls(step_and_sample) <= 170
 
 
 def _sampled_config(modes, sample_interval):

@@ -468,7 +468,7 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
     # is the initial state, whose vorticity and velocity vanish
     from reference_diagnostics import reference_row
 
-    from rbns.background import build_background
+    from rbns.background import BackgroundField
 
     stepper, state = _stepped_state(modes, steps)
     if steps == 0:
@@ -476,7 +476,7 @@ def test_one_pass_measure_matches_per_quantity_reference(modes, steps, pressure,
                         u2=np.zeros_like(state.u2),
                         u_tau=np.zeros_like(state.u_tau))
     grid = stepper.grid
-    bg = build_background(0.25, grid) if background else None
+    bg = BackgroundField(0.25, grid) if background else None
     derivs = stepper.state_derivatives(state)
     derivs.grad_u = velocity_gradients(state, grid)
     grad_u_sq = velocity_gradient_integrals(derivs.grad_u, grid)

@@ -28,6 +28,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIAGNOSTICS = "src/rbns/diagnostics.py"
 SOLVER = "src/rbns/solver.py"
 GRID = "src/rbns/grid.py"
+BOUNDS = "src/rbns/bounds.py"
 
 # id: (file, old, new, why)
 MUTANTS = {
@@ -87,6 +88,18 @@ MUTANTS = {
             '(2.0 * self.pr) + self.column("ak_friction") / self.pr',
             '(2.0 * self.pr) - self.column("ak_friction") / self.pr',
             "enstrophy residual: sign of int (a+k) u_tau^2 / Pr in Z"),
+    "M17": (BOUNDS,
+            "a0 = am * b / (8.0 * c * smooth3)",
+            "a0 = b / (8.0 * c * smooth3)",
+            "choose_proof_parameters: three_sevenths a0 loses its alpha_min factor"),
+    "M18": (BOUNDS,
+            "am ** (-1.0 / 6.0) * smooth",
+            "am ** (1.0 / 6.0) * smooth",
+            "evaluate_theorem2: alpha_min^(-1/6) in C_3/7 -> alpha_min^(+1/6)"),
+    "M19": (BOUNDS,
+            'flags["ra_ok"] = ra ** (-1.0) <= am',
+            'flags["ra_ok"] = ra ** (-0.5) <= am',
+            "evaluate_theorem2: interp_general Ra^(-1) <= alpha_min -> Ra^(-1/2)"),
 }
 
 
