@@ -276,6 +276,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[initial] temp_perturbation: negative amplitude {ini.temp_perturbation}")
     if ini.u0_amplitude < 0:
         raise ConfigError(f"[initial] u0_amplitude: negative amplitude {ini.u0_amplitude}")
+    if ini.seed < 0:
+        raise ConfigError(f"[initial] seed: must be >= 0, got {ini.seed}")
     b = cfg.bounds
     if b.delta_override is not None and not 0.0 < b.delta_override <= 0.5:
         raise ConfigError(f"[bounds] delta_override: must lie in (0, 1/2], got {b.delta_override}")

@@ -9,6 +9,10 @@ bit (the original run restarts its own predictor at the same instants).
 Every output directory receives the verbatim config, the effective
 (defaults-filled) config, a provenance block (version, grid and metric
 summary), the diagnostics CSV and checkpoints.
+
+The seeded generator is rbns.rng: PCG64, SeedSequence and ziggurat in pure
+Python, bit-identical to numpy's ``default_rng(seed).standard_normal``, so no
+run imports numpy's random package (6 MB of memory, 10-20 ms of set-up).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
 from rbns.elliptic import EllipticError
 from rbns.geometry import boundary_frames, boundary_norms
 from rbns.grid import MappedGrid, wall_tangential_velocity
+from rbns.rng import standard_normals
 from rbns.solver import (
     BoussinesqStepper,
     CflViolation,
@@ -60,14 +65,15 @@ def initial_temperature(config: RunConfig, grid: MappedGrid) -> np.ndarray:
     is clipped to [0,1] so the maximum principle applies from the start.
     The sine envelope vanishes on the walls only to rounding (sin(pi) is
     1.2e-16), so the wall rows are then set to the exact data 1 and 0.
+    The 8 coefficients are numpy's ``default_rng(seed).standard_normal(8)``, drawn by rbns.rng.
     """
     temp = np.broadcast_to(1.0 - grid.x2, grid.shape).copy()
     amp = config.initial.temp_perturbation
     if amp > 0.0:
-        rng = np.random.default_rng(config.initial.seed)
+        coeffs = standard_normals(config.initial.seed, 8)
         f = np.zeros(grid.n1)
         for k in range(1, 5):
-            a, b = rng.standard_normal(2)
+            a, b = coeffs[2 * k - 2:2 * k]
             f += a * np.cos(2.0 * np.pi * k * grid.x1 / grid.gamma)
             f += b * np.sin(2.0 * np.pi * k * grid.x1 / grid.gamma)
         sup = np.max(np.abs(f))

@@ -72,6 +72,14 @@ def test_negative_amplitude_rejected():
         parse_config(MINIMAL + "\n[initial]\ntemp_perturbation = -0.1\n")
 
 
+@pytest.mark.parametrize("amplitude", ["0.01", "0.0"])
+def test_negative_seed_named(amplitude):
+    # it used to fail inside the generator with a message naming no key,
+    # and pass unnoticed when no perturbation is drawn
+    with pytest.raises(ConfigError, match=r"^\[initial\] seed: must be >= 0, got -3$"):
+        parse_config(MINIMAL + f"\n[initial]\nseed = -3\ntemp_perturbation = {amplitude}\n")
+
+
 def test_delta_override_cap():
     with pytest.raises(ConfigError, match="delta_override"):
         parse_config(MINIMAL + "\n[bounds]\ndelta_override = 0.7\n")

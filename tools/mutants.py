@@ -4,11 +4,12 @@
 
 Each entry of MUTANTS replaces one text, which must occur exactly once in
 its file (a path from the repository root), with another.  The tool copies
-src/, tests/ and pyproject.toml into a temporary directory and checks that
-the selection passes there unmutated.  Then, one mutant at a time, it
-rewrites the file, runs the selection and restores the file.  It prints the
-kill matrix: a row per test that failed under some mutant, a column per
-mutant.  A mutant no test kills survives.
+src/, tests/, bench/ (tests/test_bench_tooling.py loads it) and
+pyproject.toml into a temporary directory and checks that the selection
+passes there unmutated.  Then, one mutant at a time, it rewrites the file,
+runs the selection and restores the file.  It prints the kill matrix: a row
+per test that failed under some mutant, a column per mutant.  A mutant no
+test kills survives.
 
 PYTEST_ARGS default to tests/test_diagnostics.py.  No bytecode is written,
 so a restored file of the mutant's length is never run from a stale cache.
@@ -29,6 +30,7 @@ DIAGNOSTICS = "src/rbns/diagnostics.py"
 SOLVER = "src/rbns/solver.py"
 GRID = "src/rbns/grid.py"
 BOUNDS = "src/rbns/bounds.py"
+RNG = "src/rbns/rng.py"
 
 # id: (file, old, new, why)
 MUTANTS = {
@@ -100,6 +102,18 @@ MUTANTS = {
             'flags["ra_ok"] = ra ** (-1.0) <= am',
             'flags["ra_ok"] = ra ** (-0.5) <= am',
             "evaluate_theorem2: interp_general Ra^(-1) <= alpha_min -> Ra^(-1/2)"),
+    "M20": (RNG,
+            "yield (x >> rot | x << (64 - rot)) & _M64",
+            "yield (x << rot | x >> (64 - rot)) & _M64",
+            "_pcg64: XSL-RR rotates left instead of right"),
+    "M21": (RNG,
+            "(_FI[idx - 1] - _FI[idx]) * next_double()",
+            "(_FI[idx] - _FI[idx - 1]) * next_double()",
+            "standard_normals: wedge height fi[idx-1] - fi[idx] -> fi[idx] - fi[idx-1]"),
+    "M22": (RNG,
+            "-(_R + xx) if rabs >> 8 & 1 else _R + xx",
+            "-(_R + xx) if r & 1 else _R + xx",
+            "standard_normals: the tail's sign from the layer draw's sign bit"),
 }
 
 
@@ -122,7 +136,7 @@ def run_pytest(copy: str, args: list[str]) -> tuple[int, list[str], str]:
 
 def copy_tree(dest: str) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "bench"):
         shutil.copytree(os.path.join(ROOT, name), os.path.join(dest, name), ignore=ignore)
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), dest)
 
