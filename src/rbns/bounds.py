@@ -53,7 +53,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from rbns.background import BackgroundField
 from rbns.diagnostics import ENSTROPHY_COLUMNS
 from rbns.geometry import BoundaryNorms, ConditionReport
 from rbns.solver import PhysicalParams
@@ -192,15 +191,17 @@ class QFormResult:
     b_residual: float              # the measured energy-balance slack
 
 
-def q_form(averages: dict, background: BackgroundField, params: BoundParams,
+def q_form(averages: dict, grad_eta_sq: float, params: BoundParams,
            physical: PhysicalParams, norms: BoundaryNorms, nu_measured: float) -> QFormResult:
-    """Assemble Q term by term from measured averages.
+    """Assemble Q term by term from measured averages and the run's <|grad eta|^2>.
 
     ``averages`` uses the recorder's keys; raw integrals are normalized by
     |Omega| here.  Missing (NaN) ingredients are reported by name.
     """
     missing = [k for k in Q_INGREDIENTS
                if k not in averages or not np.isfinite(averages[k])]
+    if not np.isfinite(grad_eta_sq):
+        missing.append("grad_eta_sq")
     if missing:
         raise ValueError("q_form is missing ingredient averages: " + ", ".join(missing))
     ra = physical.ra
@@ -215,7 +216,7 @@ def q_form(averages: dict, background: BackgroundField, params: BoundParams,
 
     terms = {
         "m_ra2": big_m * ra**2,
-        "grad_eta_sq": background.grad_eta_sq_avg,
+        "grad_eta_sq": grad_eta_sq,
         "grad_theta_sq": averages["grad_theta_sq"],
         "theta_coupling": 2.0 * averages["theta_u_grad_eta"],
         "grad_u": (b / ra) * grad_u,
@@ -224,10 +225,10 @@ def q_form(averages: dict, background: BackgroundField, params: BoundParams,
         "a_balance": a * a_sum,
     }
     q = float(sum(terms.values()))
-    nu_eta = (background.grad_eta_sq_avg - averages["grad_theta_sq"]
+    nu_eta = (grad_eta_sq - averages["grad_theta_sq"]
               - 2.0 * averages["theta_u_grad_eta"])
     denom = 1.0 - b * span
-    nu_rec = (big_m * ra**2 + 2.0 * background.grad_eta_sq_avg - q - b) / denom
+    nu_rec = (big_m * ra**2 + 2.0 * grad_eta_sq - q - b) / denom
     return QFormResult(q=q, terms=terms, nu_used=nu_measured,
                        nu_eta_representation=float(nu_eta),
                        nu_reconstructed=float(nu_rec),

@@ -16,20 +16,19 @@ Layout (little-endian), documented so external tools can read it:
 Round trips are bit-exact: raw float64 bytes in, raw float64 bytes out.
 The stream-function trace constant is not stored separately; it is the
 (constant) top row of psi.  The header fixes the file length, and a file
-of any other length is rejected.  A checkpoint is written under a
-temporary name beginning with "." in the same directory and renamed onto
-its final name once closed, so a kill or a failed write never leaves a
+of any other length is rejected.  A checkpoint is written through
+``rbns.files.atomic_open``, so a kill or a failed write never leaves a
 partial file under a ``checkpoint_*`` name.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from rbns.files import atomic_open
 from rbns.geometry import FourierSeries
 
 MAGIC = b"RBNS1"
@@ -78,23 +77,15 @@ def write_checkpoint(path, data: CheckpointData) -> None:
     for arr in (data.omega, data.psi, data.temp):
         if arr.shape != (data.n1, data.n2):
             raise ValueError(f"field shape {arr.shape} != ({data.n1}, {data.n2})")
-    directory, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(directory, f".{name}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", data.n1, data.n2))
-            fh.write(struct.pack("<dddd", data.gamma, data.ra, data.pr, data.time))
-            fh.write(_pack_series(data.profile))
-            fh.write(_pack_series(data.alpha_bottom))
-            fh.write(_pack_series(data.alpha_top))
-            for arr in (data.omega, data.psi, data.temp):
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", data.n1, data.n2))
+        fh.write(struct.pack("<dddd", data.gamma, data.ra, data.pr, data.time))
+        fh.write(_pack_series(data.profile))
+        fh.write(_pack_series(data.alpha_bottom))
+        fh.write(_pack_series(data.alpha_top))
+        for arr in (data.omega, data.psi, data.temp):
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_checkpoint(path) -> CheckpointData:

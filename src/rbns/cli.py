@@ -28,8 +28,9 @@ import rbns
 from rbns import bounds as bounds_mod
 from rbns import reporting, scaling, verify
 from rbns.config import _SCHEMA, ConfigError, RunConfig, _convert, parse_config, serialize_config
+from rbns.files import atomic_open
 from rbns.geometry import CONDITION_SAMPLES, BoundaryNorms
-from rbns.runner import run_simulation
+from rbns.runner import conditions_for_config, run_simulation
 from rbns.solver import PhysicalParams
 
 
@@ -112,7 +113,7 @@ def cmd_simulate(args) -> int:
                                        [nu_values[i] for i in finite])
         lines.append(f"log_nu_vs_log_ra_slope = {slope!r}")
     os.makedirs(out_base, exist_ok=True)
-    with open(os.path.join(out_base, "sweep_summary.txt"), "w") as fh:
+    with atomic_open(os.path.join(out_base, "sweep_summary.txt")) as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
     return status
@@ -228,7 +229,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_geometry_report(args) -> int:
     config, _ = _load_config(args.config)
-    norms, conditions = reporting.conditions_for_config(config, args.samples)
+    norms, conditions = conditions_for_config(config, args.samples)
     for key, value in asdict(norms).items():
         print(f"{key} = {value}")
     for name, rep in conditions.items():

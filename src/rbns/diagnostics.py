@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from rbns.background import BackgroundField
+from rbns.files import atomic_open
 from rbns.geometry import Walls
 from rbns.grid import MappedGrid, level_index, volume_integral, wall_tangential_derivatives
 from rbns.solver import FlowState, StateDerivatives
@@ -298,7 +299,11 @@ class Recorder:
         return self._finite(np.mean, name, self._window())
 
     def averages(self) -> dict[str, float]:
-        return {name: self.average(name) for name in AVERAGED}
+        """The AVERAGED window means, and <|grad eta|^2> (time independent) with a background."""
+        out = {name: self.average(name) for name in AVERAGED}
+        if self.grad_eta_sq is not None:
+            out["grad_eta_sq"] = self.grad_eta_sq
+        return out
 
     # -- endpoint-corrected window estimators --------------------------------
 
@@ -415,7 +420,7 @@ class Recorder:
 
     def write_csv(self, path, precision: int = 17) -> None:
         line = ",".join([f"%.{precision}g"] * len(CSV_COLUMNS)) + "\n"
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.write(CSV_HEADER + "\n")
             fh.writelines(line % r for r in self.records[list(CSV_COLUMNS)].tolist())
 

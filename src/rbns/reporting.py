@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import os
 
-from rbns.background import BackgroundField
 from rbns.bounds import (
     BOUNDS_CSV_HEADER,
     CASE_CONDITION,
@@ -18,26 +17,10 @@ from rbns.bounds import (
     q_form,
 )
 from rbns.config import RunConfig, parse_config
-from rbns.geometry import (
-    CONDITION_SAMPLES,
-    CONDITIONS,
-    BoundaryNorms,
-    ConditionReport,
-    Side,
-    boundary_frames,
-    boundary_norms,
-    check_conditions,
-)
-from rbns.grid import MappedGrid
-from rbns.runner import read_summary
+from rbns.files import atomic_open
+from rbns.geometry import CONDITIONS, BoundaryNorms, ConditionReport, Side
+from rbns.runner import conditions_for_config, read_summary
 from rbns.solver import PhysicalParams
-
-
-def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES):
-    """Frames at the report sampling density, all three condition checks, norms."""
-    profile = config.geometry.profile()
-    walls = boundary_frames(profile, n_samples, *config.boundary.series(profile.gamma))
-    return boundary_norms(profile, walls), check_conditions(walls)
 
 
 def conditions_from_norms(norms: BoundaryNorms) -> dict[str, ConditionReport]:
@@ -81,20 +64,22 @@ def assemble_report(physical: PhysicalParams, norms: BoundaryNorms,
 
 def report_for_run(config: RunConfig, averages: dict,
                    measured_nu: float, notes: list[str] | None = None) -> BoundReport:
-    """Bound report for a completed run described by its config and averages."""
+    """Bound report for a completed run described by its config and averages.
+
+    The quadratic form reads the run's own <|grad eta|^2>, ``averages["grad_eta_sq"]``.
+    """
     norms, conditions = conditions_for_config(config)
     physical = PhysicalParams(config.physical.ra, config.physical.pr)
     b = config.bounds
     qform = None
     notes = list(notes or [])
     if b.background_delta is not None:
-        grid = MappedGrid(config.geometry.profile(), config.grid.n1, config.grid.n2)
-        bg = BackgroundField(b.background_delta, grid)
         params = choose_proof_parameters(b.cases[0] if b.cases else CASES[0],
                                          physical, norms, b.user_c, b.u0_norm,
                                          b.background_delta)
         try:
-            qform = q_form(averages, bg, params, physical, norms, measured_nu)
+            qform = q_form(averages, averages.get("grad_eta_sq", math.nan), params,
+                           physical, norms, measured_nu)
         except ValueError as exc:
             notes.append(str(exc))
     else:
@@ -123,9 +108,7 @@ def report_from_run_dir(run_dir: str) -> BoundReport:
 
 
 def write_report(run_dir: str, report: BoundReport) -> None:
-    with open(os.path.join(run_dir, "bound_report.txt"), "w") as fh:
+    with atomic_open(os.path.join(run_dir, "bound_report.txt")) as fh:
         fh.write(report.render_text())
-    with open(os.path.join(run_dir, "bounds.csv"), "w") as fh:
-        fh.write(BOUNDS_CSV_HEADER + "\n")
-        for row in report.csv_rows():
-            fh.write(row + "\n")
+    with atomic_open(os.path.join(run_dir, "bounds.csv")) as fh:
+        fh.writelines(f"{line}\n" for line in (BOUNDS_CSV_HEADER, *report.csv_rows()))

@@ -8,7 +8,8 @@ bit (the original run restarts its own predictor at the same instants).
 
 Every output directory receives the verbatim config, the effective
 (defaults-filled) config, a provenance block (version, grid and metric
-summary), the diagnostics CSV and checkpoints.
+summary), the diagnostics CSV, the run summary and checkpoints, each
+written through ``rbns.files.atomic_open``.
 
 The seeded generator is rbns.rng: PCG64, SeedSequence and ziggurat in pure
 Python, bit-identical to numpy's ``default_rng(seed).standard_normal``, so no
@@ -28,7 +29,8 @@ from rbns.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
 from rbns.config import RunConfig, serialize_config, validate_config
 from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
 from rbns.elliptic import EllipticError
-from rbns.geometry import boundary_frames, boundary_norms
+from rbns.files import atomic_open
+from rbns.geometry import CONDITION_SAMPLES, boundary_frames, boundary_norms, check_conditions
 from rbns.grid import MappedGrid, wall_tangential_velocity
 from rbns.rng import standard_normals
 from rbns.solver import (
@@ -107,6 +109,17 @@ def build_stepper(config: RunConfig) -> BoussinesqStepper:
     )
 
 
+def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES):
+    """Wall norms and all three condition checks, from frames at n_samples points per wall.
+
+    The one source of both for a run's summary, its bound report and
+    ``rbns geometry-report``.
+    """
+    profile = config.geometry.profile()
+    walls = boundary_frames(profile, n_samples, *config.boundary.series(profile.gamma))
+    return boundary_norms(profile, walls), check_conditions(walls)
+
+
 def _state_from_checkpoint(stepper: BoussinesqStepper, data: CheckpointData) -> FlowState:
     u1, u2 = stepper._velocity(data.psi)
     return FlowState(time=data.time, omega=data.omega, psi=data.psi, temp=data.temp,
@@ -171,8 +184,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     validate_config(config)
     stepper = build_stepper(config)
     grid = stepper.grid
-    profile = config.geometry.profile()
-    norms = boundary_norms(profile, stepper.walls)
+    norms = conditions_for_config(config)[0]
 
     tcfg = config.time
     sample_dt = tcfg.effective_sample_interval()
@@ -203,13 +215,12 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
         os.makedirs(out, exist_ok=True)
         ckpt_dir = os.path.join(out, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
-        if config_text is not None:
-            with open(os.path.join(out, "config.txt"), "w") as fh:
-                fh.write(config_text)
-        with open(os.path.join(out, "effective_config.txt"), "w") as fh:
-            fh.write(serialize_config(config))
-        with open(os.path.join(out, "provenance.txt"), "w") as fh:
-            fh.write(provenance_text(config, grid))
+        texts = {"config.txt": config_text, "effective_config.txt": serialize_config(config),
+                 "provenance.txt": provenance_text(config, grid)}
+        for name, text in texts.items():
+            if text is not None:
+                with atomic_open(os.path.join(out, name)) as fh:
+                    fh.write(text)
 
     # holds no state until the end, so each state is freed once the run moves on
     result = RunResult(recorder=recorder)
@@ -257,9 +268,9 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
         result.checkpoints.append(path)
 
     t_end = tcfg.t_end
-    sample_count = int(np.floor(state.time / sample_dt + 1e-12)) + 1 if state.time > 0 else 1
+    sample_count = int(np.floor(state.time / sample_dt + 1e-12)) + 1
     ckpt_count = 1
-    if tcfg.checkpoint_interval is not None and state.time > 0:
+    if tcfg.checkpoint_interval is not None:
         ckpt_count = int(np.floor(state.time / tcfg.checkpoint_interval + 1e-12)) + 1
     # one derivative set per state: its sample and the step from it share it
     derivs, abort = (take_sample(state, 0) if state.time == 0.0
@@ -335,9 +346,8 @@ def _write_summary(path: str, config: RunConfig, result: RunResult,
         lines[f"avg:{key}"] = value
     for key, value in asdict(norms).items():
         lines[f"norm:{key}"] = value
-    with open(path, "w") as fh:
-        for key, value in lines.items():
-            fh.write(f"{key} = {value}\n")
+    with atomic_open(path) as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in lines.items())
 
 
 def read_summary(path: str) -> dict:

@@ -15,10 +15,11 @@ divergence free, and the vorticity wall data is coupled to u_tau lagged by
 one step, with an optional fixed-point iteration for stiff (large alpha)
 walls.
 
-The top stream-function trace psi_+ equals -(1/|Omega|) int u1; with
-constant wall traces that integral telescopes to -Gamma psi_+ exactly, so
-recomputing it each step is an exact fixed point and the scheme conserves
-the horizontal mean momentum it starts with.
+The top stream-function trace psi_+ is held fixed: ``step`` carries the
+state's value forward unchanged.  With psi = 0 on the bottom wall the net
+horizontal flux int u1 dOmega is -Gamma psi_+, so every run keeps the flux
+it starts with (0 from the default initial data); the channel is driven at
+fixed flux, not at a fixed mean pressure gradient.
 """
 
 from __future__ import annotations
@@ -162,8 +163,7 @@ class BoussinesqStepper:
 
     # -- state construction --------------------------------------------------
 
-    def state_from_fields(self, temp: np.ndarray, psi: np.ndarray | None = None,
-                          time: float = 0.0) -> FlowState:
+    def state_from_fields(self, temp: np.ndarray, psi: np.ndarray | None = None) -> FlowState:
         grid = self.grid
         if psi is None:
             psi = np.zeros(grid.shape)
@@ -173,7 +173,7 @@ class BoussinesqStepper:
         omega = np.empty(grid.shape)
         omega[:, 1:-1] = apply_L_tilde(psi, grid)
         omega[:, [0, -1]] = boundary_vorticity(u_tau, self.walls).T
-        return FlowState(time=time, omega=omega, psi=psi.copy(), temp=temp.copy(),
+        return FlowState(time=0.0, omega=omega, psi=psi.copy(), temp=temp.copy(),
                          u1=u1, u2=u2, psi_top=psi_top, u_tau=u_tau)
 
     # -- time step sizing ------------------------------------------------------
@@ -306,7 +306,7 @@ class BoussinesqStepper:
             rhs_w += state.prev_expl_omega * (-0.5 * r)
             rhs_w *= dt
         u_tau = state.u_tau
-        psi_top = state.psi_top  # exact fixed point of the trace recomputation
+        psi_top = state.psi_top  # held: the net flux -Gamma psi_top is fixed
         omega_new = psi_new = u1 = u2 = None
         helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt)
         w_old, derivs.omega_spectrum = derivs.omega_spectrum[:, 1:-1].T, None

@@ -77,21 +77,26 @@ def _mms_fields(grid: MappedGrid):
     return f, grad, lap
 
 
+def _neumann_data(grid: MappedGrid, px, pz, pxx, pzz, pxz):
+    """Mapped Laplacian of a field and its outward wall fluxes, from its x-derivatives."""
+    hp, hpp = grid.hp[:, None], grid.hpp[:, None]
+    lap = pxx - 2 * hp * pxz + (1 + hp**2) * pzz - hpp * pz
+    py1, py2 = px - hp * pz, pz
+    gb = (grid.hp * py1[:, 0] - py2[:, 0]) / grid.ds_weight
+    gt = (-grid.hp * py1[:, -1] + py2[:, -1]) / grid.ds_weight
+    return lap, gb, gt
+
+
 def _neumann_fields(grid: MappedGrid):
     x1 = grid.x1[:, None]
     x2 = grid.x2[None, :]
-    hp, hpp = grid.hp[:, None], grid.hpp[:, None]
     p = np.cos(2 * np.pi * x1) * np.cos(np.pi * x2)
     px = -2 * np.pi * np.sin(2 * np.pi * x1) * np.cos(np.pi * x2)
     pz = -np.pi * np.cos(2 * np.pi * x1) * np.sin(np.pi * x2)
     pxx = -(2 * np.pi) ** 2 * p
     pzz = -np.pi**2 * p
     pxz = 2 * np.pi**2 * np.sin(2 * np.pi * x1) * np.sin(np.pi * x2)
-    lap = pxx - 2 * hp * pxz + (1 + hp**2) * pzz - hpp * pz
-    py1, py2 = px - hp * pz, pz
-    gb = (grid.hp * py1[:, 0] - py2[:, 0]) / grid.ds_weight
-    gt = (-grid.hp * py1[:, -1] + py2[:, -1]) / grid.ds_weight
-    return p, lap, gb, gt
+    return (p, *_neumann_data(grid, px, pz, pxx, pzz, pxz))
 
 
 def mms_errors(n2: int, n1: int = 32) -> dict[str, float]:

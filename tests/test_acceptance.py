@@ -20,7 +20,7 @@ from rbns.geometry import boundary_frames, check_conditions
 from rbns.runner import run_simulation
 from rbns.scaling import DimensionalSetup, curvature_scaling, ratio_for_target_exponent
 from rbns.solver import PhysicalParams
-from rbns.verify import decay_fixture, decay_rate_check, geometry_suite, mms_errors
+from rbns.verify import decay_fixture, decay_rate_check, geometry_suite, mms_suite
 from rbns.reporting import conditions_from_norms
 
 
@@ -92,18 +92,11 @@ def test_criterion_1_geometry_identities():
 
 def test_criterion_2_mms_orders():
     t0 = time.time()
-    n2_list = (32, 64, 128)
-    errs = {n2: mms_errors(n2) for n2 in n2_list}
-    details = []
-    ok = True
-    for op in ("grad_physical", "apply_L_tilde", "solve_poisson_dirichlet",
-               "solve_poisson_neumann"):
-        e = [errs[n2][op] for n2 in n2_list]
-        order = math.log(e[1] / e[2]) / math.log((n2_list[2] - 1) / (n2_list[1] - 1))
-        ok = ok and order >= 1.9
-        details.append(f"{op}={order:.2f}")
+    rows = mms_suite()
     elapsed = time.time() - t0
-    _report(2, ok and elapsed < 30.0, "observed x2 orders " + ", ".join(details), elapsed)
+    bad = [name for name, ok, _ in rows if not ok]
+    _report(2, not bad and elapsed < 30.0,
+            "; ".join(f"{name}: {detail}" for name, _, detail in rows), elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -122,4 +122,5 @@ def test_tiny_rows_and_summary_carry_every_column(tiny_calls):
             assert finite[with_pressure].all() and (name in needs_pressure or finite.all()), name
         summary = read_summary(str(Path(out) / "run_summary.txt"))
         assert [key for key in summary if key.startswith("avg:")] == [
-            f"avg:{name}" for name in AVERAGED]
+            *(f"avg:{name}" for name in AVERAGED), "avg:grad_eta_sq"]
+        assert summary["avg:grad_eta_sq"] == result.recorder.grad_eta_sq

@@ -240,7 +240,7 @@ def test_q_form_zero_averages(flat_profile):
     grid = MappedGrid(flat_profile, 8, 41)
     bg = BackgroundField(0.1, grid)
     params = BoundParams(a=1.0, b=0.0, big_m=0.0, a0=1.0, delta=0.1)
-    res = q_form(zero_averages(), bg, params, PhysicalParams(10.0, 1.0),
+    res = q_form(zero_averages(), bg.grad_eta_sq_avg, params, PhysicalParams(10.0, 1.0),
                  norms_with(), nu_measured=0.0)
     assert res.q == pytest.approx(bg.grad_eta_sq_avg, rel=1e-14)
 
@@ -256,7 +256,8 @@ def test_q_form_conduction_closed_form(flat_profile):
     av["grad_theta_sq"] = gts_exact
     ra = 100.0
     params = BoundParams(a=1e-3, b=0.5, big_m=2e-3, a0=1.0, delta=delta)
-    res = q_form(av, bg, params, PhysicalParams(ra, 1.0), norms_with(), nu_measured=1.0)
+    res = q_form(av, bg.grad_eta_sq_avg, params, PhysicalParams(ra, 1.0), norms_with(),
+                 nu_measured=1.0)
     expected_q = params.big_m * ra**2 + bg.grad_eta_sq_avg + gts_exact \
         + (params.b / ra) * 0.0 - (params.b / ra) * (0.0 - ra * (1.0 - 1.0))
     assert res.q == pytest.approx(expected_q, rel=1e-12)
@@ -272,7 +273,7 @@ def test_q_form_missing_ingredients_named(flat_profile):
     av["grad_theta_sq"] = float("nan")
     del av["ens:wall_pressure"]
     with pytest.raises(ValueError) as err:
-        q_form(av, bg, params, PhysicalParams(10.0, 1.0), norms_with(), 1.0)
+        q_form(av, bg.grad_eta_sq_avg, params, PhysicalParams(10.0, 1.0), norms_with(), 1.0)
     assert "grad_theta_sq" in str(err.value)
     assert "ens:wall_pressure" in str(err.value)
 

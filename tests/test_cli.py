@@ -1,7 +1,7 @@
 import gc
 import os
 import warnings
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,8 @@ import pytest
 
 from rbns import reporting
 from rbns.cli import main
-from rbns.geometry import CONDITIONS, BoundaryNorms
+from rbns.geometry import CONDITION_SAMPLES, CONDITIONS, BoundaryNorms
+from rbns.runner import read_summary
 
 TINY = """
 [physical]
@@ -62,6 +63,84 @@ def test_provenance_counts_metric_fourier_terms(tmp_path):
     assert main(["simulate", "--config", str(path), "--output", out]) == 0
     text = Path(out, "provenance.txt").read_text()
     assert "flat = 0\n" in text and "metric_fourier_terms = 5\n" in text
+
+
+def test_summary_norms_are_the_bound_reports(tmp_path, monkeypatch):
+    # the summary's norm:* lines are the norms the run's bound report used,
+    # sampled at CONDITION_SAMPLES rather than at the grid's 16 columns
+    path = tmp_path / "rough.cfg"
+    path.write_text("[geometry]\nmodes = 1:0.0:0.1\n"
+                    + TINY.replace("t_end = 0.05", "t_end = 0.0"))
+    reports = []
+    write_report = reporting.write_report
+
+    def capture(run_dir, report):
+        reports.append(report)
+        write_report(run_dir, report)
+
+    monkeypatch.setattr(reporting, "write_report", capture)
+    out = str(tmp_path / "rough_run")
+    assert main(["simulate", "--config", str(path), "--output", out]) == 0
+    summary = read_summary(os.path.join(out, "run_summary.txt"))
+    norms = {key[len("norm:"):]: value for key, value in summary.items()
+             if key.startswith("norm:")}
+    assert norms == asdict(reports[0].norms)
+    assert norms["n_samples"] == CONDITION_SAMPLES
+    assert f"W1inf = {norms['alpha_plus_kappa_w1inf']:.6g}" in \
+        Path(out, "bound_report.txt").read_text()
+    # rebuilt from the directory, with the summary's <|grad eta|^2>, the report is the run's
+    rebuilt = reporting.report_from_run_dir(out)
+    assert asdict(rebuilt.norms) == norms and rebuilt.qform is not None
+    assert rebuilt.render_text() == Path(out, "bound_report.txt").read_text()
+
+
+class _FailingCsv:
+    """A diagnostics CSV handle whose row stream fails after two rows."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        return self._fh.write(text)
+
+    def writelines(self, lines):
+        for i, line in enumerate(lines):
+            if i == 2:
+                raise OSError("disk full")
+            self._fh.write(line)
+
+
+def test_failed_csv_rewrite_keeps_previous_csv(tiny_config, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", tiny_config, "--output", str(out)]) == 0
+    before = (out / "diagnostics.csv").read_bytes()
+    # a rerun with more samples into the same directory, whose CSV write fails
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(TINY.replace("t_end = 0.05", "t_end = 0.08"))
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailingCsv(fh) if "diagnostics.csv" in str(file) and "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+    assert main(["simulate", "--config", str(longer), "--output", str(out)]) == 1
+    monkeypatch.undo()
+    assert "disk full" in capsys.readouterr().err
+    assert (out / "diagnostics.csv").read_bytes() == before
+    assert sorted(out.rglob(".*.tmp")) == []
+
+
+def test_verify_geometry_cli(capsys):
+    assert main(["verify", "geometry"]) == 0
+    out = capsys.readouterr().out
+    assert "[geometry]" in out and "verification PASSED" in out
 
 
 def test_simulate_t_end_zero_initial_diagnostics_only(tiny_config, tmp_path):

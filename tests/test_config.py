@@ -322,3 +322,15 @@ def test_cli_simulate_warns_once_for_stiff_config(tmp_path):
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 0
     stiff = [w for w in caught if "max(alpha + kappa) * dt" in str(w.message)]
     assert len(stiff) == 1
+
+
+def test_cli_simulate_warns_once_for_under_resolved_background(tmp_path):
+    # delta = 0.1 < 4 dx2 = 0.25: the run's background field warns, the report builds none
+    path = tmp_path / "coarse.cfg"
+    path.write_text(MINIMAL.replace("n1 = 64", "n1 = 16").replace("n2 = 65", "n2 = 17")
+                    + "\n[time]\nt_end = 0.0\n\n[bounds]\nbackground_delta = 0.1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 0
+    coarse = [w for w in caught if "fewer than 4 cells" in str(w.message)]
+    assert len(coarse) == 1

@@ -38,6 +38,7 @@ from rbns.grid import (
     x1_inverse,
     x1_transform,
 )
+from rbns.verify import _neumann_data
 
 # two wall modes, so h' and h'' are not single harmonics
 TWO_MODES = FourierSeries(gamma=1.0, modes=((1, 0.0, 0.1), (3, 0.02, -0.01)))
@@ -212,6 +213,41 @@ def test_neumann_flat_mode_oracle(flat_profile):
     assert np.abs(v - (-1.0 / k**2)).max() <= 1e-6
     expected = np.cos(2 * np.pi * g.x1)[:, None] * v[200] * np.ones(g.n2)
     assert np.abs(sol - expected).max() <= 1e-10
+
+
+def _neumann_error(g, p, *derivs):
+    """Max error of the Neumann solve for p, given (px, pz, pxx, pzz, pxz) in x coordinates."""
+    lap, flux_bottom, flux_top = _neumann_data(g, *derivs)
+    sol, _ = PoissonNeumann(g).solve(lap, flux_bottom, flux_top)
+    return float(np.abs(sol - (p - volume_integral(p, g) / g.area)).max())
+
+
+def test_rough_neumann_wall_normal_gradient_second_order(sine_profile):
+    # p = cos(2 pi x1) sin(pi x2) has dp/dx2 = +-pi cos(2 pi x1) on the walls,
+    # the part of the wall flux criterion 2's field (dp/dx2 = 0 there) never tests
+    n2_list = (32, 64, 128)
+    errs = []
+    for n2 in n2_list:
+        g = MappedGrid(sine_profile, 32, n2)
+        x1, x2 = g.x1[:, None], g.x2[None, :]
+        c1, s1 = np.cos(2 * np.pi * x1), np.sin(2 * np.pi * x1)
+        c2, s2 = np.cos(np.pi * x2), np.sin(np.pi * x2)
+        p = c1 * s2
+        errs.append(_neumann_error(g, p, -2 * np.pi * s1 * s2, np.pi * c1 * c2,
+                                   -(2 * np.pi) ** 2 * p, -np.pi**2 * p,
+                                   -2 * np.pi**2 * s1 * c2))
+    orders = [np.log(errs[i] / errs[i + 1]) / np.log((n2_list[i + 1] - 1) / (n2_list[i] - 1))
+              for i in range(2)]
+    assert min(orders) >= 1.9, (errs, orders)
+
+
+@pytest.mark.parametrize("n1, n2", [(32, 33), (64, 65)])
+def test_rough_neumann_solves_linear_field_exactly(sine_profile, n1, n2):
+    # p = x2: unit dp/dx2 on both walls and the mapped Laplacian -h''
+    g = MappedGrid(sine_profile, n1, n2)
+    zero = np.zeros(g.shape)
+    p = np.broadcast_to(g.x2, g.shape)
+    assert _neumann_error(g, p, zero, zero + 1.0, zero, zero, zero) <= 1e-10
 
 
 def test_neumann_compatibility_defect_reported(flat_profile):
