@@ -47,7 +47,7 @@ class BackgroundField:
             warnings.warn(
                 f"delta = {delta:.4g} is resolved by fewer than 4 cells "
                 f"(dx2 = {grid.dx2:.4g}); strip quadratures will be crude",
-                stacklevel=2,
+                stacklevel=3,       # the code that built the field, past the dataclass __init__
             )
         x2 = grid.x2
         eta = np.full_like(x2, 0.5)

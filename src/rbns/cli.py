@@ -67,7 +67,8 @@ def _run_one(config: RunConfig, out_dir: str, resume: str | None,
              config_text: str | None) -> tuple[int, float]:
     result = run_simulation(config, out_dir, resume=resume, config_text=config_text)
     measured = result.averages.get("nu_flux", float("nan"))
-    report = reporting.report_for_run(config, result.averages, measured)
+    report = reporting.report_for_run(config, result.averages, measured,
+                                      boundary=(result.norms, result.conditions))
     reporting.write_report(out_dir, report)
     print(report.render_text())
     if result.aborted:

@@ -114,9 +114,11 @@ def measure(state: FlowState, grid: MappedGrid,
     """Evaluate every instantaneous diagnostic for one snapshot, as one row.
 
     The row holds the ROW names it measures: the enstrophy terms need
-    pressure, the theta terms a background.  derivs is the snapshot's
-    state_derivatives (grad omega, grad T) and grad_u_sq its raw int |grad u|^2
-    (velocity_gradient_integrals, evaluated before the pressure solve).
+    pressure, the theta terms a background.  pressure is the (bottom, top)
+    wall traces of the pressure, stacked (2, n1) as ``recover_pressure``
+    returns them.  derivs is the snapshot's state_derivatives (grad omega,
+    grad T) and grad_u_sq its raw int |grad u|^2 (velocity_gradient_integrals,
+    evaluated before the pressure solve).
 
     One pass: each integrand is formed once, in one of two scratch arrays,
     into its fixed row (``_LINE_ROWS``, ``_WALL``), and all rows are reduced
@@ -180,7 +182,7 @@ def measure(state: FlowState, grid: MappedGrid,
         np.matmul(np.multiply(omega, ty1, out=f), w2, out=row["buoyancy_torque"])
         lines = np.empty((2, 2, grid.n1))
         lines[0] = ut
-        lines[1] = pressure.T[[0, -1]]
+        lines[1] = pressure
         dut, dp = wall_tangential_derivatives(lines, grid)
         ak_ut_ds = np.multiply(ak, ut_ds, out=ut_ds)
         np.multiply(ak_ut_ds, dp, out=rows[_WALL["wall_pressure"]])

@@ -51,7 +51,10 @@ makes the operator symmetric positive semidefinite with constants as its
 kernel by construction; the right-hand side is projected onto the
 compatible subspace and the projection defect reported
 (``SolveInfo.compat_defect``; a run writes its largest value to
-run_summary.txt as ``pressure_defect_max``).
+run_summary.txt as ``pressure_defect_max``).  A sample reads only the
+pressure's wall traces: ``PoissonNeumann.wall_traces`` shares the solve up
+to the cosine coordinates and takes the two wall rows from them, so the
+field is never synthesized.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from rbns.grid import (
     _flat_laplacian,
     _sine_basis,
     cosine_divisor,
+    end_rows,
     from_basis,
     from_coefficients,
     laplacian_of_walls,
@@ -98,6 +102,8 @@ class SolveInfo:
     compat_defect: float = 0.0
     # Dirichlet solves: the solution's interior x1 coefficients (flat) or sine coordinates (rough)
     coords: np.ndarray | None = field(default=None, repr=False)
+    # and its interior-row x1 spectra (x1_transform's values; flat grids: coords itself)
+    spectra: np.ndarray | None = field(default=None, repr=False)
 
 
 # relative residual at which the rough-grid PCG stops
@@ -238,7 +244,8 @@ class HelmholtzDirichlet:
         the rough-grid PCG starts from old (overwritten); walls must then be
         those of the old plus the new traces.  Otherwise x0, a full field,
         starts the rough-grid PCG.  info.coords holds the solution's
-        coordinates.
+        coordinates and info.spectra the x1 spectra of its interior rows, the
+        values its inverse transform read.
         """
         grid = self.grid
         b = self.coordinates(x1_transform(rhs_int, grid)) if rhs_coords is None else rhs_coords
@@ -257,7 +264,7 @@ class HelmholtzDirichlet:
             u = _eigen_solve(self._basis, b, self._inv_divisor, grid)
             full = np.empty(grid.shape)
             x1_inverse(u, grid, full[:, 1:-1])
-            info = SolveInfo(1, 0.0, "direct", coords=u)
+            info = SolveInfo(1, 0.0, "direct", coords=u, spectra=u)
         else:
             basis, op = self._basis, self._operator
             x, ax = old, None
@@ -285,8 +292,9 @@ class HelmholtzDirichlet:
             del ax, ap
             info.coords = u
             full = np.empty(grid.shape)
-            # synthesized in the spent residual buffer, b
+            # synthesized in the spent residual buffer, b, which then holds the spectra
             from_coefficients(from_basis(basis, u, grid, b), grid, full[:, 1:-1])
+            info.spectra = b
         full[:, 0] = bottom
         full[:, -1] = top
         return full, info
@@ -342,44 +350,83 @@ class PoissonNeumann:
         self._inv_divisor[0, self._kernel] = 0.0
         self._node_weight = -grid.dx1 * grid.w2
         self._wall_weight = grid.dx1 * grid.ds_weight
+        # V[0, :] and V[n, :]
+        self._wall_rows = end_rows(self._basis) if grid.is_flat else self._operator.wall_rows
+        # the plain x2 mean of V y is mean_row @ y: zero on V's minus columns,
+        # which are odd about the middle row, so only the plus part is kept
+        plus = self._basis.plus
+        self._mean_row = (2.0 * plus.sum(axis=0) - (plus[-1] if grid.n2 % 2 else 0.0)) / grid.n2
 
     def solve(self, rhs: np.ndarray, flux_bottom, flux_top) -> tuple[np.ndarray, SolveInfo]:
-        """(n1,) flux arrays; rhs is overwritten.  Rough grids: PCG from zero on cosine coordinates."""
+        """The whole field p; rhs is overwritten.  Rough grids: PCG from zero on cosine coordinates."""
+        grid = self.grid
+        b, defect = self._weak_coordinates(rhs, flux_bottom, flux_top)
+        del rhs                                 # b alone holds the data: the field is freed
+        y, info = self._coordinates(b, defect)
+        p = from_basis(self._basis, y, grid, y)
+        if grid.n1 % 2 == 0:
+            # the coordinates give the Nyquist kernel column zero W-mean; it takes zero plain mean
+            p[:, -1] -= p[:, -1].mean()
+        p[:, 0] -= grid.w2 @ p[:, 0]         # zero volume mean (the weights w2 sum to 1)
+        return (x1_inverse if grid.is_flat else from_coefficients)(p, grid), info
+
+    def wall_traces(self, rhs: np.ndarray, flux_bottom, flux_top) -> tuple[np.ndarray, SolveInfo]:
+        """The (bottom, top) wall rows of ``solve``'s field, (2, n1); rhs is overwritten.
+
+        The two rows are read from the cosine coordinates, V[0, :] y and
+        V[n, :] y, so only those lines are transformed.  The k = 0 column
+        needs no mean removal: its kernel coordinate is zero, so the field
+        has zero volume mean already.
+        """
+        grid = self.grid
+        b, defect = self._weak_coordinates(rhs, flux_bottom, flux_top)
+        del rhs                                 # b alone holds the data: the field is freed
+        y, info = self._coordinates(b, defect)
+        rows = (self._wall_rows @ y.view(np.float64)).view(complex)
+        if grid.n1 % 2 == 0:
+            # solve's Nyquist column has zero plain x2 mean
+            rows[:, -1] -= self._mean_row @ y[:self._mean_row.size, -1]
+        if not grid.is_flat:
+            rows *= 1.0 / grid.coeff_scale
+        return np.fft.irfft(rows, n=grid.n1), info
+
+    def _weak_coordinates(self, rhs: np.ndarray, flux_bottom, flux_top) -> tuple[np.ndarray, float]:
+        """Cosine coordinates of the projected weak right-hand side b, and the projection defect.
+
+        Flat grids: of unscaled x1 spectra (the direct solve); rough ones: of
+        the isometric coefficients.  rhs is overwritten.
+        """
         grid = self.grid
         b = np.multiply(rhs, self._node_weight, out=rhs)
-        del rhs                                 # b alone holds it: freed once transformed
         line = np.empty(grid.n1)
         b[:, 0] += np.multiply(self._wall_weight, flux_bottom, out=line)
         b[:, -1] += np.multiply(self._wall_weight, flux_top, out=line)
         # compatibility: project out the kernel component and report it
         defect = float(np.sum(b))
         scale = float(np.sum(np.abs(b)))
-        rel_defect = abs(defect) / scale if scale > 0 else 0.0
+        b = (x1_transform if grid.is_flat else to_coefficients)(b, grid)
+        return (to_basis(self._basis, _remove_kernel(b, grid), grid),
+                abs(defect) / scale if scale > 0 else 0.0)
 
-        basis = self._basis
-        if grid.is_flat:
-            b = _remove_kernel(x1_transform(b, grid), grid)
-            p = _remove_kernel(_eigen_solve(basis, b, self._inv_divisor, grid), grid)
-            info = SolveInfo(1, 0.0, "direct", rel_defect)
-        else:
-            b = to_basis(basis, _remove_kernel(to_coefficients(b, grid), grid), grid)
-            b[0, self._kernel] = 0.0                # the kernel coordinates stay zero
-            op = self._operator
-            ap = np.empty_like(b)                   # A p, and z = M r as in the Dirichlet PCG
+    def _coordinates(self, b: np.ndarray, defect: float) -> tuple[np.ndarray, SolveInfo]:
+        """Cosine coordinates y of the solution, p = V y, with the kernel coordinates zero.
 
-            def node_norm(r):
-                # |W V r|, the stopping test's norm: V^T W^2 V = I - V^T diag(1/4, 0, ..., 0, 1/4) V
-                q = op.wall_rows @ r.view(np.float64)
-                return float(np.sqrt(np.vdot(r, r).real - 0.25 * np.vdot(q, q)))
+        b is ``_weak_coordinates``' (overwritten); defect is reported as info.compat_defect.
+        """
+        if self.grid.is_flat:
+            b *= self._inv_divisor                  # zero at the kernel coordinates
+            return b, SolveInfo(1, 0.0, "direct", defect)
+        b[0, self._kernel] = 0.0                    # the kernel coordinates stay zero
+        op = self._operator
+        ap = np.empty_like(b)                       # A p, and z = M r as in the Dirichlet PCG
 
-            y, info = _pcg(lambda q: op.apply(q, ap),
-                           lambda r: np.multiply(r, self._inv_divisor, out=ap), b, None,
-                           SOLVER_TOL, self.maxiter, "neumann", norm=node_norm)
-            info.compat_defect = rel_defect
-            p = from_basis(basis, y, grid, y)
-            if grid.n1 % 2 == 0:
-                # zero W-mean from the coordinates; the node-coefficient PCG gave zero plain mean
-                p[:, -1] -= p[:, -1].mean()
-        p[:, 0] -= grid.w2 @ p[:, 0]         # zero volume mean (the weights w2 sum to 1)
-        return (x1_inverse if grid.is_flat else from_coefficients)(p, grid), info
+        def node_norm(r):
+            # |W V r|, the stopping test's norm: V^T W^2 V = I - V^T diag(1/4, 0, ..., 0, 1/4) V
+            q = self._wall_rows @ r.view(np.float64)
+            return float(np.sqrt(np.vdot(r, r).real - 0.25 * np.vdot(q, q)))
 
+        y, info = _pcg(lambda q: op.apply(q, ap),
+                       lambda r: np.multiply(r, self._inv_divisor, out=ap), b, None,
+                       SOLVER_TOL, self.maxiter, "neumann", norm=node_norm)
+        info.compat_defect = defect
+        return y, info

@@ -221,6 +221,18 @@ def d_x1_line(g: np.ndarray, grid: MappedGrid) -> np.ndarray:
     return np.fft.irfft(grid.ik_d1 * np.fft.rfft(g), n=grid.n1)
 
 
+def zero_wall_field(spectra: np.ndarray, grid: MappedGrid) -> np.ndarray:
+    """Grid values of interior-row x1 spectra (x1_transform's layout), with zero wall rows.
+
+    One inverse transform; the d/dx1 of a field constant along each wall
+    row, from ik times its interior rows' spectra.
+    """
+    out = np.empty(grid.shape)
+    out[:, 0] = out[:, -1] = 0.0
+    x1_inverse(spectra, grid, out[:, 1:-1])
+    return out
+
+
 def d_x2(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
     """Second-order d/dx2: centered inside, one-sided on the wall rows.
 
@@ -362,6 +374,11 @@ def _read_only(*parts: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in parts:
         a.setflags(write=False)
     return parts
+
+
+def end_rows(basis: _ParityBasis) -> np.ndarray:
+    """Q[0, :] and Q[-1, :] in the basis' split order, stacked (2, r): mirror rows, minus columns negated."""
+    return np.stack([np.concatenate([basis.plus[0], s * basis.minus[0]]) for s in (1.0, -1.0)])
 
 
 def to_basis(basis: _ParityBasis, x: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -564,9 +581,8 @@ class CosineOperator(_EigenOperator):
         super().__init__(grid, cosine_divisor(grid), w * basis.eig, -w, _cosine_difference(grid.n2))
         # dx1 h' Dx: the -h' weights times -dx1 ik at the source wavenumber
         self._wall = tuple((m, -grid.dx1 * c * grid._ik_shifted(m)) for m, c in grid.mhp_shifts)
-        v0, vn = (np.concatenate([basis.plus[0], s * basis.minus[0]]) for s in (1.0, -1.0))
-        self.wall_rows = np.stack([v0, vn])        # V[0, :] and V[n, :] by parity
-        self._wall_cols = np.stack([v0, -vn], axis=1)
+        self.wall_rows = end_rows(basis)           # V[0, :] and V[n, :]
+        self._wall_cols = np.stack([self.wall_rows[0], -self.wall_rows[1]], axis=1)
 
     def apply(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The operator on C-ordered cosine coordinates (n2, nk), written into out (not y)."""

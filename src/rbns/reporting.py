@@ -62,13 +62,17 @@ def assemble_report(physical: PhysicalParams, norms: BoundaryNorms,
                        qform=qform, notes=notes or [])
 
 
-def report_for_run(config: RunConfig, averages: dict,
-                   measured_nu: float, notes: list[str] | None = None) -> BoundReport:
+def report_for_run(config: RunConfig, averages: dict, measured_nu: float,
+                   notes: list[str] | None = None,
+                   boundary: tuple[BoundaryNorms, dict[str, ConditionReport]] | None = None
+                   ) -> BoundReport:
     """Bound report for a completed run described by its config and averages.
 
     The quadratic form reads the run's own <|grad eta|^2>, ``averages["grad_eta_sq"]``.
+    boundary is the run's ``conditions_for_config(config)`` (a RunResult's
+    norms and conditions), evaluated here when not given.
     """
-    norms, conditions = conditions_for_config(config)
+    norms, conditions = conditions_for_config(config) if boundary is None else boundary
     physical = PhysicalParams(config.physical.ra, config.physical.pr)
     b = config.bounds
     qform = None

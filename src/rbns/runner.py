@@ -2,9 +2,10 @@
 
 A run is deterministic given its config: the initial perturbation is drawn
 from a seeded generator, automatic time steps are pure functions of the
-state, and the multistep history is reset at every checkpoint instant, so a
-run resumed from a checkpoint reproduces the original trajectory bit for
-bit (the original run restarts its own predictor at the same instants).
+state, and a checkpoint is a restart point: at every checkpoint instant the
+run goes on from the state that a resume builds from the written fields
+(its velocity from psi, no multistep history), so a run resumed from a
+checkpoint reproduces the original trajectory bit for bit.
 
 Every output directory receives the verbatim config, the effective
 (defaults-filled) config, a provenance block (version, grid and metric
@@ -30,7 +31,14 @@ from rbns.config import RunConfig, serialize_config, validate_config
 from rbns.diagnostics import Recorder, measure, velocity_gradient_integrals
 from rbns.elliptic import EllipticError
 from rbns.files import atomic_open
-from rbns.geometry import CONDITION_SAMPLES, boundary_frames, boundary_norms, check_conditions
+from rbns.geometry import (
+    CONDITION_SAMPLES,
+    BoundaryNorms,
+    ConditionReport,
+    boundary_frames,
+    boundary_norms,
+    check_conditions,
+)
 from rbns.grid import MappedGrid, wall_tangential_velocity
 from rbns.rng import standard_normals
 from rbns.solver import (
@@ -51,6 +59,8 @@ TEMP_EXCURSION_TOL = 1e-3
 @dataclass
 class RunResult:
     recorder: Recorder
+    norms: BoundaryNorms                    # conditions_for_config(config), evaluated once
+    conditions: dict[str, ConditionReport]
     final_state: FlowState | None = None    # set when the run ends
     aborted: bool = False
     abort_reason: str = ""
@@ -109,11 +119,12 @@ def build_stepper(config: RunConfig) -> BoussinesqStepper:
     )
 
 
-def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES):
+def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES
+                          ) -> tuple[BoundaryNorms, dict[str, ConditionReport]]:
     """Wall norms and all three condition checks, from frames at n_samples points per wall.
 
-    The one source of both for a run's summary, its bound report and
-    ``rbns geometry-report``.
+    The one source of both for a run's summary, its bound report (a run
+    hands them over in its RunResult) and ``rbns geometry-report``.
     """
     profile = config.geometry.profile()
     walls = boundary_frames(profile, n_samples, *config.boundary.series(profile.gamma))
@@ -121,7 +132,7 @@ def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES)
 
 
 def _state_from_checkpoint(stepper: BoussinesqStepper, data: CheckpointData) -> FlowState:
-    u1, u2 = stepper._velocity(data.psi)
+    u1, u2, _ = stepper._velocity(data.psi)
     return FlowState(time=data.time, omega=data.omega, psi=data.psi, temp=data.temp,
                      u1=u1, u2=u2, psi_top=data.psi_top,
                      u_tau=wall_tangential_velocity(u1, u2, stepper.grid))
@@ -184,7 +195,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     validate_config(config)
     stepper = build_stepper(config)
     grid = stepper.grid
-    norms = conditions_for_config(config)[0]
+    norms, conditions = conditions_for_config(config)
 
     tcfg = config.time
     sample_dt = tcfg.effective_sample_interval()
@@ -223,14 +234,15 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                     fh.write(text)
 
     # holds no state until the end, so each state is freed once the run moves on
-    result = RunResult(recorder=recorder)
+    result = RunResult(recorder=recorder, norms=norms, conditions=conditions)
 
     def take_sample(st: FlowState, index: int) -> tuple[StateDerivatives | None, str]:
         """Record one sample; returns the state's derivative set and why the run must stop, or "".
 
         grad T (the pressure right-hand side reads dT/dy2) and grad u come before
-        the pressure solve, grad omega after it.  A failed pressure solve still
-        records the sample, without pressure.
+        the pressure solve, grad omega after it; the solve gives the pressure's
+        wall traces, all that measure reads of it.  A failed pressure solve
+        still records the sample, without pressure.
         """
         if not (np.isfinite(st.omega).all() and np.isfinite(st.temp).all()):
             return None, f"non-finite fields at t = {st.time:.6g}"
@@ -251,6 +263,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                       config.physical.pr, config.physical.ra, derivs, grad_u_sq,
                       pressure=pressure, pressure_defect=defect, background=background)
         recorder.add(row)
+        st.u2_spectrum = None               # read by velocity_gradients only
         if not (np.isfinite(row["energy"]) and np.isfinite(row["nu_gradsq"])):
             return derivs, f"non-finite fields at t = {st.time:.6g}"
         excursion = max(-row["temp_min"], row["temp_max"] - 1.0)
@@ -260,11 +273,11 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
                             f"buoyancy_safety = {tcfg.buoyancy_safety:g})")
         return derivs, abort
 
-    def write_ckpt(st: FlowState, label: str) -> None:
+    def write_ckpt(data: CheckpointData, label: str) -> None:
         if ckpt_dir is None:
             return
         path = os.path.join(ckpt_dir, f"{label}.ckpt")
-        write_checkpoint(path, _checkpoint_payload(config, st))
+        write_checkpoint(path, data)
         result.checkpoints.append(path)
 
     t_end = tcfg.t_end
@@ -303,24 +316,27 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             derivs = stepper.state_derivatives(state)
         if (tcfg.checkpoint_interval is not None
                 and state.time >= ckpt_count * tcfg.checkpoint_interval - 1e-12):
-            write_ckpt(state, f"checkpoint_{ckpt_count:06d}")
-            state = state.without_history()  # predictor restarts here on resume too
+            data = _checkpoint_payload(config, state)
+            write_ckpt(data, f"checkpoint_{ckpt_count:06d}")
+            # a restart point, also without an output directory: the run goes
+            # on from the state a resume builds, so both take the same steps
+            state = _state_from_checkpoint(stepper, data)
+            del data
             ckpt_count += 1
 
     result.aborted, result.abort_reason = bool(abort), abort
     result.final_state = state
     if not result.aborted:
-        write_ckpt(state, "final")
+        write_ckpt(_checkpoint_payload(config, state), "final")
     recorder.finalize()
     result.averages = recorder.averages()
     if out is not None:
         recorder.write_csv(os.path.join(out, "diagnostics.csv"), precision=config.output.precision)
-        _write_summary(os.path.join(out, "run_summary.txt"), config, result, norms)
+        _write_summary(os.path.join(out, "run_summary.txt"), config, result)
     return result
 
 
-def _write_summary(path: str, config: RunConfig, result: RunResult,
-                   norms) -> None:
+def _write_summary(path: str, config: RunConfig, result: RunResult) -> None:
     rec = result.recorder
     lines = {
         "ra": config.physical.ra,
@@ -344,7 +360,7 @@ def _write_summary(path: str, config: RunConfig, result: RunResult,
     }
     for key, value in result.averages.items():
         lines[f"avg:{key}"] = value
-    for key, value in asdict(norms).items():
+    for key, value in asdict(result.norms).items():
         lines[f"norm:{key}"] = value
     with atomic_open(path) as fh:
         fh.writelines(f"{key} = {value}\n" for key, value in lines.items())

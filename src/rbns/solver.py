@@ -24,7 +24,7 @@ fixed flux, not at a fixed mean pressure gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from rbns.grid import (
     wall_tangential_derivatives,
     wall_tangential_velocity,
     x1_transform,
+    zero_wall_field,
 )
 
 
@@ -69,7 +70,10 @@ class FlowState:
     u_tau is the (bottom, top) wall tangential velocity of (u1, u2),
     stacked (2, n1), evaluated where the state is built.  The multistep history
     prev_expl_* holds the explicit terms of the step that built the state,
-    as interior-row x1 spectra (x1_transform's layout).
+    as interior-row x1 spectra (x1_transform's layout).  u2_spectrum, set by
+    a flat step, is u2's (ik psi^ from the psi solve), read by a sample's
+    ``velocity_gradients``; whoever forms the state's derivative set drops
+    it (``state_derivatives``, or the runner's sample once recorded).
     """
 
     time: float
@@ -83,10 +87,7 @@ class FlowState:
     prev_expl_omega: np.ndarray | None = None
     prev_expl_temp: np.ndarray | None = None
     prev_dt: float | None = None
-
-    def without_history(self) -> "FlowState":
-        """Drop the multistep history (used at checkpoint instants)."""
-        return replace(self, prev_expl_omega=None, prev_expl_temp=None, prev_dt=None)
+    u2_spectrum: np.ndarray | None = None
 
 
 @dataclass
@@ -118,9 +119,14 @@ def velocity_gradients(state: FlowState, grid: MappedGrid) -> tuple[np.ndarray, 
     """(d u1/dy2, d u2/dy1, d u2/dy2) of a state, one x1 transform pair.
 
     d u1/dy1 = -d u2/dy2 to rounding at every node: u = (-d psi/dy2, d psi/dy1),
-    d_x1 and d_x2 act on different axes and h' is constant along x2.
+    d_x1 and d_x2 act on different axes and h' is constant along x2.  With
+    the state's u2_spectrum (flat walls, where u2 = d psi/dx1 is zero on both
+    walls) d u2/dy1 is one inverse transform.
     """
-    return (d_x2(state.u1, grid), *grad_physical(state.u2, grid))
+    u1_y2, u2 = d_x2(state.u1, grid), state.u2
+    if state.u2_spectrum is None:
+        return (u1_y2, *grad_physical(u2, grid))
+    return u1_y2, zero_wall_field(state.u2_spectrum * grid.ik_d1, grid), d_x2(u2, grid)
 
 
 def boundary_vorticity(u_tau: np.ndarray, walls: Walls) -> np.ndarray:
@@ -167,7 +173,7 @@ class BoussinesqStepper:
         grid = self.grid
         if psi is None:
             psi = np.zeros(grid.shape)
-        u1, u2 = self._velocity(psi)
+        u1, u2, _ = self._velocity(psi)
         u_tau = wall_tangential_velocity(u1, u2, grid)
         psi_top = float(np.mean(psi[:, -1]))
         omega = np.empty(grid.shape)
@@ -201,12 +207,33 @@ class BoussinesqStepper:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _velocity(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        psi_y1, psi_y2 = grad_physical(psi, self.grid)
-        return -psi_y2, psi_y1
+    def _velocity(self, psi: np.ndarray, psi_hat: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """u = (-d psi/dy2, d psi/dy1), and u2's interior-row x1 spectra or None.
+
+        psi_hat, if given, is the x1 spectra of psi's interior rows (psi is
+        constant along each wall), overwritten: d psi/dx1 is synthesized from
+        ik psi_hat, so psi is not transformed again.  On flat grids, where
+        u2 = d psi/dx1, those spectra are u2's and are returned.
+        """
+        grid = self.grid
+        if psi_hat is None:
+            psi_y1, psi_y2 = grad_physical(psi, grid)
+            return -psi_y2, psi_y1, None
+        psi_y2 = d_x2(psi, grid)
+        psi_hat *= grid.ik_d1
+        psi_y1 = zero_wall_field(psi_hat, grid)
+        if not grid.is_flat:
+            psi_hat = None
+            psi_y1 -= grid.hp[:, None] * psi_y2
+        return np.negative(psi_y2, out=psi_y2), psi_y1, psi_hat
 
     def state_derivatives(self, state: FlowState) -> StateDerivatives:
-        """grad omega and grad T of a state and their x1 spectra, evaluated once."""
+        """grad omega and grad T of a state and their x1 spectra, evaluated once.
+
+        The state's u2_spectrum, read only by a sample's ``velocity_gradients``, is dropped.
+        """
+        state.u2_spectrum = None
         grad_omega, w_hat = field_derivatives(state.omega, self.grid)
         grad_temp, t_hat = field_derivatives(state.temp, self.grid)
         return StateDerivatives(grad_omega, grad_temp, w_hat, t_hat)
@@ -307,7 +334,7 @@ class BoussinesqStepper:
             rhs_w *= dt
         u_tau = state.u_tau
         psi_top = state.psi_top  # held: the net flux -Gamma psi_top is fixed
-        omega_new = psi_new = u1 = u2 = None
+        omega_new = psi_new = u1 = u2 = u2_hat = None
         helm_w = HelmholtzDirichlet(grid, 0.5 * pr * dt)
         w_old, derivs.omega_spectrum = derivs.omega_spectrum[:, 1:-1].T, None
         old_walls = state.omega.T[[0, -1]]
@@ -328,11 +355,15 @@ class BoussinesqStepper:
                 del helm_w
             # the psi right-hand side's coordinates are minus omega_new's
             w_hat, info = info.coords, None
-            psi_new = self.poisson.solve(
+            psi_new, info = self.poisson.solve(
                 None, np.zeros(grid.n1), np.full(grid.n1, psi_top), x0=state.psi,
-                rhs_coords=np.negative(w_hat, out=w_hat), walls=psi_top * self._psi_walls)[0]
+                rhs_coords=np.negative(w_hat, out=w_hat), walls=psi_top * self._psi_walls)
             w_hat = None
-            u1, u2 = self._velocity(psi_new)
+            # psi's spectra spare the velocity a forward transform; on flat
+            # grids they turn into u2's, which the new state carries
+            psi_hat, info = info.spectra, None
+            u1, u2, u2_hat = self._velocity(psi_new, psi_hat)
+            del psi_hat
             u_tau, u_tau_old = wall_tangential_velocity(u1, u2, grid), u_tau
             if (sweep >= self.coupling_sweeps
                     or float(np.max(np.abs(u_tau - u_tau_old))) <= self.coupling_tol):
@@ -343,13 +374,14 @@ class BoussinesqStepper:
             omega=omega_new, psi=psi_new, temp=temp_new, u1=u1, u2=u2,
             psi_top=psi_top, u_tau=u_tau,
             prev_expl_omega=n_w, prev_expl_temp=n_t, prev_dt=dt,
+            u2_spectrum=u2_hat,
         )
 
     # -- pressure ---------------------------------------------------------------
 
     def recover_pressure(self, state: FlowState,
                          derivs: StateDerivatives) -> tuple[np.ndarray, SolveInfo]:
-        """Mean-zero pressure from the Neumann problem the momentum balance implies.
+        """Wall traces (bottom, top), (2, n1), of the mean-zero pressure of the Neumann problem.
 
         Bulk:  Lap p = -(1/Pr) (grad u)^T : grad u + Ra dT/dy2.
         Walls: n.grad p = -(kappa/Pr) u_tau^2 + 2 d/dlambda((alpha+kappa) u_tau),
@@ -357,8 +389,10 @@ class BoussinesqStepper:
 
         derivs holds the state's grad_temp and the sample's grad_u
         (``velocity_gradients``); grad_u is dropped once the bulk term is formed.  Both
-        walls' flux derivatives take one transform pair.  Each solve starts
-        cold, so a resumed run recovers the same pressures.
+        walls' flux derivatives take one transform pair.  Only the wall traces
+        are read (``PoissonNeumann.wall_traces``), so the field is never
+        synthesized.  Each solve starts cold, so a resumed run recovers the
+        same pressures.
         """
         # both walls' (bottom, top) lines at once
         fluxes = wall_tangential_derivatives(self._ak * state.u_tau, self.grid)
@@ -366,7 +400,7 @@ class BoussinesqStepper:
         fluxes -= self._kappa_pr * state.u_tau**2
         fluxes[0] += self._ra_n2
         # the solve weights the bulk term in place; unnamed here, it is freed once transformed
-        return self.neumann.solve(self._pressure_bulk(derivs), fluxes[0], fluxes[1])
+        return self.neumann.wall_traces(self._pressure_bulk(derivs), fluxes[0], fluxes[1])
 
     def _pressure_bulk(self, derivs: StateDerivatives) -> np.ndarray:
         """-2 (u2z^2 + u2y1 u1z) / Pr + Ra dT/dy2 (u1y1 = -u2z), F-ordered; drops grad_u."""

@@ -119,7 +119,8 @@ def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid:
         n.grad w = (1/Pr)(du_tau/dt + u_tau du_tau/dlambda) + dp/dlambda
                    - Ra T n1   (along tau),
 
-    multiplied by the wall data w = -2(alpha+kappa) u_tau.
+    multiplied by the wall data w = -2(alpha+kappa) u_tau.  pressure is the
+    (bottom, top) wall traces, stacked (2, n1).
     """
     wy1, wy2 = grad_omega
     t_grad = volume_integral(wy1**2 + wy2**2, grid) / grid.area
@@ -127,8 +128,8 @@ def enstrophy_balance_terms(omega, grad_omega, grad_temp, u_tau, pressure, grid:
     t_press = 0.0
     t_inertia = 0.0
     ak = walls.alpha + walls.kappa
-    for side, j, ak_side, ut in zip(Side, (0, -1), ak, u_tau):
-        dp_dlam = _d_dlambda(pressure[:, j], grid, side)
+    for side, p_wall, ak_side, ut in zip(Side, pressure, ak, u_tau):
+        dp_dlam = _d_dlambda(p_wall, grid, side)
         t_press += 2.0 * walls.line_integral(ak_side * ut * dp_dlam) / grid.area
         dut_dlam = _d_dlambda(ut, grid, side)
         t_inertia += (2.0 / pr) * walls.line_integral(ak_side * ut**2 * dut_dlam) / grid.area

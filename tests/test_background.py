@@ -84,3 +84,24 @@ def test_delta_validation(flat_profile):
         BackgroundField(0.0, grid)
     with pytest.warns(UserWarning, match="fewer than 4 cells"):
         BackgroundField(0.05, MappedGrid(flat_profile, 8, 17))
+
+
+def test_under_resolved_delta_warning_names_the_builder(flat_profile):
+    # the warning points at the code that built the field, not into the
+    # dataclass-generated __init__
+    import rbns.runner
+    from rbns.config import RunConfig
+
+    grid = MappedGrid(flat_profile, 8, 17)
+    with pytest.warns(UserWarning, match="fewer than 4 cells") as caught:
+        BackgroundField(0.1, grid)
+    assert [w.filename for w in caught] == [__file__]
+
+    cfg = RunConfig()
+    cfg.grid.n1, cfg.grid.n2 = 16, 17
+    cfg.time.t_end = 0.0
+    cfg.bounds.background_delta = 0.1
+    with pytest.warns(UserWarning, match="fewer than 4 cells") as caught:
+        rbns.runner.run_simulation(cfg)
+    assert [w.filename for w in caught if "fewer than 4 cells" in str(w.message)] == [
+        rbns.runner.__file__]

@@ -40,6 +40,23 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+def test_simulate_evaluates_boundary_conditions_once(tiny_config, tmp_path, monkeypatch):
+    # the run's wall norms and condition checks reach its summary and its
+    # bound report from one set of frames at CONDITION_SAMPLES points
+    import rbns.runner
+
+    frames = rbns.runner.boundary_frames
+    samples = []
+
+    def counted(profile, n_samples, *args, **kwargs):
+        samples.append(n_samples)
+        return frames(profile, n_samples, *args, **kwargs)
+
+    monkeypatch.setattr(rbns.runner, "boundary_frames", counted)
+    assert main(["simulate", "--config", tiny_config, "--output", str(tmp_path / "run")]) == 0
+    assert samples.count(CONDITION_SAMPLES) == 1
+
+
 def test_simulate_writes_outputs(tiny_config, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert main(["simulate", "--config", tiny_config, "--output", out]) == 0

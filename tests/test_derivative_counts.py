@@ -175,27 +175,34 @@ def _sampled_config(modes, sample_interval):
     return cfg
 
 
+def _count_transforms(mp) -> list:
+    """(name, "line" or "full") per np.fft.rfft / irfft call; at most 4 lines is a line batch."""
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            line = np.ndim(a) == 1 or min(np.shape(a)) <= 4
+            calls.append((_name, "line" if line else "full"))
+            return _original(a, *args, **kwargs)
+
+        mp.setattr(np.fft, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
 def test_sample_transform_count(monkeypatch, modes):
-    # one sample with pressure: the velocity gradients (one full-size
-    # transform pair, grad u2), the Neumann solve (one), and two batched
-    # wall-line pairs, the pressure fluxes and measure's u_tau and pressure
-    # traces.
+    # one sample with pressure: the velocity gradients (grad u2: one inverse
+    # transform from u2's spectra, which a flat step hands over, or a
+    # full-size pair on rough walls), the Neumann solve (one forward, its
+    # two wall traces back as lines), and two batched wall-line pairs, the
+    # pressure fluxes and measure's u_tau and pressure traces.
     # Two runs of the same two steps, sampled every step and only at t = 0,
     # differ by two samples.
     counts = {}
     for label, interval in (("every", 1e-4), ("first", 1.0)):
-        calls = []
         with monkeypatch.context() as mp:
-            for name in ("rfft", "irfft"):
-                original = getattr(np.fft, name)
-
-                def counted(a, *args, _original=original, _name=name, **kwargs):
-                    line = np.ndim(a) == 1 or min(np.shape(a)) <= 4
-                    calls.append((_name, "line" if line else "full"))
-                    return _original(a, *args, **kwargs)
-
-                mp.setattr(np.fft, name, counted)
+            calls = _count_transforms(mp)
             res = run_simulation(_sampled_config(modes, interval))
         assert res.steps_taken == 2
         counts[label] = (len(res.recorder.records), calls)
@@ -203,8 +210,50 @@ def test_sample_transform_count(monkeypatch, modes):
     assert n_every - n_first == 2
     per_sample = {key: (every.count(key) - first.count(key)) / 2
                   for key in {*every, *first}}
-    assert per_sample == {("rfft", "full"): 2, ("irfft", "full"): 2,
-                          ("rfft", "line"): 2, ("irfft", "line"): 2}
+    assert per_sample == {("rfft", "full"): 1 if not modes else 2, ("irfft", "full"): 1,
+                          ("rfft", "line"): 2, ("irfft", "line"): 3}
+
+
+def test_flat_step_plus_sample_transform_count(monkeypatch):
+    # one flat step and the sample of the new state, with pressure: the
+    # step's 8 (4 forward for the explicit terms, the three solutions back,
+    # psi's spectra differentiated back into u2) and the sample's 6 (grad T
+    # and grad omega one pair each, grad u2 one back, the Neumann solve one
+    # forward); 17 while the velocity and grad u2 transformed psi and u2
+    # again and the pressure field was synthesized.  Two runs sampled every
+    # step differ by one step and sample.
+    totals = []
+    for steps in (1, 2):
+        cfg = _sampled_config((), 1e-4)
+        cfg.time.t_end = steps * cfg.time.dt
+        with monkeypatch.context() as mp:
+            calls = _count_transforms(mp)
+            res = run_simulation(cfg)
+        assert res.steps_taken == steps
+        totals.append(sum(kind == "full" for _, kind in calls))
+    assert totals[1] - totals[0] <= 14
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
+def test_recover_pressure_synthesizes_no_field(monkeypatch, modes):
+    # the wall traces are read from the Neumann solve's coordinates, so no
+    # field-sized inverse transform is made
+    cfg = _sampled_config(modes, 1e-4)
+    stepper = build_stepper(cfg)
+    grid = stepper.grid
+    state = stepper.state_from_fields(initial_temperature(cfg, grid),
+                                      initial_stream_function(cfg, grid))
+    state = stepper.step(state, 1e-4, stepper.state_derivatives(state))
+    # a flat step hands u2's spectra to the sample; a rough state carries none
+    assert (state.u2_spectrum is None) == bool(modes)
+    derivs = stepper.state_derivatives(state)
+    assert state.u2_spectrum is None
+    derivs.grad_u = velocity_gradients(state, grid)
+    calls = _count_transforms(monkeypatch)
+    traces, info = stepper.recover_pressure(state, derivs)
+    assert traces.shape == (2, grid.n1) and np.isfinite(traces).all()
+    assert ("irfft", "full") not in calls
+    assert calls.count(("rfft", "full")) == 1
 
 
 def test_velocity_gradients_freed_before_pressure_solve(monkeypatch):
@@ -223,15 +272,15 @@ def test_velocity_gradients_freed_before_pressure_solve(monkeypatch):
         gradients.extend(weakref.ref(a) for a in out)
         return out
 
-    solve = PoissonNeumann.solve
+    wall_traces = PoissonNeumann.wall_traces
     alive = []
 
-    def checked_solve(self, *args, **kwargs):
+    def checked_traces(self, *args, **kwargs):
         alive.append(sum(ref() is not None for ref in gradients))
-        return solve(self, *args, **kwargs)
+        return wall_traces(self, *args, **kwargs)
 
     monkeypatch.setattr(rbns.runner, "velocity_gradients", recorded)
-    monkeypatch.setattr(PoissonNeumann, "solve", checked_solve)
+    monkeypatch.setattr(PoissonNeumann, "wall_traces", checked_traces)
     res = run_simulation(_sampled_config((), 1e-4))
     assert len(res.recorder.records) == 3 and len(gradients) == 9
     assert alive == [0, 0, 0]

@@ -107,8 +107,9 @@ def test_wall_pressure_integration_by_parts(flat_profile, alpha_one, rng):
 
 def test_enstrophy_terms_zero_velocity(flat_profile, alpha_one):
     grid, walls, temp, zeros = conduction_setup(flat_profile, alpha_one)
+    wall_lines = np.zeros((2, grid.n1))
     terms = enstrophy_balance_terms(zeros, grad_physical(zeros, grid), grad_physical(temp, grid),
-                                    np.zeros((2, grid.n1)), zeros, grid, walls, pr=1.0, ra=100.0)
+                                    wall_lines, wall_lines, grid, walls, pr=1.0, ra=100.0)
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in terms.values())
 
 
@@ -237,7 +238,7 @@ def test_csv_header_and_shape(tmp_path, flat_profile, alpha_one):
         state = FlowState(time=t, omega=zeros, psi=zeros, temp=temp, u1=zeros, u2=zeros,
                           psi_top=0.0, u_tau=np.zeros((2, grid.n1)))
         rec.add(measure(state, grid, walls, pr=1.0, ra=10.0, derivs=derivs,
-                        grad_u_sq=0.0, pressure=zeros))
+                        grad_u_sq=0.0, pressure=np.zeros((2, grid.n1))))
     rec.finalize()
     path = tmp_path / "diag.csv"
     rec.write_csv(path)
@@ -411,14 +412,14 @@ background_delta = 0.25
 [output]
 pressure_every = {pressure_every}
 """
-    solve = PoissonNeumann.solve
+    wall_traces = PoissonNeumann.wall_traces
     calls = []
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return solve(self, *args, **kwargs)
+        return wall_traces(self, *args, **kwargs)
 
-    monkeypatch.setattr(PoissonNeumann, "solve", counted)
+    monkeypatch.setattr(PoissonNeumann, "wall_traces", counted)
     result = run_simulation(parse_config(text), str(tmp_path))
     assert not result.aborted
     defects = result.recorder.column("pressure_defect")

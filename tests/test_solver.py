@@ -149,24 +149,71 @@ def test_stream_trace_fixed_point(sine_profile):
     assert got == pytest.approx(0.37, abs=1e-4)  # quadrature-level agreement
 
 
-def test_pressure_zero_state(flat_profile):
+def _pressure_traces_and_field(monkeypatch, stepper, state):
+    """recover_pressure's wall traces and info, and solve's field on the same Neumann data."""
+    from rbns.elliptic import PoissonNeumann
+
+    captured = []
+    wall_traces = PoissonNeumann.wall_traces
+
+    def recorded(self, rhs, flux_bottom, flux_top):
+        captured.append((rhs.copy(), flux_bottom.copy(), flux_top.copy()))
+        return wall_traces(self, rhs, flux_bottom, flux_top)
+
+    monkeypatch.setattr(PoissonNeumann, "wall_traces", recorded)
+    traces, info = stepper.recover_pressure(state, _sample_derivatives(stepper, state))
+    return traces, info, stepper.neumann.solve(*captured[0])[0]
+
+
+def test_pressure_zero_state(flat_profile, monkeypatch):
     cfg = small_cfg(ra=0.0)
     stepper = build_stepper(cfg)
     temp = np.zeros(stepper.grid.shape)
     state = stepper.state_from_fields(temp)
-    p, info = stepper.recover_pressure(state, _sample_derivatives(stepper, state))
+    traces, info, p = _pressure_traces_and_field(monkeypatch, stepper, state)
+    assert traces.shape == (2, stepper.grid.n1)
+    assert np.abs(traces).max() <= 1e-12
     assert np.abs(p).max() <= 1e-12
 
 
-def test_pressure_hydrostatic(flat_profile):
+def test_pressure_hydrostatic(flat_profile, monkeypatch):
     cfg = small_cfg(ra=50.0, n2=65)
     stepper = build_stepper(cfg)
     state = stepper.state_from_fields(initial_temperature(cfg, stepper.grid))
-    p, info = stepper.recover_pressure(state, _sample_derivatives(stepper, state))
-    x2 = stepper.grid.x2[None, :]
-    expected = 50.0 * (x2 - 0.5 * x2**2 - 1.0 / 3.0) * np.ones((stepper.grid.n1, 1))
-    assert np.abs(p - expected).max() <= 5e-5 * 50.0  # second-order in dx2
+    traces, info, p = _pressure_traces_and_field(monkeypatch, stepper, state)
+
+    def hydrostatic(x2):
+        return 50.0 * (x2 - 0.5 * x2**2 - 1.0 / 3.0)
+
+    # second order in dx2: the field, and its traces at x2 = 0 and x2 = 1
+    expected = hydrostatic(stepper.grid.x2[None, :]) * np.ones((stepper.grid.n1, 1))
+    assert np.abs(p - expected).max() <= 5e-5 * 50.0
+    for trace, x2 in zip(traces, (0.0, 1.0)):
+        assert np.abs(trace - hydrostatic(x2)).max() <= 5e-5 * 50.0
     assert info.compat_defect <= 1e-8
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "rough"])
+@pytest.mark.parametrize("n1, n2", [(16, 17), (32, 33)])
+def test_pressure_wall_traces_are_the_solved_fields_wall_rows(modes, n1, n2):
+    # wall_traces reads the two wall rows from the cosine coordinates; the
+    # kernel modes (k = 0, and the even-n1 Nyquist mode with its plain x2
+    # mean removed) take the field's normalization
+    from rbns.elliptic import PoissonNeumann
+
+    g = MappedGrid(FourierSeries(gamma=1.0, modes=modes), n1, n2)
+    rng = np.random.default_rng(n1)
+    x1, x2 = g.x1[:, None], g.x2[None, :]
+    rhs = np.cos(2 * np.pi * x1) * np.cos(np.pi * x2) + 0.1 * rng.standard_normal(g.shape)
+    flux_bottom, flux_top = rng.standard_normal(n1), rng.standard_normal(n1)
+    solver = PoissonNeumann(g)
+    field, info = solver.solve(rhs.copy(), flux_bottom, flux_top)     # the solve overwrites rhs
+    traces, trace_info = solver.wall_traces(rhs.copy(), flux_bottom, flux_top)
+    want = field.T[[0, -1]]
+    assert traces.shape == (2, n1)
+    assert np.abs(traces - want).max() <= 1e-12 * np.abs(want).max()
+    assert trace_info.iterations == info.iterations
+    assert trace_info.compat_defect == info.compat_defect
 
 
 def test_friction_slows_walls(flat_profile):
@@ -363,13 +410,13 @@ def test_sample_velocity_gradients_match_four_gradient_form(monkeypatch, modes):
     velocity_part = -(u1y1**2 + 2.0 * u2y1 * u1y2 + u2y2**2) / pr
     want_rhs = velocity_part + ra * grad_physical(state.temp, grid)[1]
     captured = []
-    solve = PoissonNeumann.solve
+    wall_traces = PoissonNeumann.wall_traces
 
     def recorded(self, rhs, *args, **kwargs):
         captured.append(rhs.copy())
-        return solve(self, rhs, *args, **kwargs)
+        return wall_traces(self, rhs, *args, **kwargs)
 
-    monkeypatch.setattr(PoissonNeumann, "solve", recorded)
+    monkeypatch.setattr(PoissonNeumann, "wall_traces", recorded)
     stepper.recover_pressure(state, _sample_derivatives(stepper, state))
     assert np.abs(captured[0] - want_rhs).max() <= 1e-13 * np.abs(velocity_part).max()
 
