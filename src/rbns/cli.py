@@ -154,8 +154,13 @@ def cmd_bounds(args) -> int:
             print(f"log_nu_vs_log_ra_slope = {slope!r}")
         return 0
     # pure-formula mode
-    if not args.alpha_min >= 0.0:
-        raise ValueError(f"--alpha-min must be nonnegative, got {args.alpha_min}")
+    for name in ("alpha_min", "kappa_inf", "alpha_plus_kappa_inf", "alpha_plus_kappa_w1inf",
+                 "alpha_dot_inf", "kappa_dot_inf", "hprime_inf", "height_range"):
+        value = getattr(args, name)
+        if value is not None and not value >= 0.0:
+            raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+    if not args.gamma > 0.0:
+        raise ValueError(f"--gamma must be positive, got {args.gamma}")
     norms = BoundaryNorms(
         alpha_min=args.alpha_min,
         kappa_inf=args.kappa_inf,
@@ -229,6 +234,8 @@ def cmd_scaling(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_geometry_report(args) -> int:
+    if args.samples < 4:
+        raise ValueError(f"--samples must be at least 4, got {args.samples}")
     config, _ = _load_config(args.config)
     norms, conditions = conditions_for_config(config, args.samples)
     for key, value in asdict(norms).items():

@@ -217,15 +217,14 @@ class HelmholtzDirichlet:
             self._inv_divisor = np.reciprocal(self._operator.divisor)
 
     def coordinates(self, spectra: np.ndarray) -> np.ndarray:
-        """The solve's coordinates of interior-row x1 spectra (x1_transform's values).
+        """The solve's coordinates of interior-row x1 spectra (x1_transform's layout).
 
-        The spectra themselves on flat grids, C-ordered (the flat Laplacian is
-        faster on contiguous rows); on rough ones, a new array of the sine
-        coordinates of the isometric coefficients.
+        The spectra themselves on flat grids; on rough ones, a new array of
+        the sine coordinates of the isometric coefficients.
         """
         grid = self.grid
         if grid.is_flat:
-            return np.ascontiguousarray(spectra)
+            return spectra
         c = np.multiply(spectra, grid.coeff_scale, out=np.empty(spectra.shape, dtype=complex))
         return to_basis(self._basis, c, grid)
 

@@ -162,7 +162,7 @@ def boundary_frames(profile: FourierSeries, n: int, alpha: FourierSeries,
     series it is used on both.  Fails if any sampled alpha is negative.
     """
     if n < 4:
-        raise ValueError(f"n1 must be at least 4, got {n}")
+        raise ValueError(f"the per-wall sample count must be at least 4, got {n}")
     specs = (alpha, alpha if alpha_top is None else alpha_top)
 
     y1 = np.arange(n) * (profile.gamma / n)

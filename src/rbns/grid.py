@@ -25,13 +25,16 @@ Every mapped derivative is formed here: ``grad_physical``, the wall-line
 and the interior-row Laplacian of the elliptic solves, the Crank-Nicolson
 right-hand side and the MMS check.
 
-Grid values are float64 with shape (n1, n2); axis 0 is periodic by index
-arithmetic everywhere.  The elliptic solves work on x1-Fourier coefficients
-instead: ``to_coefficients`` stores the rfft of each x2 row x2-major, shape
-(rows, n1//2+1) complex, scaled by sqrt(w_k/n1) with w_k = 1 at k = 0 and at
-the even-n1 Nyquist mode and 2 otherwise.  With that scaling the map is an
-isometry: Re vdot of two coefficient arrays is the real dot product of the
-two fields, so a Krylov method gives the same iterates on either side.
+Grid values are float64, C-ordered with shape (n1, n2); axis 0 is periodic
+by index arithmetic everywhere.  Every x1 spectrum is x2-major:
+``x1_transform`` takes the rfft of each x2 row into a C-ordered
+(rows, n1//2+1) complex array, and ``d_x1``, the state derivatives and the
+solves all read that layout.  The elliptic solves work on x1-Fourier
+coefficients: ``to_coefficients`` stores the same spectra scaled by
+sqrt(w_k/n1) with w_k = 1 at k = 0 and at the even-n1 Nyquist mode and 2
+otherwise.  With that scaling the map is an isometry: Re vdot of two
+coefficient arrays is the real dot product of the two fields, so a Krylov
+method gives the same iterates on either side.
 
 The x2 operators have closed-form eigenbases, a discrete sine basis for the
 interior Dirichlet rows and a cosine (DCT-I) basis for the Neumann nodes;
@@ -205,15 +208,17 @@ def metric_spectra(profile: FourierSeries, n1: int) -> tuple[dict[int, complex],
 # ---------------------------------------------------------------------------
 
 def d_x1(f: np.ndarray, grid: MappedGrid, spectrum: np.ndarray | None = None) -> np.ndarray:
-    """Spectral d/dx1 along the periodic axis; spectrum, if given, is rfft(f, axis=0)."""
+    """Spectral d/dx1 of grid values f, C-ordered like them; spectrum, if given, is x1_transform(f)."""
     if spectrum is None:
-        spectrum = np.fft.rfft(f, axis=0)
-    return np.fft.irfft(grid.ik_d1[:, None] * spectrum, n=grid.n1, axis=0)
+        spectrum = np.fft.rfft(f.T, axis=1)
+    # an x1-major product: irfft keeps its layout, so the result's transpose is C-ordered
+    return np.fft.irfft(np.multiply(spectrum, grid.ik_d1, order="F"), n=grid.n1, axis=1).T
 
 
 def d2_x1(f: np.ndarray, grid: MappedGrid) -> np.ndarray:
-    """Spectral d^2/dx1^2 along the periodic axis."""
-    return np.fft.irfft(-grid.k2[:, None] * np.fft.rfft(f, axis=0), n=grid.n1, axis=0)
+    """Spectral d^2/dx1^2 of grid values f, C-ordered like them (as in d_x1)."""
+    product = np.multiply(np.fft.rfft(f.T, axis=1), -grid.k2, order="F")
+    return np.fft.irfft(product, n=grid.n1, axis=1).T
 
 
 def d_x1_line(g: np.ndarray, grid: MappedGrid) -> np.ndarray:
@@ -258,7 +263,7 @@ def grad_physical(f: np.ndarray, grid: MappedGrid,
                   spectrum: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(d/dy1 f, d/dy2 f) at every node, via the chain rule (d/dy1 = d/dx1 on flat grids).
 
-    spectrum, if given, is rfft(f, axis=0), the transform d_x1 would take.
+    spectrum, if given, is x1_transform(f), the transform d_x1 would take.
     """
     fz = d_x2(f, grid)
     fy1 = d_x1(f, grid, spectrum)

@@ -4,8 +4,9 @@ A run is deterministic given its config: the initial perturbation is drawn
 from a seeded generator, automatic time steps are pure functions of the
 state, and a checkpoint is a restart point: at every checkpoint instant the
 run goes on from the state that a resume builds from the written fields
-(its velocity from psi, no multistep history), so a run resumed from a
-checkpoint reproduces the original trajectory bit for bit.
+(``BoussinesqStepper.state_from_fields``: its velocity from psi, no
+multistep history), so a run resumed from a checkpoint reproduces the
+original trajectory bit for bit.
 
 Every output directory receives the verbatim config, the effective
 (defaults-filled) config, a provenance block (version, grid and metric
@@ -39,7 +40,7 @@ from rbns.geometry import (
     boundary_norms,
     check_conditions,
 )
-from rbns.grid import MappedGrid, wall_tangential_velocity
+from rbns.grid import MappedGrid
 from rbns.rng import standard_normals
 from rbns.solver import (
     BoussinesqStepper,
@@ -102,8 +103,9 @@ def initial_stream_function(config: RunConfig, grid: MappedGrid) -> np.ndarray |
     if ini.u0_amplitude == 0.0:
         return None
     phase = 2.0 * np.pi * ini.u0_mode * (grid.x1 / grid.gamma) + ini.u0_phase
-    return (ini.u0_amplitude * np.sin(phase)[:, None]
-            * np.sin(np.pi * grid.x2)[None, :] ** 2)
+    psi = ini.u0_amplitude * np.sin(phase)[:, None] * np.sin(np.pi * grid.x2)[None, :] ** 2
+    psi[:, -1] = 0.0                # exact, as sin(0) makes the bottom row (sin(pi)^2 is 1.5e-32)
+    return psi
 
 
 def build_stepper(config: RunConfig) -> BoussinesqStepper:
@@ -129,13 +131,6 @@ def conditions_for_config(config: RunConfig, n_samples: int = CONDITION_SAMPLES
     profile = config.geometry.profile()
     walls = boundary_frames(profile, n_samples, *config.boundary.series(profile.gamma))
     return boundary_norms(profile, walls), check_conditions(walls)
-
-
-def _state_from_checkpoint(stepper: BoussinesqStepper, data: CheckpointData) -> FlowState:
-    u1, u2, _ = stepper._velocity(data.psi)
-    return FlowState(time=data.time, omega=data.omega, psi=data.psi, temp=data.temp,
-                     u1=u1, u2=u2, psi_top=data.psi_top,
-                     u_tau=wall_tangential_velocity(u1, u2, stepper.grid))
 
 
 def _checkpoint_payload(config: RunConfig, state: FlowState) -> CheckpointData:
@@ -211,7 +206,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
     if resume is not None:
         data = read_checkpoint(resume)
         _check_resume_compatible(config, data)
-        state = _state_from_checkpoint(stepper, data)
+        state = stepper.state_from_fields(data.temp, data.psi, data.omega, data.time)
         del data                            # its fields are the state's, released with it
     else:
         state = stepper.state_from_fields(
@@ -320,7 +315,7 @@ def run_simulation(config: RunConfig, output_dir: str | None = None,
             write_ckpt(data, f"checkpoint_{ckpt_count:06d}")
             # a restart point, also without an output directory: the run goes
             # on from the state a resume builds, so both take the same steps
-            state = _state_from_checkpoint(stepper, data)
+            state = stepper.state_from_fields(data.temp, data.psi, data.omega, data.time)
             del data
             ckpt_count += 1
 

@@ -1,12 +1,14 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rbns.checkpoint import CheckpointData, read_checkpoint, write_checkpoint
-from rbns.config import parse_config
+from rbns.config import RunConfig, parse_config
 from rbns.geometry import FourierSeries
-from rbns.runner import run_simulation
+from rbns.runner import build_stepper, run_simulation
+from rbns.solver import BoussinesqStepper, FlowState
 
 
 def test_round_trip_bit_exact(tmp_path, rng):
@@ -87,6 +89,39 @@ temp_perturbation = 0.01
     shared = sorted(pa.keys() & pb.keys())
     assert len(shared) >= 2 and all(np.isfinite(pa[t]) for t in shared)
     assert [pa[t] for t in shared] == [pb[t] for t in shared]
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "one_mode"])
+def test_resumed_run_starts_from_state_from_fields(tmp_path, monkeypatch, modes):
+    # one constructor: the resumed run's first state and the state the
+    # original run goes on from after writing the checkpoint are both
+    # state_from_fields of the written fields, bit for bit
+    cfg = RunConfig()
+    cfg.geometry.modes = modes
+    cfg.physical.ra, cfg.physical.pr = 1e4, 10.0
+    cfg.grid.n1, cfg.grid.n2 = 16, 17
+    cfg.time.dt, cfg.time.t_end, cfg.time.checkpoint_interval = 2e-4, 2e-3, 1e-3
+    cfg.initial.temp_perturbation, cfg.initial.u0_amplitude = 0.05, 1.0
+    stepped = {}
+    step = BoussinesqStepper.step
+
+    def recorded(self, state, *args, **kwargs):
+        stepped.setdefault(state.time, []).append(state)
+        return step(self, state, *args, **kwargs)
+
+    monkeypatch.setattr(BoussinesqStepper, "step", recorded)
+    run = run_simulation(cfg, str(tmp_path / "a"))
+    path = next(p for p in run.checkpoints if "checkpoint_000001" in p)
+    resumed = run_simulation(cfg, resume=path)
+    assert not run.aborted and not resumed.aborted
+    data = read_checkpoint(path)
+    want = build_stepper(cfg).state_from_fields(data.temp, data.psi, data.omega, data.time)
+    assert want.psi_top == data.psi_top and want.prev_dt is None
+    assert len(stepped[data.time]) == 2          # the restart point, then the resumed start
+    for got in stepped[data.time]:
+        for f in fields(FlowState):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
 
 
 def _small_checkpoint(rng, time=0.0):

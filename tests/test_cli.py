@@ -9,7 +9,13 @@ import pytest
 
 from rbns import reporting
 from rbns.cli import main
-from rbns.geometry import CONDITION_SAMPLES, CONDITIONS, BoundaryNorms
+from rbns.geometry import (
+    CONDITION_SAMPLES,
+    CONDITIONS,
+    BoundaryNorms,
+    FourierSeries,
+    boundary_frames,
+)
 from rbns.runner import read_summary
 
 TINY = """
@@ -208,6 +214,24 @@ def test_bounds_pure_formula_rejects_negative_alpha_min(capsys):
     assert "--alpha-min must be nonnegative, got -0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--kappa-inf", "--alpha-plus-kappa-inf",
+                                  "--alpha-plus-kappa-w1inf", "--alpha-dot-inf",
+                                  "--kappa-dot-inf", "--hprime-inf", "--height-range"])
+def test_bounds_pure_formula_rejects_negative_sup_norms(capsys, flag):
+    # a negative sup-norm once passed all three conditions (kappa_inf = -1
+    # rated theorem1 applicable)
+    assert main(["bounds", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be nonnegative, got -1.0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bounds_pure_formula_rejects_nonpositive_gamma(capsys, value):
+    assert main(["bounds", "--gamma", value]) == 2
+    assert f"--gamma must be positive, got {float(value)}" in capsys.readouterr().err
+
+
 def test_bounds_run_dir(tiny_config, tmp_path, capsys):
     out = str(tmp_path / "run")
     main(["simulate", "--config", tiny_config, "--output", out])
@@ -244,6 +268,17 @@ def test_geometry_report(tmp_path, capsys):
     assert main(["geometry-report", "--config", str(path), "--samples", "256"]) == 0
     out = capsys.readouterr().out
     assert "kappa_inf" in out and "ec:passed" in out
+
+
+def test_geometry_report_rejects_too_few_samples(tmp_path, capsys):
+    # the count is the report's per-wall sample count, not the grid's n1
+    path = tmp_path / "geo.cfg"
+    path.write_text(TINY)
+    assert main(["geometry-report", "--config", str(path), "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--samples must be at least 4, got 2" in err and "n1" not in err
+    with pytest.raises(ValueError, match="per-wall sample count must be at least 4, got 2"):
+        boundary_frames(FourierSeries(gamma=1.0), 2, FourierSeries(gamma=1.0, offset=1.0))
 
 
 def test_geometry_report_counts_each_condition_over_both_walls(tmp_path, capsys):

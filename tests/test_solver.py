@@ -11,6 +11,7 @@ from rbns.grid import (
     grad_physical,
     volume_integral,
     x1_inverse,
+    x1_transform,
 )
 from rbns.runner import TEMP_EXCURSION_TOL, build_stepper, initial_temperature, run_simulation
 from rbns.solver import (
@@ -321,6 +322,22 @@ def test_state_derivatives_match_fresh_evaluations():
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     for got, side in zip(state.u_tau, (Side.BOTTOM, Side.TOP)):
         assert np.array_equal(got, tangential_velocity(state.u1, state.u2, grid, side))
+
+
+@pytest.mark.parametrize("modes", [(), ((1, 0.0, 0.1),)], ids=["flat", "one_mode"])
+def test_state_derivative_spectra_are_x1_transforms(modes):
+    # one layout: a field's x1 spectrum is x1_transform's, x2-major and
+    # C-ordered (n2, n1//2+1); the gradients are grid values, C-ordered (n1, n2)
+    stepper, state = _started_state(modes, 16, 17)
+    grid = stepper.grid
+    for st in (state, stepper.step(state, 1e-4, stepper.state_derivatives(state))):
+        derivs = stepper.state_derivatives(st)
+        for spectrum, field in ((derivs.temp_spectrum, st.temp), (derivs.omega_spectrum, st.omega)):
+            assert spectrum.shape == (grid.n2, grid.n1 // 2 + 1)
+            assert spectrum.flags.c_contiguous
+            assert np.array_equal(spectrum, x1_transform(field, grid))
+        for g in (*derivs.grad_temp, *derivs.grad_omega):
+            assert g.shape == grid.shape and g.flags.c_contiguous
 
 
 def test_step_consumes_the_derivative_gradients():

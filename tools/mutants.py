@@ -47,9 +47,9 @@ MUTANTS = {
            "self._slip = -2.0 * (walls.alpha - walls.kappa)",
            "step: slip vorticity -2(alpha+kappa) -> -2(alpha-kappa)"),
     "M4": (SOLVER,
-           "rhs_w += state.prev_expl_omega * (-0.5 * r)",
-           "rhs_w += state.prev_expl_omega * 0.0",
-           "step: the AB2 history of omega dropped"),
+           "out += prev * (-0.5 * r)",
+           "out += prev * 0.0",
+           "adams_bashforth: the AB2 history of omega and T dropped"),
     "M5": (DIAGNOSTICS,
            'np.multiply(ak + alpha, ut_sq_ds, out=rows[_WALL["boundary_friction"]])',
            'np.multiply(ak + kappa, ut_sq_ds, out=rows[_WALL["boundary_friction"]])',
